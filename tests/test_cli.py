@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from qzeta.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
@@ -113,3 +116,15 @@ def test_deterministic_output(capsys):
     b = run(["verify", "witt", "--p", "5", "--h", "1", "--n", "1",
              "--levels", "3:4"], capsys)[1]
     assert a == b
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["bernoulli", "--h", "-3", "--n", "8"], "bernoulli_h-3_n8.json"),
+    (["bernoulli", "--h", "2", "--n", "12"], "bernoulli_h2_n12.json"),
+    (["polynomial", "--h", "3", "--n", "5"], "polynomial_h3_n5.json"),
+])
+def test_exact_output_matches_golden(argv, golden, capsys):
+    # pins the canonical form: gcd-reduced, monic denominator
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert out == (DATA / golden).read_text()
