@@ -12,6 +12,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import analytic, characters, padic, qbernoulli
 from .analytic import SeriesEvalConfig
@@ -45,8 +46,13 @@ def _parse_rational(text: str) -> Fraction:
 def _parse_levels(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        levels = list(range(int(lo), int(hi) + 1))
+    else:
+        levels = [int(text)]
+    if not levels or levels[0] < 1:
+        raise UsageError(
+            f"--levels {text!r} must name levels N >= 1, lo <= hi")
+    return levels
 
 
 def _char(modulus: int, index: int) -> characters.DirichletCharacter:
@@ -172,6 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _padic_q(args) -> PadicNumber:
+    if args.p < 2 or any(args.p % d == 0 for d in range(2, isqrt(args.p) + 1)):
+        raise UsageError(f"--p {args.p} is not prime")
     q = _parse_rational(args.q) if args.q else Fraction(1 + args.p)
     return PadicNumber.from_fraction(args.p, q, args.precision + 24)
 
@@ -257,11 +265,12 @@ def _run_verify(args, levels):
                                            prec=args.precision,
                                            slack=args.slack)
     if t == "closedform":
+        # check --p before from_fraction, which never returns at p = 1
+        q = _padic_q(args)
         tv = _parse_rational(args.t) if args.t else Fraction(args.p)
         tp = PadicNumber.from_fraction(args.p, tv, args.precision + 24)
-        return padic.closed_form_verify(args.h, tp, _padic_q(args),
-                                        max(levels), prec=args.precision,
-                                        slack=args.slack)
+        return padic.closed_form_verify(args.h, tp, q, max(levels),
+                                        prec=args.precision, slack=args.slack)
     if t == "twisted":
         chi = _char(args.modulus, args.char_index)
         return padic.padic_generalized_verify(chi, args.h, args.n,

@@ -80,25 +80,6 @@ def _pscale(a: Sequence[Fraction], k: Fraction) -> list:
     return [x * k for x in a]
 
 
-
-def _pdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [_F0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        k = r[-1] * inv_lead
-        d = len(r) - len(b)
-        q[d] = k
-        for i, c in enumerate(b):
-            r[i + d] -= k * c
-        _trim(r)
-        if not r:
-            break
-    return _trim(q), r
-
-
 def _peval(a: Sequence[Fraction], x):
     """Horner evaluation; x may be a Fraction or any ring element that
     supports `x * self + Fraction`."""
@@ -136,13 +117,6 @@ def _int_primitive(a: list[int]) -> list[int]:
     if g == 0:
         return a
     return [c // g for c in a]
-
-
-def _to_int_poly(a: Sequence[Fraction]) -> list[int]:
-    if not a:
-        return []
-    d = lcm(*(c.denominator for c in a)) if len(a) > 1 else a[0].denominator
-    return _int_primitive([int(c * d) for c in a])
 
 
 def _int_eval(a: list[int], x: int) -> int:
@@ -341,11 +315,6 @@ class QPolynomial:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        q, r = _pdivmod(self.coeffs, o.coeffs)
-        return QPolynomial._raw(q), QPolynomial._raw(r)
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Quotient by an exact divisor (integer-arithmetic fast path)."""
@@ -599,9 +568,6 @@ class RationalFunction:
             raise PoleError(f"pole of rational function at q={x}")
         return self.num.eval_complex(x) / dv
 
-    def ring_one(self) -> "RationalFunction":
-        return _RF1
-
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
@@ -620,7 +586,6 @@ def _rf_reduce(num: QPolynomial, den: QPolynomial) -> tuple[QPolynomial, QPolyno
 
 
 _RF0 = RationalFunction._raw(_P0, _P1)
-_RF1 = RationalFunction._raw(_P1, _P1)
 
 
 def rf_sum(parts) -> RationalFunction:
@@ -683,10 +648,6 @@ class LogScalar:
 
     def is_zero(self) -> bool:
         return self.rat.is_zero() and self.log.is_zero()
-
-    def is_pure(self) -> bool:
-        """True when the log component vanishes."""
-        return self.log.is_zero()
 
     def __bool__(self):
         return not self.is_zero()
@@ -766,9 +727,6 @@ class LogScalar:
 
     def eval_complex(self, qv: complex) -> complex:
         return eval_log_scalar_complex(self, qv)
-
-    def ring_one(self) -> "LogScalar":
-        return _LS1
 
     # -- JSON interchange ---------------------------------------------------
 

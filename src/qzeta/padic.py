@@ -117,14 +117,6 @@ class PadicNumber:
                 f"cannot lift to {prec} digits: no exact origin")
         return PadicNumber.from_fraction(self.p, self._exact, prec)
 
-    def _lift_int(self, abs_prec: int) -> int:
-        """Integer representative modulo p^abs_prec (value must be integral
-        at this scale, i.e. val >= 0)."""
-        x = self.at_precision(max(abs_prec - self.val, 1))
-        if x.val < 0:
-            raise PadicDomainError("negative valuation has no integer lift")
-        return x.unit * self.p ** x.val % self.p ** abs_prec if x.unit else 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):

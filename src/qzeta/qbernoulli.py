@@ -4,13 +4,22 @@ B_n^{(h)}(q) is defined by the generating function
 
     (h*LAMBDA + t) / (q^h e^t - 1)  =  sum_n B_n t^n / n!
 
-with LAMBDA = log q.  For h = 0 the numerator's log term vanishes and the
-denominator degenerates; the family then reduces to the classical Bernoulli
-numbers, which is what we return on that path.
+with LAMBDA = log q.  The left side is f(t + h*LAMBDA) with
+f(u) = u/(e^u - 1), so B_n^{(h)} = f^{(n)}(h*LAMBDA), and expanding
+1/(e^u - 1) = sum_{k>=1} e^{-ku} gives the closed form
+
+    B_n^{(h)} = (-1)^n [h*LAMBDA * Li_{-n}(q^{-h}) - n * Li_{1-n}(q^{-h})],
+    Li_{-n}(z) = sum_k k^n z^k = z A_n(z) / (1 - z)^{n+1},
+
+with A_n the Eulerian polynomial.  Both components are integer polynomials
+over a power of q^{|h|} - 1 and need no gcd.  For h = 0 the family reduces to
+the classical Bernoulli numbers, which is what we return on that path.
 
 Also here: the character-twisted generalized values (finite-sum and
 generating-function routes) and the exact identity checkers for the
-generating function and the distribution relation.
+generating function and the distribution relation.  The generating-function
+check multiplies the closed-form values by q^h e^t - 1, so it is independent
+of how they were built.
 """
 
 from __future__ import annotations
@@ -22,11 +31,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .characters import DirichletCharacter
-from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
-                    eval_log_scalar_complex, log_scalar_sum)
+from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
+                    XPolynomial, eval_log_scalar_complex, log_scalar_sum)
 from .report import VerificationReport
 from .series import TruncatedSeries, exp_series, scalar_series
-from .exact import QPolynomial
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
@@ -50,17 +58,49 @@ class QBernoulliTable:
         return self.values[n]
 
 
-def _denominator_series(h: int, order: int) -> TruncatedSeries:
-    """q^h e^t - 1 as a series over RationalFunction."""
-    qh = RationalFunction.q_power(h)
-    coeffs = [qh * Fraction(1, factorial(k)) for k in range(order + 1)]
-    coeffs[0] = coeffs[0] - 1
-    return TruncatedSeries(coeffs, order)
+@lru_cache(maxsize=None)
+def _eulerian(n: int) -> tuple[int, ...]:
+    """Coefficients of T_n(z) = z A_n(z); Li_{-n}(z) = T_n(z)/(1 - z)^{n+1}."""
+    if n <= 1:
+        return (0, 1)
+    # Li_{-n} = z d/dz Li_{1-n}:  T_n = z (1 - z) T_{n-1}' + n z T_{n-1}
+    out = [0] * (n + 1)
+    for i, c in enumerate(_eulerian(n - 1)):
+        out[i] += i * c
+        out[i + 1] += (n - i) * c
+    return tuple(out)
+
+
+def _over_one_minus_z(num: list[int], k: int, h: int) -> RationalFunction:
+    """num(z) / (1 - z)^k at z = q^{-h}, deg num <= k, over the monic
+    denominator (q^{|h|} - 1)^k.  No gcd: the caller's num(1) != 0."""
+    if h > 0:  # multiply through by (q^h)^k = z^{-k}
+        num = (num + [0] * (k + 1 - len(num)))[::-1]
+    else:
+        num = [(-1) ** k * c for c in num]
+    den = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+    return RationalFunction._raw(QPolynomial(num).subst_q_power(abs(h)),
+                                 QPolynomial(den).subst_q_power(abs(h)))
 
 
 @lru_cache(maxsize=None)
-def _inverse_denominator(h: int, order: int) -> TruncatedSeries:
-    return _denominator_series(h, order).invert()
+def q_bernoulli_number(h: int, n: int) -> LogScalar:
+    """B_n^{(h)} from the Eulerian closed form in the module docstring.
+
+    Every root of q^{|h|} - 1 has z = 1, where the numerators are
+    +-T_n(1) = +-n! and +-n T_{n-1}(1) = +-n!, so both components are in
+    lowest terms as built.  The rational one, n Li_{1-n}, has one factor of
+    (1 - z) fewer in its denominator."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if h == 0:
+        return LogScalar(classical_bernoulli(n)[n])
+    sign = (-1) ** n
+    log = _over_one_minus_z([sign * h * c for c in _eulerian(n)], n + 1, h)
+    if n == 0:
+        return LogScalar(0, log)
+    rat = _over_one_minus_z([-sign * n * c for c in _eulerian(n - 1)], n, h)
+    return LogScalar(rat, log)
 
 
 @lru_cache(maxsize=None)
@@ -70,19 +110,9 @@ def q_bernoulli_table(h: int, max_n: int) -> QBernoulliTable:
         raise ValueError("max_n must be >= 0")
     if h == 0:
         vals = tuple(LogScalar(b) for b in classical_bernoulli(max_n))
-        return QBernoulliTable(0, max_n, vals)
-    g = _inverse_denominator(h, max_n)
-    vals = []
-    for n in range(max_n + 1):
-        gn = g.coeff(n)
-        gm1 = g.coeff(n - 1) if n >= 1 else RationalFunction(0)
-        bn = LogScalar(gm1, gn * h) * factorial(n)
-        vals.append(bn)
-    return QBernoulliTable(h, max_n, tuple(vals))
-
-
-def q_bernoulli_number(h: int, n: int) -> LogScalar:
-    return q_bernoulli_table(h, n)[n]
+    else:
+        vals = tuple(q_bernoulli_number(h, n) for n in range(max_n + 1))
+    return QBernoulliTable(h, max_n, vals)
 
 
 @lru_cache(maxsize=None)
@@ -101,9 +131,10 @@ def gen_function_identity_check(h: int, order: int) -> VerificationReport:
     table = q_bernoulli_table(h, order)
     f = TruncatedSeries(
         [table[n] / factorial(n) for n in range(order + 1)], order)
-    den = TruncatedSeries(
-        [LogScalar(c) for c in _denominator_series(h, order).coeffs], order)
-    prod = den * f
+    qh = RationalFunction.q_power(h)
+    den = [LogScalar(qh * Fraction(1, factorial(k))) for k in range(order + 1)]
+    den[0] = den[0] - 1
+    prod = TruncatedSeries(den, order) * f
     expected = [LogScalar.lam(h)] + [LogScalar(1)] + [LogScalar.zero()] * max(order - 1, 0)
     witnesses = []
     ok = True

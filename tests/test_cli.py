@@ -119,12 +119,32 @@ def test_deterministic_output(capsys):
 
 
 @pytest.mark.parametrize("argv,golden", [
-    (["bernoulli", "--h", "-3", "--n", "8"], "bernoulli_h-3_n8.json"),
-    (["bernoulli", "--h", "2", "--n", "12"], "bernoulli_h2_n12.json"),
-    (["polynomial", "--h", "3", "--n", "5"], "polynomial_h3_n5.json"),
+    pytest.param(["bernoulli", "--h", "-3", "--n", "8"], "bernoulli_h-3_n8",
+                 id="bernoulli-h-3-n8"),
+    pytest.param(["bernoulli", "--h", "2", "--n", "12"], "bernoulli_h2_n12",
+                 id="bernoulli-h2-n12"),
+    pytest.param(["polynomial", "--h", "3", "--n", "5"], "polynomial_h3_n5",
+                 id="polynomial-h3-n5"),
 ])
 def test_exact_output_matches_golden(argv, golden, capsys):
     # pins the canonical form: gcd-reduced, monic denominator
     code, out, _ = run(argv, capsys)
     assert code == EXIT_OK
-    assert out == (DATA / golden).read_text()
+    assert out == (DATA / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "witt", "--p", "4", "--levels", "3:5"], "--p"),
+    (["verify", "shift", "--p", "9", "--levels", "3"], "--p"),
+    (["verify", "closedform", "--p", "6", "--levels", "3"], "--p"),
+    (["verify", "closedform", "--p", "1", "--levels", "3"], "--p"),
+    (["verify", "twisted", "--p", "1", "--levels", "3"], "--p"),
+    (["verify", "witt", "--p", "5", "--levels", "5:3"], "--levels"),
+    (["verify", "witt", "--p", "5", "--levels", "0:2"], "--levels"),
+    (["verify", "shift", "--p", "5", "--levels", "0"], "--levels"),
+])
+def test_bad_padic_input_exits_2(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert flag in err

@@ -60,9 +60,13 @@ def test_b1_closed_form():
     assert rep.passed
 
 
-@pytest.mark.parametrize("h", [-3, -1, 1, 2])
-def test_generating_function_identity(h):
-    rep = gen_function_identity_check(h, 8)
+@pytest.mark.parametrize("h,order", [
+    pytest.param(h, 8, id=str(h)) for h in (-3, -2, -1, 1, 2, 3)
+] + [pytest.param(3, 20, id="3-order20")])
+def test_generating_function_identity(h, order):
+    # the identity fixes B_0..B_order uniquely, so it is the oracle for the
+    # closed form the table is built from
+    rep = gen_function_identity_check(h, order)
     assert rep.passed
     assert all(w[1] == "0" for w in rep.witnesses)
 
