@@ -2,6 +2,11 @@
 and the p-adic verification suite (Witt's formula, the shift identities, the
 closed-form integral and the character-twisted integral).
 
+The level-N sums sum_{x<p^N} x^n q^{hx} behind Witt's formula, the shift
+identities and the twisted integral come in closed form from one Mahler
+expansion (`_power_sums`), in O(n (n + w)) operations per level at working
+precision p^w, not from a loop over x < p^N.
+
 A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
 is known modulo p^(valuation + prec).  Numbers built from an exact rational
 remember it, which lets the Volkenborn machinery re-expand them at whatever
@@ -13,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .characters import DirichletCharacter
 from .exact import LogScalar
@@ -24,6 +30,10 @@ _BIG = 10 ** 9  # valuation sentinel for an exact zero
 
 DEFAULT_PRECISION = int(os.environ.get("QZK_DEFAULT_PRECISION", "16"))
 DEFAULT_SLACK = 3
+# Work bound on one call of the level sums: k_max + w, their number of Mahler
+# terms when v_p(q^h - 1) = 1, where w (at least twice the top level) is their
+# p-adic working precision.  Larger calls raise PrecisionExhausted.
+MAX_POWER_SUM_TERMS = 360
 
 
 class PadicError(ArithmeticError):
@@ -366,47 +376,81 @@ class MonomialTestFunction:
     q: PadicNumber
 
 
-def _unit_int(q: PadicNumber, abs_prec: int) -> int:
-    """Mantissa of a unit q modulo p^abs_prec, lifting if needed."""
+def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
+    """r = q^h modulo p^w for a unit q, for a call of `_power_sums` with
+    this k_max and w, whose work bound it checks before lifting q."""
+    if k_max + w > MAX_POWER_SUM_TERMS:
+        raise PrecisionExhausted(
+            f"level sums need up to k_max + w = {k_max + w} Mahler terms, "
+            f"above the work bound MAX_POWER_SUM_TERMS = {MAX_POWER_SUM_TERMS}")
     if q.val != 0:
         raise PadicDomainError("q must be a p-adic unit")
-    return q.at_precision(abs_prec).unit % q.p ** abs_prec
+    return pow(q.at_precision(w).unit, h, q.p ** w)
+
+
+def _power_sums(r: int, k_max: int, levels: list[int], p: int,
+                w: int) -> list[list[int]]:
+    """[sum_{x<p^N} x^k r^x mod p^w for k = 0..k_max], for each N in
+    `levels`.
+
+    Mahler expansion: sum_{x<M} f(x) = sum_m (Delta^m f)(0) C(M, m+1).  For
+    f_k(x) = x^k r^x and u = r - 1, the coefficients a_{k,m} = (Delta^m
+    f_k)(0) satisfy a_{0,m} = u^m and a_{k+1,m} = m (a_{k,m-1} + a_{k,m})
+    (from x C(x, m) = (m+1) C(x, m+1) + m C(x, m)), so a_{k,m} = 0 mod
+    p^((m-k) v) with v = v_p(u), and K = k_max + ceil(w/v) terms give the
+    sums mod p^w.  They do not depend on N; each level then costs only the
+    binomials C(p^N, j) = p^(N - v_p(j)) prod_{0<i<j} (p^N - i)/p^v_p(i)
+    / (unit part of j!), all of whose factors but the first are units.
+    Integer arithmetic mod p^w, no division by p.
+    """
+    mod = p ** w
+    u = (r - 1) % mod
+    v = min(_vp(u, p), w)
+    if v == 0:
+        raise PadicDomainError(
+            "q^h must be 1 mod p: x -> q^(hx) is not continuous on Z_p")
+    K = k_max + -(-w // v)
+    row = [1] * K
+    for m in range(1, K):
+        row[m] = row[m - 1] * u % mod
+    rows = [row]
+    for _ in range(k_max):
+        row = [0] + [m * (row[m - 1] + row[m]) % mod for m in range(1, K)]
+        rows.append(row)
+    vs = [0] + [_vp(j, p) for j in range(1, K + 1)]
+    units = [j // p ** vs[j] for j in range(K + 1)]
+    inv_fact = [1] * (K + 1)      # 1 / (unit part of j!) mod p^w
+    for j in range(1, K + 1):
+        inv_fact[j] = inv_fact[j - 1] * pow(units[j], -1, mod) % mod
+    out = []
+    for N in levels:
+        binom, num = [], 1        # binom[m] = C(p^N, m+1) mod p^w
+        for j in range(1, min(K, p ** N) + 1):
+            pe = pow(p, N - vs[j], mod)
+            binom.append(pe * num * inv_fact[j] % mod)
+            num = num * (pe - units[j]) % mod
+        out.append([sum(a * b for a, b in zip(a_k, binom)) % mod
+                    for a_k in rows])
+    return out
 
 
 def volkenborn_levels(n_max: int, h: int, q: PadicNumber, levels: list[int],
                       prec: int = DEFAULT_PRECISION) -> dict[int, list[PadicNumber]]:
     """S_N = p^-N sum_{x < p^N} q^{h x} x^n for n = 0..n_max and every N in
-    `levels`, in one accumulation pass.
+    `levels`, from the closed-form power sums of `_power_sums`.
 
-    Per the precision budget, the sum is accumulated modulo p^(prec+N) and
-    divided by p^N at the end, certifying `prec` digits.
+    Each level-N sum is reduced modulo p^(prec + N_max + N), N_max =
+    max(levels), and divided by p^N, so every S_N is known to prec + N_max
+    absolute digits.
     """
     p = q.p
     n_top = max(levels)
-    w = prec + n_top
-    mod = p ** w
-    qh = pow(_unit_int(q, w), h, mod)
-    acc = [0] * (n_max + 1)
-    snapshots: dict[int, list[int]] = {}
-    marks = {p ** N: N for N in levels}
-    qp = 1
-    for x in range(p ** n_top):
-        if x in marks:
-            snapshots[marks[x]] = list(acc)
-        xp = qp
-        acc[0] = (acc[0] + qp) % mod
-        for n in range(1, n_max + 1):
-            xp = xp * x % mod
-            acc[n] = (acc[n] + xp) % mod
-        qp = qp * qh % mod
-    snapshots[n_top] = list(acc)
-    out = {}
-    for N in levels:
-        pn = p ** N
-        out[N] = [
-            PadicNumber.from_int_mod(p, s, w) / PadicNumber(p, N, 1, w)
-            for s in snapshots[N]]
-    return out
+    w = prec + 2 * n_top
+    r = _ratio(q, h, n_max, w)
+    sums = _power_sums(r, n_max, levels, p, w)
+    return {N: [PadicNumber.from_int_mod(p, s, prec + n_top + N)
+                / PadicNumber(p, N, 1, w) for s in row]
+            for N, row in zip(levels, sums)}
 
 
 def volkenborn_sum(f: MonomialTestFunction, N: int,
@@ -461,13 +505,13 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
     """S_N -> B_n^{(h)} at the given q: valuations of S_N - target must be
     nondecreasing and reach min(prec, N_max - slack)."""
     levels = sorted(levels)
+    sums = volkenborn_levels(n, h, q, levels, prec)
     if h == 0:
         target = PadicNumber.from_fraction(q.p, classical_bernoulli(n)[n],
                                            prec + max(levels))
     else:
         qq = q.at_precision(prec + max(levels) + n + 4)
         target = eval_log_scalar_padic(q_bernoulli_number(h, n), qq)
-    sums = volkenborn_levels(n, h, q, levels, prec)
     vals = [(N, _diff_valuation(sums[N][n], target)) for N in levels]
     seq = [v for _, v in vals]
     ok = all(a <= b for a, b in zip(seq, seq[1:])) and \
@@ -501,19 +545,16 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
     if b < 1:
         raise ValueError("b must be >= 1")
     p = f.q.p
-    w = prec + N
+    n = f.n
+    w = max(prec, N) + N    # >= N - slack absolute digits after / p^N
     mod = p ** w
-    qh = pow(_unit_int(f.q, w), f.h, mod)
-    acc_f = acc_fb = 0
-    qp = pow(qh, 0, mod)
-    qpb = pow(qh, b, mod)
-    for x in range(p ** N):
-        acc_f = (acc_f + qp * pow(x, f.n, mod)) % mod
-        acc_fb = (acc_fb + qpb * pow(x + b, f.n, mod)) % mod
-        qp = qp * qh % mod
-        qpb = qpb * qh % mod
+    r = _ratio(f.q, f.h, n, w)
+    (row,) = _power_sums(r, n, [N], p, w)
+    # sum_{x<p^N} r^(x+b) (x+b)^n = r^b sum_j C(n, j) b^(n-j) S_j
+    acc_fb = pow(r, b, mod) * sum(comb(n, j) * b ** (n - j) * row[j]
+                                  for j in range(n + 1)) % mod
     inv_pn = PadicNumber(p, N, 1, w)
-    i_f = PadicNumber.from_int_mod(p, acc_f, w) / inv_pn
+    i_f = PadicNumber.from_int_mod(p, row[n], w) / inv_pn
     i_fb = PadicNumber.from_int_mod(p, acc_fb, w) / inv_pn
     deriv = PadicNumber.zero(p, w)
     for i in range(b):
@@ -572,27 +613,22 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
         raise PadicDomainError("p-adic route needs a quadratic character")
     levels = sorted(levels)
     n_top = max(levels)
-    w = prec + n_top
+    w = prec + 2 * n_top
     mod = p ** w
-    qh = pow(_unit_int(q, w), h, mod)
-    chivals = [int(chi.value_rational(x)) for x in range(d)]
-    acc = 0
-    snapshots = {}
-    marks = {d * p ** N: N for N in levels}
-    qp = 1
-    for x in range(d * p ** n_top):
-        if x in marks:
-            snapshots[marks[x]] = acc
-        c = chivals[x % d]
-        if c:
-            acc = (acc + c * qp * pow(x, n, mod)) % mod
-        qp = qp * qh % mod
-    snapshots[n_top] = acc
-    qq = q.at_precision(w + n + 4)
+    r = _ratio(q, h, n, w)
+    # x = a + d y: sum_x chi(x) r^x x^n
+    #   = sum_a chi(a) r^a sum_j C(n, j) a^(n-j) d^j S_j(r^d, p^N)
+    chivals = [int(chi.value_rational(a)) for a in range(d)]
+    coef = [comb(n, j) * d ** j * sum(chivals[a] * pow(r, a, mod) * a ** (n - j)
+                                      for a in range(d)) % mod
+            for j in range(n + 1)]
+    sums = _power_sums(pow(r, d, mod), n, levels, p, w)
+    qq = q.at_precision(prec + n_top + n + 4)
     target = eval_log_scalar_padic(generalized_q_bernoulli_exact(chi, h, n), qq)
     vals = []
-    for N in levels:
-        s = PadicNumber.from_int_mod(p, snapshots[N], w) \
+    for N, row in zip(levels, sums):
+        acc = sum(c * s for c, s in zip(coef, row))
+        s = PadicNumber.from_int_mod(p, acc, prec + n_top + N) \
             / PadicNumber(p, N, 1, w) / d
         vals.append((N, (s - target).valuation()))
     seq = [v for _, v in vals]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -148,3 +149,12 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert flag in err
+
+
+def test_runaway_level_range_exits_3_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(["verify", "witt", "--levels", "3:4000"], capsys)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "MAX_POWER_SUM_TERMS" in err

@@ -7,10 +7,11 @@ import pytest
 from qzeta.characters import enumerate_characters
 from qzeta.exact import LogScalar, RationalFunction
 from qzeta.padic import (MonomialTestFunction, PadicDomainError, PadicNumber,
-                         closed_form_verify, eval_log_scalar_padic,
-                         padic_exp, padic_generalized_verify, padic_log,
-                         padic_pow, q_bracket, q_volkenborn_sum,
-                         shift_identity_verify, volkenborn_sum, witt_verify)
+                         _power_sums, closed_form_verify,
+                         eval_log_scalar_padic, padic_exp,
+                         padic_generalized_verify, padic_log, padic_pow,
+                         q_bracket, q_volkenborn_sum, shift_identity_verify,
+                         volkenborn_levels, volkenborn_sum, witt_verify)
 
 F = Fraction
 
@@ -136,6 +137,118 @@ def test_volkenborn_classical_bernoulli():
     assert (s2 - Q(5, F(1, 6), 30)).valuation() >= 4
 
 
+def test_level_sums_reject_discontinuous_ratio():
+    # q^h = 2 is not 1 mod 5: x -> q^(hx) is not continuous on Z_5
+    q = Q(5, F(2))
+    with pytest.raises(PadicDomainError):
+        volkenborn_levels(2, 1, q, [3])
+    with pytest.raises(PadicDomainError):
+        volkenborn_sum(MonomialTestFunction(2, 1, q), 3)
+    # q^4 = 16 is 1 mod 5, so h = 4 is inside the domain
+    assert len(volkenborn_levels(2, 4, q, [3])[3]) == 3
+
+
+# -- closed-form level sums against the p^N loop ---------------------------
+
+def _loop_power_sums(r, k_max, M, p, w):
+    """[sum_{x<M} x^k r^x mod p^w for k = 0..k_max], term by term: the O(M)
+    reference for `_power_sums`."""
+    mod = p ** w
+    acc = [0] * (k_max + 1)
+    rx = 1
+    for x in range(M):
+        t = rx
+        for k in range(k_max + 1):
+            acc[k] += t
+            t = t * x % mod
+        rx = rx * r % mod
+    return [a % mod for a in acc]
+
+
+def _loop_sum(p, w, M, term):
+    """sum_{x<M} term(x) mod p^w, term by term."""
+    return sum(term(x) for x in range(M)) % p ** w
+
+
+def _ratio_mod(p, q, h, w):
+    mod = p ** w
+    return pow(q.numerator * pow(q.denominator, -1, mod), h, mod)
+
+
+# q = p - 1 has q^h = 1 mod p only for even h; p = 2 tests v_2(q - 1) = 1
+ORACLE_Q = (lambda p: F(1 + p), lambda p: F(1 + p, 1 + 2 * p),
+            lambda p: F(p - 1))
+
+
+@pytest.mark.parametrize("h", range(-3, 4))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_sums_match_loop(p, h):
+    for make_q in ORACLE_Q:
+        for N in range(1, 6):
+            w = 2 * N + 5
+            r = _ratio_mod(p, make_q(p), h, w)
+            if (r - 1) % p:
+                with pytest.raises(PadicDomainError):
+                    _power_sums(r, 8, [N], p, w)
+                continue
+            want = _loop_power_sums(r, 8, p ** N, p, w)
+            assert _power_sums(r, 8, [N], p, w) == [want], (make_q(p), N)
+
+
+@pytest.fixture
+def residues(monkeypatch):
+    """The integers the verifiers reduce to p-adic numbers, in call order."""
+    seen = []
+    real = PadicNumber.from_int_mod
+
+    def spy(cls, p, value, abs_prec):
+        seen.append(value % p ** abs_prec)
+        return real(p, value, abs_prec)
+    monkeypatch.setattr(PadicNumber, "from_int_mod", classmethod(spy))
+    return seen
+
+
+@pytest.mark.parametrize("h", range(-3, 4))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shift_sums_match_loop(p, h, residues):
+    qf = F(5) if p == 2 else F(1 + p)       # inside the log domain
+    b, N, prec = 3, 5 if p < 7 else 4, 4
+    w = max(prec, N) + N
+    mod = p ** w
+    r = _ratio_mod(p, qf, h, w)
+    for n in (0, 1, 4, 8):
+        residues.clear()
+        shift_identity_verify(MonomialTestFunction(n, h, Q(p, qf)), b, N,
+                              prec=prec)
+        want_f = _loop_sum(p, w, p ** N,
+                           lambda x: pow(x, n, mod) * pow(r, x, mod))
+        want_fb = _loop_sum(p, w, p ** N,
+                            lambda x: pow(x + b, n, mod) * pow(r, x + b, mod))
+        assert residues == [want_f, want_fb], n
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (2, 5), (3, 4), (3, 8), (5, 3),
+                                 (5, 4), (5, 8), (7, 3), (7, 4), (7, 5)])
+def test_twisted_sums_match_loop(p, d, residues):
+    qf = F(5) if p == 2 else F(1 + p)
+    levels, prec = ([2, 3] if p == 7 else [3, 4]), 6
+    chi = next(c for c in enumerate_characters(d)
+               if c.is_real() and not c.is_principal())
+    chivals = [int(chi.value_rational(a)) for a in range(d)]
+    for h, n in ((-2, 3), (0, 2), (1, 0), (3, 4)):
+        residues.clear()
+        padic_generalized_verify(chi, h, n, Q(p, qf), levels, prec=prec)
+        want = []
+        for N in levels:
+            w = prec + max(levels) + N
+            mod = p ** w
+            r = _ratio_mod(p, qf, h, w)
+            want.append(_loop_sum(
+                p, w, d * p ** N,
+                lambda x: chivals[x % d] * pow(x, n, mod) * pow(r, x, mod)))
+        assert residues == want, (h, n)
+
+
 def test_q_volkenborn_constant_is_one():
     q = Q(5, F(6), 40)
     s = q_volkenborn_sum(0, 1, 0, q, 3, prec=10)
@@ -149,6 +262,19 @@ def test_witt_formula(h, n):
     assert rep.passed
     vals = [v for _, v in rep.levels]
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("p,qf,h,n,levels,prec,want", [
+    # each level keeps prec + N_max absolute digits; when S_N had only
+    # prec + N_max - N, these valuations fell and the checks FAILed
+    (3, F(10), 0, 4, [4, 5, 6], 6, [7, 9, 11]),
+    (5, F(6), 1, 6, list(range(3, 41)), 16, list(range(4, 42))),
+])
+def test_witt_precision_does_not_fall_with_level(p, qf, h, n, levels, prec,
+                                                 want):
+    rep = witt_verify(h, n, Q(p, qf, 40), levels, prec=prec)
+    assert rep.passed
+    assert [v for _, v in rep.levels] == want
 
 
 def test_witt_formula_p7():
@@ -165,6 +291,15 @@ def test_shift_identity(b):
     rep = shift_identity_verify(f, b, 4, prec=12)
     assert rep.passed
     assert rep.levels[0][1] >= 4 - 3
+
+
+@pytest.mark.parametrize("N,prec", [(8, 4), (40, 16)])
+def test_shift_identity_beyond_working_precision(N, prec):
+    # N - slack > prec: the level sums keep N absolute digits, not prec
+    q = Q(5, F(6), 40)
+    rep = shift_identity_verify(MonomialTestFunction(6, 1, q), 3, N, prec=prec)
+    assert rep.passed
+    assert rep.levels[0][1] >= N - 3
 
 
 def test_closed_form():
