@@ -12,7 +12,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from . import analytic, characters, padic, qbernoulli
 from .analytic import SeriesEvalConfig
@@ -177,8 +176,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases: exact below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(b, d, n) == 1 or
+               any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in bases)
+
+
 def _padic_q(args) -> PadicNumber:
-    if args.p < 2 or any(args.p % d == 0 for d in range(2, isqrt(args.p) + 1)):
+    if args.p >= 2 ** 64:
+        raise UsageError(f"--p {args.p} is not below the bound 2^64")
+    if not _is_prime(args.p):
         raise UsageError(f"--p {args.p} is not prime")
     q = _parse_rational(args.q) if args.q else Fraction(1 + args.p)
     return PadicNumber.from_fraction(args.p, q, args.precision + 24)

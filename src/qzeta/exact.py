@@ -4,12 +4,21 @@ stands for log q as a formal symbol of degree at most one.
 
 Everything here is immutable and exact; coefficients are arbitrary-precision
 rationals (``fractions.Fraction``).
+
+Invariant: every denominator is q^a * prod_{d>=1} Phi_d(q)^e_d, a power of
+q times cyclotomic polynomials, which is all that the generating function
+(h log q + t)/(q^h e^t - 1) ever puts there.  A RationalFunction stores the
+exponents {d: e_d} (Phi_0 = q): products add them, sums take their maximum,
+and lowest terms come from exact integer division of the numerator by the
+monic Phi_d, with no polynomial gcd.  A denominator with any other factor
+raises DomainError; inverting such a numerator raises NonInvertible.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -35,7 +44,6 @@ class DomainError(ExactError):
 
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _as_fraction(c) -> Fraction:
@@ -105,113 +113,94 @@ def _psubst_pow(a: Sequence[Fraction], m: int) -> list:
     return _trim(out)
 
 
-# -- polynomial gcd: heuristic (evaluate at a big integer) with a primitive
-#    pseudo-remainder fallback ------------------------------------------------
+# -- cyclotomic polynomials: the only denominator factors, Phi_0 = q ----------
 
-def _int_primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-        if g == 1:
-            return a
-    if g == 0:
-        return a
-    return [c // g for c in a]
-
-
-def _int_eval(a: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _balanced_digits(n: int, base: int) -> list[int]:
-    out = []
-    while n:
-        d = n % base
-        if d > base // 2:
-            d -= base
-        out.append(d)
-        n = (n - d) // base
-    return out
-
-
-def _int_prem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g over Z: lc(g)^k f mod g for some k >= 0."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg:
-        df = len(f) - 1
-        lead = f[-1]
-        f = [c * lg for c in f[:-1]]
-        for i in range(dg):
-            f[df - dg + i] -= lead * g[i]
-        while f and f[-1] == 0:
-            f.pop()
-        if not f:
-            break
-    return f
-
-
-def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a/b in Z[x]; b primitive and dividing a in Z[x]."""
-    q = [0] * (len(a) - len(b) + 1)
+def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the monic b, both integer polynomials;
+    exact integer long division, no gcd."""
+    nb = len(b) - 1
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
     r = list(a)
-    lb = b[-1]
-    for d in range(len(a) - len(b), -1, -1):
-        k = r[d + len(b) - 1] // lb
-        q[d] = k
+    quo = [0] * max(len(a) - nb, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        k = r[i + nb]
         if k:
-            for i, bc in enumerate(b):
-                r[d + i] -= k * bc
-    return q
+            quo[i] = k
+            for j, c in terms:
+                r[i + j] -= k * c
+    return quo, _trim(r[:nb])
 
 
-def _int_divides(a: list[int], b: list[int]) -> bool:
-    """Does b divide a over Q (both integer polys)?"""
-    return not _int_prem(a, b)
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of Phi_d, ascending; Phi_0 = q by convention."""
+    if d == 0:
+        return (0, 1)
+    a = [-1] + [0] * (d - 1) + [1]           # q^d - 1 = prod_{c | d} Phi_c
+    for c in range(1, d):
+        if d % c == 0:
+            a = _divmod_monic(a, _cyclotomic(c))[0]
+    return tuple(a)
 
 
-def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    # primitive pseudo-remainder sequence
-    while g:
-        if len(f) < len(g):
-            f, g = g, f
-            continue
-        rem = _int_prem(f, g)
-        f, g = g, _int_primitive(rem)
-    return _int_primitive(f)
+def _totient(n: int) -> int:
+    """Euler's phi(n), the degree of Phi_n."""
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
 
 
-def _int_gcd_poly(f: list[int], g: list[int]) -> list[int]:
-    if not f:
-        return list(g)
-    if not g:
-        return list(f)
-    if len(f) == 1 or len(g) == 1:
-        return [1]
-    # heuristic gcd, cf. the classical heugcd: evaluate both at a large
-    # integer, take the integer gcd, reconstruct via balanced digits
-    bound = 2 * min(max(abs(c) for c in f), max(abs(c) for c in g)) + 2
-    x0 = max(bound, 100)
-    for _ in range(6):
-        vf, vg = _int_eval(f, x0), _int_eval(g, x0)
-        if vf and vg:
-            h = _int_primitive(_balanced_digits(gcd(vf, vg), x0))
-            if h and _int_divides(f, h) and _int_divides(g, h):
-                return h
-        x0 = x0 * 73794 // 27011 + 1
-    return _prs_gcd(f, g)
+@lru_cache(maxsize=None)
+def _subst_factors(d: int, m: int) -> tuple[int, ...]:
+    """The factors c of Phi_d(q^m) = prod Phi_c: q^m for d = 0, else every
+    c | d m with c / gcd(c, m) = d."""
+    if d == 0:
+        return (0,) * m
+    return tuple(c for c in range(1, d * m + 1)
+                 if d * m % c == 0 and c // gcd(c, m) == d)
 
 
-def _clear_denoms(a: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(integer coefficients, d) with a_k = ints_k / d."""
-    d = lcm(*(c.denominator for c in a)) if len(a) > 1 else a[0].denominator
-    return [int(c * d) for c in a], d
+def _cancel(ints: list[int], exps: dict, check) -> tuple[list[int], dict]:
+    """Divide the integer polynomial `ints` by Phi_d, for each d in `check`,
+    as often as it divides and at most exps[d] times: (quotient, the
+    exponents left)."""
+    left = dict(exps)
+    for d in check:
+        while left[d]:
+            quo, rem = _divmod_monic(ints, _cyclotomic(d))
+            if rem:
+                break
+            ints, left[d] = quo, left[d] - 1
+    return ints, {d: e for d, e in left.items() if e}
 
 
+def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
+    """(c, {d: e}) with p = c * prod_d Phi_d^e (Phi_0 = q), or None when p
+    has any other factor.  Trial division by every Phi_d of degree
+    phi(d) <= deg; phi(d) >= sqrt(d/2) bounds d by 2 deg^2."""
+    coeffs = p.coeffs
+    a = next(i for i, c in enumerate(coeffs) if c)
+    lead = coeffs[-1]
+    rest = [c / lead for c in coeffs[a:]]
+    if abs(rest[0]) != 1 or any(c.denominator != 1 for c in rest):
+        return None
+    rest = [int(c) for c in rest]
+    exps = {0: a}
+    d = 1
+    while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
+        if _totient(d) < len(rest):
+            n = len(rest) - 1
+            rest, left = _cancel(rest, {d: n}, [d])
+            exps[d] = n - left.get(d, 0)
+        d += 1
+    if len(rest) > 1:
+        return None
+    return lead, {d: e for d, e in exps.items() if e}
 
 # ---------------------------------------------------------------------------
 # public polynomial type
@@ -239,8 +228,10 @@ class QPolynomial:
     def int_form(self) -> tuple[list[int], int]:
         """(integer coefficients, d) with coeffs_k = ints_k / d; cached."""
         if self._intform is None:
-            form = _clear_denoms(self.coeffs) if self.coeffs else ([], 1)
-            object.__setattr__(self, "_intform", form)
+            d = lcm(*(c.denominator for c in self.coeffs))
+            object.__setattr__(self, "_intform",
+                               ([c.numerator * (d // c.denominator)
+                                 for c in self.coeffs], d))
         return self._intform
 
     @classmethod
@@ -316,53 +307,19 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other: "QPolynomial") -> "QPolynomial":
-        """Quotient by an exact divisor (integer-arithmetic fast path)."""
-        if other == _P1 or self.is_zero():
-            return self
-        A, da = self.int_form()
-        G, dg = other.int_form()
-        cg = 0
-        for c in G:
-            cg = gcd(cg, c)
-            if cg == 1:
-                break
-        if cg > 1:
-            G = [c // cg for c in G]
-        q = _int_exact_div(A, G)
-        scale = Fraction(dg, da * max(cg, 1))
-        return QPolynomial._raw([k * scale for k in q])
-
-    def _monomial_degree(self) -> int | None:
-        """Degree when self is c*q^k, else None."""
-        nz = [i for i, c in enumerate(self.coeffs) if c]
-        return nz[0] if len(nz) == 1 else None
-
-    def _q_valuation(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
     def gcd(self, other: "QPolynomial") -> "QPolynomial":
-        """Monic gcd over Q."""
-        if self.is_zero():
-            g = _int_primitive(other.int_form()[0])
-        elif other.is_zero():
-            g = _int_primitive(self.int_form()[0])
-        else:
-            # gcd with a monomial c*q^a is q^min(a, val_q(other))
-            ma, mb = self._monomial_degree(), other._monomial_degree()
-            if ma is not None:
-                return QPolynomial.monomial(min(ma, other._q_valuation()))
-            if mb is not None:
-                return QPolynomial.monomial(min(mb, self._q_valuation()))
-            g = _int_gcd_poly(_int_primitive(self.int_form()[0]),
-                              _int_primitive(other.int_form()[0]))
-        if not g:
-            return QPolynomial._raw([])
-        lead = g[-1]
-        return QPolynomial._raw([Fraction(c, lead) for c in g])
+        """Monic gcd over Q by Euclid's algorithm.  No arithmetic path uses
+        it: denominators are kept factored (see RationalFunction)."""
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b:
+            r = a
+            while len(r) >= len(b):
+                k = r[-1] / b[-1]
+                shift = len(r) - len(b)
+                r = _trim([c - k * b[i - shift] if i >= shift else c
+                           for i, c in enumerate(r)])
+            a, b = b, [c / r[-1] for c in r] if r else r
+        return QPolynomial._raw([c / a[-1] for c in a] if a else [])
 
     def subst_q_power(self, m: int) -> "QPolynomial":
         return QPolynomial._raw(_psubst_pow(self.coeffs, m))
@@ -388,11 +345,41 @@ _P1 = QPolynomial([1])
 
 
 # ---------------------------------------------------------------------------
-# rational functions of q, always canonical (gcd-reduced, monic denominator)
+# rational functions of q over cyclotomic denominators, always in lowest terms
 # ---------------------------------------------------------------------------
 
+def _expand(exps: dict) -> QPolynomial:
+    """prod_d Phi_d^exps[d], expanded."""
+    out = _P1
+    for d, e in sorted(exps.items()):
+        out = out * _phi_power(d, e)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phi_power(d: int, e: int) -> QPolynomial:
+    if e == 1:
+        return QPolynomial(_cyclotomic(d))
+    return _phi_power(d, e // 2) * _phi_power(d, e - e // 2)
+
+
+def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:
+    """num / prod Phi_d^exps[d] with the factors Phi_d, d in `check`,
+    cancelled from num."""
+    if not num:
+        return num, {}
+    ints, scale = num.int_form()
+    quo, left = _cancel(ints, exps, check)
+    if quo is not ints:
+        num = QPolynomial._raw([Fraction(c, scale) for c in quo])
+    return num, left
+
+
 class RationalFunction:
-    __slots__ = ("num", "den")
+    """num / den in lowest terms, den = prod_d Phi_d^exps[d] with Phi_0 = q
+    (see the module docstring); `den`, expanded, is built on first use."""
+
+    __slots__ = ("num", "exps", "_den")
 
     def __init__(self, num=0, den=1):
         num = num if isinstance(num, QPolynomial) else QPolynomial(
@@ -401,26 +388,40 @@ class RationalFunction:
             den if isinstance(den, (list, tuple)) else [den])
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num, den = _rf_reduce(num, den)
+        factored = _cyclotomic_factors(den)
+        if factored is None:
+            raise DomainError(f"denominator {den!r} is not q^a times a "
+                              "product of cyclotomic polynomials")
+        lead, exps = factored
+        num, exps = _lowest(num * (1 / lead), exps, exps)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "_den", None)
 
     @classmethod
-    def _raw(cls, num: QPolynomial, den: QPolynomial) -> "RationalFunction":
+    def _raw(cls, num: QPolynomial, exps: dict) -> "RationalFunction":
+        """num / prod Phi_d^exps[d], already in lowest terms."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
+        object.__setattr__(obj, "exps", exps)
+        object.__setattr__(obj, "_den", None)
         return obj
 
     @classmethod
     def q_power(cls, k: int) -> "RationalFunction":
         """q^k for any integer k."""
         if k >= 0:
-            return cls._raw(QPolynomial.monomial(k), _P1)
-        return cls._raw(_P1, QPolynomial.monomial(-k))
+            return cls._raw(QPolynomial.monomial(k), {})
+        return cls._raw(_P1, {0: -k})
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
+
+    @property
+    def den(self) -> QPolynomial:
+        if self._den is None:
+            object.__setattr__(self, "_den", _expand(self.exps))
+        return self._den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -432,49 +433,31 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             other = RationalFunction(other)
         if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
+            return self.num == other.num and self.exps == other.exps
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, frozenset(self.exps.items())))
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction, QPolynomial)):
-            return RationalFunction(other if isinstance(other, QPolynomial)
-                                    else QPolynomial([other]))
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._raw(QPolynomial([other]), {})
+        if isinstance(other, QPolynomial):
+            return RationalFunction._raw(other, {})
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return RationalFunction._raw(*_rf_reduce(self.num + o.num, self.den))
-        # frequent case: one denominator divides the other exactly
-        big, small = self, o
-        if big.den.degree < small.den.degree:
-            big, small = small, big
-        A, _ = big.den.int_form()
-        B, _ = small.den.int_form()
-        if not _int_prem(A, _int_primitive(B)):
-            mult = big.den.exact_div(small.den)
-            num = big.num + small.num * mult
-            return RationalFunction._raw(*_rf_reduce(num, big.den))
-        g = self.den.gcd(o.den)
-        if g == _P1:
-            num = self.num * o.den + o.num * self.den
-            return RationalFunction._raw(*_rf_reduce(num, self.den * o.den))
-        db = o.den.exact_div(g)
-        da = self.den.exact_div(g)
-        num = self.num * db + o.num * da
-        return RationalFunction._raw(*_rf_reduce(num, self.den * db))
+        return rf_sum((self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._raw(-self.num, self.den)
+        return RationalFunction._raw(-self.num, self.exps)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -489,24 +472,20 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _RF0
-            return RationalFunction._raw(self.num * other, self.den)
+            return RationalFunction._raw(self.num * other, self.exps)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # cross-reduce before multiplying to keep degrees down
-        g1 = self.num.gcd(o.den)
-        g2 = o.num.gcd(self.den)
-        n1 = self.num.exact_div(g1)
-        d2 = o.den.exact_div(g1)
-        n2 = o.num.exact_div(g2)
-        d1 = self.den.exact_div(g2)
-        num, den = n1 * n2, d1 * d2
-        if not num:
+        if not self.num or not o.num:
             return _RF0
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num, den = num * (1 / lead), den * (1 / lead)
-        return RationalFunction._raw(num, den)
+        # each numerator is coprime to its own denominator, so only the
+        # other one's factors can cancel
+        n1, e2 = _lowest(self.num, o.exps, o.exps)
+        n2, e1 = _lowest(o.num, self.exps, self.exps)
+        exps = dict(e1)
+        for d, e in e2.items():
+            exps[d] = exps.get(d, 0) + e
+        return RationalFunction._raw(n1 * n2, exps)
 
     __rmul__ = __mul__
 
@@ -515,7 +494,7 @@ class RationalFunction:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = RationalFunction._raw(_P1, _P1)
+        out = RationalFunction._raw(_P1, {})
         base = self
         while k:
             if k & 1:
@@ -527,11 +506,12 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise NonInvertible("division by zero rational function")
-        num, den = self.den, self.num
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num, den = num * (1 / lead), den * (1 / lead)
-        return RationalFunction._raw(num, den)
+        factored = _cyclotomic_factors(self.num)
+        if factored is None:
+            raise NonInvertible(f"numerator {self.num!r} is not q^a times a "
+                                "product of cyclotomic polynomials")
+        lead, exps = factored
+        return RationalFunction._raw(self.den * (1 / lead), exps)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -546,15 +526,17 @@ class RationalFunction:
         return o * self.inverse()
 
     def subst_q_power(self, m: int) -> "RationalFunction":
+        """q -> q^m.  Stays in lowest terms: q -> q^m sends each root of a
+        new factor Phi_c to a root of Phi_d, where the numerator is not 0."""
         if m < 1:
             raise DomainError("substitution exponent must be >= 1")
         if m == 1:
             return self
-        num, den = self.num.subst_q_power(m), self.den.subst_q_power(m)
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num, den = num * (1 / lead), den * (1 / lead)
-        return RationalFunction._raw(num, den)
+        exps = {}
+        for d, e in self.exps.items():
+            for c in _subst_factors(d, m):
+                exps[c] = exps.get(c, 0) + e
+        return RationalFunction._raw(self.num.subst_q_power(m), exps)
 
     def eval_fraction(self, x: Fraction) -> Fraction:
         dv = self.den(x)
@@ -572,45 +554,28 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _rf_reduce(num: QPolynomial, den: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
-    if num.is_zero():
-        return _P0, _P1
-    g = num.gcd(den)
-    if g != _P1:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    lead = den.coeffs[-1]
-    if lead != 1:
-        num, den = num * (1 / lead), den * (1 / lead)
-    return num, den
-
-
-_RF0 = RationalFunction._raw(_P0, _P1)
+_RF0 = RationalFunction._raw(_P0, {})
 
 
 def rf_sum(parts) -> RationalFunction:
-    """Sum with one canonical reduction at the end instead of one per add."""
+    """Sum over the least common denominator, whose exponent of each Phi_d
+    is the largest among the parts.  Phi_d can divide the summed numerator
+    only where two or more parts reach that largest exponent."""
     parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        return _RF0
-    num, den = parts[0].num, parts[0].den
-    for t in parts[1:]:
-        if t.den == den:
-            num = num + t.num
-            continue
-        A, _ = den.int_form()
-        B, _ = t.den.int_form()
-        if den.degree >= t.den.degree and not _int_prem(A, _int_primitive(B)):
-            num = num + t.num * den.exact_div(t.den)
-        elif not _int_prem(B, _int_primitive(A)):
-            num = num * t.den.exact_div(den) + t.num
-            den = t.den
-        else:
-            g = den.gcd(t.den)
-            db = t.den.exact_div(g)
-            num = num * db + t.num * den.exact_div(g)
-            den = den * db
-    return RationalFunction._raw(*_rf_reduce(num, den))
+    top, reached = {}, {}
+    for p in parts:
+        for d, e in p.exps.items():
+            if e > top.get(d, 0):
+                top[d], reached[d] = e, 1
+            elif e == top[d]:
+                reached[d] += 1
+    num = _P0
+    for p in parts:
+        lift = {d: e - p.exps.get(d, 0) for d, e in top.items()
+                if e > p.exps.get(d, 0)}
+        num = num + (p.num * _expand(lift) if lift else p.num)
+    return RationalFunction._raw(
+        *_lowest(num, top, [d for d, k in reached.items() if k > 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,11 @@ class PadicNumber:
                 return PadicNumber.zero(self.p)
             v = _vp(fr.numerator, self.p) - _vp(fr.denominator, self.p)
             # enough relative digits that the coerced operand never caps the
-            # other operand's absolute precision
-            need = max(2, min(self.abs_prec - v + 2, 4 * DEFAULT_PRECISION + 64))
-            return PadicNumber.from_fraction(self.p, fr, need)
+            # other operand's absolute precision; an exact zero has none
+            # to match
+            need = (self.abs_prec - v + 2 if self.abs_prec < _BIG
+                    else 4 * DEFAULT_PRECISION + 64)
+            return PadicNumber.from_fraction(self.p, fr, max(2, need))
         return None
 
     def __add__(self, other):
@@ -499,11 +501,20 @@ def _diff_valuation(a: PadicNumber, b: PadicNumber) -> int:
     return (a - b).valuation()
 
 
+def _check_prec_slack(prec: int, slack: int) -> None:
+    """A verdict needs at least one digit and a slack that only lowers the bar."""
+    if prec < 1:
+        raise ValueError(f"precision {prec} must be >= 1")
+    if slack < 0:
+        raise ValueError(f"slack {slack} must be >= 0")
+
+
 def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
                 prec: int = DEFAULT_PRECISION,
                 slack: int = DEFAULT_SLACK) -> VerificationReport:
     """S_N -> B_n^{(h)} at the given q: valuations of S_N - target must be
     nondecreasing and reach min(prec, N_max - slack)."""
+    _check_prec_slack(prec, slack)
     levels = sorted(levels)
     sums = volkenborn_levels(n, h, q, levels, prec)
     if h == 0:
@@ -542,6 +553,7 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
                           slack: int = DEFAULT_SLACK) -> VerificationReport:
     """I_1(f(.+b)) = I_1(f) + sum_{i<b} f'(i) at level N: the residual's
     valuation must be >= N - slack."""
+    _check_prec_slack(prec, slack)
     if b < 1:
         raise ValueError("b must be >= 1")
     p = f.q.p
@@ -575,6 +587,7 @@ def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
                        prec: int = DEFAULT_PRECISION,
                        slack: int = DEFAULT_SLACK) -> VerificationReport:
     """Level-N sum of q^{h x} e^{x t} against (h log q + t)/(q^h e^t - 1)."""
+    _check_prec_slack(prec, slack)
     p = q.p
     w = prec + N + 6
     qw = q.at_precision(w)
@@ -605,6 +618,7 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
                              slack: int = DEFAULT_SLACK) -> VerificationReport:
     """(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n against the exact
     twisted value, for quadratic chi with gcd(p, d) = 1."""
+    _check_prec_slack(prec, slack)
     p = q.p
     d = chi.modulus
     if d % p == 0:

@@ -78,9 +78,10 @@ def _over_one_minus_z(num: list[int], k: int, h: int) -> RationalFunction:
         num = (num + [0] * (k + 1 - len(num)))[::-1]
     else:
         num = [(-1) ** k * c for c in num]
-    den = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+    # (q^{|h|} - 1)^k = prod_{d | |h|} Phi_d^k
     return RationalFunction._raw(QPolynomial(num).subst_q_power(abs(h)),
-                                 QPolynomial(den).subst_q_power(abs(h)))
+                                 {d: k for d in range(1, abs(h) + 1)
+                                  if h % d == 0})
 
 
 @lru_cache(maxsize=None)

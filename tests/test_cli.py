@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import signal
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -128,7 +130,7 @@ def test_deterministic_output(capsys):
                  id="polynomial-h3-n5"),
 ])
 def test_exact_output_matches_golden(argv, golden, capsys):
-    # pins the canonical form: gcd-reduced, monic denominator
+    # pins the canonical form: lowest terms, monic denominator
     code, out, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert out == (DATA / f"{golden}.json").read_text()
@@ -158,3 +160,52 @@ def test_runaway_level_range_exits_3_fast(capsys):
     assert code == EXIT_NUMERIC
     assert out == ""
     assert "MAX_POWER_SUM_TERMS" in err
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after `seconds`, so that a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_large_prime_p_is_fast(capsys):
+    # primality by trial division up to sqrt(p) did not return here
+    with deadline(1):
+        code, out, _ = run(["verify", "witt", "--p", str(2 ** 61 - 1),
+                            "--levels", "2:3"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("p,reason", [
+    pytest.param((2 ** 31 - 1) ** 2, "not prime", id="mersenne31-squared"),
+    pytest.param(2 ** 64 + 13, "2^64", id="above-2^64"),
+])
+def test_p_not_prime_or_too_large_exits_2(p, reason, capsys):
+    with deadline(1):
+        code, out, err = run(["verify", "witt", "--p", str(p),
+                              "--levels", "2:3"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert reason in err
+
+
+@pytest.mark.parametrize("target", ["witt", "shift", "closedform", "twisted"])
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--precision", "0"], id="precision-0"),
+    pytest.param(["--precision", "-5"], id="precision-negative"),
+    pytest.param(["--slack", "-3"], id="slack-negative"),
+])
+def test_meaningless_precision_or_slack_exits_2(target, flags, capsys):
+    code, out, err = run(["verify", target, "--levels", "3"] + flags, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert flags[0].lstrip("-") in err

@@ -159,3 +159,78 @@ def test_xpolynomial_subst_q_power():
     p = XPolynomial([LogScalar(q, 1)])
     s = p.subst_q_power(3)
     assert s.coeffs[0] == LogScalar(RationalFunction.q_power(3), 3)
+
+
+# -- the cyclotomic denominator invariant ------------------------------------
+
+def _q_minus_one(k):
+    return QPolynomial([-1] + [0] * (k - 1) + [1])
+
+
+def _assert_lowest_terms(r):
+    assert r.den.coeffs[-1] == 1
+    if r.num:
+        assert r.num.gcd(r.den) == QPolynomial([1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arithmetic_stays_in_lowest_terms(seed):
+    import random
+    from qzeta.qbernoulli import q_bernoulli_number
+
+    rng = random.Random(seed)
+    q = RationalFunction.q_power(1)
+    values = [part for h in (-3, -2, -1, 1, 2, 3) for n in range(7)
+              for part in (q_bernoulli_number(h, n).rat,
+                           q_bernoulli_number(h, n).log)]
+    units = [q ** k for k in (-2, -1, 1, 3)] + \
+        [RationalFunction(_q_minus_one(k)) ** j for k in (1, 2, 3, 6)
+         for j in (1, 2)]
+    x = F(3, 7)
+    for _ in range(12):
+        a, b = rng.choice(values), rng.choice(values)
+        u = rng.choice(units)
+        m = rng.randint(2, 4)
+        cases = [(a + b, a.eval_fraction(x) + b.eval_fraction(x)),
+                 (a - b, a.eval_fraction(x) - b.eval_fraction(x)),
+                 (a * b, a.eval_fraction(x) * b.eval_fraction(x)),
+                 (a / u, a.eval_fraction(x) / u.eval_fraction(x)),
+                 (a.subst_q_power(m), a.eval_fraction(x ** m))]
+        for r, want in cases:
+            _assert_lowest_terms(r)
+            assert r.eval_fraction(x) == want
+        # undoing an operation must cancel back to the same canonical form
+        assert (a + b) - b == a
+        assert (a * u) / u == a
+        assert (a / u) * u == a
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_subst_q_power_splits_cyclotomic_factors(d):
+    r = RationalFunction(1, _q_minus_one(d))
+    for m in range(1, 7):
+        s = r.subst_q_power(m)
+        assert s.den == _q_minus_one(d * m)
+        assert s == RationalFunction(1, _q_minus_one(d * m))
+
+
+def test_non_cyclotomic_denominator_rejected():
+    odd = QPolynomial([2, 1, 1])       # q^2 + q + 2
+    with pytest.raises(DomainError):
+        RationalFunction(1, odd)
+    with pytest.raises(DomainError):
+        RationalFunction(1, odd * QPolynomial([-1, 1]))
+    # a scaled product of q and cyclotomic polynomials is accepted
+    r = RationalFunction(3, QPolynomial([0, -2, 0, 2]))   # 2q(q^2 - 1)
+    assert r.den == QPolynomial([0, -1, 0, 1])
+    assert r.num == QPolynomial([F(3, 2)])
+
+
+def test_non_cyclotomic_numerator_not_invertible():
+    r = RationalFunction(QPolynomial([2, 1, 1]))
+    with pytest.raises(NonInvertible):
+        r.inverse()
+    with pytest.raises(NonInvertible):
+        RationalFunction(1) / r
+    assert r / RationalFunction(QPolynomial([0, 2])) == \
+        RationalFunction(QPolynomial([1, F(1, 2), F(1, 2)]), QPolynomial([0, 1]))

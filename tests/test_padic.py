@@ -269,6 +269,9 @@ def test_witt_formula(h, n):
     # prec + N_max - N, these valuations fell and the checks FAILed
     (3, F(10), 0, 4, [4, 5, 6], 6, [7, 9, 11]),
     (5, F(6), 1, 6, list(range(3, 41)), 16, list(range(4, 42))),
+    # the target's Horner steps coerce Fraction coefficients; capped at
+    # 4 * DEFAULT_PRECISION + 64 relative digits they held these at 116
+    (5, F(6), 1, 6, [100, 130, 160, 168], 16, [101, 131, 161, 169]),
 ])
 def test_witt_precision_does_not_fall_with_level(p, qf, h, n, levels, prec,
                                                  want):
@@ -293,13 +296,33 @@ def test_shift_identity(b):
     assert rep.levels[0][1] >= 4 - 3
 
 
-@pytest.mark.parametrize("N,prec", [(8, 4), (40, 16)])
+# (150, 16): f'(i) coerces ints, and with coerced operands capped at
+# 4 * DEFAULT_PRECISION + 64 relative digits the residual stopped at 129
+@pytest.mark.parametrize("N,prec", [(8, 4), (40, 16), (150, 16)])
 def test_shift_identity_beyond_working_precision(N, prec):
     # N - slack > prec: the level sums keep N absolute digits, not prec
     q = Q(5, F(6), 40)
     rep = shift_identity_verify(MonomialTestFunction(6, 1, q), 3, N, prec=prec)
     assert rep.passed
     assert rep.levels[0][1] >= N - 3
+
+
+@pytest.mark.parametrize("prec,slack", [(0, 3), (-5, 3), (16, -1)])
+def test_verifiers_reject_meaningless_precision_or_slack(prec, slack):
+    q = Q(5, F(6), 40)
+    chi4 = next(c for c in enumerate_characters(4) if not c.is_principal())
+    calls = [
+        lambda: witt_verify(1, 2, q, [3, 4], prec=prec, slack=slack),
+        lambda: shift_identity_verify(MonomialTestFunction(2, 1, q), 1, 4,
+                                      prec=prec, slack=slack),
+        lambda: closed_form_verify(1, Q(5, F(5), 40), q, 4, prec=prec,
+                                   slack=slack),
+        lambda: padic_generalized_verify(chi4, 1, 1, q, [3, 4], prec=prec,
+                                         slack=slack),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_closed_form():
