@@ -128,9 +128,24 @@ def test_deterministic_output(capsys):
                  id="bernoulli-h2-n12"),
     pytest.param(["polynomial", "--h", "3", "--n", "5"], "polynomial_h3_n5",
                  id="polynomial-h3-n5"),
+    pytest.param(["bernoulli", "--h", "2", "--n", "10", "--q", "0.5"],
+                 "bernoulli_h2_n10_q0.5", id="bernoulli-h2-n10-q0.5"),
+    pytest.param(["bernoulli", "--h", "-3", "--n", "12", "--q", "0.3+0.4j"],
+                 "bernoulli_h-3_n12_q0.3+0.4j", id="bernoulli-h-3-n12-qcomplex"),
+    pytest.param(["generalized", "--modulus", "5", "--char-index", "2",
+                  "--h", "1", "--n", "6", "--q", "0.45"],
+                 "generalized_m5_c2_h1_n6_q0.45", id="generalized-m5-c2"),
+    pytest.param(["verify", "witt", "--p", "5", "--h", "2", "--n", "6",
+                  "--levels", "3:9"], "witt_p5_h2_n6_levels3-9",
+                 id="witt-p5-h2-n6"),
+    pytest.param(["verify", "twisted", "--p", "5", "--modulus", "4",
+                  "--char-index", "1", "--h", "1", "--n", "2",
+                  "--levels", "3:5"], "twisted_p5_m4_c1_h1_n2_levels3-5",
+                 id="twisted-p5-m4"),
 ])
 def test_exact_output_matches_golden(argv, golden, capsys):
-    # pins the canonical form: lowest terms, monic denominator
+    # pins the canonical form (lowest terms, monic denominator) and the
+    # float bits of numeric evaluation
     code, out, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert out == (DATA / f"{golden}.json").read_text()
