@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--h", type=int, required=True)
     z.add_argument("--q", required=True)
     z.add_argument("--s", required=True)
-    z.add_argument("--x", type=float, default=None)
+    z.add_argument("--x", type=float, default=1.0)
     z.add_argument("--tol", type=float, default=1e-12)
     z.add_argument("--max-terms", type=int, default=10 ** 7)
 
@@ -240,11 +240,8 @@ def _run(args) -> tuple[object, int]:
         cfg = SeriesEvalConfig(tol=args.tol, max_terms=args.max_terms)
         qv = _parse_complex(args.q)
         s = _parse_complex(args.s)
-        if args.x is None:
-            val, bound = analytic.q_hurwitz_zeta_with_bound(args.h, qv, s, 1.0, cfg)
-        else:
-            val, bound = analytic.q_hurwitz_zeta_with_bound(args.h, qv, s,
-                                                            args.x, cfg)
+        val, bound = analytic.q_hurwitz_zeta_with_bound(args.h, qv, s, args.x,
+                                                        cfg)
         return {"re": val.real, "im": val.imag,
                 "certified_tail_bound": bound}, EXIT_OK
 
@@ -256,12 +253,9 @@ def _run(args) -> tuple[object, int]:
         return {"re": val.real, "im": val.imag,
                 "certified_tail_bound": bound}, EXIT_OK
 
-    # verify targets
-    levels = _parse_levels(args.levels)
-    if args.command == "verify":
-        rep = _run_verify(args, levels)
-        return rep.to_dict(), EXIT_OK if rep.passed else EXIT_FAIL
-    raise UsageError(f"unknown command {cmd}")
+    # verify, the last subcommand argparse allows
+    rep = _run_verify(args, _parse_levels(args.levels))
+    return rep.to_dict(), EXIT_OK if rep.passed else EXIT_FAIL
 
 
 def _run_verify(args, levels):
@@ -294,11 +288,10 @@ def _run_verify(args, levels):
     if t == "interp-zeta":
         return analytic.zeta_interpolation_verify(
             args.h, _parse_complex(args.q), args.n, args.x, tol=args.tol)
-    if t == "interp-l":
-        chi = _char(args.modulus, args.char_index)
-        return analytic.l_interpolation_verify(
-            args.h, _parse_complex(args.q), args.n, chi, tol=args.tol)
-    raise UsageError(f"unknown verify target {t}")
+    # interp-l, the last target argparse allows
+    chi = _char(args.modulus, args.char_index)
+    return analytic.l_interpolation_verify(
+        args.h, _parse_complex(args.q), args.n, chi, tol=args.tol)
 
 
 def main(argv=None) -> int:
@@ -310,13 +303,7 @@ def main(argv=None) -> int:
     args.format = args.format or "json"
     try:
         doc, code = _run(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (analytic.PoleAt1, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (UsageError, analytic.PoleAt1, DomainError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (analytic.SeriesDivergence, analytic.TruncationFailure,

@@ -2,8 +2,12 @@
 indeterminate q, plus scalars of the form r(q) + l(q)*LAMBDA where LAMBDA
 stands for log q as a formal symbol of degree at most one.
 
-Everything here is immutable and exact; coefficients are arbitrary-precision
-rationals (``fractions.Fraction``).
+Everything here is immutable and exact.  A QPolynomial stores its rational
+coefficients only as integers over one common denominator, (ints, den), in
+canonical form: ints ascending with no trailing zeros, den > 0 and
+gcd(den, *ints) == 1, so the zero polynomial is ((), 1).  Equal polynomials
+have equal (ints, den); ``.coeffs`` derives the ``fractions.Fraction``
+coefficients on access.
 
 Invariant: every denominator is q^a * prod_{d>=1} Phi_d(q)^e_d, a power of
 q times cyclotomic polynomials, which is all that the generating function
@@ -19,6 +23,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -43,74 +48,11 @@ class DomainError(ExactError):
     pass
 
 
-_F0 = Fraction(0)
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists, ascending degree, trimmed)
-# ---------------------------------------------------------------------------
-
 def _trim(c: list) -> list:
+    """Drop the trailing zeros of a coefficient list, in place."""
     while c and not c[-1]:
         c.pop()
     return c
-
-
-def _padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    n = max(len(a), len(b))
-    out = [_F0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
-
-
-def _pneg(a: Sequence[Fraction]) -> list:
-    return [-x for x in a]
-
-
-def _psub(a, b) -> list:
-    return _padd(a, _pneg(b))
-
-
-def _pscale(a: Sequence[Fraction], k: Fraction) -> list:
-    if not k:
-        return []
-    return [x * k for x in a]
-
-
-def _peval(a: Sequence[Fraction], x):
-    """Horner evaluation; x may be a Fraction or any ring element that
-    supports `x * self + Fraction`."""
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _peval_complex(a: Sequence[Fraction], x: complex) -> complex:
-    acc = 0j
-    for c in reversed(a):
-        acc = acc * x + c.numerator / c.denominator
-    return acc
-
-
-def _psubst_pow(a: Sequence[Fraction], m: int) -> list:
-    if m == 1 or not a:
-        return list(a)
-    out = [_F0] * ((len(a) - 1) * m + 1)
-    for i, c in enumerate(a):
-        out[i * m] = c
-    return _trim(out)
 
 
 # -- cyclotomic polynomials: the only denominator factors, Phi_0 = q ----------
@@ -165,7 +107,7 @@ def _subst_factors(d: int, m: int) -> tuple[int, ...]:
                  if d * m % c == 0 and c // gcd(c, m) == d)
 
 
-def _cancel(ints: list[int], exps: dict, check) -> tuple[list[int], dict]:
+def _cancel(ints: Sequence[int], exps: dict, check) -> tuple[list[int], dict]:
     """Divide the integer polynomial `ints` by Phi_d, for each d in `check`,
     as often as it divides and at most exps[d] times: (quotient, the
     exponents left)."""
@@ -183,13 +125,12 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
     """(c, {d: e}) with p = c * prod_d Phi_d^e (Phi_0 = q), or None when p
     has any other factor.  Trial division by every Phi_d of degree
     phi(d) <= deg; phi(d) >= sqrt(d/2) bounds d by 2 deg^2."""
-    coeffs = p.coeffs
-    a = next(i for i, c in enumerate(coeffs) if c)
-    lead = coeffs[-1]
-    rest = [c / lead for c in coeffs[a:]]
-    if abs(rest[0]) != 1 or any(c.denominator != 1 for c in rest):
+    ints = p.ints
+    a = next(i for i, c in enumerate(ints) if c)
+    lead = ints[-1]
+    if abs(ints[a]) != abs(lead) or any(c % lead for c in ints[a:]):
         return None
-    rest = [int(c) for c in rest]
+    rest = [c // lead for c in ints[a:]]
     exps = {0: a}
     d = 1
     while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
@@ -200,39 +141,46 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
         d += 1
     if len(rest) > 1:
         return None
-    return lead, {d: e for d, e in exps.items() if e}
+    return Fraction(lead, p.den), {d: e for d, e in exps.items() if e}
 
 # ---------------------------------------------------------------------------
 # public polynomial type
 # ---------------------------------------------------------------------------
 
 class QPolynomial:
-    """Univariate polynomial in q with Fraction coefficients, ascending
-    degree, no trailing zeros."""
+    """Univariate polynomial in q with rational coefficients, stored only as
+    integers over a common denominator, ints / den, in the canonical form of
+    the module docstring."""
 
-    __slots__ = ("coeffs", "_intform")
+    __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs: Iterable = ()):  # accepts ints/Fractions
-        c = [_as_fraction(x) for x in coeffs]
-        _trim(c)
-        object.__setattr__(self, "coeffs", tuple(c))
-        object.__setattr__(self, "_intform", None)
+    def __new__(cls, coeffs: Iterable = ()):  # accepts ints/Fractions
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"expected int or Fraction, got {type(c).__name__}")
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls._raw([c.numerator * (den // c.denominator)
+                         for c in coeffs], den)
 
     @classmethod
-    def _raw(cls, coeffs: list) -> "QPolynomial":
+    def _raw(cls, ints: list[int], den: int = 1) -> "QPolynomial":
+        """ints / den, den > 0, in canonical form; trims `ints` in place."""
+        _trim(ints)
+        if den != 1:
+            g = gcd(den, *ints)
+            if g != 1:
+                ints, den = [c // g for c in ints], den // g
         obj = object.__new__(cls)
-        object.__setattr__(obj, "coeffs", tuple(coeffs))
-        object.__setattr__(obj, "_intform", None)
+        object.__setattr__(obj, "ints", tuple(ints))
+        object.__setattr__(obj, "den", den)
         return obj
 
-    def int_form(self) -> tuple[list[int], int]:
-        """(integer coefficients, d) with coeffs_k = ints_k / d; cached."""
-        if self._intform is None:
-            d = lcm(*(c.denominator for c in self.coeffs))
-            object.__setattr__(self, "_intform",
-                               ([c.numerator * (d // c.denominator)
-                                 for c in self.coeffs], d))
-        return self._intform
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending, derived on access."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     @classmethod
     def monomial(cls, n: int, c=1) -> "QPolynomial":
@@ -243,23 +191,23 @@ class QPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.ints) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == QPolynomial([other])
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def _coerce(self, other):
         if isinstance(other, QPolynomial):
@@ -272,37 +220,37 @@ class QPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QPolynomial._raw(_padd(self.coeffs, o.coeffs))
+        d = lcm(self.den, o.den)
+        ka, kb = d // self.den, d // o.den
+        return QPolynomial._raw([ka * x + kb * y for x, y in zip_longest(
+            self.ints, o.ints, fillvalue=0)], d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial._raw(_pneg(self.coeffs))
+        return QPolynomial._raw([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QPolynomial._raw(_psub(self.coeffs, o.coeffs))
+        return self + (-o)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QPolynomial._raw(_pscale(self.coeffs, _as_fraction(other)))
+            return QPolynomial._raw([c * other.numerator for c in self.ints],
+                                    self.den * other.denominator)
         if isinstance(other, QPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return QPolynomial._raw([])
-            ia, da = self.int_form()
-            ib, db = other.int_form()
-            out = [0] * (len(ia) + len(ib) - 1)
-            for i, x in enumerate(ia):
+            a, b = self.ints, other.ints
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
                 if x:
-                    for j, y in enumerate(ib):
+                    for j, y in enumerate(b):
                         out[i + j] += x * y
-            d = da * db
-            return QPolynomial._raw([Fraction(c, d) for c in out])
+            return QPolynomial._raw(out, self.den * other.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -319,19 +267,29 @@ class QPolynomial:
                 r = _trim([c - k * b[i - shift] if i >= shift else c
                            for i, c in enumerate(r)])
             a, b = b, [c / r[-1] for c in r] if r else r
-        return QPolynomial._raw([c / a[-1] for c in a] if a else [])
+        return QPolynomial([c / a[-1] for c in a])
 
     def subst_q_power(self, m: int) -> "QPolynomial":
-        return QPolynomial._raw(_psubst_pow(self.coeffs, m))
+        out = [0] * ((len(self.ints) - 1) * m + 1)
+        out[::m] = self.ints
+        return QPolynomial._raw(out, self.den)
 
-    def __call__(self, x):
-        return _peval(self.coeffs, x)
+    def __call__(self, x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.ints):
+            acc = acc * x + c
+        return acc / self.den
 
     def eval_complex(self, x: complex) -> complex:
-        return _peval_complex(self.coeffs, x)
+        # c / den per coefficient: int / int is correctly rounded, so each
+        # term is the float nearest the exact coefficient
+        acc = 0j
+        for c in reversed(self.ints):
+            acc = acc * x + c / self.den
+        return acc
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "QPolynomial(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -368,10 +326,9 @@ def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:
     cancelled from num."""
     if not num:
         return num, {}
-    ints, scale = num.int_form()
-    quo, left = _cancel(ints, exps, check)
-    if quo is not ints:
-        num = QPolynomial._raw([Fraction(c, scale) for c in quo])
+    quo, left = _cancel(num.ints, exps, check)
+    if quo is not num.ints:
+        num = QPolynomial._raw(quo, num.den)
     return num, left
 
 
@@ -819,7 +776,6 @@ class XPolynomial:
     __rmul__ = __mul__
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
-        x = _as_fraction(x) if not isinstance(x, Fraction) else x
         acc = _LS0
         for c in reversed(self.coeffs):
             acc = acc * x + c

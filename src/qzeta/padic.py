@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log2
 
 from .characters import DirichletCharacter
 from .exact import LogScalar
@@ -32,7 +32,9 @@ DEFAULT_PRECISION = int(os.environ.get("QZK_DEFAULT_PRECISION", "16"))
 DEFAULT_SLACK = 3
 # Work bound on one call of the level sums: k_max + w, their number of Mahler
 # terms when v_p(q^h - 1) = 1, where w (at least twice the top level) is their
-# p-adic working precision.  Larger calls raise PrecisionExhausted.
+# p-adic working precision.  Each term is weighted by the size of p^w in units
+# of 1024 bits, the size up to which a term's cost barely grows, so the bound
+# falls as log p grows.  Larger calls raise PrecisionExhausted.
 MAX_POWER_SUM_TERMS = 360
 
 
@@ -347,10 +349,11 @@ def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
         raise PadicDomainError("need |q-1|_p < p^(-1/(p-1))")
 
     def horner(poly) -> PadicNumber:
-        if not poly.coeffs:
+        coeffs = poly.coeffs
+        if not coeffs:
             return PadicNumber.zero(q.p)
-        acc = PadicNumber.from_fraction(q.p, poly.coeffs[-1], q.prec + 2)
-        for c in reversed(poly.coeffs[:-1]):
+        acc = PadicNumber.from_fraction(q.p, coeffs[-1], q.prec + 2)
+        for c in reversed(coeffs[:-1]):
             acc = acc * q + c
         return acc
 
@@ -381,10 +384,13 @@ class MonomialTestFunction:
 def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
     """r = q^h modulo p^w for a unit q, for a call of `_power_sums` with
     this k_max and w, whose work bound it checks before lifting q."""
-    if k_max + w > MAX_POWER_SUM_TERMS:
+    bits = w * log2(q.p)                        # the size of p^w
+    if (k_max + w) * max(bits, 1024) > MAX_POWER_SUM_TERMS * 1024:
         raise PrecisionExhausted(
-            f"level sums need up to k_max + w = {k_max + w} Mahler terms, "
-            f"above the work bound MAX_POWER_SUM_TERMS = {MAX_POWER_SUM_TERMS}")
+            f"level sums need up to k_max + w = {k_max + w} Mahler terms on "
+            f"{bits:.0f}-bit integers, above the work bound "
+            f"MAX_POWER_SUM_TERMS = {MAX_POWER_SUM_TERMS} terms of up to "
+            "1024 bits")
     if q.val != 0:
         raise PadicDomainError("q must be a p-adic unit")
     return pow(q.at_precision(w).unit, h, q.p ** w)
@@ -497,10 +503,6 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _diff_valuation(a: PadicNumber, b: PadicNumber) -> int:
-    return (a - b).valuation()
-
-
 def _check_prec_slack(prec: int, slack: int) -> None:
     """A verdict needs at least one digit and a slack that only lowers the bar."""
     if prec < 1:
@@ -523,7 +525,7 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
     else:
         qq = q.at_precision(prec + max(levels) + n + 4)
         target = eval_log_scalar_padic(q_bernoulli_number(h, n), qq)
-    vals = [(N, _diff_valuation(sums[N][n], target)) for N in levels]
+    vals = [(N, (sums[N][n] - target).valuation()) for N in levels]
     seq = [v for _, v in vals]
     ok = all(a <= b for a, b in zip(seq, seq[1:])) and \
         seq[-1] >= min(prec, max(levels) - slack)

@@ -79,7 +79,7 @@ def _over_one_minus_z(num: list[int], k: int, h: int) -> RationalFunction:
     else:
         num = [(-1) ** k * c for c in num]
     # (q^{|h|} - 1)^k = prod_{d | |h|} Phi_d^k
-    return RationalFunction._raw(QPolynomial(num).subst_q_power(abs(h)),
+    return RationalFunction._raw(QPolynomial._raw(num).subst_q_power(abs(h)),
                                  {d: k for d in range(1, abs(h) + 1)
                                   if h % d == 0})
 

@@ -42,6 +42,4 @@ def _render(v):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, float):
-        return v
     return v

@@ -132,7 +132,7 @@ def exp_series(a, order: int) -> TruncatedSeries:
     out = [one]
     c = one
     for n in range(1, order + 1):
-        c = c * a / n if not isinstance(c, numbers.Number) else c * a / n
+        c = c * a / n
         out.append(c)
     return TruncatedSeries(out, order)
 

@@ -200,6 +200,18 @@ def test_large_prime_p_is_fast(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_level_range_bound_scales_with_p(capsys):
+    # p = 7 accepts this range; at p = 2^61 - 1 each Mahler term works on
+    # 21,000-bit integers instead of 1,000-bit ones
+    with deadline(2):
+        code, out, err = run(["verify", "witt", "--p", str(2 ** 61 - 1),
+                              "--h", "1", "--n", "6", "--levels", "1:169"],
+                             capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "MAX_POWER_SUM_TERMS" in err
+
+
 @pytest.mark.parametrize("p,reason", [
     pytest.param((2 ** 31 - 1) ** 2, "not prime", id="mersenne31-squared"),
     pytest.param(2 ** 64 + 13, "2^64", id="above-2^64"),

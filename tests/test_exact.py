@@ -1,6 +1,8 @@
 """Exact-layer tests: polynomials, rational functions, log scalars."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -35,6 +37,75 @@ def test_polynomial_immutable():
     p = QPolynomial([1])
     with pytest.raises(AttributeError):
         p.coeffs = (F(2),)
+
+
+def _assert_canonical(p):
+    """ints / den with no trailing zeros, den > 0, gcd(den, *ints) == 1."""
+    assert isinstance(p.ints, tuple)
+    assert all(type(c) is int for c in p.ints)
+    assert not p.ints or p.ints[-1]
+    assert p.den > 0 and gcd(p.den, *p.ints) == 1
+
+
+def _oracle_trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_form_matches_fraction_oracle(seed):
+    rng = random.Random(seed)
+
+    def rand_coeffs():
+        dens = [1, 1, 2, 3, 4, 6, 35, 144]
+        return [F(rng.randint(-40, 40), rng.choice(dens))
+                for _ in range(rng.randint(0, 7))]
+
+    for _ in range(20):
+        a, b = rand_coeffs(), rand_coeffs()
+        pa, pb = QPolynomial(a), QPolynomial(b)
+        k = F(rng.randint(-9, 9), rng.randint(1, 9))     # 0 included
+        m = rng.randint(1, 4)
+        n = max(len(a), len(b))
+        a0, b0 = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+        prod = [F(0)] * (len(a) + len(b) - 1 if a and b else 0)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                prod[i + j] += u * v
+        subst = [F(0)] * ((len(a) - 1) * m + 1 if a else 0)
+        for i, u in enumerate(a):
+            subst[i * m] = u
+        cases = [(pa + pb, [u + v for u, v in zip(a0, b0)]),
+                 (pa - pb, [u - v for u, v in zip(a0, b0)]),
+                 (pa * pb, prod),
+                 (pa * k, [u * k for u in a]),
+                 (k * pa, [u * k for u in a]),
+                 (pa * 0, []),
+                 (-pa, [-u for u in a]),
+                 (pa.subst_q_power(m), subst)]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coeffs == _oracle_trim(want)
+        x = F(rng.randint(-9, 9), rng.randint(1, 9))
+        assert pa(x) == sum((c * x ** i for i, c in enumerate(a)), F(0))
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        acc = 0j
+        for c in reversed(_oracle_trim(a)):
+            acc = acc * z + float(c)
+        assert repr(pa.eval_complex(z)) == repr(acc)   # bit for bit
+        # the same value built by different routes has one representation
+        routes = [(pa + pb) - pb, pb + pa - pb, QPolynomial(a + [0, F(0, 5)]),
+                  QPolynomial([3 * c for c in a]) * F(1, 3)]
+        if k:
+            routes.append(pa * k * (1 / k))
+        for r in routes:
+            _assert_canonical(r)
+            assert (r.ints, r.den) == (pa.ints, pa.den)
+            assert r == pa and hash(r) == hash(pa)
+    zero = QPolynomial([F(0), F(0, 3)])
+    assert (zero.ints, zero.den) == ((), 1)
 
 
 # -- RationalFunction --------------------------------------------------------
