@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import analytic, characters, padic, qbernoulli
 from .analytic import SeriesEvalConfig
 from .exact import DomainError, ExactError, eval_log_scalar_complex
-from .padic import MonomialTestFunction, PadicError, PadicNumber
+from .padic import (MonomialTestFunction, PadicDomainError, PadicError,
+                    PadicNumber)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -194,8 +195,16 @@ def _padic_q(args) -> PadicNumber:
         raise UsageError(f"--p {args.p} is not below the bound 2^64")
     if not _is_prime(args.p):
         raise UsageError(f"--p {args.p} is not prime")
-    q = _parse_rational(args.q) if args.q else Fraction(1 + args.p)
-    return PadicNumber.from_fraction(args.p, q, args.precision + 24)
+    # 1 + p is outside the log domain at p = 2, which needs q = 1 mod 4
+    q = (_parse_rational(args.q) if args.q
+         else Fraction(5 if args.p == 2 else 1 + args.p))
+    qp = PadicNumber.from_fraction(args.p, q, args.precision + 24)
+    # witt, shift and closedform read q only through q^h; the twisted
+    # target's exact value is evaluated with log q even at h = 0
+    if (args.h or args.target == "twisted") and not padic._log_domain_ok(qp):
+        raise PadicDomainError(f"--q {q} is outside the p-adic log domain "
+                               "|q - 1|_p < p^(-1/(p-1))")
+    return qp
 
 
 def _run(args) -> tuple[object, int]:
@@ -275,8 +284,12 @@ def _run_verify(args, levels):
     if t == "closedform":
         # check --p before from_fraction, which never returns at p = 1
         q = _padic_q(args)
-        tv = _parse_rational(args.t) if args.t else Fraction(args.p)
+        tv = (_parse_rational(args.t) if args.t
+              else Fraction(4 if args.p == 2 else args.p))
         tp = PadicNumber.from_fraction(args.p, tv, args.precision + 24)
+        if not padic._exp_domain_ok(tp):
+            raise PadicDomainError(f"--t {tv} is outside the p-adic exp "
+                                   "domain |t|_p < p^(-1/(p-1))")
         return padic.closed_form_verify(args.h, tp, q, max(levels),
                                         prec=args.precision, slack=args.slack)
     if t == "twisted":

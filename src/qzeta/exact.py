@@ -27,6 +27,8 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
+from .characters import euler_phi
+
 
 class ExactError(ArithmeticError):
     pass
@@ -85,18 +87,6 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _totient(n: int) -> int:
-    """Euler's phi(n), the degree of Phi_n."""
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    return out - out // m if m > 1 else out
-
-
 @lru_cache(maxsize=None)
 def _subst_factors(d: int, m: int) -> tuple[int, ...]:
     """The factors c of Phi_d(q^m) = prod Phi_c: q^m for d = 0, else every
@@ -134,7 +124,7 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
     exps = {0: a}
     d = 1
     while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
-        if _totient(d) < len(rest):
+        if euler_phi(d) < len(rest):
             n = len(rest) - 1
             rest, left = _cancel(rest, {d: n}, [d])
             exps[d] = n - left.get(d, 0)

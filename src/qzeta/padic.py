@@ -5,12 +5,14 @@ closed-form integral and the character-twisted integral).
 The level-N sums sum_{x<p^N} x^n q^{hx} behind Witt's formula, the shift
 identities and the twisted integral come in closed form from one Mahler
 expansion (`_power_sums`), in O(n (n + w)) operations per level at working
-precision p^w, not from a loop over x < p^N.
+precision p^w; the q-Volkenborn sum is n + 1 geometric series.  Nothing
+here loops over x < p^N.
 
 A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
-is known modulo p^(valuation + prec).  Numbers built from an exact rational
-remember it, which lets the Volkenborn machinery re-expand them at whatever
-working precision a level-N sum needs.
+is known modulo p^(valuation + prec).  Only a number built from a rational
+(`from_fraction`, an exact `zero`) remembers it, so that an input q can be
+lifted to whatever working precision a level-N sum needs; the results of
+arithmetic do not, and `at_precision` on one raises PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -155,27 +157,24 @@ class PadicNumber:
             return NotImplemented
         p = self.p
         n = min(self.abs_prec, o.abs_prec)
-        ex = (self._exact + o._exact
-              if self._exact is not None and o._exact is not None else None)
         terms = [z for z in (self, o) if not z.is_zero() and z.val < n]
         if not terms:
-            return PadicNumber(p, n, 0, 0, ex)
+            return PadicNumber(p, n, 0, 0)
         m = min(z.val for z in terms)
         mod = p ** (n - m)
         v = sum(z.unit * p ** (z.val - m) for z in terms) % mod
         if v == 0:
-            return PadicNumber(p, n, 0, 0, ex)
+            return PadicNumber(p, n, 0, 0)
         dv = _vp(v, p)
-        return PadicNumber(p, m + dv, v // p ** dv, n - m - dv, ex)
+        return PadicNumber(p, m + dv, v // p ** dv, n - m - dv)
 
     __radd__ = __add__
 
     def __neg__(self):
-        ex = -self._exact if self._exact is not None else None
         if self.is_zero():
-            return PadicNumber(self.p, self.val, 0, 0, ex)
+            return PadicNumber(self.p, self.val, 0, 0)
         return PadicNumber(self.p, self.val,
-                           (-self.unit) % self.p ** self.prec, self.prec, ex)
+                           (-self.unit) % self.p ** self.prec, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -191,24 +190,20 @@ class PadicNumber:
         if o is None:
             return NotImplemented
         p = self.p
-        ex = (self._exact * o._exact
-              if self._exact is not None and o._exact is not None else None)
         if self.is_zero() or o.is_zero():
             # O(p^a) * (unit p^v) = O(p^(a+v))
-            a = self.val + o.val
-            return PadicNumber(p, a, 0, 0, Fraction(0) if ex == 0 else None)
+            return PadicNumber(p, self.val + o.val, 0, 0)
         prec = min(self.prec, o.prec)
         unit = self.unit * o.unit % p ** prec
-        return PadicNumber(p, self.val + o.val, unit, prec, ex)
+        return PadicNumber(p, self.val + o.val, unit, prec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PadicNumber":
         if self.is_zero():
             raise ZeroDivisionError("division by (p-adic) zero")
-        ex = 1 / self._exact if self._exact else None
         return PadicNumber(self.p, -self.val,
-                           pow(self.unit, -1, self.p ** self.prec), self.prec, ex)
+                           pow(self.unit, -1, self.p ** self.prec), self.prec)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -236,10 +231,13 @@ class PadicNumber:
 # log / exp / powers
 # ---------------------------------------------------------------------------
 
+def _exp_domain_ok(t: PadicNumber) -> bool:
+    """|t|_p < p^(-1/(p-1)): v(t) >= 1, or >= 2 for p = 2."""
+    return t.is_zero() or t.val >= (2 if t.p == 2 else 1)
+
+
 def _log_domain_ok(q: PadicNumber) -> bool:
-    u = q - 1
-    need = 2 if q.p == 2 else 1
-    return u.is_zero() or u.val >= need
+    return _exp_domain_ok(q - 1)
 
 
 def padic_log(q: PadicNumber) -> PadicNumber:
@@ -252,10 +250,7 @@ def padic_log(q: PadicNumber) -> PadicNumber:
         return PadicNumber.zero(p, u.val)
     a = q.abs_prec
     vu = u.val
-    if u._exact is not None:
-        ufr = u._exact
-    else:
-        ufr = Fraction(u.unit * p ** vu)
+    ufr = q._exact - 1 if q._exact is not None else Fraction(u.unit * p ** vu)
     s = Fraction(0)
     k, term = 1, ufr
     while k * vu - _vp(k, p) < a:
@@ -277,8 +272,7 @@ def _vp_factorial(k: int, p: int) -> int:
 def padic_exp(t: PadicNumber) -> PadicNumber:
     """exp t = sum t^k / k! for v(t) >= 1 (>= 2 for p = 2)."""
     p = t.p
-    need = 2 if p == 2 else 1
-    if not (t.is_zero() or t.val >= need):
+    if not _exp_domain_ok(t):
         raise PadicDomainError("padic_exp needs v(t) >= 1 (>= 2 for p = 2)")
     if t.is_zero():
         return PadicNumber.from_fraction(
@@ -316,14 +310,7 @@ def padic_pow(q: PadicNumber, x) -> PadicNumber:
             if x < 0:
                 raise ZeroDivisionError("0^negative")
             return PadicNumber(p, q.val * x, 0, 0)
-        mod = p ** q.prec
-        unit = pow(q.unit, x, mod)
-        ex = None
-        if q._exact is not None and abs(x) * max(
-                q._exact.numerator.bit_length(),
-                q._exact.denominator.bit_length()) < 10 ** 6:
-            ex = q._exact ** x
-        return PadicNumber(p, q.val * x, unit, q.prec, ex)
+        return PadicNumber(p, q.val * x, pow(q.unit, x, p ** q.prec), q.prec)
     x = Fraction(x)
     if _vp(x.denominator, p) > 0:
         raise PadicDomainError("exponent must satisfy |x|_p <= 1")
@@ -475,28 +462,34 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
     [x0 + x1]_q^n q^{x1 (h-1)} against mu_q:
 
         (1/[p^N]_q) sum_{x1 < p^N} [x0+x1]_q^n q^{x1 (h-1)} q^{x1}
+
+    in closed form: with [y]_q = (1 - q^y)/(1 - q) and M = p^N it is
+
+        (1-q)^(1-n) / (1-q^M) * sum_j C(n, j) (-q^x0)^j G_j,
+        G_j = sum_{x<M} q^((h+j) x) = (1 - q^((h+j) M)) / (1 - q^(h+j)),
+
+    or G_j = M when h + j = 0.
     """
     p = q.p
     x0 = Fraction(x0)
     if _vp(x0.denominator, p) > 0:
         raise PadicDomainError("|x0|_p <= 1 required")
-    w = prec + N + n + 4
+    M = p ** N
+    # digits lost: v(1-q) + N + v(h+j) in 1 - q^((h+j) M), and about
+    # n v(1-q) + N in the sum, whose terms are (1 - q^(x0+x))^n q^(hx)
+    w = (prec + N + (n + 1) * (1 - q).valuation()
+         + max((_vp(h + j, p) for j in range(n + 1) if h + j), default=0) + 4)
     qw = q.at_precision(w)
     one_minus_q = 1 - qw
     if one_minus_q.is_zero():
         raise PadicDomainError("q = 1 is outside the q-Volkenborn domain")
-    qx0 = padic_pow(qw, x0)     # q^{x0}
-    inv_1mq = one_minus_q.inverse()
+    minus_qx0 = -padic_pow(qw, x0)
     acc = PadicNumber.zero(p, w)
-    qpow = PadicNumber.from_fraction(p, 1, w)       # q^{x1}
-    for x1 in range(p ** N):
-        term = padic_pow(qpow, h - 1) * qpow
-        if n > 0:
-            bracket = (1 - qx0 * qpow) * inv_1mq
-            term = padic_pow(bracket, n) * term
-        acc = acc + term
-        qpow = qpow * qw
-    return acc / q_bracket(p ** N, qw)
+    for j in range(n + 1):
+        e = h + j
+        g = M if e == 0 else (1 - padic_pow(qw, e * M)) / (1 - padic_pow(qw, e))
+        acc = acc + comb(n, j) * padic_pow(minus_qx0, j) * g
+    return padic_pow(one_minus_q, 1 - n) * acc / (1 - padic_pow(qw, M))
 
 
 # ---------------------------------------------------------------------------

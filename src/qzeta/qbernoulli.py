@@ -34,7 +34,7 @@ from .characters import DirichletCharacter
 from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
                     XPolynomial, eval_log_scalar_complex, log_scalar_sum)
 from .report import VerificationReport
-from .series import TruncatedSeries, exp_series, scalar_series
+from .series import TruncatedSeries
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
@@ -140,7 +140,7 @@ def gen_function_identity_check(h: int, order: int) -> VerificationReport:
     witnesses = []
     ok = True
     for n in range(order + 1):
-        diff = prod.coeff(n) - expected[n]
+        diff = prod.coeffs[n] - expected[n]
         good = diff.is_zero()
         ok = ok and good
         witnesses.append((f"t^{n}", "0" if good else diff))
@@ -245,24 +245,20 @@ def generalized_via_generating_function(chi: DirichletCharacter, h: int,
         raise DomainError("h d = 0 makes the denominator constant term vanish")
     order = n_max if order is None else order
     logq = cmath.log(qv)
-    num = scalar_series(0j, order)
+    # coefficient k of (t + h log q) e^{it} is (k i^(k-1) + h log q i^k) / k!
+    num = [0j] * (order + 1)
     for i in range(d):
         ci = chi.value_complex(i)
         if ci == 0:
             continue
         w = ci * qv ** (h * i)
-        e_it = exp_series(complex(i), order)
-        # t*e^{it} + h log q * e^{it}, scaled by chi(i) q^{hi}
-        shifted = TruncatedSeries(
-            [0j] + [e_it.coeff(k) for k in range(order)], order)
-        term_coeffs = [(shifted.coeff(k) + h * logq * e_it.coeff(k)) * w
-                       for k in range(order + 1)]
-        num = num + TruncatedSeries(term_coeffs, order)
+        for k in range(order + 1):
+            lead = k * i ** (k - 1) if k else 0
+            num[k] += w * (lead + h * logq * i ** k) / factorial(k)
     den_coeffs = [qv ** (h * d) * (d ** k / factorial(k)) for k in range(order + 1)]
     den_coeffs[0] -= 1
-    den = TruncatedSeries(den_coeffs, order)
-    f = num * den.invert()
-    return [f.coeff(n) * factorial(n) for n in range(n_max + 1)]
+    f = TruncatedSeries(num, order) * TruncatedSeries(den_coeffs, order).invert()
+    return [f.coeffs[n] * factorial(n) for n in range(n_max + 1)]
 
 
 def classical_limit_errors(h: int, n: int, eps_list=(Fraction(1, 10 ** 3),

@@ -168,6 +168,44 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "witt", "--levels", "3:5"],
+    ["verify", "shift", "--levels", "5"],
+    ["verify", "closedform", "--levels", "5"],
+    ["verify", "twisted", "--modulus", "3", "--levels", "3:5"],
+], ids=["witt", "shift", "closedform", "twisted"])
+def test_padic_defaults_at_p2_are_in_domain(argv, capsys):
+    # 1 + p = 3 and t = p = 2 are outside the log and exp domains at p = 2
+    code, out, _ = run(argv + ["--p", "2"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "witt", "--p", "2", "--q", "3", "--levels", "3:5"], "--q 3"),
+    (["verify", "shift", "--p", "5", "--q", "2", "--levels", "3"], "--q 2"),
+    (["verify", "twisted", "--p", "5", "--modulus", "3", "--q", "3/2",
+      "--levels", "3"], "--q 3/2"),
+    (["verify", "closedform", "--p", "2", "--t", "2", "--levels", "3"],
+     "--t 2"),
+    (["verify", "closedform", "--p", "5", "--q", "3", "--levels", "3"],
+     "--q 3"),
+])
+def test_padic_domain_error_names_flag(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert flag in err
+
+
+def test_h0_witt_reads_no_log_q(capsys):
+    # q^0 = 1, so a unit q outside the log domain is no domain error
+    code, out, _ = run(["verify", "witt", "--p", "5", "--h", "0", "--q", "2",
+                        "--levels", "3:5"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
 def test_runaway_level_range_exits_3_fast(capsys):
     t0 = time.perf_counter()
     code, out, err = run(["verify", "witt", "--levels", "3:4000"], capsys)

@@ -1,13 +1,15 @@
 """p-adic arithmetic, Volkenborn sums, and the p-adic identity verifiers."""
 
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qzeta.characters import enumerate_characters
 from qzeta.exact import LogScalar, RationalFunction
 from qzeta.padic import (MonomialTestFunction, PadicDomainError, PadicNumber,
-                         _power_sums, closed_form_verify,
+                         PrecisionExhausted, _power_sums, closed_form_verify,
                          eval_log_scalar_padic, padic_exp,
                          padic_generalized_verify, padic_log, padic_pow,
                          q_bracket, q_volkenborn_sum, shift_identity_verify,
@@ -58,6 +60,14 @@ def test_precision_lifting_through_exact_tag():
     y = x.at_precision(20)
     assert y.prec >= 20
     assert (y - Q(5, F(1, 3), 20)).valuation() >= 20
+
+
+def test_only_numbers_built_from_rationals_remember_them():
+    x, y = Q(5, F(1, 3), prec=4), Q(5, F(6), prec=4)
+    for z in (x + y, x - y, -x, x * y, x / y, x.inverse(), padic_pow(y, 3)):
+        assert z._exact is None
+        with pytest.raises(PrecisionExhausted):
+            z.at_precision(20)
 
 
 def test_repr_and_is_zero():
@@ -253,6 +263,43 @@ def test_q_volkenborn_constant_is_one():
     q = Q(5, F(6), 40)
     s = q_volkenborn_sum(0, 1, 0, q, 3, prec=10)
     assert (s - 1).is_zero()
+
+
+def _q_volkenborn_loop(n, h, c, r, p, N, w):
+    """(1/[p^N]_q) sum_{x<p^N} [x0+x]_q^n q^(hx), term by term, for q = r
+    and q^x0 = c mod p^w: the sums of (1 - c q^x)^n q^(hx) and of q^x, over
+    (1-q)^n."""
+    mod = p ** w
+    num = _loop_sum(p, w, p ** N, lambda x: pow(1 - c * pow(r, x, mod), n, mod)
+                    * pow(r, h * x, mod))
+    bracket = _loop_sum(p, w, p ** N, lambda x: pow(r, x, mod))
+    return (PadicNumber.from_int_mod(p, num, w)
+            / PadicNumber.from_int_mod(p, 1 - r, w) ** n
+            / PadicNumber.from_int_mod(p, bracket, w))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_q_volkenborn_sum_matches_loop(p):
+    # v_p(q - 1) <= 2, N <= 3 and n <= 4 lose at most 2 N + 2 (n + 1) digits
+    prec, w = 10, 34
+    for qf, x0 in product((F(1 + p), F(1 - 2 * p, 1 + p), F(1 + p * p)),
+                          (0, 1, F(1, 2), 3)):
+        q = Q(p, qf)
+        c = padic_pow(Q(p, qf, w), F(x0)).unit
+        for N, n, h in product(range(1, 4), range(5), range(-2, 3)):
+            got = q_volkenborn_sum(n, h, x0, q, N, prec=prec)
+            want = _q_volkenborn_loop(n, h, c, _ratio_mod(p, qf, 1, w),
+                                      p, N, w)
+            assert want.prec >= prec, (qf, x0, N, n, h)
+            assert (got - want).valuation() >= want.valuation() + prec, \
+                (qf, x0, N, n, h)
+
+
+def test_q_volkenborn_sum_deep_level_is_fast():
+    start = time.perf_counter()
+    s = q_volkenborn_sum(4, 2, 1, Q(5, F(6)), 60, prec=10)
+    assert time.perf_counter() - start < 1.0
+    assert s.prec >= 10
 
 
 @pytest.mark.parametrize("h,n", [(0, 1), (1, 0), (1, 2), (2, 3)])

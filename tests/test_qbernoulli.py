@@ -116,14 +116,22 @@ def test_generalized_exact_matches_numeric():
             assert abs(exact - numeric) < 1e-12
 
 
-def test_generalized_two_routes_agree():
+@pytest.mark.parametrize("h", [-2, 1, 2, 3])
+def test_generalized_two_routes_agree(h):
     qv = 0.3 + 0.2j
     for d in (1, 3, 4, 5):
         for chi in enumerate_characters(d):
-            gen = generalized_via_generating_function(chi, 2, 4, qv)
+            gen = generalized_via_generating_function(chi, h, 4, qv)
             for n in range(5):
-                a = generalized_q_bernoulli(chi, 2, n, qv)
+                a = generalized_q_bernoulli(chi, h, n, qv)
                 assert abs(a - gen[n]) < 1e-10, (d, chi.exponents, n)
+    # an order past n_max gives the same B_0..B_n_max
+    chi = enumerate_characters(5)[2]
+    longer = generalized_via_generating_function(chi, h, 4, qv, order=7)
+    assert len(longer) == 5
+    for n in range(5):
+        a = generalized_q_bernoulli(chi, h, n, qv)
+        assert abs(a - longer[n]) < 1e-10, n
 
 
 def test_classical_limit_errors_decrease():
