@@ -142,6 +142,12 @@ def test_deterministic_output(capsys):
                   "--char-index", "1", "--h", "1", "--n", "2",
                   "--levels", "3:5"], "twisted_p5_m4_c1_h1_n2_levels3-5",
                  id="twisted-p5-m4"),
+    pytest.param(["zeta", "--h", "1", "--q", "0.5", "--s", "3"],
+                 "zeta_h1_q0.5_s3", id="zeta-h1-q0.5-s3"),
+    pytest.param(["lfunction", "--modulus", "4", "--char-index", "1",
+                  "--h", "2", "--q=0.3+0.4j", "--s=-2.5+1j"],
+                 "lfunction_m4_c1_h2_q0.3+0.4j_s-2.5+1j",
+                 id="lfunction-m4-c1-h2-qcomplex"),
 ])
 def test_exact_output_matches_golden(argv, golden, capsys):
     # pins the canonical form (lowest terms, monic denominator) and the
