@@ -41,6 +41,51 @@ class SeriesEvalConfig:
 DEFAULT_CONFIG = SeriesEvalConfig()
 
 
+def _validate(w: complex, x: float) -> float:
+    if x <= 0:
+        raise DomainError("x must be positive")
+    aw = abs(w)
+    if aw >= 1:
+        raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
+    return aw
+
+
+def _ratio(aw: float, rs: float) -> float:
+    """Effective geometric ratio: for Re s >= 0 the magnitudes decay at least
+    like |w|; for Re s < 0 the sum runs past the index where the term ratio
+    falls below (1+|w|)/2, then that ratio bounds the tail."""
+    return aw if rs >= 0 else (1 + aw) / 2
+
+
+def _truncated(bound: float, k: int) -> TruncationFailure:
+    return TruncationFailure(
+        f"tail bound {bound} still above tol after {k} terms")
+
+
+def _lerch_tail(w: complex, aw: float, s: complex, x: float,
+                cfg: SeriesEvalConfig, acc: complex = 0j, k: int = 0,
+                wk: complex = 1 + 0j) -> tuple[complex, float]:
+    """acc + sum_{j>=k} w^j (j+x)^(-s), with wk = w^k, until the tail bound
+    is below tol; from k = 0 it is the whole series."""
+    log, exp = math.log, cmath.exp
+    ns, rs = -s, s.real
+    nrs = -rs
+    r = _ratio(aw, rs)
+    den = 1 - r
+    tol, max_terms = cfg.tol, cfg.max_terms
+    kx = k + x
+    while True:
+        acc += wk * exp(ns * log(kx))
+        k += 1
+        wk *= w
+        kx = k + x
+        bound = abs(wk) * kx ** nrs / den
+        if bound <= tol and (rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r):
+            return acc, bound
+        if k >= max_terms:
+            raise _truncated(bound, k)
+
+
 def lerch_sum_with_bound(w: complex, s: complex, x: float,
                          cfg: SeriesEvalConfig = DEFAULT_CONFIG) -> tuple[complex, float]:
     """sum_{k>=0} w^k (k+x)^(-s) with a certified geometric tail bound.
@@ -50,33 +95,57 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     """
     w = complex(w)
     s = complex(s)
-    if x <= 0:
-        raise DomainError("x must be positive")
-    aw = abs(w)
-    if aw >= 1:
-        raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
+    aw = _validate(w, x)
     if w == 0:
         return cmath.exp(-s * math.log(x)), 0.0
-    rs = s.real
-    # effective geometric ratio: for Re s >= 0 the magnitudes decay at least
-    # like |w|; for Re s < 0 push past the index where the term ratio falls
-    # below (1+|w|)/2, then that ratio bounds the tail
-    r = aw if rs >= 0 else (1 + aw) / 2
-    acc = 0j
+    return _lerch_tail(w, aw, s, x, cfg)
+
+
+def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig
+                ) -> tuple[complex, float, complex, float]:
+    """lerch_sum_with_bound at s and at s - 1 in one pass over k: (value at
+    s, its bound, value at s - 1, its bound).  The two series share w^k and
+    log(k+x); each keeps its own terms, bound and stopping test, so it stops
+    at the same k, with the same bits, as it does alone.  Once one stops,
+    the other goes on by itself."""
+    w = complex(w)
+    s = complex(s)
+    s1 = s - 1
+    aw = _validate(w, x)
+    if w == 0:
+        return (cmath.exp(-s * math.log(x)), 0.0,
+                cmath.exp(-s1 * math.log(x)), 0.0)
+    log, exp = math.log, cmath.exp
+    ns, ns1 = -s, -s1
+    rs, rs1 = s.real, s1.real
+    nrs, nrs1 = -rs, -rs1
+    r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
+    den, den1 = 1 - r, 1 - r1
+    tol, max_terms = cfg.tol, cfg.max_terms
+    a = b = 0j
     k = 0
+    kx = k + x
     wk = 1 + 0j
     while True:
-        acc += wk * cmath.exp(-s * math.log(k + x))
+        lg = log(kx)
+        a += wk * exp(ns * lg)
+        b += wk * exp(ns1 * lg)
         k += 1
         wk *= w
-        next_mag = abs(wk) * (k + x) ** (-rs)
-        ratio_ok = rs >= 0 or aw * ((k + 1 + x) / (k + x)) ** (-rs) <= r
-        bound = next_mag / (1 - r)
-        if ratio_ok and bound <= cfg.tol:
-            return acc, bound
-        if k >= cfg.max_terms:
-            raise TruncationFailure(
-                f"tail bound {bound} still above tol after {k} terms")
+        awk = abs(wk)
+        kx = k + x
+        ba = awk * kx ** nrs / den
+        bb = awk * kx ** nrs1 / den1
+        done_a = ba <= tol and (rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r)
+        done_b = bb <= tol and (rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
+        if done_a and done_b:
+            return a, ba, b, bb
+        if k >= max_terms:
+            raise _truncated(bb if done_a else ba, k)
+        if done_a:
+            return (a, ba) + _lerch_tail(w, aw, s1, x, cfg, b, k, wk)
+        if done_b:
+            return _lerch_tail(w, aw, s, x, cfg, a, k, wk) + (b, bb)
 
 
 def lerch_sum(w: complex, s: complex, x: float,
@@ -104,9 +173,7 @@ def q_hurwitz_zeta_with_bound(h: int, qv: complex, s: complex, x: float,
     s = complex(s)
     if s == 1:
         raise PoleAt1("s = 1 is the simple pole of the q-zeta definition")
-    w = qv ** h
-    a, ba = lerch_sum_with_bound(w, s, x, cfg)
-    b, bb = lerch_sum_with_bound(w, s - 1, x, cfg)
+    a, ba, b, bb = _lerch_pair(qv ** h, s, x, cfg)
     fac = h * cmath.log(qv) / (s - 1)
     return a - fac * b, ba + abs(fac) * bb
 
@@ -123,22 +190,26 @@ def q_zeta(h: int, qv: complex, s: complex,
 
 
 def _char_sum(chi: DirichletCharacter, w: complex, s: complex,
-              cfg: SeriesEvalConfig) -> tuple[complex, float]:
-    """sum_{n>=1} chi(n) w^n n^(-s), over residue classes as lerch subsums
-    with ratio w^d."""
+              cfg: SeriesEvalConfig) -> tuple[complex, float, complex, float]:
+    """sum_{n>=1} chi(n) w^n n^(-t) at t = s and t = s - 1, each with its
+    bound, over residue classes as Lerch pairs with ratio w^d."""
     d = chi.modulus
     wd = w ** d
-    acc = 0j
-    bound = 0.0
-    for a in range(1, d + 1):
-        ca = chi.value_complex(a)
-        if ca == 0:
+    a = b = 0j
+    ba = bb = 0.0
+    for r in range(1, d + 1):
+        cr = chi.value_complex(r)
+        if cr == 0:
             continue
-        sub, sb = lerch_sum_with_bound(wd, s, a / d, cfg)
-        scale = ca * w ** a * cmath.exp(-s * math.log(d))
-        acc += scale * sub
-        bound += abs(scale) * sb
-    return acc, bound
+        sa, sba, sb, sbb = _lerch_pair(wd, s, r / d, cfg)
+        cw = cr * w ** r
+        scale = cw * cmath.exp(-s * math.log(d))
+        scale1 = cw * cmath.exp(-(s - 1) * math.log(d))
+        a += scale * sa
+        ba += abs(scale) * sba
+        b += scale1 * sb
+        bb += abs(scale1) * sbb
+    return a, ba, b, bb
 
 
 def q_lfunction_with_bound(h: int, qv: complex, s: complex,
@@ -152,9 +223,7 @@ def q_lfunction_with_bound(h: int, qv: complex, s: complex,
     s = complex(s)
     if s == 1:
         raise PoleAt1("s = 1 is the simple pole of the q-L definition")
-    w = qv ** h
-    a, ba = _char_sum(chi, w, s, cfg)
-    b, bb = _char_sum(chi, w, s - 1, cfg)
+    a, ba, b, bb = _char_sum(chi, qv ** h, s, cfg)
     fac = h * cmath.log(qv) / (s - 1)
     return a - fac * b, ba + abs(fac) * bb
 

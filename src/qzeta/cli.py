@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--b", type=int, default=1)
     v.add_argument("--x", type=float, default=1.0)
     v.add_argument("--t", default=None, help="rational t for closedform")
-    v.add_argument("--modulus", type=int, default=4)
+    v.add_argument("--modulus", type=int, default=None,
+                   help="default 4 (3 for twisted at p = 2)")
     v.add_argument("--char-index", type=int, default=1)
     v.add_argument("--levels", default="3:6")
     v.add_argument("--tol", type=float, default=1e-8)
@@ -292,17 +293,23 @@ def _run_verify(args, levels):
                                    "domain |t|_p < p^(-1/(p-1))")
         return padic.closed_form_verify(args.h, tp, q, max(levels),
                                         prec=args.precision, slack=args.slack)
+    # the default modulus 4 shares the factor 2 with p = 2
+    modulus = (args.modulus if args.modulus is not None
+               else 3 if t == "twisted" and args.p == 2 else 4)
     if t == "twisted":
-        chi = _char(args.modulus, args.char_index)
-        return padic.padic_generalized_verify(chi, args.h, args.n,
-                                              _padic_q(args), levels,
+        chi = _char(modulus, args.char_index)
+        q = _padic_q(args)
+        if modulus % args.p == 0:
+            raise PadicDomainError(f"--modulus {modulus} is divisible by "
+                                   f"--p {args.p}: need gcd(p, d) = 1")
+        return padic.padic_generalized_verify(chi, args.h, args.n, q, levels,
                                               prec=args.precision,
                                               slack=args.slack)
     if t == "interp-zeta":
         return analytic.zeta_interpolation_verify(
             args.h, _parse_complex(args.q), args.n, args.x, tol=args.tol)
     # interp-l, the last target argparse allows
-    chi = _char(args.modulus, args.char_index)
+    chi = _char(modulus, args.char_index)
     return analytic.l_interpolation_verify(
         args.h, _parse_complex(args.q), args.n, chi, tol=args.tol)
 

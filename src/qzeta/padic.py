@@ -299,9 +299,13 @@ def _factorial_cached(k: int) -> int:
 
 
 def padic_pow(q: PadicNumber, x) -> PadicNumber:
-    """q^x: integers by square-and-multiply on the mantissa, rational x with
-    |x|_p <= 1 via exp(x log q)."""
+    """q^x: integers (an integer-valued Fraction too) by square-and-multiply
+    on the mantissa, other rational x with |x|_p <= 1 via exp(x log q)."""
     p = q.p
+    if not isinstance(x, int):
+        x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
     if isinstance(x, int):
         if x == 0:
             return PadicNumber.from_fraction(p, 1, max(q.prec,
@@ -311,7 +315,6 @@ def padic_pow(q: PadicNumber, x) -> PadicNumber:
                 raise ZeroDivisionError("0^negative")
             return PadicNumber(p, q.val * x, 0, 0)
         return PadicNumber(p, q.val * x, pow(q.unit, x, p ** q.prec), q.prec)
-    x = Fraction(x)
     if _vp(x.denominator, p) > 0:
         raise PadicDomainError("exponent must satisfy |x|_p <= 1")
     return padic_exp(x * padic_log(q))

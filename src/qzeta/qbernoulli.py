@@ -17,7 +17,11 @@ the classical Bernoulli numbers, which is what we return on that path.
 
 Also here: the character-twisted generalized values (finite-sum and
 generating-function routes) and the exact identity checkers for the
-generating function and the distribution relation.  The generating-function
+generating function and the distribution relation.  The exact per-residue
+terms q^{h i} B_{n, q^d}^{(h)}(i/d) of a twisted value depend on the
+character only through its modulus d, so they are cached per (d, h, n) and
+shared by every character mod d, the L-interpolation check, the numeric
+twisted values and the p-adic twisted target.  The generating-function
 check multiplies the closed-form values by q^h e^t - 1, so it is independent
 of how they were built.
 """
@@ -186,15 +190,17 @@ def distribution_check(h: int, n: int, m: int) -> VerificationReport:
 # generalized (character-twisted) values
 # ---------------------------------------------------------------------------
 
-def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> list[LogScalar]:
-    """Exact q^{h i} * B_{n, q^d}^{(h)}(i/d) for i = 0..d-1."""
-    d = chi.modulus
+def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> tuple[LogScalar, ...]:
+    """Exact q^{h i} * B_{n, q^d}^{(h)}(i/d) for i = 0..d-1, d = chi.modulus."""
+    return _twisted_terms_mod(chi.modulus, h, n)
+
+
+@lru_cache(maxsize=None)
+def _twisted_terms_mod(d: int, h: int, n: int) -> tuple[LogScalar, ...]:
     poly = q_bernoulli_polynomial(h, n).subst_q_power(d)
-    out = []
-    for i in range(d):
-        v = poly.eval_fraction(Fraction(i, d))
-        out.append(v * LogScalar(RationalFunction.q_power(h * i)))
-    return out
+    return tuple(poly.eval_fraction(Fraction(i, d))
+                 * LogScalar(RationalFunction.q_power(h * i))
+                 for i in range(d))
 
 
 def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> LogScalar:

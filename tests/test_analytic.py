@@ -1,14 +1,17 @@
 """Complex-analytic layer: tail-bounded series and interpolation checks."""
 
 import cmath
+import math
 
 import mpmath as mp
 import pytest
 
 from qzeta.analytic import (PoleAt1, SeriesDivergence, SeriesEvalConfig,
+                            TruncationFailure, _lerch_pair,
                             l_interpolation_verify, lerch_sum,
                             lerch_sum_with_bound, q_hurwitz_zeta, q_lfunction,
-                            q_zeta, zeta_interpolation_verify)
+                            q_lfunction_with_bound, q_zeta,
+                            zeta_interpolation_verify)
 from qzeta.characters import enumerate_characters, principal_character
 from qzeta.exact import DomainError
 
@@ -117,3 +120,88 @@ def test_l_interpolation_mod1_n1_residual_is_one():
     rep = l_interpolation_verify(1, 0.4, 1, chi, CFG)
     assert not rep.passed
     assert abs(abs(rep.witnesses[0][1]) - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the one-pass pair of series at s and s - 1
+# ---------------------------------------------------------------------------
+
+PAIR_W = [0.3, -0.45 + 0.6j, cmath.rect(0.99, 1.0)]
+# Re s > 0 and Re s < 0, and s = 0.5 + 3j, where the series at s and at
+# s - 1 take different tail ratios
+PAIR_S = [2.5, 0.5 + 3j, -0.7 + 1j, -4.5, -8 + 2j]
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.7])
+def test_lerch_pair_is_bit_identical_to_two_sums(x):
+    for w in PAIR_W:
+        for s in PAIR_S:
+            want = (lerch_sum_with_bound(w, s, x, CFG)
+                    + lerch_sum_with_bound(w, s - 1, x, CFG))
+            assert _lerch_pair(w, s, x, CFG) == want, (w, s)
+
+
+def _lfunction_from_two_passes(h, qv, s, chi, cfg):
+    """q_lfunction_with_bound as two passes of per-residue Lerch sums."""
+    s = complex(s)
+    w = complex(qv) ** h
+    d = chi.modulus
+    sums = []
+    for t in (s, s - 1):
+        acc, bound = 0j, 0.0
+        for r in range(1, d + 1):
+            cr = chi.value_complex(r)
+            if cr == 0:
+                continue
+            sub, sb = lerch_sum_with_bound(w ** d, t, r / d, cfg)
+            scale = cr * w ** r * cmath.exp(-t * math.log(d))
+            acc += scale * sub
+            bound += abs(scale) * sb
+        sums.append((acc, bound))
+    (a, ba), (b, bb) = sums
+    fac = h * cmath.log(qv) / (s - 1)
+    return a - fac * b, ba + abs(fac) * bb
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5])
+def test_lfunction_is_bit_identical_to_two_passes(d):
+    for chi in enumerate_characters(d):
+        for h, qv in ((1, 0.5), (2, -0.6 + 0.7j), (1, cmath.rect(0.99, 2.0))):
+            for s in (2.5, 0.5 + 3j, -4.5, -8 + 2j):
+                want = _lfunction_from_two_passes(h, qv, s, chi, CFG)
+                got = q_lfunction_with_bound(h, qv, s, chi, CFG)
+                assert got == want, (d, chi.exponents, h, qv, s)
+
+
+def _terms_needed(w, s, x):
+    """The least max_terms at which lerch_sum_with_bound(w, s, x) succeeds."""
+    lo, hi = 1, 2 ** 16
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            lerch_sum_with_bound(w, s, x, SeriesEvalConfig(1e-13, mid))
+            hi = mid
+        except TruncationFailure:
+            lo = mid + 1
+    return lo
+
+
+def _failure(fn, *args):
+    with pytest.raises(TruncationFailure) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("w,s,x", [(0.9, 2.5, 0.5), (-0.8 + 0.3j, -3 + 1j, 2.7)])
+def test_lerch_pair_truncation_in_both_phases(w, s, x):
+    k_a, k_b = _terms_needed(w, s, x), _terms_needed(w, s - 1, x)
+    assert k_a < k_b
+    # both series still running: the one at s fails first, as alone
+    cfg = SeriesEvalConfig(1e-13, k_a - 1)
+    assert (_failure(_lerch_pair, w, s, x, cfg)
+            == _failure(lerch_sum_with_bound, w, s, x, cfg))
+    # the series at s has stopped, the one at s - 1 runs out alone
+    cfg = SeriesEvalConfig(1e-13, k_a)
+    lerch_sum_with_bound(w, s, x, cfg)
+    assert (_failure(_lerch_pair, w, s, x, cfg)
+            == _failure(lerch_sum_with_bound, w, s - 1, x, cfg))

@@ -187,7 +187,21 @@ def test_padic_defaults_at_p2_are_in_domain(argv, capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_twisted_default_modulus_at_p2(capsys):
+    # the default modulus 4 is even; at p = 2 it defaults to 3
+    code, out, _ = run(["verify", "twisted", "--p", "2", "--levels", "3:5"],
+                       capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["params"]["d"] == 3
+
+
 @pytest.mark.parametrize("argv,flag", [
+    (["verify", "twisted", "--p", "2", "--modulus", "4", "--levels", "3:5"],
+     "--modulus 4"),
+    (["verify", "twisted", "--p", "3", "--modulus", "3", "--levels", "3"],
+     "--modulus 3"),
     (["verify", "witt", "--p", "2", "--q", "3", "--levels", "3:5"], "--q 3"),
     (["verify", "shift", "--p", "5", "--q", "2", "--levels", "3"], "--q 2"),
     (["verify", "twisted", "--p", "5", "--modulus", "3", "--q", "3/2",

@@ -111,6 +111,20 @@ def test_padic_pow_integer_matches_repeated_product():
     assert (padic_pow(q, 0) - 1).is_zero()
 
 
+@pytest.mark.parametrize("p,qf", [(5, F(6)), (5, F(2)), (3, F(7, 5))])
+def test_padic_pow_integer_fraction_takes_integer_path(p, qf):
+    # q = 2 is a unit outside the log domain at p = 5, yet q^3 is defined
+    q = Q(p, qf)
+    for x in (-2, 0, 3, 11):
+        want = padic_pow(q, x)
+        got = padic_pow(q, F(x))
+        assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+    start = time.perf_counter()
+    for _ in range(100):
+        padic_pow(q, F(3))
+    assert time.perf_counter() - start < 0.05
+
+
 def test_padic_pow_rational_interpolates_integers():
     q = Q(5, F(6), 25)
     # q^(1/2) squared is q

@@ -7,10 +7,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_SCRIPT = """
+_SETUP = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from spans import TRACED, Tracer
+"""
+
+_EXACT = """
 from qzeta.qbernoulli import distribution_check, gen_function_identity_check
 
 tracer = Tracer()
@@ -22,16 +25,35 @@ print(json.dumps({"ok": ok, "traced": list(TRACED),
                   "spans": tracer.summary()["spans"]}))
 """
 
+_L_INTERP = """
+from qzeta.analytic import l_interpolation_verify
+from qzeta.characters import enumerate_characters
+
+tracer = Tracer()
+tracer.install()
+chi = enumerate_characters(5)[2]
+ok = all(l_interpolation_verify(2, q, 4, chi).passed
+         for q in (0.3, 0.6 + 0.2j, -0.85))
+tracer.close()
+summary = tracer.summary()
+print(json.dumps({"ok": ok, "spans": summary["spans"],
+                  "repeats": summary["repeats"]}))
+"""
+
+
+def _traced(script):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SETUP + script, str(ROOT / "perfbench"),
+         str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 def test_span_tracer_installs_on_src():
     # Tracer.install() looks up each traced name (QPolynomial.gcd,
     # RationalFunction.__add__, rf_sum, ...) and raises if one is gone
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(ROOT / "perfbench"),
-         str(ROOT / "src")],
-        capture_output=True, text=True, timeout=120, cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    doc = _traced(_EXACT)
     assert doc["ok"]
     spans = doc["spans"]
     assert spans["exact.rf_add"]["calls"] > 0
@@ -39,3 +61,12 @@ def test_span_tracer_installs_on_src():
     # denominators stay factored: no polynomial gcd on any arithmetic path
     assert "exact.poly_gcd" in doc["traced"]
     assert "exact.poly_gcd" not in spans
+
+
+def test_span_tracer_sees_cached_twisted_terms():
+    # the (d, h, n) cache sits behind _twisted_terms, so the tracer still
+    # counts one call per twisted value, and the key repeats at each new q
+    doc = _traced(_L_INTERP)
+    assert doc["ok"]
+    assert doc["spans"]["qbernoulli.twisted"]["calls"] == 3
+    assert doc["repeats"]["qbernoulli.twisted"] == [2, 1]
