@@ -1,6 +1,13 @@
 """Complex-arithmetic q-zeta, q-Hurwitz zeta and q-L functions, by direct
 tail-bounded series summation, plus the interpolation checks at negative
-integer arguments."""
+integer arguments.
+
+zeta_q^{(h)} and L_q^{(h)} are each one combination of two Lerch series,
+sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s).  One kernel,
+`_lerch_pair`, sums both in a single pass over k, sharing w^k and log(k+x);
+each series keeps its own stopping test, so value and tail bound are
+bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
+pair per residue class mod d."""
 
 from __future__ import annotations
 

@@ -198,10 +198,6 @@ def test_twisted_default_modulus_at_p2(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["verify", "twisted", "--p", "2", "--modulus", "4", "--levels", "3:5"],
-     "--modulus 4"),
-    (["verify", "twisted", "--p", "3", "--modulus", "3", "--levels", "3"],
-     "--modulus 3"),
     (["verify", "witt", "--p", "2", "--q", "3", "--levels", "3:5"], "--q 3"),
     (["verify", "shift", "--p", "5", "--q", "2", "--levels", "3"], "--q 2"),
     (["verify", "twisted", "--p", "5", "--modulus", "3", "--q", "3/2",
@@ -210,6 +206,10 @@ def test_twisted_default_modulus_at_p2(capsys):
      "--t 2"),
     (["verify", "closedform", "--p", "5", "--q", "3", "--levels", "3"],
      "--q 3"),
+    (["verify", "twisted", "--p", "2", "--modulus", "4", "--levels", "3:5"],
+     "--modulus 4"),
+    (["verify", "twisted", "--p", "3", "--modulus", "3", "--levels", "3"],
+     "--modulus 3"),
 ])
 def test_padic_domain_error_names_flag(argv, flag, capsys):
     code, out, err = run(argv, capsys)
