@@ -48,7 +48,7 @@ class SeriesEvalConfig:
 DEFAULT_CONFIG = SeriesEvalConfig()
 
 
-def _validate(w: complex, x: float) -> float:
+def _check_lerch(w: complex, x: float) -> float:
     if x <= 0:
         raise DomainError("x must be positive")
     aw = abs(w)
@@ -102,7 +102,7 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     """
     w = complex(w)
     s = complex(s)
-    aw = _validate(w, x)
+    aw = _check_lerch(w, x)
     if w == 0:
         return cmath.exp(-s * math.log(x)), 0.0
     return _lerch_tail(w, aw, s, x, cfg)
@@ -118,7 +118,7 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig
     w = complex(w)
     s = complex(s)
     s1 = s - 1
-    aw = _validate(w, x)
+    aw = _check_lerch(w, x)
     if w == 0:
         return (cmath.exp(-s * math.log(x)), 0.0,
                 cmath.exp(-s1 * math.log(x)), 0.0)
