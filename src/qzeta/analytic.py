@@ -39,18 +39,20 @@ class SeriesEvalConfig:
     max_terms: int = 10 ** 7
 
     def __post_init__(self):
-        if self.tol < 1e-14:
+        if not self.tol >= 1e-14:          # NaN too
             raise ValueError("tol must be >= 1e-14")
-        if self.max_terms > 10 ** 8:
-            raise ValueError("max_terms must be <= 1e8")
+        if not 1 <= self.max_terms <= 10 ** 8:
+            raise ValueError("max_terms must be in 1..1e8")
 
 
 DEFAULT_CONFIG = SeriesEvalConfig()
 
 
-def _check_lerch(w: complex, x: float) -> float:
-    if x <= 0:
-        raise DomainError("x must be positive")
+def _check_lerch(w: complex, s: complex, x: float) -> float:
+    if not cmath.isfinite(s):
+        raise DomainError(f"s = {s} is not finite")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"x = {x} must be positive and finite")
     aw = abs(w)
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
@@ -102,7 +104,7 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     """
     w = complex(w)
     s = complex(s)
-    aw = _check_lerch(w, x)
+    aw = _check_lerch(w, s, x)
     if w == 0:
         return cmath.exp(-s * math.log(x)), 0.0
     return _lerch_tail(w, aw, s, x, cfg)
@@ -118,7 +120,7 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig
     w = complex(w)
     s = complex(s)
     s1 = s - 1
-    aw = _check_lerch(w, x)
+    aw = _check_lerch(w, s, x)
     if w == 0:
         return (cmath.exp(-s * math.log(x)), 0.0,
                 cmath.exp(-s1 * math.log(x)), 0.0)

@@ -107,11 +107,11 @@ def _text_render(doc, indent: int = 0) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "text"],
-                        default=None)
+                        default="json")
     common.add_argument("--out", default=None,
                         help="output file (default stdout)")
     ap = argparse.ArgumentParser(
-        prog="qzeta", parents=[common],
+        prog="qzeta",
         description="(h,q)-Bernoulli tables and identity verification")
     subactions = ap.add_subparsers(dest="command", required=True)
 
@@ -200,9 +200,8 @@ def _padic_q(args) -> PadicNumber:
     q = (_parse_rational(args.q) if args.q
          else Fraction(5 if args.p == 2 else 1 + args.p))
     qp = PadicNumber.from_fraction(args.p, q, args.precision + 24)
-    # witt, shift and closedform read q only through q^h; the twisted
-    # target's exact value is evaluated with log q even at h = 0
-    if (args.h or args.target == "twisted") and not padic._log_domain_ok(qp):
+    # log q is read only at h != 0: no target has a log part at h = 0
+    if args.h and not padic._log_domain_ok(qp):
         raise PadicDomainError(f"--q {q} is outside the p-adic log domain "
                                "|q - 1|_p < p^(-1/(p-1))")
     return qp
@@ -226,6 +225,8 @@ def _run(args) -> tuple[object, int]:
                 for j, c in enumerate(poly.coeffs)], EXIT_OK
 
     if cmd == "generalized":
+        if args.n < 0:
+            raise UsageError("n must be >= 0")
         chi = _char(args.modulus, args.char_index)
         qv = _parse_complex(args.q)
         vals = [qbernoulli.generalized_q_bernoulli(chi, args.h, n, qv)
@@ -320,7 +321,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    args.format = args.format or "json"
     try:
         doc, code = _run(args)
     except (UsageError, analytic.PoleAt1, DomainError, ValueError) as e:

@@ -8,6 +8,12 @@ expansion (`_power_sums`), in O(n (n + w)) operations per level at working
 precision p^w; the q-Volkenborn sum is n + 1 geometric series.  Nothing
 here loops over x < p^N.
 
+The verifiers compare these sums with an exact LogScalar target r(q) +
+l(q) log q.  `eval_log_scalar_padic` evaluates both rational parts exactly
+at the rational q came from and reduces each once; only log_p q is p-adic,
+taken at the precision its coefficient needs, so the target is known modulo
+p^(q.abs_prec) and no digit is lost to cancellation.
+
 A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
 is known modulo p^(valuation + prec).  Only a number built from a rational
 (`from_fraction`, an exact `zero`) remembers it, so that an input q can be
@@ -23,9 +29,8 @@ from fractions import Fraction
 from math import comb, log2
 
 from .characters import DirichletCharacter
-from .exact import LogScalar
-from .qbernoulli import (classical_bernoulli, generalized_q_bernoulli_exact,
-                         q_bernoulli_number)
+from .exact import LogScalar, RationalFunction
+from .qbernoulli import generalized_q_bernoulli_exact, q_bernoulli_number
 from .report import VerificationReport
 
 _BIG = 10 ** 9  # valuation sentinel for an exact zero
@@ -98,13 +103,17 @@ class PadicNumber:
         return cls(p, v, unit, prec, fr if exact else None)
 
     @classmethod
-    def from_int_mod(cls, p: int, value: int, abs_prec: int) -> "PadicNumber":
-        """Number known as `value` modulo p^abs_prec."""
-        value %= p ** abs_prec
-        if value == 0:
+    def from_int_mod(cls, p: int, value, abs_prec: int) -> "PadicNumber":
+        """Number known as the integer or rational `value` modulo
+        p^abs_prec."""
+        fr = Fraction(value)
+        vn, vd = _vp(fr.numerator, p), _vp(fr.denominator, p)
+        v = vn - vd
+        if v >= abs_prec:
             return cls.zero(p, abs_prec)
-        v = _vp(value, p)
-        unit = value // p ** v
+        mod = p ** (abs_prec - v)
+        unit = (fr.numerator // p ** vn
+                * pow(fr.denominator // p ** vd, -1, mod) % mod)
         return cls(p, v, unit, abs_prec - v)
 
     # -- basic queries -------------------------------------------------------
@@ -334,28 +343,21 @@ def q_bracket(x: int, q: PadicNumber) -> PadicNumber:
 # ---------------------------------------------------------------------------
 
 def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
-    """rat(q) + log-part(q) * log_p q, with tracked precision."""
-    if not _log_domain_ok(q):
-        raise PadicDomainError("need |q-1|_p < p^(-1/(p-1))")
+    """rat(q) + log-part(q) * log_p q, known modulo p^(q.abs_prec).
 
-    def horner(poly) -> PadicNumber:
-        coeffs = poly.coeffs
-        if not coeffs:
-            return PadicNumber.zero(q.p)
-        acc = PadicNumber.from_fraction(q.p, coeffs[-1], q.prec + 2)
-        for c in reversed(coeffs[:-1]):
-            acc = acc * q + c
-        return acc
-
-    def rf(r) -> PadicNumber:
-        den = horner(r.den)
-        if den.is_zero():
-            raise PrecisionExhausted("denominator vanishes to working precision")
-        return horner(r.num) / den
-
-    out = rf(a.rat)
+    Both rational parts are evaluated exactly at the rational q came from,
+    so no digit is lost to cancellation; log_p q is taken only when a has a
+    log part, at q lifted by -v_p of its coefficient, so that the product
+    keeps the absolute precision of q."""
+    if q._exact is None:
+        raise PrecisionExhausted("cannot evaluate exactly: no exact origin")
+    p, k = q.p, q.abs_prec
+    out = PadicNumber.from_int_mod(p, a.rat.eval_fraction(q._exact), k)
     if a.log:
-        out = out + rf(a.log) * padic_log(q)
+        if not _log_domain_ok(q):
+            raise PadicDomainError("need |q-1|_p < p^(-1/(p-1))")
+        c = PadicNumber.from_int_mod(p, a.log.eval_fraction(q._exact), k)
+        out = out + c * padic_log(q.at_precision(k - c.val))
     return out
 
 
@@ -369,6 +371,10 @@ class MonomialTestFunction:
     n: int
     h: int
     q: PadicNumber
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
 
 
 def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
@@ -515,12 +521,8 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
     _check_prec_slack(prec, slack)
     levels = sorted(levels)
     sums = volkenborn_levels(n, h, q, levels, prec)
-    if h == 0:
-        target = PadicNumber.from_fraction(q.p, classical_bernoulli(n)[n],
-                                           prec + max(levels))
-    else:
-        qq = q.at_precision(prec + max(levels) + n + 4)
-        target = eval_log_scalar_padic(q_bernoulli_number(h, n), qq)
+    target = eval_log_scalar_padic(q_bernoulli_number(h, n),
+                                   q.at_precision(prec + levels[-1]))
     vals = [(N, (sums[N][n] - target).valuation()) for N in levels]
     seq = [v for _, v in vals]
     ok = all(a <= b for a, b in zip(seq, seq[1:])) and \
@@ -532,18 +534,6 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
         passed=ok,
         levels=tuple(vals),
     )
-
-
-def _fprime(f: MonomialTestFunction, i: int, w: int) -> PadicNumber:
-    """f'(i) = q^{h i} (n i^{n-1} + h log q * i^n)."""
-    p = f.q.p
-    qw = f.q.at_precision(w)
-    n = f.n
-    lead = Fraction(n * i ** (n - 1)) if n >= 1 else Fraction(0)
-    out = PadicNumber.from_fraction(p, lead, w)
-    if f.h:
-        out = out + f.h * Fraction(i) ** n * padic_log(qw)
-    return padic_pow(qw, f.h * i) * out
 
 
 def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
@@ -566,10 +556,11 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
     inv_pn = PadicNumber(p, N, 1, w)
     i_f = PadicNumber.from_int_mod(p, row[n], w) / inv_pn
     i_fb = PadicNumber.from_int_mod(p, acc_fb, w) / inv_pn
-    deriv = PadicNumber.zero(p, w)
-    for i in range(b):
-        deriv = deriv + _fprime(f, i, w)
-    residual = i_fb - i_f - deriv
+    # sum_{i<b} f'(i) = sum_i q^(hi) (n i^(n-1) + h i^n log q)
+    qh = [RationalFunction.q_power(f.h * i) for i in range(b)]
+    deriv = LogScalar(sum(n * i ** (n - 1) * t for i, t in enumerate(qh) if n),
+                      sum(f.h * i ** n * t for i, t in enumerate(qh)))
+    residual = i_fb - i_f - eval_log_scalar_padic(deriv, f.q.at_precision(w))
     v = residual.valuation()
     ok = v >= N - slack
     return VerificationReport(
@@ -635,8 +626,8 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
                                       for a in range(d)) % mod
             for j in range(n + 1)]
     sums = _power_sums(pow(r, d, mod), n, levels, p, w)
-    qq = q.at_precision(prec + n_top + n + 4)
-    target = eval_log_scalar_padic(generalized_q_bernoulli_exact(chi, h, n), qq)
+    target = eval_log_scalar_padic(generalized_q_bernoulli_exact(chi, h, n),
+                                   q.at_precision(prec + n_top))
     vals = []
     for N, row in zip(levels, sums):
         acc = sum(c * s for c, s in zip(coef, row))

@@ -23,6 +23,19 @@ def test_config_validation():
         SeriesEvalConfig(tol=1e-16)
     with pytest.raises(ValueError):
         SeriesEvalConfig(max_terms=10 ** 9)
+    with pytest.raises(ValueError):
+        SeriesEvalConfig(tol=math.nan)
+    with pytest.raises(ValueError):
+        SeriesEvalConfig(max_terms=0)
+
+
+@pytest.mark.parametrize("s,x", [(math.nan, 1.0), (complex(1, math.nan), 1.0),
+                                 (math.inf, 1.0), (2, math.nan), (2, math.inf)])
+def test_lerch_rejects_non_finite_s_or_x(s, x):
+    with pytest.raises(DomainError):
+        lerch_sum_with_bound(0.5, s, x)
+    with pytest.raises(DomainError):
+        _lerch_pair(0.5, s, x, CFG)
 
 
 @pytest.mark.parametrize("w,s,x", [

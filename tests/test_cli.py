@@ -113,6 +113,22 @@ def test_out_file(tmp_path, capsys):
     json.loads(path.read_text())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "csv", "characters", "--modulus", "3"],
+    ["--out", "OUT", "characters", "--modulus", "3"],
+], ids=["format", "out"])
+def test_output_flag_before_subcommand_is_usage_error(argv, tmp_path,
+                                                      capsys):
+    # each flag belongs to the subcommand, whose default would overwrite
+    # a value given before its name
+    path = tmp_path / "report.json"
+    argv = [str(path) if a == "OUT" else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert not path.exists()
+
+
 def test_deterministic_output(capsys):
     a = run(["verify", "witt", "--p", "5", "--h", "1", "--n", "1",
              "--levels", "3:4"], capsys)[1]
@@ -226,6 +242,27 @@ def test_h0_witt_reads_no_log_q(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_h0_twisted_reads_no_log_q(capsys):
+    # the twisted values at h = 0 have no log part
+    code, out, _ = run(["verify", "twisted", "--p", "5", "--modulus", "3",
+                        "--char-index", "1", "--h", "0", "--q", "3/2",
+                        "--levels", "3:5"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "shift", "--p", "5", "--n", "-1", "--levels", "3"],
+    ["generalized", "--modulus", "4", "--char-index", "1", "--h", "1",
+     "--n", "-1", "--q", "0.5"],
+], ids=["shift", "generalized"])
+def test_negative_n_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "n must be >= 0" in err
+
+
 def test_runaway_level_range_exits_3_fast(capsys):
     t0 = time.perf_counter()
     code, out, err = run(["verify", "witt", "--levels", "3:4000"], capsys)
@@ -294,3 +331,25 @@ def test_meaningless_precision_or_slack_exits_2(target, flags, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert flags[0].lstrip("-") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--h", "1", "--q", "0.5", "--s", "nan"],
+    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--x", "nan"],
+    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--x", "inf"],
+    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--tol", "nan"],
+    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--max-terms", "0"],
+    ["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
+     "--q", "0.5", "--s", "nan"],
+    ["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "2",
+     "--x", "nan"],
+], ids=["s-nan", "x-nan", "x-inf", "tol-nan", "max-terms-0", "lfunction-s-nan",
+        "interp-zeta-x-nan"])
+def test_non_finite_input_exits_2_fast(argv, capsys):
+    # NaN fails every comparison, so no bound check stopped it short of
+    # max_terms, and x = inf made every term and the tail bound 0
+    with deadline(1):
+        code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")

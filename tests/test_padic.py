@@ -14,6 +14,7 @@ from qzeta.padic import (MonomialTestFunction, PadicDomainError, PadicNumber,
                          padic_generalized_verify, padic_log, padic_pow,
                          q_bracket, q_volkenborn_sum, shift_identity_verify,
                          volkenborn_levels, volkenborn_sum, witt_verify)
+from qzeta.qbernoulli import q_bernoulli_number
 
 F = Fraction
 
@@ -150,6 +151,47 @@ def test_eval_log_scalar_padic():
     assert (got - want).valuation() >= 15
 
 
+@pytest.mark.parametrize("value,abs_prec,val", [
+    (F(3, 7), 6, 0), (F(50, 3), 6, 2), (F(3, 25), 6, -2), (F(-1, 125), 2, -3),
+    (F(125, 7), 3, 3), (0, 4, 4), (-75, 5, 2),
+])
+def test_from_int_mod_takes_rationals(value, abs_prec, val):
+    x = PadicNumber.from_int_mod(5, value, abs_prec)
+    assert (x.valuation(), x.abs_prec) == (val, abs_prec)
+    assert (x - Q(5, F(value), 40)).valuation() >= abs_prec
+
+
+def test_eval_log_scalar_padic_is_exact_in_its_rational_parts():
+    # B_8^(3) at q = 10, p = 3: the two parts have valuation -22 and -24
+    # and their sum -1; the value is still known to the absolute precision
+    # of q, so two precisions agree that far
+    b = q_bernoulli_number(3, 8)
+    lo = eval_log_scalar_padic(b, Q(3, F(10), 20))
+    hi = eval_log_scalar_padic(b, Q(3, F(10), 40))
+    assert (lo.abs_prec, hi.abs_prec) == (20, 40)
+    assert (lo - hi).valuation() >= 20
+
+
+def test_eval_log_scalar_padic_needs_an_exact_q():
+    q = Q(5, F(6), 20) * 1        # a result of arithmetic forgets F(6)
+    with pytest.raises(PrecisionExhausted):
+        eval_log_scalar_padic(q_bernoulli_number(1, 2), q)
+
+
+def test_eval_log_scalar_padic_log_free_needs_no_log_domain():
+    # q = 2 is outside the log domain at p = 5, but 3/q^2 reads no log q
+    a = LogScalar(RationalFunction.q_power(-2) * 3)
+    got = eval_log_scalar_padic(a, Q(5, F(2), 20))
+    assert (got - Q(5, F(3, 4), 40)).valuation() >= 20
+    with pytest.raises(PadicDomainError):
+        eval_log_scalar_padic(a + LogScalar.lam(), Q(5, F(2), 20))
+
+
+def test_monomial_test_function_needs_n_nonnegative():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        MonomialTestFunction(-1, 1, Q(5, F(6)))
+
+
 # -- Volkenborn sums ---------------------------------------------------------
 
 def test_volkenborn_classical_bernoulli():
@@ -226,7 +268,9 @@ def residues(monkeypatch):
     real = PadicNumber.from_int_mod
 
     def spy(cls, p, value, abs_prec):
-        seen.append(value % p ** abs_prec)
+        # the exact targets come in as Fractions; the sums are integers
+        if isinstance(value, int):
+            seen.append(value % p ** abs_prec)
         return real(p, value, abs_prec)
     monkeypatch.setattr(PadicNumber, "from_int_mod", classmethod(spy))
     return seen
@@ -333,12 +377,27 @@ def test_witt_formula(h, n):
     # the target's Horner steps coerce Fraction coefficients; capped at
     # 4 * DEFAULT_PRECISION + 64 relative digits they held these at 116
     (5, F(6), 1, 6, [100, 130, 160, 168], 16, [101, 131, 161, 169]),
+    # q^3 - 1 = 27 * 37 at q = 10 and q - 1 = 5^20 put p in both parts'
+    # denominators, and the parts cancel 21 digits (B_8^(3), B_7^(3)) and
+    # 40 (B_2^(1)): the target keeps prec + N_max digits only when its
+    # rational parts are exact
+    (3, F(10), 3, 8, list(range(3, 10)), 16, [4, 6, 8, 11, 11, 12, 13]),
+    (3, F(10), 3, 7, list(range(3, 10)), 16, [2, 3, 4, 5, 6, 7, 8]),
+    (5, F(1 + 5 ** 20), 1, 2, [3, 4, 5, 6], 16, [3, 4, 5, 6]),
 ])
 def test_witt_precision_does_not_fall_with_level(p, qf, h, n, levels, prec,
                                                  want):
     rep = witt_verify(h, n, Q(p, qf, 40), levels, prec=prec)
     assert rep.passed
     assert [v for _, v in rep.levels] == want
+
+
+@pytest.mark.parametrize("prec", [16, 30])
+def test_witt_true_valuations_need_not_increase(prec):
+    # B_8^(1) at q = 10, p = 3: S_5 is closer to the target than S_6, at
+    # every precision; the Witt rule's nondecreasing test rejects this
+    rep = witt_verify(1, 8, Q(3, F(10), 40), list(range(3, 10)), prec=prec)
+    assert [v for _, v in rep.levels] == [4, 6, 11, 9, 10, 11, 12]
 
 
 def test_witt_formula_p7():

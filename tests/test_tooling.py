@@ -40,6 +40,20 @@ print(json.dumps({"ok": ok, "spans": summary["spans"],
                   "repeats": summary["repeats"]}))
 """
 
+_PADIC = """
+from fractions import Fraction
+from qzeta.padic import (MonomialTestFunction, PadicNumber,
+                         shift_identity_verify, witt_verify)
+
+tracer = Tracer()
+tracer.install()
+q = PadicNumber.from_fraction(5, Fraction(6), 40)
+ok = witt_verify(1, 2, q, [3, 4, 5], 12, 3).passed and \\
+    shift_identity_verify(MonomialTestFunction(2, 1, q), 3, 4, 12, 3).passed
+tracer.close()
+print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
+"""
+
 
 def _traced(script):
     proc = subprocess.run(
@@ -70,3 +84,15 @@ def test_span_tracer_sees_cached_twisted_terms():
     assert doc["ok"]
     assert doc["spans"]["qbernoulli.twisted"]["calls"] == 3
     assert doc["repeats"]["qbernoulli.twisted"] == [2, 1]
+
+
+def test_span_tracer_sees_padic_target():
+    # both verifiers evaluate their exact target through
+    # eval_log_scalar_padic, which the bench times as padic.target with the
+    # padic_log it calls: one of each per verifier, so shift reads log q
+    # once for its b = 3 derivative terms
+    doc = _traced(_PADIC)
+    assert doc["ok"]
+    spans = doc["spans"]
+    assert spans["padic.target"]["calls"] == 4
+    assert spans["padic.volkenborn"]["calls"] == 1
