@@ -30,8 +30,10 @@ class UsageError(Exception):
 
 
 def _parse_complex(text: str) -> complex:
+    # only a trailing i is the imaginary unit: "inf" and "nan" keep theirs
+    t = text.strip()
     try:
-        return complex(text.replace("i", "j"))
+        return complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError as e:
         raise UsageError(f"cannot parse complex number {text!r}") from e
 

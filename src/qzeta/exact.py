@@ -24,7 +24,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .characters import euler_phi
@@ -311,6 +311,14 @@ def _phi_power(d: int, e: int) -> QPolynomial:
     return _phi_power(d, e // 2) * _phi_power(d, e - e // 2)
 
 
+def _lift(num: QPolynomial, exps: dict, top: dict) -> QPolynomial:
+    """The numerator of num / prod Phi_d^exps[d] over prod Phi_d^top[d],
+    top >= exps: num times the factors that exps lacks."""
+    lift = {d: e - exps.get(d, 0) for d, e in top.items()
+            if e > exps.get(d, 0)}
+    return num * _expand(lift) if lift else num
+
+
 def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:
     """num / prod Phi_d^exps[d] with the factors Phi_d, d in `check`,
     cancelled from num."""
@@ -518,9 +526,7 @@ def rf_sum(parts) -> RationalFunction:
                 reached[d] += 1
     num = _P0
     for p in parts:
-        lift = {d: e - p.exps.get(d, 0) for d, e in top.items()
-                if e > p.exps.get(d, 0)}
-        num = num + (p.num * _expand(lift) if lift else p.num)
+        num = num + _lift(p.num, p.exps, top)
     return RationalFunction._raw(
         *_lowest(num, top, [d for d, k in reached.items() if k > 1]))
 
@@ -669,15 +675,6 @@ _LS0 = LogScalar()
 _LS1 = LogScalar(1)
 
 
-def log_scalar_sum(parts) -> LogScalar:
-    """Componentwise rf_sum over a list of LogScalar terms."""
-    parts = list(parts)
-    if not parts:
-        return _LS0
-    return LogScalar(rf_sum([p.rat for p in parts]),
-                     rf_sum([p.log for p in parts]))
-
-
 def eval_log_scalar_complex(a: LogScalar, qv: complex) -> complex:
     """Numeric value of a at q = qv, 0 < |qv| < 1, principal log branch."""
     qv = complex(qv)
@@ -731,10 +728,6 @@ class XPolynomial:
     def __setattr__(self, *a):
         raise AttributeError("XPolynomial is immutable")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, k: int) -> LogScalar:
         return self.coeffs[k] if k < len(self.coeffs) else _LS0
 
@@ -745,25 +738,6 @@ class XPolynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, XPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPolynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other):
-        if not isinstance(other, XPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPolynomial([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction, LogScalar)):
-            return XPolynomial([c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
         acc = _LS0
@@ -776,19 +750,6 @@ class XPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + eval_log_scalar_complex(c, qv)
         return acc
-
-    def compose_affine(self, a: Fraction, b: Fraction) -> "XPolynomial":
-        """P(a*x + b), exact in a, b rational."""
-        a, b = Fraction(a), Fraction(b)
-        n = len(self.coeffs)
-        buckets: list[list[LogScalar]] = [[] for _ in range(n)]
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            # (a x + b)^k expanded
-            for j in range(k + 1):
-                buckets[j].append(c * (comb(k, j) * a ** j * b ** (k - j)))
-        return XPolynomial([log_scalar_sum(bk) for bk in buckets])
 
     def subst_q_power(self, m: int) -> "XPolynomial":
         return XPolynomial([c.subst_q_power(m) for c in self.coeffs])

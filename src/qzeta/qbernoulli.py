@@ -36,7 +36,7 @@ from math import comb, factorial
 
 from .characters import DirichletCharacter
 from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
-                    XPolynomial, eval_log_scalar_complex, log_scalar_sum)
+                    XPolynomial, _lift, _lowest, eval_log_scalar_complex)
 from .report import VerificationReport
 from .series import TruncatedSeries
 
@@ -158,26 +158,51 @@ def gen_function_identity_check(h: int, order: int) -> VerificationReport:
 
 def distribution_check(h: int, n: int, m: int) -> VerificationReport:
     """B_n^{(h)}(x) == m^{n-1} sum_{i<m} q^{h i} B_{n, base q^m}^{(h)}((x+i)/m),
-    exact coefficientwise equality of both sides as polynomials in x."""
+    exact coefficientwise equality of both sides as polynomials in x.
+
+    With b_k the x^k coefficient at base q^m, the right side's x^j
+    coefficient is m^{n-1} sum_{k>=j} C(k, j) m^{-k} b_k P_{k-j}, P_e =
+    sum_{i<m} i^e q^{h i}.  Per component (rat, log), each b_k is lifted once
+    to one common denominator, so each lhs - rhs is one numerator over it:
+    the identity holds when all are 0, and only a nonzero one is reduced to
+    lowest terms, as the witness."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    lhs = q_bernoulli_polynomial(h, n)
-    base = lhs.subst_q_power(m)  # B_n^{(h)} polynomial at base q^m
-    terms = []
+    poly = q_bernoulli_polynomial(h, n)
+    lhs, base = poly.coeffs, poly.subst_q_power(m).coeffs
+    # q^s P_e, an integer polynomial (s > 0 only for h < 0), so the right
+    # side's numerators sit over q^s times the b_k's common denominator
+    s = max(-h, 0) * (m - 1)
+    rows = [[0] * (abs(h) * (m - 1) + 1) for _ in base]
     for i in range(m):
-        term = base.compose_affine(Fraction(1, m), Fraction(i, m))
-        terms.append(term * LogScalar(RationalFunction.q_power(h * i)))
-    width = max((len(t.coeffs) for t in terms), default=0)
-    rhs = XPolynomial([log_scalar_sum([t.coeff(j) for t in terms])
-                       for j in range(width)])
-    rhs = rhs * Fraction(m) ** (n - 1)
+        for e, row in enumerate(rows):
+            row[h * i + s] += i ** e
+    pows = [QPolynomial._raw(row) for row in rows]
+    parts = []  # per component: its denominator's exponents, the numerators
+    for part in ("rat", "log"):
+        a = [getattr(c, part) for c in lhs]
+        b = [getattr(c, part) for c in base]
+        top = {}
+        for r in a + b:
+            for d, e in r.exps.items():
+                top[d] = max(top.get(d, 0), e)
+        full = {**top, 0: top.get(0, 0) + s} if s else top
+        lifted = [_lift(r.num, r.exps, top) * Fraction(m) ** (n - 1 - k)
+                  for k, r in enumerate(b)]
+        nums = []
+        for j, r in enumerate(a):
+            rhs = sum((pows[k - j] * comb(k, j) * lifted[k]
+                       for k in range(j, len(lifted))), QPolynomial())
+            nums.append(_lift(r.num, r.exps, full) - rhs)
+        parts.append((full, nums))
     witnesses = []
     ok = True
-    for j in range(max(lhs.degree, rhs.degree) + 1):
-        diff = lhs.coeff(j) - rhs.coeff(j)
-        good = diff.is_zero()
+    for j in range(len(lhs)):
+        good = not any(nums[j] for _, nums in parts)
         ok = ok and good
-        witnesses.append((f"x^{j}", "0" if good else diff))
+        witnesses.append((f"x^{j}", "0" if good else LogScalar(
+            *(RationalFunction._raw(*_lowest(nums[j], den, den))
+              for den, nums in parts))))
     return VerificationReport(
         identity="distribution",
         params={"h": h, "n": n, "m": m},

@@ -252,6 +252,22 @@ def test_h0_twisted_reads_no_log_q(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "witt", "--p", "5", "--q", "1", "--h", "2", "--n", "4",
+     "--levels", "3:6"],
+    ["verify", "twisted", "--p", "5", "--q", "1", "--modulus", "4",
+     "--char-index", "0", "--h", "1", "--n", "2", "--levels", "3:5"],
+], ids=["witt", "twisted"])
+def test_q1_target_is_the_classical_limit(argv, capsys):
+    # at q = 1 both parts of the exact target have a pole (for a twisted
+    # value, at the principal character; the others' poles cancel); the
+    # level sums are the classical ones and tend to the q -> 1 limit, the
+    # h = 0 value
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "shift", "--p", "5", "--n", "-1", "--levels", "3"],
     ["generalized", "--modulus", "4", "--char-index", "1", "--h", "1",
      "--n", "-1", "--q", "0.5"],
@@ -333,19 +349,26 @@ def test_meaningless_precision_or_slack_exits_2(target, flags, capsys):
     assert flags[0].lstrip("-") in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["zeta", "--h", "1", "--q", "0.5", "--s", "nan"],
-    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--x", "nan"],
-    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--x", "inf"],
-    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--tol", "nan"],
-    ["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--max-terms", "0"],
-    ["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
-     "--q", "0.5", "--s", "nan"],
-    ["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "2",
-     "--x", "nan"],
+@pytest.mark.parametrize("argv,msg", [
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "nan"], "s = (nan+0j)"),
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--x", "nan"], "x = nan"),
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--x", "inf"], "x = inf"),
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--tol", "nan"], "tol"),
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "2", "--max-terms", "0"],
+     "max_terms"),
+    (["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
+      "--q", "0.5", "--s", "nan"], "s = (nan+0j)"),
+    (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "2",
+      "--x", "nan"], "x = nan"),
+    # only a trailing i is the imaginary unit, so "inf" keeps its i
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "inf"],
+     "s = (inf+0j) is not finite"),
+    # and 1+2i still parses: the error is about x
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "1+2i", "--x", "nan"],
+     "x = nan"),
 ], ids=["s-nan", "x-nan", "x-inf", "tol-nan", "max-terms-0", "lfunction-s-nan",
-        "interp-zeta-x-nan"])
-def test_non_finite_input_exits_2_fast(argv, capsys):
+        "interp-zeta-x-nan", "s-inf", "s-1+2i-x-nan"])
+def test_non_finite_input_exits_2_fast(argv, msg, capsys):
     # NaN fails every comparison, so no bound check stopped it short of
     # max_terms, and x = inf made every term and the tail bound 0
     with deadline(1):
@@ -353,3 +376,4 @@ def test_non_finite_input_exits_2_fast(argv, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ")
+    assert msg in err

@@ -213,8 +213,6 @@ def test_xpolynomial_eval_and_compose():
     # P(x) = x^2 + 3x + 2 with plain rational coefficients
     p = XPolynomial([2, 3, 1])
     assert p.eval_fraction(F(1, 2)) == LogScalar(F(15, 4))
-    # P(2x + 1) = 4x^2 + 10x + 6
-    assert p.compose_affine(2, 1) == XPolynomial([6, 10, 4])
 
 
 def test_xpolynomial_eval_complex_with_log_coeff():

@@ -1,11 +1,14 @@
 """The (h,q)-Bernoulli numbers and polynomials, exact layer."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from qzeta import exact, qbernoulli
 from qzeta.characters import enumerate_characters, principal_character
-from qzeta.exact import LogScalar, RationalFunction, eval_log_scalar_complex
+from qzeta.exact import (LogScalar, RationalFunction, XPolynomial,
+                         eval_log_scalar_complex)
 from qzeta.qbernoulli import (classical_bernoulli, classical_limit_errors,
                               distribution_check, gen_function_identity_check,
                               generalized_q_bernoulli,
@@ -30,7 +33,6 @@ def test_classical_bernoulli_known_values():
 
 def test_classical_recursion():
     # sum_{k<=n} C(n+1,k) B_k = 0 for n >= 1
-    from math import comb
     b = classical_bernoulli(10)
     for n in range(1, 10):
         assert sum(comb(n + 1, k) * b[k] for k in range(n + 1)) == 0
@@ -95,6 +97,73 @@ def test_distribution_relation(h, n, m):
 
 def test_distribution_m1_trivial():
     assert distribution_check(2, 5, 1).passed
+
+
+@pytest.mark.parametrize("h", [-2, 0, 3])
+def test_distribution_pass_reduces_nothing(h, monkeypatch):
+    # a PASS is a zero test on numerators: no cancellation to lowest terms
+    q_bernoulli_polynomial(h, 6)
+
+    def no_lowest(*_):
+        raise AssertionError("_lowest called on a PASS")
+    monkeypatch.setattr(exact, "_lowest", no_lowest)
+    monkeypatch.setattr(qbernoulli, "_lowest", no_lowest)
+    assert distribution_check(h, 6, 3).passed
+
+
+def _compose_affine(poly, a, b):
+    """P(a x + b), each (a x + b)^k expanded; the distribution check's former
+    route, kept as its oracle."""
+    out = [LogScalar.zero()] * len(poly.coeffs)
+    for k, c in enumerate(poly.coeffs):
+        for j in range(k + 1):
+            out[j] = out[j] + c * (comb(k, j) * F(a) ** j * F(b) ** (k - j))
+    return XPolynomial(out)
+
+
+def _distribution_oracle(poly, h, n, m):
+    """lhs - rhs of the distribution relation for the polynomial `poly`,
+    per power of x, from m shifted compositions."""
+    base = poly.subst_q_power(m)
+    rhs = [LogScalar.zero()] * len(poly.coeffs)
+    for i in range(m):
+        w = LogScalar(RationalFunction.q_power(h * i)) * F(m) ** (n - 1)
+        for j, c in enumerate(_compose_affine(base, F(1, m), F(i, m)).coeffs):
+            rhs[j] = rhs[j] + c * w
+    return [poly.coeff(j) - r for j, r in enumerate(rhs)]
+
+
+def test_compose_affine_oracle():
+    # P(x) = x^2 + 3x + 2: P(2x + 1) = 4x^2 + 10x + 6
+    assert _compose_affine(XPolynomial([2, 3, 1]), 2, 1) == \
+        XPolynomial([6, 10, 4])
+    assert not any(_distribution_oracle(q_bernoulli_polynomial(2, 3), 2, 3, 3))
+
+
+# q/(q^2 - 1) in the rational part, log q / (3 q^2) in the log part: a new
+# cyclotomic factor, and a power of q, in the denominators
+_BUMPS = {"rat": LogScalar(RationalFunction([0, 1], [-1, 0, 1])),
+          "log": LogScalar(0, RationalFunction([F(1, 3)], [0, 0, 1]))}
+
+
+@pytest.mark.parametrize("part", ["rat", "log"])
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("h", [-2, 0, 3])
+def test_distribution_witnesses_of_a_perturbed_polynomial(h, m, part,
+                                                          monkeypatch):
+    n = 4
+    good = q_bernoulli_polynomial(h, n)
+    coeffs = list(good.coeffs)
+    coeffs[1] = coeffs[1] + _BUMPS[part]
+    bad = XPolynomial(coeffs)
+    monkeypatch.setattr(qbernoulli, "q_bernoulli_polynomial",
+                        lambda *_: bad)
+    rep = distribution_check(h, n, m)
+    want = _distribution_oracle(bad, h, n, m)
+    assert rep.witnesses == tuple((f"x^{j}", w if w else "0")
+                                  for j, w in enumerate(want))
+    # at m = 1 the relation holds for every polynomial
+    assert rep.passed is (m == 1)
 
 
 def test_generalized_mod1_reduces_to_plain():

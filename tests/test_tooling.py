@@ -25,6 +25,16 @@ print(json.dumps({"ok": ok, "traced": list(TRACED),
                   "spans": tracer.summary()["spans"]}))
 """
 
+_DIST = """
+from qzeta import qbernoulli
+
+tracer = Tracer()
+tracer.install()
+ok = qbernoulli.distribution_check(-2, 9, 5).passed
+tracer.close()
+print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
+"""
+
 _L_INTERP = """
 from qzeta.analytic import l_interpolation_verify
 from qzeta.characters import enumerate_characters
@@ -75,6 +85,18 @@ def test_span_tracer_installs_on_src():
     # denominators stay factored: no polynomial gcd on any arithmetic path
     assert "exact.poly_gcd" in doc["traced"]
     assert "exact.poly_gcd" not in spans
+
+
+def test_span_tracer_sees_distribution_check():
+    # the one-pass check still runs under its own span and reads B_n^(h)(x)
+    # through q_bernoulli_polynomial, so qbernoulli.distribution.self_s
+    # still measures it
+    doc = _traced(_DIST)
+    assert doc["ok"]
+    spans = doc["spans"]
+    assert spans["qbernoulli.distribution"]["calls"] == 1
+    assert spans["qbernoulli.polynomial"]["calls"] == 1
+    assert spans["qbernoulli.distribution"]["self_s"] > 0
 
 
 def test_span_tracer_sees_cached_twisted_terms():
