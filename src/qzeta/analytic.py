@@ -7,17 +7,16 @@ sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s).  One kernel,
 `_lerch_pair`, sums both in a single pass over k, sharing w^k and log(k+x);
 each series keeps its own stopping test, so value and tail bound are
 bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
-pair per residue class mod d."""
+pair per residue class mod d.  The interpolation checks import qbernoulli
+when they run, so the direct values never load the exact tables."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .characters import DirichletCharacter
 from .exact import DomainError
-from .qbernoulli import generalized_q_bernoulli, q_bernoulli_polynomial
 from .report import VerificationReport
 
 
@@ -33,16 +32,30 @@ class TruncationFailure(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
 class SeriesEvalConfig:
-    tol: float = 1e-12
-    max_terms: int = 10 ** 7
+    __slots__ = ("tol", "max_terms")
 
-    def __post_init__(self):
-        if not self.tol >= 1e-14:          # NaN too
+    def __init__(self, tol: float = 1e-12, max_terms: int = 10 ** 7):
+        if not tol >= 1e-14:          # NaN too
             raise ValueError("tol must be >= 1e-14")
-        if not 1 <= self.max_terms <= 10 ** 8:
+        if not 1 <= max_terms <= 10 ** 8:
             raise ValueError("max_terms must be in 1..1e8")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_terms", max_terms)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SeriesEvalConfig is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, SeriesEvalConfig):
+            return (self.tol, self.max_terms) == (other.tol, other.max_terms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tol, self.max_terms))
+
+    def __repr__(self):
+        return f"SeriesEvalConfig(tol={self.tol!r}, max_terms={self.max_terms!r})"
 
 
 DEFAULT_CONFIG = SeriesEvalConfig()
@@ -252,6 +265,8 @@ def zeta_interpolation_verify(h: int, qv: complex, n: int, x: float,
     """zeta_q^{(h)}(1-n, x) = -B_n^{(h)}(x)/n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .qbernoulli import q_bernoulli_polynomial
+
     lhs = q_hurwitz_zeta(h, qv, complex(1 - n), x, cfg)
     bval = q_bernoulli_polynomial(h, n).eval_complex(complex(x), complex(qv))
     err = abs(lhs + bval / n)
@@ -270,6 +285,8 @@ def l_interpolation_verify(h: int, qv: complex, n: int,
     """L_q^{(h)}(1-n, chi) = -B_{n,chi}^{(h)}/n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .qbernoulli import generalized_q_bernoulli
+
     lhs = q_lfunction(h, qv, complex(1 - n), chi, cfg)
     bval = generalized_q_bernoulli(chi, h, n, qv)
     err = abs(lhs + bval / n)

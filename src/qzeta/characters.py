@@ -8,7 +8,6 @@ roots of unity e^{2*pi*i*exponent} with a rational exponent.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -114,12 +113,28 @@ def _dlog_table(d: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-@dataclass(frozen=True)
 class UnityRoot:
     """e^{2*pi*i*exponent} for a reduced rational exponent in [0,1), or the
     distinguished zero (exponent None)."""
 
-    exponent: Fraction | None
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: Fraction | None):
+        object.__setattr__(self, "exponent", exponent)
+
+    def __setattr__(self, *a):
+        raise AttributeError("UnityRoot is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, UnityRoot):
+            return self.exponent == other.exponent
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.exponent,))
+
+    def __repr__(self):
+        return f"UnityRoot(exponent={self.exponent!r})"
 
     @classmethod
     def zero(cls) -> "UnityRoot":

@@ -2,22 +2,21 @@
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
 3 precision or convergence failure.
+
+A process loads only the modules its subcommand runs: `characters` needs
+no exact arithmetic, `zeta` and `lfunction` no exact tables and no p-adic
+code, `verify witt` no complex series.  Each branch of `_run` and
+`_run_verify` imports what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
 
-from . import analytic, characters, padic, qbernoulli
-from .analytic import SeriesEvalConfig
-from .exact import DomainError, ExactError, eval_log_scalar_complex
-from .padic import (MonomialTestFunction, PadicDomainError, PadicError,
-                    PadicNumber)
+from . import characters
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,12 +44,14 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}") from e
 
 
-def _parse_levels(text: str) -> list[int]:
+def _parse_levels(text: str) -> range:
+    # a range, not a list: the p-adic work bound rejects a runaway range
+    # before anything of its length is built
     if ":" in text:
         lo, hi = text.split(":", 1)
-        levels = list(range(int(lo), int(hi) + 1))
+        levels = range(int(lo), int(hi) + 1)
     else:
-        levels = [int(text)]
+        levels = range(int(text), int(text) + 1)
     if not levels or levels[0] < 1:
         raise UsageError(
             f"--levels {text!r} must name levels N >= 1, lo <= hi")
@@ -69,6 +70,9 @@ def _emit(doc, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         wtr = csv.writer(buf)
         rows = doc if isinstance(doc, list) else [doc]
@@ -175,8 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--char-index", type=int, default=1)
     v.add_argument("--levels", default="3:6")
     v.add_argument("--tol", type=float, default=1e-8)
-    v.add_argument("--slack", type=int, default=padic.DEFAULT_SLACK)
-    v.add_argument("--precision", type=int, default=padic.DEFAULT_PRECISION)
+    # None: padic's defaults, read only when a p-adic target runs
+    v.add_argument("--slack", type=int, default=None)
+    v.add_argument("--precision", type=int, default=None)
     return ap
 
 
@@ -193,7 +198,9 @@ def _is_prime(n: int) -> bool:
                for b in bases)
 
 
-def _padic_q(args) -> PadicNumber:
+def _padic_q(args, prec: int):
+    from .padic import PadicDomainError, PadicNumber, _log_domain_ok
+
     if args.p >= 2 ** 64:
         raise UsageError(f"--p {args.p} is not below the bound 2^64")
     if not _is_prime(args.p):
@@ -201,9 +208,9 @@ def _padic_q(args) -> PadicNumber:
     # 1 + p is outside the log domain at p = 2, which needs q = 1 mod 4
     q = (_parse_rational(args.q) if args.q
          else Fraction(5 if args.p == 2 else 1 + args.p))
-    qp = PadicNumber.from_fraction(args.p, q, args.precision + 24)
+    qp = PadicNumber.from_fraction(args.p, q, prec + 24)
     # log q is read only at h != 0: no target has a log part at h = 0
-    if args.h and not padic._log_domain_ok(qp):
+    if args.h and not _log_domain_ok(qp):
         raise PadicDomainError(f"--q {q} is outside the p-adic log domain "
                                "|q - 1|_p < p^(-1/(p-1))")
     return qp
@@ -212,8 +219,12 @@ def _padic_q(args) -> PadicNumber:
 def _run(args) -> tuple[object, int]:
     cmd = args.command
     if cmd == "bernoulli":
-        table = qbernoulli.q_bernoulli_table(args.h, args.n)
+        from .qbernoulli import q_bernoulli_table
+
+        table = q_bernoulli_table(args.h, args.n)
         if args.q is not None:
+            from .exact import eval_log_scalar_complex
+
             qv = _parse_complex(args.q)
             vals = [eval_log_scalar_complex(v, qv) for v in table.values]
             return [{"n": n, "re": z.real, "im": z.imag}
@@ -222,16 +233,20 @@ def _run(args) -> tuple[object, int]:
                 for n, v in enumerate(table.values)], EXIT_OK
 
     if cmd == "polynomial":
-        poly = qbernoulli.q_bernoulli_polynomial(args.h, args.n)
+        from .qbernoulli import q_bernoulli_polynomial
+
+        poly = q_bernoulli_polynomial(args.h, args.n)
         return [{"x_power": j, "coeff": c.to_json_dict()}
                 for j, c in enumerate(poly.coeffs)], EXIT_OK
 
     if cmd == "generalized":
+        from .qbernoulli import generalized_q_bernoulli
+
         if args.n < 0:
             raise UsageError("n must be >= 0")
         chi = _char(args.modulus, args.char_index)
         qv = _parse_complex(args.q)
-        vals = [qbernoulli.generalized_q_bernoulli(chi, args.h, n, qv)
+        vals = [generalized_q_bernoulli(chi, args.h, n, qv)
                 for n in range(args.n + 1)]
         return [{"n": n, "re": v.real, "im": v.imag}
                 for n, v in enumerate(vals)], EXIT_OK
@@ -250,18 +265,21 @@ def _run(args) -> tuple[object, int]:
         return out, EXIT_OK
 
     if cmd == "zeta":
+        from .analytic import SeriesEvalConfig, q_hurwitz_zeta_with_bound
+
         cfg = SeriesEvalConfig(tol=args.tol, max_terms=args.max_terms)
         qv = _parse_complex(args.q)
         s = _parse_complex(args.s)
-        val, bound = analytic.q_hurwitz_zeta_with_bound(args.h, qv, s, args.x,
-                                                        cfg)
+        val, bound = q_hurwitz_zeta_with_bound(args.h, qv, s, args.x, cfg)
         return {"re": val.real, "im": val.imag,
                 "certified_tail_bound": bound}, EXIT_OK
 
     if cmd == "lfunction":
+        from .analytic import SeriesEvalConfig, q_lfunction_with_bound
+
         cfg = SeriesEvalConfig(tol=args.tol, max_terms=args.max_terms)
         chi = _char(args.modulus, args.char_index)
-        val, bound = analytic.q_lfunction_with_bound(
+        val, bound = q_lfunction_with_bound(
             args.h, _parse_complex(args.q), _parse_complex(args.s), chi, cfg)
         return {"re": val.real, "im": val.imag,
                 "certified_tail_bound": bound}, EXIT_OK
@@ -271,65 +289,122 @@ def _run(args) -> tuple[object, int]:
     return rep.to_dict(), EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _run_verify(args, levels):
+def _run_verify(args, levels: range):
     t = args.target
     if t == "genfunction":
-        return qbernoulli.gen_function_identity_check(args.h, args.n)
+        from .qbernoulli import gen_function_identity_check
+
+        return gen_function_identity_check(args.h, args.n)
     if t == "distribution":
-        return qbernoulli.distribution_check(args.h, args.n, args.m)
-    if t == "witt":
-        return padic.witt_verify(args.h, args.n, _padic_q(args), levels,
-                                 prec=args.precision, slack=args.slack)
-    if t == "shift":
-        f = MonomialTestFunction(args.n, args.h, _padic_q(args))
-        return padic.shift_identity_verify(f, args.b, max(levels),
-                                           prec=args.precision,
-                                           slack=args.slack)
-    if t == "closedform":
-        # check --p before from_fraction, which never returns at p = 1
-        q = _padic_q(args)
-        tv = (_parse_rational(args.t) if args.t
-              else Fraction(4 if args.p == 2 else args.p))
-        tp = PadicNumber.from_fraction(args.p, tv, args.precision + 24)
-        if not padic._exp_domain_ok(tp):
-            raise PadicDomainError(f"--t {tv} is outside the p-adic exp "
-                                   "domain |t|_p < p^(-1/(p-1))")
-        return padic.closed_form_verify(args.h, tp, q, max(levels),
-                                        prec=args.precision, slack=args.slack)
+        from .qbernoulli import distribution_check
+
+        return distribution_check(args.h, args.n, args.m)
     # the default modulus 4 shares the factor 2 with p = 2
     modulus = (args.modulus if args.modulus is not None
                else 3 if t == "twisted" and args.p == 2 else 4)
-    if t == "twisted":
-        chi = _char(modulus, args.char_index)
-        q = _padic_q(args)
-        if modulus % args.p == 0:
-            raise PadicDomainError(f"--modulus {modulus} is divisible by "
-                                   f"--p {args.p}: need gcd(p, d) = 1")
-        return padic.padic_generalized_verify(chi, args.h, args.n, q, levels,
-                                              prec=args.precision,
-                                              slack=args.slack)
     if t == "interp-zeta":
-        return analytic.zeta_interpolation_verify(
+        from .analytic import zeta_interpolation_verify
+
+        return zeta_interpolation_verify(
             args.h, _parse_complex(args.q), args.n, args.x, tol=args.tol)
-    # interp-l, the last target argparse allows
+    if t == "interp-l":
+        from .analytic import l_interpolation_verify
+
+        chi = _char(modulus, args.char_index)
+        return l_interpolation_verify(
+            args.h, _parse_complex(args.q), args.n, chi, tol=args.tol)
+    return _run_padic(args, levels, modulus)
+
+
+def _run_padic(args, levels: range, modulus: int):
+    """witt, shift, closedform and twisted.  --precision and --slack default
+    to padic.DEFAULT_PRECISION (QZK_DEFAULT_PRECISION) and DEFAULT_SLACK."""
+    from . import padic
+
+    prec = padic.DEFAULT_PRECISION if args.precision is None else args.precision
+    slack = padic.DEFAULT_SLACK if args.slack is None else args.slack
+    t = args.target
+    if t == "witt":
+        return padic.witt_verify(args.h, args.n, _padic_q(args, prec), levels,
+                                 prec=prec, slack=slack)
+    if t == "shift":
+        f = padic.MonomialTestFunction(args.n, args.h, _padic_q(args, prec))
+        return padic.shift_identity_verify(f, args.b, levels[-1],
+                                           prec=prec, slack=slack)
+    if t == "closedform":
+        # check --p before from_fraction, which never returns at p = 1
+        q = _padic_q(args, prec)
+        tv = (_parse_rational(args.t) if args.t
+              else Fraction(4 if args.p == 2 else args.p))
+        tp = padic.PadicNumber.from_fraction(args.p, tv, prec + 24)
+        if not padic._exp_domain_ok(tp):
+            raise padic.PadicDomainError(f"--t {tv} is outside the p-adic exp "
+                                         "domain |t|_p < p^(-1/(p-1))")
+        return padic.closed_form_verify(args.h, tp, q, levels[-1],
+                                        prec=prec, slack=slack)
+    # twisted, the last target argparse allows
     chi = _char(modulus, args.char_index)
-    return analytic.l_interpolation_verify(
-        args.h, _parse_complex(args.q), args.n, chi, tol=args.tol)
+    q = _padic_q(args, prec)
+    if modulus % args.p == 0:
+        raise padic.PadicDomainError(f"--modulus {modulus} is divisible by "
+                                     f"--p {args.p}: need gcd(p, d) = 1")
+    return padic.padic_generalized_verify(chi, args.h, args.n, q, levels,
+                                          prec=prec, slack=slack)
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The error classes `module.Class` whose qzeta module is loaded: a class
+    of a module this process never imported cannot have been raised."""
+    out = []
+    for name in names:
+        mod, cls = name.split(".")
+        m = sys.modules.get(f"{__package__}.{mod}")
+        if m is not None:
+            out.append(getattr(m, cls))
+    return tuple(out)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--s -2+1i` -> `--s=-2+1i`, and likewise for `--q`.  argparse reads a
+    token that starts with '-' and is not a plain negative number as an
+    option, so a negative complex or infinite value would lose its flag; a
+    token that is no number (`--s --x 1`) stays apart, and argparse reports
+    the missing value."""
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1] in ("--q", "--s") and tok.startswith("-")
+                and _is_complex(tok)):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_complex(text: str) -> bool:
+    try:
+        _parse_complex(text)
+    except UsageError:
+        return False
+    return True
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    # an except clause is evaluated only when an exception reaches it
     try:
         doc, code = _run(args)
-    except (UsageError, analytic.PoleAt1, DomainError, ValueError) as e:
+    except (UsageError, ValueError,
+            *_loaded("analytic.PoleAt1", "exact.DomainError")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (analytic.SeriesDivergence, analytic.TruncationFailure,
-            PadicError, ExactError, ZeroDivisionError) as e:
+    except (ZeroDivisionError,
+            *_loaded("analytic.SeriesDivergence", "analytic.TruncationFailure",
+                     "padic.PadicError", "exact.ExactError")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(doc, args.format, args.out)

@@ -24,7 +24,6 @@ arithmetic do not, and `at_precision` on one raises PrecisionExhausted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
 
@@ -41,7 +40,9 @@ DEFAULT_SLACK = 3
 # terms when v_p(q^h - 1) = 1, where w (at least twice the top level) is their
 # p-adic working precision.  Each term is weighted by the size of p^w in units
 # of 1024 bits, the size up to which a term's cost barely grows, so the bound
-# falls as log p grows.  Larger calls raise PrecisionExhausted.
+# falls as log p grows.  The closed-form check, about w products mod p^w in
+# its exp series and p^N-th power, takes the same bound with k_max = 0.
+# Larger calls raise PrecisionExhausted before anything of size p^w is built.
 MAX_POWER_SUM_TERMS = 360
 
 
@@ -365,28 +366,49 @@ def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
 # Volkenborn sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MonomialTestFunction:
     """f(x) = x^n q^{h x}."""
-    n: int
-    h: int
-    q: PadicNumber
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "h", "q")
+
+    def __init__(self, n: int, h: int, q: PadicNumber):
+        if n < 0:
             raise ValueError("n must be >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MonomialTestFunction is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, MonomialTestFunction):
+            return (self.n, self.h, self.q) == (other.n, other.h, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.h, self.q))
+
+    def __repr__(self):
+        return f"MonomialTestFunction(n={self.n!r}, h={self.h!r}, q={self.q!r})"
+
+
+def _check_work(terms: int, w: int, p: int, need: str) -> None:
+    """Raise PrecisionExhausted, saying what `need`s the work, when `terms`
+    products mod p^w are above the work bound MAX_POWER_SUM_TERMS."""
+    bits = w * log2(p)                          # the size of p^w
+    if terms * max(bits, 1024) > MAX_POWER_SUM_TERMS * 1024:
+        raise PrecisionExhausted(
+            f"{need} on {bits:.0f}-bit integers, above the work bound "
+            f"MAX_POWER_SUM_TERMS = {MAX_POWER_SUM_TERMS} terms of up to "
+            "1024 bits")
 
 
 def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
     """r = q^h modulo p^w for a unit q, for a call of `_power_sums` with
     this k_max and w, whose work bound it checks before lifting q."""
-    bits = w * log2(q.p)                        # the size of p^w
-    if (k_max + w) * max(bits, 1024) > MAX_POWER_SUM_TERMS * 1024:
-        raise PrecisionExhausted(
-            f"level sums need up to k_max + w = {k_max + w} Mahler terms on "
-            f"{bits:.0f}-bit integers, above the work bound "
-            f"MAX_POWER_SUM_TERMS = {MAX_POWER_SUM_TERMS} terms of up to "
-            "1024 bits")
+    _check_work(k_max + w, w, q.p, f"level sums need up to k_max + w = "
+                f"{k_max + w} Mahler terms")
     if q.val != 0:
         raise PadicDomainError("q must be a p-adic unit")
     return pow(q.at_precision(w).unit, h, q.p ** w)
@@ -520,8 +542,8 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
     S_N - target must reach min(prec, N - slack).  The valuations need not
     increase with N: S_N can come closer to the target than S_(N+1)."""
     _check_prec_slack(prec, slack)
+    sums = volkenborn_levels(n, h, q, levels, prec)    # checks the work bound
     levels = sorted(levels)
-    sums = volkenborn_levels(n, h, q, levels, prec)
     # at q = 1 both parts of B_n^{(h)} have a pole; the target is their
     # q -> 1 limit, the classical B_n = B_n^{(0)}
     target = eval_log_scalar_padic(
@@ -549,8 +571,8 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
     p = f.q.p
     n = f.n
     w = max(prec, N) + N    # >= N - slack absolute digits after / p^N
-    mod = p ** w
     r = _ratio(f.q, f.h, n, w)
+    mod = p ** w
     (row,) = _power_sums(r, n, [N], p, w)
     # sum_{x<p^N} r^(x+b) (x+b)^n = r^b sum_j C(n, j) b^(n-j) S_j
     acc_fb = pow(r, b, mod) * sum(comb(n, j) * b ** (n - j) * row[j]
@@ -580,7 +602,9 @@ def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
     """Level-N sum of q^{h x} e^{x t} against (h log q + t)/(q^h e^t - 1)."""
     _check_prec_slack(prec, slack)
     p = q.p
-    w = prec + N + 6
+    # after / p^N, min(prec, N) + 6 >= N - slack digits remain
+    w = max(prec, N) + N + 6
+    _check_work(w, w, p, f"the closed form needs w = {w} products")
     qw = q.at_precision(w)
     tw = t.at_precision(w)
     e_t = padic_exp(tw)
@@ -616,11 +640,11 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
         raise PadicDomainError("need gcd(p, d) = 1")
     if not chi.is_real():
         raise PadicDomainError("p-adic route needs a quadratic character")
-    levels = sorted(levels)
     n_top = max(levels)
     w = prec + 2 * n_top
-    mod = p ** w
     r = _ratio(q, h, n, w)
+    mod = p ** w
+    levels = sorted(levels)
     # x = a + d y: sum_x chi(x) r^x x^n
     #   = sum_a chi(a) r^a sum_j C(n, j) a^(n-j) d^j S_j(r^d, p^N)
     chivals = [int(chi.value_rational(a)) for a in range(d)]

@@ -29,7 +29,6 @@ of how they were built.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -52,11 +51,29 @@ def classical_bernoulli(n_max: int) -> list[Fraction]:
     return bs
 
 
-@dataclass(frozen=True)
 class QBernoulliTable:
-    h: int
-    max_n: int
-    values: tuple[LogScalar, ...]
+    __slots__ = ("h", "max_n", "values")
+
+    def __init__(self, h: int, max_n: int, values: tuple[LogScalar, ...]):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *a):
+        raise AttributeError("QBernoulliTable is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, QBernoulliTable):
+            return ((self.h, self.max_n, self.values)
+                    == (other.h, other.max_n, other.values))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.h, self.max_n, self.values))
+
+    def __repr__(self):
+        return (f"QBernoulliTable(h={self.h!r}, max_n={self.max_n!r}, "
+                f"values={self.values!r})")
 
     def __getitem__(self, n: int) -> LogScalar:
         return self.values[n]

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import signal
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -280,12 +279,18 @@ def test_negative_n_exits_2(argv, capsys):
 
 
 def test_runaway_level_range_exits_3_fast(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run(["verify", "witt", "--levels", "3:4000"], capsys)
-    assert time.perf_counter() - t0 < 2
-    assert code == EXIT_NUMERIC
-    assert out == ""
-    assert "MAX_POWER_SUM_TERMS" in err
+    # every p-adic target checks the work bound before it builds p^w or a
+    # list of the levels (3:3000000 took seconds to hours, and 130 MB)
+    for argv in (["witt", "--levels", "3:4000"],
+                 ["witt", "--levels", "3:3000000"],
+                 ["shift", "--levels", "3:3000000"],
+                 ["closedform", "--levels", "3:3000000"],
+                 ["twisted", "--levels", "3:3000000"]):
+        with deadline(1):
+            code, out, err = run(["verify", *argv], capsys)
+        assert code == EXIT_NUMERIC, argv
+        assert out == ""
+        assert "MAX_POWER_SUM_TERMS" in err
 
 
 @contextmanager
@@ -377,3 +382,39 @@ def test_non_finite_input_exits_2_fast(argv, msg, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert msg in err
+
+
+@pytest.mark.parametrize("N", [25, 30, 60])
+def test_closedform_above_precision_passes(N, capsys):
+    # the working precision covers N digits more than the default 16, so the
+    # valuation no longer stops at 16 + 6 = 21 < N - slack
+    code, out, _ = run(["verify", "closedform", "--levels", str(N)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["levels"] == [{"N": N, "valuation": N + 1}]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "-2+1i"], "--s"),
+    (["zeta", "--h", "1", "--q", "-0.5+0.1i", "--s", "2"], "--q"),
+    (["zeta", "--h", "1", "--q", "0.5", "--s", "-inf"], "--s"),
+    (["lfunction", "--modulus", "4", "--char-index", "1", "--h", "2",
+      "--q", "0.3+0.4j", "--s", "-2.5+1j"], "--s"),
+    (["verify", "interp-zeta", "--h", "1", "--q", "-0.3+0.4i", "--n", "3"],
+     "--q"),
+], ids=["s", "q", "s-inf", "lfunction-s", "interp-zeta-q"])
+def test_negative_complex_value_after_space(argv, flag, capsys):
+    # argparse takes "-2+1i" for an option; the CLI reads it as the value
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == run(joined, capsys)
+    assert code == (EXIT_USAGE if argv[i + 1] == "-inf" else EXIT_OK)
+    assert "expected one argument" not in err
+
+
+def test_flag_without_value_is_usage_error(capsys):
+    code, out, err = run(["zeta", "--h", "1", "--q", "0.5", "--s", "--x", "1"],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "argument --s: expected one argument" in err
