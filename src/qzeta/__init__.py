@@ -4,7 +4,11 @@ identities in exact, p-adic and complex arithmetic.
 
 `import qzeta` loads none of its modules: each public name is imported from
 its module on first access (PEP 562), so a process that asks only for
-`qzeta.characters` never compiles the exact, p-adic or complex code."""
+`qzeta.characters` never compiles the exact, p-adic or complex code.
+The value classes (`LogScalar`, `DirichletCharacter`, `PadicNumber`,
+`VerificationReport`, ...) are immutable through one private base,
+`qzeta.characters._Frozen`, which every CLI process already loads; here it
+would add its compile time to every `import qzeta`."""
 
 from importlib import import_module as _import_module
 

@@ -8,16 +8,19 @@ sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s).  One kernel,
 each series keeps its own stopping test, so value and tail bound are
 bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
 pair per residue class mod d.  The interpolation checks import qbernoulli
-when they run, so the direct values never load the exact tables."""
+and report when they run, and a domain check imports exact only to raise
+DomainError, so the direct values load no exact arithmetic."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter
-from .exact import DomainError
-from .report import VerificationReport
+from .characters import DirichletCharacter, _Frozen
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
 
 
 class SeriesDivergence(ArithmeticError):
@@ -32,7 +35,7 @@ class TruncationFailure(ArithmeticError):
     pass
 
 
-class SeriesEvalConfig:
+class SeriesEvalConfig(_Frozen):
     __slots__ = ("tol", "max_terms")
 
     def __init__(self, tol: float = 1e-12, max_terms: int = 10 ** 7):
@@ -40,22 +43,7 @@ class SeriesEvalConfig:
             raise ValueError("tol must be >= 1e-14")
         if not 1 <= max_terms <= 10 ** 8:
             raise ValueError("max_terms must be in 1..1e8")
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "max_terms", max_terms)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SeriesEvalConfig is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, SeriesEvalConfig):
-            return (self.tol, self.max_terms) == (other.tol, other.max_terms)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tol, self.max_terms))
-
-    def __repr__(self):
-        return f"SeriesEvalConfig(tol={self.tol!r}, max_terms={self.max_terms!r})"
+        self._set(tol, max_terms)
 
 
 DEFAULT_CONFIG = SeriesEvalConfig()
@@ -63,8 +51,10 @@ DEFAULT_CONFIG = SeriesEvalConfig()
 
 def _check_lerch(w: complex, s: complex, x: float) -> float:
     if not cmath.isfinite(s):
+        from .exact import DomainError
         raise DomainError(f"s = {s} is not finite")
     if not (math.isfinite(x) and x > 0):
+        from .exact import DomainError
         raise DomainError(f"x = {x} must be positive and finite")
     aw = abs(w)
     if aw >= 1:
@@ -178,6 +168,7 @@ def lerch_sum(w: complex, s: complex, x: float,
 def _check_q(h: int, qv: complex) -> complex:
     qv = complex(qv)
     if not 0 < abs(qv) < 1:
+        from .exact import DomainError
         raise DomainError("need 0 < |q| < 1")
     if abs(qv ** h) >= 1:
         raise SeriesDivergence(
@@ -266,6 +257,7 @@ def zeta_interpolation_verify(h: int, qv: complex, n: int, x: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     from .qbernoulli import q_bernoulli_polynomial
+    from .report import VerificationReport
 
     lhs = q_hurwitz_zeta(h, qv, complex(1 - n), x, cfg)
     bval = q_bernoulli_polynomial(h, n).eval_complex(complex(x), complex(qv))
@@ -286,6 +278,7 @@ def l_interpolation_verify(h: int, qv: complex, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     from .qbernoulli import generalized_q_bernoulli
+    from .report import VerificationReport
 
     lhs = q_lfunction(h, qv, complex(1 - n), chi, cfg)
     bval = generalized_q_bernoulli(chi, h, n, qv)

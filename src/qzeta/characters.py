@@ -14,6 +14,43 @@ from itertools import product
 from math import gcd
 
 
+class _Frozen:
+    """An immutable value: its fields are its `__slots__`, stored once by
+    `_set` in slot order; assignment raises AttributeError.  `==`, `hash`
+    and the repr `Class(field=value, ...)` read the public fields, those
+    not starting with "_" (a private slot holds a cache or a provenance)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the slots' own setters cost about what direct object.__setattr__
+        # stores do; arithmetic builds PadicNumber and LogScalar in loops
+        cls._stores = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def _set(self, *values):
+        for store, value in zip(self._stores, values):
+            store(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self._fields))
+
+
 def euler_phi(n: int) -> int:
     out = n
     m, p = n, 2
@@ -113,28 +150,14 @@ def _dlog_table(d: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-class UnityRoot:
+class UnityRoot(_Frozen):
     """e^{2*pi*i*exponent} for a reduced rational exponent in [0,1), or the
     distinguished zero (exponent None)."""
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Fraction | None):
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UnityRoot is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, UnityRoot):
-            return self.exponent == other.exponent
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.exponent,))
-
-    def __repr__(self):
-        return f"UnityRoot(exponent={self.exponent!r})"
+        self._set(exponent)
 
     @classmethod
     def zero(cls) -> "UnityRoot":
@@ -179,7 +202,7 @@ class UnityRoot:
         return complex(cmath.cos(th), cmath.sin(th))
 
 
-class DirichletCharacter:
+class DirichletCharacter(_Frozen):
     """Character mod d given by exponents k_j on the unit-group generators:
     chi(g_j) = e^{2 pi i k_j / e_j}."""
 
@@ -190,21 +213,7 @@ class DirichletCharacter:
         if len(exponents) != len(gens):
             raise ValueError("exponent vector length must match generator count")
         exponents = tuple(k % e for k, (_, e) in zip(exponents, gens))
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "_values", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DirichletCharacter is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, DirichletCharacter):
-            return (self.modulus, self.exponents) == (other.modulus, other.exponents)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.modulus, self.exponents))
+        self._set(modulus, gens, exponents, None)
 
     def is_principal(self) -> bool:
         return all(k == 0 for k in self.exponents)

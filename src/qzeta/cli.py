@@ -4,7 +4,7 @@ Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
 3 precision or convergence failure.
 
 A process loads only the modules its subcommand runs: `characters` needs
-no exact arithmetic, `zeta` and `lfunction` no exact tables and no p-adic
+no exact arithmetic, `zeta` and `lfunction` none either and no p-adic
 code, `verify witt` no complex series.  Each branch of `_run` and
 `_run_verify` imports what it uses.
 """
@@ -285,11 +285,11 @@ def _run(args) -> tuple[object, int]:
                 "certified_tail_bound": bound}, EXIT_OK
 
     # verify, the last subcommand argparse allows
-    rep = _run_verify(args, _parse_levels(args.levels))
+    rep = _run_verify(args)
     return rep.to_dict(), EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _run_verify(args, levels: range):
+def _run_verify(args):
     t = args.target
     if t == "genfunction":
         from .qbernoulli import gen_function_identity_check
@@ -313,12 +313,14 @@ def _run_verify(args, levels: range):
         chi = _char(modulus, args.char_index)
         return l_interpolation_verify(
             args.h, _parse_complex(args.q), args.n, chi, tol=args.tol)
-    return _run_padic(args, levels, modulus)
+    return _run_padic(args, modulus)
 
 
-def _run_padic(args, levels: range, modulus: int):
-    """witt, shift, closedform and twisted.  --precision and --slack default
-    to padic.DEFAULT_PRECISION (QZK_DEFAULT_PRECISION) and DEFAULT_SLACK."""
+def _run_padic(args, modulus: int):
+    """witt, shift, closedform and twisted, the targets that read --levels.
+    --precision and --slack default to padic.DEFAULT_PRECISION
+    (QZK_DEFAULT_PRECISION) and DEFAULT_SLACK."""
+    levels = _parse_levels(args.levels)
     from . import padic
 
     prec = padic.DEFAULT_PRECISION if args.precision is None else args.precision

@@ -27,7 +27,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .characters import euler_phi
+from .characters import _Frozen, euler_phi
 
 
 class ExactError(ArithmeticError):
@@ -137,7 +137,7 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
 # public polynomial type
 # ---------------------------------------------------------------------------
 
-class QPolynomial:
+class QPolynomial(_Frozen):
     """Univariate polynomial in q with rational coefficients, stored only as
     integers over a common denominator, ints / den, in the canonical form of
     the module docstring."""
@@ -175,9 +175,6 @@ class QPolynomial:
     @classmethod
     def monomial(cls, n: int, c=1) -> "QPolynomial":
         return cls([0] * n + [c])
-
-    def __setattr__(self, *a):
-        raise AttributeError("QPolynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -330,7 +327,7 @@ def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:
     return num, left
 
 
-class RationalFunction:
+class RationalFunction(_Frozen):
     """num / den in lowest terms, den = prod_d Phi_d^exps[d] with Phi_0 = q
     (see the module docstring); `den`, expanded, is built on first use."""
 
@@ -349,9 +346,7 @@ class RationalFunction:
                               "product of cyclotomic polynomials")
         lead, exps = factored
         num, exps = _lowest(num * (1 / lead), exps, exps)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "_den", None)
+        self._set(num, exps, None)
 
     @classmethod
     def _raw(cls, num: QPolynomial, exps: dict) -> "RationalFunction":
@@ -368,9 +363,6 @@ class RationalFunction:
         if k >= 0:
             return cls._raw(QPolynomial.monomial(k), {})
         return cls._raw(_P1, {0: -k})
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
 
     @property
     def den(self) -> QPolynomial:
@@ -535,7 +527,7 @@ def rf_sum(parts) -> RationalFunction:
 # log-extended scalars
 # ---------------------------------------------------------------------------
 
-class LogScalar:
+class LogScalar(_Frozen):
     """r(q) + l(q)*LAMBDA with LAMBDA = log q, both components rational
     functions of q.  LAMBDA has formal degree one: multiplying two scalars
     that both carry a log part raises LogDegreeOverflow."""
@@ -545,11 +537,7 @@ class LogScalar:
     def __init__(self, rat=0, log=0):
         rat = rat if isinstance(rat, RationalFunction) else RationalFunction(rat)
         log = log if isinstance(log, RationalFunction) else RationalFunction(log)
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "log", log)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LogScalar is immutable")
+        self._set(rat, log)
 
     @classmethod
     def lam(cls, coeff=1) -> "LogScalar":
@@ -714,7 +702,7 @@ def eval_log_scalar_mp(a: LogScalar, q: Fraction, dps: int = 60):
 # polynomials in x with LogScalar coefficients
 # ---------------------------------------------------------------------------
 
-class XPolynomial:
+class XPolynomial(_Frozen):
     """Polynomial in x whose coefficients are LogScalar values."""
 
     __slots__ = ("coeffs",)
@@ -723,21 +711,10 @@ class XPolynomial:
         c = [x if isinstance(x, LogScalar) else LogScalar(x) for x in coeffs]
         while c and c[-1].is_zero():
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, *a):
-        raise AttributeError("XPolynomial is immutable")
+        self._set(tuple(c))
 
     def coeff(self, k: int) -> LogScalar:
         return self.coeffs[k] if k < len(self.coeffs) else _LS0
-
-    def __eq__(self, other):
-        if isinstance(other, XPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
         acc = _LS0

@@ -27,7 +27,7 @@ import os
 from fractions import Fraction
 from math import comb, log2
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _Frozen
 from .exact import LogScalar, RationalFunction
 from .qbernoulli import generalized_q_bernoulli_exact, q_bernoulli_number
 from .report import VerificationReport
@@ -68,19 +68,13 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-class PadicNumber:
+class PadicNumber(_Frozen):
     __slots__ = ("p", "val", "unit", "prec", "_exact")
+    __eq__, __hash__ = object.__eq__, object.__hash__   # identity
 
     def __init__(self, p: int, val: int, unit: int, prec: int,
                  _exact: Fraction | None = None):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "_exact", _exact)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PadicNumber is immutable")
+        self._set(p, val, unit, prec, _exact)
 
     # -- constructors -------------------------------------------------------
 
@@ -366,7 +360,7 @@ def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
 # Volkenborn sums
 # ---------------------------------------------------------------------------
 
-class MonomialTestFunction:
+class MonomialTestFunction(_Frozen):
     """f(x) = x^n q^{h x}."""
 
     __slots__ = ("n", "h", "q")
@@ -374,23 +368,7 @@ class MonomialTestFunction:
     def __init__(self, n: int, h: int, q: PadicNumber):
         if n < 0:
             raise ValueError("n must be >= 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MonomialTestFunction is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, MonomialTestFunction):
-            return (self.n, self.h, self.q) == (other.n, other.h, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.h, self.q))
-
-    def __repr__(self):
-        return f"MonomialTestFunction(n={self.n!r}, h={self.h!r}, q={self.q!r})"
+        self._set(n, h, q)
 
 
 def _check_work(terms: int, w: int, p: int, need: str) -> None:

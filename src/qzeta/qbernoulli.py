@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
                     XPolynomial, _lift, _lowest, eval_log_scalar_complex)
 from .report import VerificationReport
@@ -51,29 +51,11 @@ def classical_bernoulli(n_max: int) -> list[Fraction]:
     return bs
 
 
-class QBernoulliTable:
+class QBernoulliTable(_Frozen):
     __slots__ = ("h", "max_n", "values")
 
     def __init__(self, h: int, max_n: int, values: tuple[LogScalar, ...]):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QBernoulliTable is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, QBernoulliTable):
-            return ((self.h, self.max_n, self.values)
-                    == (other.h, other.max_n, other.values))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.h, self.max_n, self.values))
-
-    def __repr__(self):
-        return (f"QBernoulliTable(h={self.h!r}, max_n={self.max_n!r}, "
-                f"values={self.values!r})")
+        self._set(h, max_n, values)
 
     def __getitem__(self, n: int) -> LogScalar:
         return self.values[n]

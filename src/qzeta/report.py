@@ -5,37 +5,18 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .characters import _Frozen
 
-class VerificationReport:
+
+class VerificationReport(_Frozen):
     __slots__ = ("identity", "params", "witnesses", "passed", "levels")
 
     def __init__(self, identity: str, params: dict[str, Any],
                  witnesses: tuple[tuple[str, Any], ...], passed: bool,
                  levels: tuple[tuple[int, int], ...] | None = None):
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "levels", levels)  # (N, valuation) pairs
-
-    def __setattr__(self, *a):
-        raise AttributeError("VerificationReport is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.identity, self.params, self.witnesses, self.passed,
-                self.levels)
-
-    def __eq__(self, other):
-        if isinstance(other, VerificationReport):
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())   # TypeError: params is a dict
-
-    def __repr__(self):
-        return "VerificationReport(%s)" % ", ".join(
-            f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        # levels: (N, valuation) pairs; hash() raises TypeError, params
+        # being a dict
+        self._set(identity, params, witnesses, passed, levels)
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {

@@ -190,6 +190,17 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "genfunction", "--h", "1", "--n", "3"],
+    ["verify", "distribution", "--h", "1", "--n", "3", "--m", "2"],
+], ids=["genfunction", "distribution"])
+def test_levels_read_only_by_padic_targets(argv, capsys):
+    # the exact targets have no levels, so even a bad --levels is unused
+    code, out, _ = run(argv + ["--levels", "0"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "witt", "--levels", "3:5"],
     ["verify", "shift", "--levels", "5"],
     ["verify", "closedform", "--levels", "5"],

@@ -78,7 +78,7 @@ TABLES = BASE + ["qzeta.exact", "qzeta.qbernoulli", "qzeta.report",
 MODULES = {  # the qzeta modules each kind of subcommand loads
     "base": BASE,
     "tables": TABLES,
-    "complex": BASE + ["qzeta.analytic", "qzeta.exact", "qzeta.report"],
+    "complex": BASE + ["qzeta.analytic"],
     "padic": TABLES + ["qzeta.padic"],
     "interp": TABLES + ["qzeta.analytic"],
 }
@@ -180,8 +180,8 @@ def _value_cases():
     from fractions import Fraction
 
     from qzeta.analytic import SeriesEvalConfig
-    from qzeta.characters import UnityRoot
-    from qzeta.exact import LogScalar
+    from qzeta.characters import DirichletCharacter, UnityRoot
+    from qzeta.exact import LogScalar, XPolynomial
     from qzeta.padic import MonomialTestFunction, PadicNumber
     from qzeta.qbernoulli import QBernoulliTable
     from qzeta.report import VerificationReport
@@ -190,6 +190,11 @@ def _value_cases():
     one = (LogScalar(1),)
     # (positional, the same by keyword, a different value, a field)
     return {
+        "DirichletCharacter": (DirichletCharacter(5, (1,)),
+                               DirichletCharacter(modulus=5, exponents=(1,)),
+                               DirichletCharacter(5, (2,)), "exponents"),
+        "XPolynomial": (XPolynomial([1, 2]), XPolynomial(coeffs=[1, 2]),
+                        XPolynomial([1]), "coeffs"),
         "UnityRoot": (UnityRoot(Fraction(1, 4)),
                       UnityRoot(exponent=Fraction(1, 4)), UnityRoot(None),
                       "exponent"),
@@ -215,7 +220,8 @@ def _value_cases():
 
 @pytest.mark.parametrize("name", ["UnityRoot", "SeriesEvalConfig",
                                   "QBernoulliTable", "MonomialTestFunction",
-                                  "VerificationReport"])
+                                  "VerificationReport", "DirichletCharacter",
+                                  "XPolynomial"])
 def test_value_class_without_dataclasses(name):
     # plain __slots__ classes keep the frozen dataclass contract: value
     # equality, hashing and no assignment
@@ -244,3 +250,81 @@ def test_value_class_defaults_and_validation():
     assert VerificationReport("x", {}, (), True).levels is None
     with pytest.raises(ValueError, match="n must be >= 0"):
         MonomialTestFunction(-1, 1, None)
+
+
+def _frozen_cases():
+    from fractions import Fraction
+
+    from qzeta.analytic import SeriesEvalConfig
+    from qzeta.characters import DirichletCharacter, UnityRoot
+    from qzeta.exact import (LogScalar, QPolynomial, RationalFunction,
+                             XPolynomial)
+    from qzeta.padic import MonomialTestFunction, PadicNumber
+    from qzeta.qbernoulli import QBernoulliTable
+    from qzeta.report import VerificationReport
+
+    q = PadicNumber.from_fraction(5, Fraction(6), 20)
+    rf = RationalFunction([0, 2], [1, -1])
+    ls = LogScalar(1, rf)
+    zero, one = (f"RationalFunction(QPolynomial({c}), QPolynomial(1))"
+                 for c in (0, 1))
+    rf_repr = "RationalFunction(QPolynomial(-2*q^1), QPolynomial(-1 + 1*q^1))"
+    ls_repr = f"LogScalar({one}, {rf_repr})"
+    # each value with its repr before the classes shared one base
+    return {
+        "DirichletCharacter": (DirichletCharacter(5, (1,)),
+                               "DirichletCharacter(mod 5, exponents (1,))"),
+        "LogScalar": (ls, ls_repr),
+        "MonomialTestFunction": (
+            MonomialTestFunction(2, 1, q),
+            "MonomialTestFunction(n=2, h=1, q=6*5^0 + O(5^20))"),
+        "PadicNumber": (q, "6*5^0 + O(5^20)"),
+        "QBernoulliTable": (
+            QBernoulliTable(1, 0, (ls,)),
+            f"QBernoulliTable(h=1, max_n=0, values=({ls_repr},))"),
+        "QPolynomial": (QPolynomial([1, Fraction(1, 2), 0, -3]),
+                        "QPolynomial(1 + 1/2*q^1 + -3*q^3)"),
+        "RationalFunction": (rf, rf_repr),
+        "SeriesEvalConfig": (
+            SeriesEvalConfig(),
+            "SeriesEvalConfig(tol=1e-12, max_terms=10000000)"),
+        "UnityRoot": (UnityRoot(Fraction(1, 4)),
+                      "UnityRoot(exponent=Fraction(1, 4))"),
+        "VerificationReport": (
+            VerificationReport("witt", {"p": 5}, (("N=3", Fraction(1, 5)),),
+                               True, ((3, 4),)),
+            "VerificationReport(identity='witt', params={'p': 5}, "
+            "witnesses=(('N=3', Fraction(1, 5)),), passed=True, "
+            "levels=((3, 4),))"),
+        "XPolynomial": (XPolynomial([0, 1]),
+                        f"XPolynomial([LogScalar({zero}, {zero}), "
+                        f"LogScalar({one}, {zero})])"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_cases()))
+def test_frozen_value_class(name):
+    from qzeta.characters import _Frozen
+
+    value, text = _frozen_cases()[name]
+    assert type(value).__name__ == name and isinstance(value, _Frozen)
+    assert not hasattr(value, "__dict__")       # the base keeps __slots__ = ()
+    assert repr(value) == text
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        value.extra = 1
+
+
+def test_frozen_cases_cover_every_subclass():
+    from qzeta.characters import _Frozen
+
+    _frozen_cases()                             # loads every module
+    assert sorted(c.__name__ for c in _Frozen.__subclasses__()) == \
+        sorted(_frozen_cases())
+
+
+def test_padic_number_equality_is_identity():
+    from qzeta.padic import PadicNumber
+
+    a, b = (PadicNumber.from_fraction(5, 6, 20) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b}) == 2

@@ -1,5 +1,7 @@
-"""The benchmark's span tracer still finds every name it wraps in src/."""
+"""The benchmark's span tracer still finds every name it wraps in src/, and
+the frozen-value contract stays in one class."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -118,3 +120,16 @@ def test_span_tracer_sees_padic_target():
     spans = doc["spans"]
     assert spans["padic.target"]["calls"] == 4
     assert spans["padic.volkenborn"]["calls"] == 1
+
+
+def test_setattr_defined_only_in_frozen_base():
+    # every immutable value class takes __setattr__ from one base
+    found = []
+    for path in sorted((ROOT / "src" / "qzeta").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
+        found += [(path.name, owner.get(id(fn))) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "__setattr__"]
+    assert found == [("characters.py", "_Frozen")]
