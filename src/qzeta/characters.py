@@ -52,17 +52,9 @@ class _Frozen:
 
 
 def euler_phi(n: int) -> int:
-    out = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    for p, _ in _factorize(n):
+        n -= n // p
+    return n
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -261,32 +253,15 @@ class DirichletCharacter(_Frozen):
                    zip(self.exponents, self.generators))
 
     def conductor(self) -> int:
+        # the least divisor d0 of d with chi(a) = 1 whenever a = 1 mod d0;
+        # d0 = d always qualifies
         d = self.modulus
-        for d0 in sorted(_divisors(d)):
-            ok = True
-            for a in range(1, d + 1):
-                if a % d0 == 1 % d0 and gcd(a, d) == 1:
-                    if self(a).exponent != 0:
-                        ok = False
-                        break
-            if ok:
-                return d0
-        return d
+        return next(d0 for d0 in range(1, d + 1) if d % d0 == 0 and all(
+            self(a).exponent == 0 for a in range(1, d + 1)
+            if a % d0 == 1 % d0 and gcd(a, d) == 1))
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, exponents {self.exponents})"
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
 
 
 def enumerate_characters(d: int) -> list[DirichletCharacter]:

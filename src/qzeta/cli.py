@@ -47,11 +47,11 @@ def _parse_rational(text: str) -> Fraction:
 def _parse_levels(text: str) -> range:
     # a range, not a list: the p-adic work bound rejects a runaway range
     # before anything of its length is built
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        levels = range(int(lo), int(hi) + 1)
-    else:
-        levels = range(int(text), int(text) + 1)
+    lo, sep, hi = text.partition(":")
+    try:
+        levels = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        levels = range(0)
     if not levels or levels[0] < 1:
         raise UsageError(
             f"--levels {text!r} must name levels N >= 1, lo <= hi")
@@ -404,7 +404,7 @@ def main(argv=None) -> int:
             *_loaded("analytic.PoleAt1", "exact.DomainError")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ZeroDivisionError,
+    except (ZeroDivisionError, OverflowError,
             *_loaded("analytic.SeriesDivergence", "analytic.TruncationFailure",
                      "padic.PadicError", "exact.ExactError")) as e:
         print(f"error: {e}", file=sys.stderr)

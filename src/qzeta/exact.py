@@ -134,10 +134,61 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
     return Fraction(lead, p.den), {d: e for d, e in exps.items() if e}
 
 # ---------------------------------------------------------------------------
+# the operators every number type derives from its primitives
+# ---------------------------------------------------------------------------
+
+class _Ring:
+    """`-`, `==`, the reflected operators and, where there is an `inverse`,
+    `/`, from a type's `_coerce` (its own type, or None for a foreign
+    operand), `+`, unary `-` and `*`.  A foreign operand, such as a p-adic
+    number met by an exact one, gets NotImplemented both ways, so Python
+    raises TypeError."""
+
+    __slots__ = ()
+    __hash__ = _Frozen.__hash__
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._key() == o._key()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other) if hasattr(self, "inverse") else None
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other) if hasattr(self, "inverse") else None
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+
+# ---------------------------------------------------------------------------
 # public polynomial type
 # ---------------------------------------------------------------------------
 
-class QPolynomial(_Frozen):
+class QPolynomial(_Ring, _Frozen):
     """Univariate polynomial in q with rational coefficients, stored only as
     integers over a common denominator, ints / den, in the canonical form of
     the module docstring."""
@@ -186,16 +237,6 @@ class QPolynomial(_Frozen):
     def __bool__(self) -> bool:
         return bool(self.ints)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QPolynomial):
-            return self.ints == other.ints and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self == QPolynomial([other])
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ints, self.den))
-
     def _coerce(self, other):
         if isinstance(other, QPolynomial):
             return other
@@ -212,19 +253,8 @@ class QPolynomial(_Frozen):
         return QPolynomial._raw([ka * x + kb * y for x, y in zip_longest(
             self.ints, o.ints, fillvalue=0)], d)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QPolynomial._raw([-c for c in self.ints], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -239,8 +269,6 @@ class QPolynomial(_Frozen):
                         out[i + j] += x * y
             return QPolynomial._raw(out, self.den * other.den)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def gcd(self, other: "QPolynomial") -> "QPolynomial":
         """Monic gcd over Q by Euclid's algorithm.  No arithmetic path uses
@@ -327,7 +355,7 @@ def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:
     return num, left
 
 
-class RationalFunction(_Frozen):
+class RationalFunction(_Ring, _Frozen):
     """num / den in lowest terms, den = prod_d Phi_d^exps[d] with Phi_0 = q
     (see the module docstring); `den`, expanded, is built on first use."""
 
@@ -376,14 +404,7 @@ class RationalFunction(_Frozen):
     def __bool__(self):
         return bool(self.num)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction(other)
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.exps == other.exps
-        return NotImplemented
-
-    def __hash__(self):
+    def __hash__(self):  # exps is a dict
         return hash((self.num, frozenset(self.exps.items())))
 
     def _coerce(self, other):
@@ -401,19 +422,8 @@ class RationalFunction(_Frozen):
             return NotImplemented
         return rf_sum((self, o))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunction._raw(-self.num, self.exps)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -433,8 +443,6 @@ class RationalFunction(_Frozen):
         for d, e in e2.items():
             exps[d] = exps.get(d, 0) + e
         return RationalFunction._raw(n1 * n2, exps)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "RationalFunction":
         if not isinstance(k, int):
@@ -459,18 +467,6 @@ class RationalFunction(_Frozen):
                                 "product of cyclotomic polynomials")
         lead, exps = factored
         return RationalFunction._raw(self.den * (1 / lead), exps)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def subst_q_power(self, m: int) -> "RationalFunction":
         """q -> q^m.  Stays in lowest terms: q -> q^m sends each root of a
@@ -527,7 +523,7 @@ def rf_sum(parts) -> RationalFunction:
 # log-extended scalars
 # ---------------------------------------------------------------------------
 
-class LogScalar(_Frozen):
+class LogScalar(_Ring, _Frozen):
     """r(q) + l(q)*LAMBDA with LAMBDA = log q, both components rational
     functions of q.  LAMBDA has formal degree one: multiplying two scalars
     that both carry a log part raises LogDegreeOverflow."""
@@ -558,15 +554,6 @@ class LogScalar(_Frozen):
     def __bool__(self):
         return not self.is_zero()
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.rat == o.rat and self.log == o.log
-
-    def __hash__(self):
-        return hash((self.rat, self.log))
-
     def _coerce(self, other):
         if isinstance(other, LogScalar):
             return other
@@ -580,19 +567,8 @@ class LogScalar(_Frozen):
             return NotImplemented
         return LogScalar(self.rat + o.rat, self.log + o.log)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LogScalar(-self.rat, -self.log)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -606,8 +582,6 @@ class LogScalar(_Frozen):
             return LogScalar(self.rat * o.rat, self.rat * o.log)
         return LogScalar(self.rat * o.rat, self.log * o.rat)
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "LogScalar":
         if not self.log.is_zero():
             raise NonInvertible("non-invertible: scalar carries a log part")
@@ -618,10 +592,7 @@ class LogScalar(_Frozen):
             other = Fraction(other)
         if isinstance(other, Fraction):
             return LogScalar(self.rat * (1 / other), self.log * (1 / other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return _Ring.__truediv__(self, other)
 
     def subst_q_power(self, m: int) -> "LogScalar":
         """q -> q^m; the LAMBDA coefficient picks up a factor m since

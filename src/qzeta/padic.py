@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, log2
+from math import comb, factorial, log2
 
 from .characters import DirichletCharacter, _Frozen
-from .exact import LogScalar, RationalFunction
+from .exact import LogScalar, RationalFunction, _Ring
 from .qbernoulli import generalized_q_bernoulli_exact, q_bernoulli_number
 from .report import VerificationReport
 
@@ -68,7 +68,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-class PadicNumber(_Frozen):
+class PadicNumber(_Ring, _Frozen):
     __slots__ = ("p", "val", "unit", "prec", "_exact")
     __eq__, __hash__ = object.__eq__, object.__hash__   # identity
 
@@ -172,22 +172,11 @@ class PadicNumber(_Frozen):
         dv = _vp(v, p)
         return PadicNumber(p, m + dv, v // p ** dv, n - m - dv)
 
-    __radd__ = __add__
-
     def __neg__(self):
         if self.is_zero():
             return PadicNumber(self.p, self.val, 0, 0)
         return PadicNumber(self.p, self.val,
                            (-self.unit) % self.p ** self.prec, self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -201,25 +190,11 @@ class PadicNumber(_Frozen):
         unit = self.unit * o.unit % p ** prec
         return PadicNumber(p, self.val + o.val, unit, prec)
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "PadicNumber":
         if self.is_zero():
             raise ZeroDivisionError("division by (p-adic) zero")
         return PadicNumber(self.p, -self.val,
                            pow(self.unit, -1, self.p ** self.prec), self.prec)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, x: int):
         return padic_pow(self, x)
@@ -287,19 +262,10 @@ def padic_exp(t: PadicNumber) -> PadicNumber:
     s = Fraction(1)
     k, term = 1, tfr
     while k * vt - _vp_factorial(k, p) < a:
-        s += term / Fraction(_factorial_cached(k))
+        s += term / factorial(k)
         k += 1
         term *= tfr
     return PadicNumber.from_fraction(p, s, a, exact=False)
-
-
-_FACT = [1]
-
-
-def _factorial_cached(k: int) -> int:
-    while len(_FACT) <= k:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[k]
 
 
 def padic_pow(q: PadicNumber, x) -> PadicNumber:

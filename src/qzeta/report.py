@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .characters import _Frozen
@@ -29,9 +28,6 @@ class VerificationReport(_Frozen):
         d["witnesses"] = [{"case": c, "discrepancy": _render(w)}
                           for c, w in self.witnesses]
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _render(v):

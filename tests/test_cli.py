@@ -181,12 +181,29 @@ def test_exact_output_matches_golden(argv, golden, capsys):
     (["verify", "witt", "--p", "5", "--levels", "5:3"], "--levels"),
     (["verify", "witt", "--p", "5", "--levels", "0:2"], "--levels"),
     (["verify", "shift", "--p", "5", "--levels", "0"], "--levels"),
+    (["verify", "witt", "--levels", "abc"], "--levels"),
+    (["verify", "witt", "--levels", "3:x"], "--levels"),
 ])
 def test_bad_padic_input_exits_2(argv, flag, capsys):
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--h", "1", "--q", "0.5", "--s=-120"],
+    ["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
+     "--q", "0.5", "--s=-300"],
+    ["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "300"],
+], ids=["zeta", "lfunction", "interp-zeta"])
+def test_float_overflow_exits_3(argv, capsys):
+    # a value too large for floats is a numeric error, not a FAIL verdict
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

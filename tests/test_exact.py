@@ -303,3 +303,43 @@ def test_non_cyclotomic_numerator_not_invertible():
         RationalFunction(1) / r
     assert r / RationalFunction(QPolynomial([0, 2])) == \
         RationalFunction(QPolynomial([1, F(1, 2), F(1, 2)]), QPolynomial([0, 1]))
+
+
+def test_mixed_operand_contract():
+    # -, /, == and the reflected operators derive from _coerce, +, unary -,
+    # * and inverse; a number of the other arithmetic world, or a string,
+    # is foreign both ways
+    import operator
+
+    from qzeta.padic import PadicNumber
+
+    rf = RationalFunction(QPolynomial([1, 1]), QPolynomial([0, -1, 1]))
+    ls = LogScalar(rf, 3)
+    pn = PadicNumber.from_fraction(5, F(6, 7))
+    exact = [QPolynomial([1, 1]), rf, ls]
+    foreign = [(a, pn) for a in exact] + [(a, "x") for a in exact + [pn]]
+    for a, b in foreign + [(b, a) for a, b in foreign]:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert (a == b) is False
+    # QPolynomial has no inverse, so no /
+    with pytest.raises(TypeError):
+        QPolynomial([1]) / 2
+    with pytest.raises(TypeError):
+        1 / QPolynomial([1])
+    # == follows _coerce, as + does
+    assert RationalFunction(QPolynomial([1, 1])) == QPolynomial([1, 1])
+    # reflected operators give what they gave when each type wrote its own
+    den = QPolynomial([0, -1, 1])                     # q^2 - q
+    assert 1 - rf == RationalFunction(QPolynomial([-1, -2, 1]), den)
+    assert 2 * rf == RationalFunction(QPolynomial([2, 2]), den)
+    assert 3 + rf == RationalFunction(QPolynomial([1, -2, 3]), den)
+    assert 1 / rf == RationalFunction(den, QPolynomial([1, 1]))
+    assert 1 - ls == LogScalar(1 - rf, -3)
+    assert 2 * ls == LogScalar(2 * rf, 6)
+    assert 3 + ls == LogScalar(3 + rf, 3)
+    for got, want in ((1 - pn, F(1, 7)), (2 * pn, F(12, 7)),
+                      (3 + pn, F(27, 7)), (1 / pn, F(7, 6))):
+        assert (got - PadicNumber.from_fraction(5, want)).is_zero()
+    assert 1 / LogScalar(2) == LogScalar(F(1, 2))

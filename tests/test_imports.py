@@ -166,6 +166,7 @@ print(json.dumps({"code": code, "err": err.getvalue()}))
     ("qzeta.exact.ExactError", 3),
     ("qzeta.exact.NonInvertible", 3),
     ("builtins.ZeroDivisionError", 3),
+    ("builtins.OverflowError", 3),
     ("builtins.RuntimeError", "RuntimeError"),
     ("builtins.ArithmeticError", "ArithmeticError"),
 ])

@@ -1,5 +1,6 @@
 """The benchmark's span tracer still finds every name it wraps in src/, and
-the frozen-value contract stays in one class."""
+the frozen-value contract and the number types' derived operators each stay
+in one class."""
 
 import ast
 import json
@@ -122,14 +123,40 @@ def test_span_tracer_sees_padic_target():
     assert spans["padic.volkenborn"]["calls"] == 1
 
 
+# method -> the one class in src/ that defines it: every immutable value
+# class takes __setattr__ from one base, and every number type takes its
+# derived operators from one mixin
+_DEFINED_ONLY_IN = {
+    "__setattr__": ("characters.py", "_Frozen"),
+    "__sub__": ("exact.py", "_Ring"),
+    "__rsub__": ("exact.py", "_Ring"),
+    "__radd__": ("exact.py", "_Ring"),
+    "__rmul__": ("exact.py", "_Ring"),
+    "__rtruediv__": ("exact.py", "_Ring"),
+}
+
+
+def _definitions(tree):
+    """(name, owning class or None) of every def, and of every name bound
+    by an assignment in a class body, such as `__rmul__ = __mul__`."""
+    owner = {id(node): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, owner.get(id(node))
+        elif isinstance(node, ast.Assign) and id(node) in owner:
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, owner[id(node)]
+
+
 def test_setattr_defined_only_in_frozen_base():
-    # every immutable value class takes __setattr__ from one base
-    found = []
+    # one case per method; a table rather than parametrize, which would
+    # rename this test
+    found = {method: [] for method in _DEFINED_ONLY_IN}
     for path in sorted((ROOT / "src" / "qzeta").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {id(node): cls.name for cls in ast.walk(tree)
-                 if isinstance(cls, ast.ClassDef) for node in cls.body}
-        found += [(path.name, owner.get(id(fn))) for fn in ast.walk(tree)
-                  if isinstance(fn, ast.FunctionDef)
-                  and fn.name == "__setattr__"]
-    assert found == [("characters.py", "_Frozen")]
+        for name, cls in _definitions(ast.parse(path.read_text())):
+            if name in found:
+                found[name].append((path.name, cls))
+    assert found == {m: [owner] for m, owner in _DEFINED_ONLY_IN.items()}
