@@ -3,13 +3,15 @@ tail-bounded series summation, plus the interpolation checks at negative
 integer arguments.
 
 zeta_q^{(h)} and L_q^{(h)} are each one combination of two Lerch series,
-sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s).  One kernel,
-`_lerch_pair`, sums both in a single pass over k, sharing w^k and log(k+x);
-each series keeps its own stopping test, so value and tail bound are
-bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
-pair per residue class mod d.  The interpolation checks import qbernoulli
-and report when they run, and a domain check imports exact only to raise
-DomainError, so the direct values load no exact arithmetic."""
+sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s).  One loop,
+`_lerch_pair`, sums every Lerch series here: both at once in a single pass
+over k, sharing w^k and log(k+x), or, for `lerch_sum_with_bound`, the one
+at s alone.  Each series keeps its own stopping test and stays frozen once
+it passes, so value and tail bound are bit-identical to two separate
+`lerch_sum_with_bound` calls.  L_q runs one pair per residue class mod d.
+The interpolation checks import qbernoulli and report when they run, and a
+domain check imports exact only to raise DomainError, so the direct values
+load no exact arithmetic."""
 
 from __future__ import annotations
 
@@ -49,7 +51,25 @@ class SeriesEvalConfig(_Frozen):
 DEFAULT_CONFIG = SeriesEvalConfig()
 
 
-def _check_lerch(w: complex, s: complex, x: float) -> float:
+def _ratio(aw: float, rs: float) -> float:
+    """Effective geometric ratio: for Re s >= 0 the magnitudes decay at least
+    like |w|; for Re s < 0 the sum runs past the index where the term ratio
+    falls below (1+|w|)/2, then that ratio bounds the tail."""
+    return aw if rs >= 0 else (1 + aw) / 2
+
+
+def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
+                alone: bool = False) -> tuple[complex, float, complex, float]:
+    """sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
+    geometric tail bound, in one pass over k: (value at s, its bound, value
+    at s - 1, its bound).  The two series share w^k and log(k+x); each keeps
+    its own terms, bound and stopping test, and once it stops it stays
+    frozen while the other goes on, so it stops at the same k, with the same
+    bits, as it does alone.  With `alone` the series at s - 1 starts out
+    stopped and (0j, 0.0) stands in for it."""
+    w = complex(w)
+    s = complex(s)
+    s1 = s - 1
     if not cmath.isfinite(s):
         from .exact import DomainError
         raise DomainError(f"s = {s} is not finite")
@@ -59,43 +79,51 @@ def _check_lerch(w: complex, s: complex, x: float) -> float:
     aw = abs(w)
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
-    return aw
-
-
-def _ratio(aw: float, rs: float) -> float:
-    """Effective geometric ratio: for Re s >= 0 the magnitudes decay at least
-    like |w|; for Re s < 0 the sum runs past the index where the term ratio
-    falls below (1+|w|)/2, then that ratio bounds the tail."""
-    return aw if rs >= 0 else (1 + aw) / 2
-
-
-def _truncated(bound: float, k: int) -> TruncationFailure:
-    return TruncationFailure(
-        f"tail bound {bound} still above tol after {k} terms")
-
-
-def _lerch_tail(w: complex, aw: float, s: complex, x: float,
-                cfg: SeriesEvalConfig, acc: complex = 0j, k: int = 0,
-                wk: complex = 1 + 0j) -> tuple[complex, float]:
-    """acc + sum_{j>=k} w^j (j+x)^(-s), with wk = w^k, until the tail bound
-    is below tol; from k = 0 it is the whole series."""
     log, exp = math.log, cmath.exp
-    ns, rs = -s, s.real
-    nrs = -rs
-    r = _ratio(aw, rs)
-    den = 1 - r
+    ns, ns1 = -s, -s1
+    rs, rs1 = s.real, s1.real
+    nrs, nrs1 = -rs, -rs1
+    r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
+    den, den1 = 1 - r, 1 - r1
     tol, max_terms = cfg.tol, cfg.max_terms
+    a = b = 0j
+    ba = bb = 0.0
+    done_a, done_b = False, alone
+    k = 0
     kx = k + x
-    while True:
-        acc += wk * exp(ns * log(kx))
-        k += 1
-        wk *= w
-        kx = k + x
-        bound = abs(wk) * kx ** nrs / den
-        if bound <= tol and (rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r):
-            return acc, bound
-        if k >= max_terms:
-            raise _truncated(bound, k)
+    wk = 1 + 0j
+    # a float power or exp past the float range raises OverflowError with
+    # no context; say which sum and which term
+    try:
+        if w == 0:
+            lg = log(x)
+            return exp(ns * lg), 0.0, b if alone else exp(ns1 * lg), 0.0
+        while True:
+            lg = log(kx)
+            if not done_a:
+                a += wk * exp(ns * lg)
+            if not done_b:
+                b += wk * exp(ns1 * lg)
+            k += 1
+            wk *= w
+            awk = abs(wk)
+            kx = k + x
+            if not done_a:
+                ba = awk * kx ** nrs / den
+                done_a = ba <= tol and (
+                    rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r)
+            if not done_b:
+                bb = awk * kx ** nrs1 / den1
+                done_b = bb <= tol and (
+                    rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
+            if done_a and done_b:
+                return a, ba, b, bb
+            if k >= max_terms:
+                raise TruncationFailure(f"tail bound {bb if done_a else ba} "
+                                        f"still above tol after {k} terms")
+    except OverflowError as e:
+        raise OverflowError(f"float overflow in the Lerch sum at s = {s}, "
+                            f"term k = {k}") from e
 
 
 def lerch_sum_with_bound(w: complex, s: complex, x: float,
@@ -105,59 +133,7 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     Requires |w| < 1 and x > 0.  (k+x)^(-s) uses the real log of the
     positive base, so there is no branch ambiguity in the summands.
     """
-    w = complex(w)
-    s = complex(s)
-    aw = _check_lerch(w, s, x)
-    if w == 0:
-        return cmath.exp(-s * math.log(x)), 0.0
-    return _lerch_tail(w, aw, s, x, cfg)
-
-
-def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig
-                ) -> tuple[complex, float, complex, float]:
-    """lerch_sum_with_bound at s and at s - 1 in one pass over k: (value at
-    s, its bound, value at s - 1, its bound).  The two series share w^k and
-    log(k+x); each keeps its own terms, bound and stopping test, so it stops
-    at the same k, with the same bits, as it does alone.  Once one stops,
-    the other goes on by itself."""
-    w = complex(w)
-    s = complex(s)
-    s1 = s - 1
-    aw = _check_lerch(w, s, x)
-    if w == 0:
-        return (cmath.exp(-s * math.log(x)), 0.0,
-                cmath.exp(-s1 * math.log(x)), 0.0)
-    log, exp = math.log, cmath.exp
-    ns, ns1 = -s, -s1
-    rs, rs1 = s.real, s1.real
-    nrs, nrs1 = -rs, -rs1
-    r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
-    den, den1 = 1 - r, 1 - r1
-    tol, max_terms = cfg.tol, cfg.max_terms
-    a = b = 0j
-    k = 0
-    kx = k + x
-    wk = 1 + 0j
-    while True:
-        lg = log(kx)
-        a += wk * exp(ns * lg)
-        b += wk * exp(ns1 * lg)
-        k += 1
-        wk *= w
-        awk = abs(wk)
-        kx = k + x
-        ba = awk * kx ** nrs / den
-        bb = awk * kx ** nrs1 / den1
-        done_a = ba <= tol and (rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r)
-        done_b = bb <= tol and (rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
-        if done_a and done_b:
-            return a, ba, b, bb
-        if k >= max_terms:
-            raise _truncated(bb if done_a else ba, k)
-        if done_a:
-            return (a, ba) + _lerch_tail(w, aw, s1, x, cfg, b, k, wk)
-        if done_b:
-            return _lerch_tail(w, aw, s, x, cfg, a, k, wk) + (b, bb)
+    return _lerch_pair(w, s, x, cfg, alone=True)[:2]
 
 
 def lerch_sum(w: complex, s: complex, x: float,
@@ -173,7 +149,7 @@ def _check_q(h: int, qv: complex) -> complex:
     if abs(qv ** h) >= 1:
         raise SeriesDivergence(
             f"|q^h| = {abs(qv ** h)} >= 1: defining series diverges "
-            "(negative h is not analytically continued)")
+            f"(h = {h}: h <= 0 is not analytically continued)")
     return qv
 
 

@@ -302,6 +302,8 @@ def _run_verify(args):
     # the default modulus 4 shares the factor 2 with p = 2
     modulus = (args.modulus if args.modulus is not None
                else 3 if t == "twisted" and args.p == 2 else 4)
+    if t in ("interp-zeta", "interp-l") and args.q is None:
+        raise UsageError(f"verify {t} needs --q, a complex q with 0 < |q| < 1")
     if t == "interp-zeta":
         from .analytic import zeta_interpolation_verify
 

@@ -218,3 +218,59 @@ def test_lerch_pair_truncation_in_both_phases(w, s, x):
     lerch_sum_with_bound(w, s, x, cfg)
     assert (_failure(_lerch_pair, w, s, x, cfg)
             == _failure(lerch_sum_with_bound, w, s - 1, x, cfg))
+
+
+# repr of (lerch_sum_with_bound, _lerch_pair) at tol 1e-13, taken from the
+# two-loop implementation this one loop replaced.  In each pair the series
+# at s stops first and the one at s - 1 runs on alone; with max_terms = 183
+# that one runs out, and with 150 both are still running.
+PARENT_BITS = [
+    (0.3, 2.5, 1.0, None,
+     "((1.0598298982610106+0j), 9.281770170859383e-14)",
+     "((1.0598298982610106+0j), 9.281770170859383e-14, "
+     "(1.1277036518159813+0j), 4.064225625379359e-14)"),
+    (-0.45 + 0.6j, 0.5 + 3j, 0.5, None,
+     "((-0.5892978087911412+2.0390072168088875j), 9.550246313654466e-14)",
+     "((-0.5892978087911412+2.0390072168088875j), 9.550246313654466e-14, "
+     "(-0.5507852586110812+1.97019482965523j), 8.931720360162203e-14)"),
+    (cmath.rect(0.99, 1.0), -4.5, 2.7, None,
+     "((43.68908159318743-11.452800040197841j), 9.985372097179665e-14)",
+     "((43.68908159318743-11.452800040197841j), 9.985372097179665e-14, "
+     "(107.4205438970504+286.96515207219176j), 9.919455604860237e-14)"),
+    (-0.8 + 0.3j, -3 + 1j, 2.7, None,
+     "((5.352517082227266-1.9892205711773978j), 9.744756145908652e-14)",
+     "((5.352517082227266-1.9892205711773978j), 9.744756145908652e-14, "
+     "(10.2800570154784-2.31810665479738j), 9.220660262162952e-14)"),
+    (0.9, 2.5, 0.5, None,
+     "((6.1361943338798115+0j), 9.274469042765988e-14)",
+     "((6.1361943338798115+0j), 9.274469042765988e-14, "
+     "(3.8895524122374305+0j), 9.557859162584822e-14)"),
+    (0, -2.5, 0.1, None,
+     "((0.003162277660168382+0j), 0.0)",
+     "((0.003162277660168382+0j), 0.0, (0.0003162277660168384+0j), 0.0)"),
+    (0.9, 2.5, 0.5, 183,
+     "((6.1361943338798115+0j), 9.274469042765988e-14)",
+     "TruncationFailure: tail bound 1.701865069347559e-11 still above tol "
+     "after 183 terms"),
+    (0.9, 2.5, 0.5, 150,
+     "TruncationFailure: tail bound 4.926462327178514e-12 still above tol "
+     "after 150 terms",
+     "TruncationFailure: tail bound 4.926462327178514e-12 still above tol "
+     "after 150 terms"),
+]
+
+
+def _repr_or_failure(fn, *args):
+    try:
+        return repr(fn(*args))
+    except TruncationFailure as e:
+        return f"TruncationFailure: {e}"
+
+
+@pytest.mark.parametrize("w,s,x,max_terms,single,pair", PARENT_BITS, ids=[
+    "w0.3", "s0.5+3j", "w-near-1", "s-3+1j", "w0.9", "w0", "s1-runs-out",
+    "both-run-out"])
+def test_lerch_keeps_parent_bits(w, s, x, max_terms, single, pair):
+    cfg = CFG if max_terms is None else SeriesEvalConfig(1e-13, max_terms)
+    assert _repr_or_failure(lerch_sum_with_bound, w, s, x, cfg) == single
+    assert _repr_or_failure(_lerch_pair, w, s, x, cfg) == pair

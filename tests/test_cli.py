@@ -183,6 +183,9 @@ def test_exact_output_matches_golden(argv, golden, capsys):
     (["verify", "shift", "--p", "5", "--levels", "0"], "--levels"),
     (["verify", "witt", "--levels", "abc"], "--levels"),
     (["verify", "witt", "--levels", "3:x"], "--levels"),
+    # the complex targets have no default q
+    (["verify", "interp-zeta", "--h", "1", "--n", "2"], "--q"),
+    (["verify", "interp-l", "--h", "1", "--n", "2"], "--q"),
 ])
 def test_bad_padic_input_exits_2(argv, flag, capsys):
     code, out, err = run(argv, capsys)
@@ -191,19 +194,31 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
     assert flag in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["zeta", "--h", "1", "--q", "0.5", "--s=-120"],
-    ["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
-     "--q", "0.5", "--s=-300"],
-    ["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "300"],
+@pytest.mark.parametrize("argv,msg", [
+    (["zeta", "--h", "1", "--q", "0.5", "--s=-120"], "at s = (-120+0j), term"),
+    (["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
+      "--q", "0.5", "--s=-300"], "at s = (-300+0j), term"),
+    (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "300"],
+     "at s = (-299+0j), term"),
 ], ids=["zeta", "lfunction", "interp-zeta"])
-def test_float_overflow_exits_3(argv, capsys):
-    # a value too large for floats is a numeric error, not a FAIL verdict
+def test_float_overflow_exits_3(argv, msg, capsys):
+    # a value too large for floats is a numeric error, not a FAIL verdict,
+    # and the message names the Lerch sum's s and term that overflowed
     code, out, err = run(argv, capsys)
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: float overflow in the Lerch sum ")
+    assert msg in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["0", "-1"])
+def test_nonpositive_h_diverges_exits_3(h, capsys):
+    # |q^h| >= 1 exactly when h <= 0, and the message says so for h = 0 too
+    code, out, err = run(["zeta", "--h", h, "--q", "0.5", "--s", "2"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert f"(h = {h}: h <= 0 is not analytically continued)" in err
 
 
 @pytest.mark.parametrize("argv", [

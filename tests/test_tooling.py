@@ -67,6 +67,31 @@ tracer.close()
 print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
 """
 
+_LERCH = """
+from qzeta import analytic
+
+cfg = analytic.SeriesEvalConfig(1e-13)
+tracer = Tracer()
+tracer.install()
+analytic.lerch_sum_with_bound(0.9, 2.5, 0.5, cfg)
+tracer.close()
+summary = tracer.summary()
+
+
+def sums(max_terms):
+    try:
+        analytic.lerch_sum_with_bound(
+            0.9, 2.5, 0.5, analytic.SeriesEvalConfig(1e-13, max_terms))
+    except analytic.TruncationFailure:
+        return False
+    return True
+
+
+terms = summary["terms"]["analytic.lerch"]
+print(json.dumps({"spans": summary["spans"], "terms": terms,
+                  "summed": sums(terms) and not sums(terms - 1)}))
+"""
+
 
 def _traced(script):
     proc = subprocess.run(
@@ -121,6 +146,16 @@ def test_span_tracer_sees_padic_target():
     spans = doc["spans"]
     assert spans["padic.target"]["calls"] == 4
     assert spans["padic.volkenborn"]["calls"] == 1
+
+
+def test_span_tracer_counts_lerch_terms():
+    # lerch_sum_with_bound runs the one Lerch loop with the series at s - 1
+    # stopped: one analytic.lerch call, one math.log per summed term, and
+    # max_terms = terms is the least that succeeds
+    doc = _traced(_LERCH)
+    assert doc["spans"]["analytic.lerch"]["calls"] == 1
+    assert doc["terms"] == 183
+    assert doc["summed"]
 
 
 # method -> the one class in src/ that defines it: every immutable value
