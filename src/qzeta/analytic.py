@@ -226,12 +226,20 @@ def q_lfunction(h: int, qv: complex, s: complex, chi: DirichletCharacter,
 # interpolation checks
 # ---------------------------------------------------------------------------
 
+def _check_interp(n: int, tol: float) -> None:
+    """An interpolation check needs n >= 1, and a tol that a verdict can
+    meet: a NaN or negative tol would turn every identity into a FAIL."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not tol >= 0:                  # NaN too
+        raise ValueError(f"tol {tol} must be >= 0")
+
+
 def zeta_interpolation_verify(h: int, qv: complex, n: int, x: float,
                               cfg: SeriesEvalConfig = DEFAULT_CONFIG,
                               tol: float = 1e-8) -> VerificationReport:
     """zeta_q^{(h)}(1-n, x) = -B_n^{(h)}(x)/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_interp(n, tol)
     from .qbernoulli import q_bernoulli_polynomial
     from .report import VerificationReport
 
@@ -251,8 +259,7 @@ def l_interpolation_verify(h: int, qv: complex, n: int,
                            cfg: SeriesEvalConfig = DEFAULT_CONFIG,
                            tol: float = 1e-8) -> VerificationReport:
     """L_q^{(h)}(1-n, chi) = -B_{n,chi}^{(h)}/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_interp(n, tol)
     from .qbernoulli import generalized_q_bernoulli
     from .report import VerificationReport
 

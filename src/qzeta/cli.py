@@ -80,14 +80,11 @@ def _emit(doc, fmt: str, out_path: str | None) -> None:
         def cell(v):
             return json.dumps(v, sort_keys=True) if isinstance(
                 v, (dict, list)) else v
-        if rows and isinstance(rows[0], dict):
+        if rows:            # every document is a dict or a list of dicts
             fields = sorted({k for r in rows for k in r})
             wtr.writerow(fields)
             for r in rows:
                 wtr.writerow([cell(r.get(k, "")) for k in fields])
-        else:
-            for row in rows:
-                wtr.writerow(row)
         text = buf.getvalue()
     else:
         text = _text_render(doc)

@@ -602,9 +602,6 @@ class LogScalar(_Ring, _Frozen):
         return LogScalar(self.rat.subst_q_power(m),
                          self.log.subst_q_power(m) * m)
 
-    def eval_complex(self, qv: complex) -> complex:
-        return eval_log_scalar_complex(self, qv)
-
     # -- JSON interchange ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -634,13 +631,17 @@ _LS0 = LogScalar()
 _LS1 = LogScalar(1)
 
 
+def _in_unit_disc(qv) -> complex:
+    """complex(qv), which must satisfy 0 < |qv| < 1; a NaN fails too."""
+    qv = complex(qv)
+    if not 0 < abs(qv) < 1:
+        raise DomainError("need 0 < |q| < 1")
+    return qv
+
+
 def eval_log_scalar_complex(a: LogScalar, qv: complex) -> complex:
     """Numeric value of a at q = qv, 0 < |qv| < 1, principal log branch."""
-    qv = complex(qv)
-    if qv == 0:
-        raise DomainError("q = 0 is outside the evaluation domain")
-    if abs(qv) >= 1:
-        raise DomainError("complex evaluation requires |q| < 1")
+    qv = _in_unit_disc(qv)
     out = a.rat.eval_complex(qv)
     if a.log:
         out += a.log.eval_complex(qv) * cmath.log(qv)

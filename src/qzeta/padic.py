@@ -15,10 +15,12 @@ taken at the precision its coefficient needs, so the target is known modulo
 p^(q.abs_prec) and no digit is lost to cancellation.
 
 A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
-is known modulo p^(valuation + prec).  Only a number built from a rational
-(`from_fraction`, an exact `zero`) remembers it, so that an input q can be
-lifted to whatever working precision a level-N sum needs; the results of
-arithmetic do not, and `at_precision` on one raises PrecisionExhausted.
+is known modulo p^(valuation + prec).  `from_fraction` is `from_int_mod`,
+the one residue constructor, plus the remembered rational, so that an input
+q can be lifted to any working precision.  The results of arithmetic, and
+the sums of `padic_log` and `padic_exp` (known modulo p^(abs_prec of their
+argument)), remember none: `at_precision` on them raises PrecisionExhausted.
+The four verifiers share one report: an (N, valuation) pair per level.
 """
 
 from __future__ import annotations
@@ -83,19 +85,16 @@ class PadicNumber(_Ring, _Frozen):
         return cls(p, abs_prec, 0, 0, Fraction(0) if abs_prec >= _BIG else None)
 
     @classmethod
-    def from_fraction(cls, p: int, fr, prec: int = DEFAULT_PRECISION,
-                      exact: bool = True) -> "PadicNumber":
-        """Relative precision `prec`; remembers fr when exact=True."""
+    def from_fraction(cls, p: int, fr, prec: int = DEFAULT_PRECISION
+                      ) -> "PadicNumber":
+        """`from_int_mod` at relative precision max(prec, 1) that remembers
+        the rational fr; 0 is the exact zero."""
         fr = Fraction(fr)
         if fr == 0:
-            return cls.zero(p) if exact else cls.zero(p, prec)
-        prec = max(prec, 1)
-        v = _vp(fr.numerator, p) - _vp(fr.denominator, p)
-        num = fr.numerator // p ** max(_vp(fr.numerator, p), 0)
-        den = fr.denominator // p ** max(_vp(fr.denominator, p), 0)
-        mod = p ** prec
-        unit = num * pow(den, -1, mod) % mod
-        return cls(p, v, unit, prec, fr if exact else None)
+            return cls.zero(p)
+        z = cls.from_int_mod(p, fr, _vp(fr.numerator, p)
+                             - _vp(fr.denominator, p) + max(prec, 1))
+        return cls(p, z.val, z.unit, z.prec, fr)
 
     @classmethod
     def from_int_mod(cls, p: int, value, abs_prec: int) -> "PadicNumber":
@@ -236,8 +235,7 @@ def padic_log(q: PadicNumber) -> PadicNumber:
         s += term / k if k % 2 else -term / k
         k += 1
         term *= ufr
-    v = _vp(s.numerator, p) - _vp(s.denominator, p)
-    return PadicNumber.from_fraction(p, s, max(a - v, 1), exact=False)
+    return PadicNumber.from_int_mod(p, s, a)
 
 
 def _vp_factorial(k: int, p: int) -> int:
@@ -265,7 +263,7 @@ def padic_exp(t: PadicNumber) -> PadicNumber:
         s += term / factorial(k)
         k += 1
         term *= tfr
-    return PadicNumber.from_fraction(p, s, a, exact=False)
+    return PadicNumber.from_int_mod(p, s, a)
 
 
 def padic_pow(q: PadicNumber, x) -> PadicNumber:
@@ -479,6 +477,14 @@ def _check_prec_slack(prec: int, slack: int) -> None:
         raise ValueError(f"slack {slack} must be >= 0")
 
 
+def _level_report(identity: str, params: dict, vals: list[tuple[int, int]],
+                  passed: bool) -> VerificationReport:
+    """A p-adic verifier's report: a witness "N=..." per (N, valuation)."""
+    return VerificationReport(identity, params,
+                              tuple((f"N={N}", v) for N, v in vals), passed,
+                              tuple(vals))
+
+
 def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
                 prec: int = DEFAULT_PRECISION,
                 slack: int = DEFAULT_SLACK) -> VerificationReport:
@@ -494,14 +500,9 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
         q_bernoulli_number(h if q._exact != 1 else 0, n),
         q.at_precision(prec + levels[-1]))
     vals = [(N, (sums[N][n] - target).valuation()) for N in levels]
-    ok = all(v >= min(prec, N - slack) for N, v in vals)
-    return VerificationReport(
-        identity="witt",
-        params={"h": h, "n": n, "p": q.p, "prec": prec, "slack": slack},
-        witnesses=tuple((f"N={N}", v) for N, v in vals),
-        passed=ok,
-        levels=tuple(vals),
-    )
+    return _level_report(
+        "witt", {"h": h, "n": n, "p": q.p, "prec": prec, "slack": slack},
+        vals, all(v >= min(prec, N - slack) for N, v in vals))
 
 
 def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
@@ -530,14 +531,9 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
                       sum(f.h * i ** n * t for i, t in enumerate(qh)))
     residual = i_fb - i_f - eval_log_scalar_padic(deriv, f.q.at_precision(w))
     v = residual.valuation()
-    ok = v >= N - slack
-    return VerificationReport(
-        identity="shift",
-        params={"n": f.n, "h": f.h, "b": b, "N": N, "p": p, "slack": slack},
-        witnesses=((f"N={N}", v),),
-        passed=ok,
-        levels=((N, v),),
-    )
+    return _level_report(
+        "shift", {"n": f.n, "h": f.h, "b": b, "N": N, "p": p, "slack": slack},
+        [(N, v)], v >= N - slack)
 
 
 def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
@@ -559,16 +555,10 @@ def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
         raise PadicDomainError("q^h e^t = 1 to working precision")
     lhs = (padic_pow(r, p ** N) - 1) / den / PadicNumber(p, N, 1, w)
     num = tw if h == 0 else h * padic_log(qw) + tw
-    rhs = num / den
-    v = (lhs - rhs).valuation()
-    ok = v >= N - slack
-    return VerificationReport(
-        identity="closed-form",
-        params={"h": h, "N": N, "p": p, "slack": slack},
-        witnesses=((f"N={N}", v),),
-        passed=ok,
-        levels=((N, v),),
-    )
+    v = (lhs - num / den).valuation()
+    return _level_report("closed-form",
+                         {"h": h, "N": N, "p": p, "slack": slack},
+                         [(N, v)], v >= N - slack)
 
 
 def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
@@ -605,13 +595,8 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
         s = PadicNumber.from_int_mod(p, acc, prec + n_top + N) \
             / PadicNumber(p, N, 1, w) / d
         vals.append((N, (s - target).valuation()))
-    seq = [v for _, v in vals]
-    ok = seq[-1] >= min(prec, n_top - slack)
-    return VerificationReport(
-        identity="twisted-volkenborn",
-        params={"d": d, "exponents": list(chi.exponents), "h": h, "n": n,
-                "p": p, "prec": prec, "slack": slack},
-        witnesses=tuple((f"N={N}", v) for N, v in vals),
-        passed=ok,
-        levels=tuple(vals),
-    )
+    return _level_report(
+        "twisted-volkenborn",
+        {"d": d, "exponents": list(chi.exponents), "h": h, "n": n, "p": p,
+         "prec": prec, "slack": slack},
+        vals, vals[-1][1] >= min(prec, n_top - slack))

@@ -35,7 +35,8 @@ from math import comb, factorial
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
-                    XPolynomial, _lift, _lowest, eval_log_scalar_complex)
+                    XPolynomial, _in_unit_disc, _lift, _lowest,
+                    eval_log_scalar_complex)
 from .report import VerificationReport
 from .series import TruncatedSeries
 
@@ -61,17 +62,21 @@ class QBernoulliTable(_Frozen):
         return self.values[n]
 
 
-@lru_cache(maxsize=None)
+_EULERIAN = [(0, 1), (0, 1)]     # T_0, T_1, ... as far as built
+
+
 def _eulerian(n: int) -> tuple[int, ...]:
-    """Coefficients of T_n(z) = z A_n(z); Li_{-n}(z) = T_n(z)/(1 - z)^{n+1}."""
-    if n <= 1:
-        return (0, 1)
-    # Li_{-n} = z d/dz Li_{1-n}:  T_n = z (1 - z) T_{n-1}' + n z T_{n-1}
-    out = [0] * (n + 1)
-    for i, c in enumerate(_eulerian(n - 1)):
-        out[i] += i * c
-        out[i + 1] += (n - i) * c
-    return tuple(out)
+    """Coefficients of T_n(z) = z A_n(z); Li_{-n}(z) = T_n(z)/(1 - z)^{n+1}.
+    Each row is built once, from the one before, in a loop."""
+    while len(_EULERIAN) <= n:
+        m, prev = len(_EULERIAN), _EULERIAN[-1]
+        # Li_{-m} = z d/dz Li_{1-m}:  T_m = z (1 - z) T_{m-1}' + m z T_{m-1}
+        out = [0] * (m + 1)
+        for i, c in enumerate(prev):
+            out[i] += i * c
+            out[i + 1] += (m - i) * c
+        _EULERIAN.append(tuple(out))
+    return _EULERIAN[n]
 
 
 def _over_one_minus_z(num: list[int], k: int, h: int) -> RationalFunction:
@@ -248,9 +253,7 @@ def generalized_q_bernoulli(chi: DirichletCharacter, h: int, n: int,
     d = chi.modulus
     if h == 0:
         raise DomainError("h = 0 is degenerate for the twisted family")
-    qv = complex(qv)
-    if not 0 < abs(qv) < 1:
-        raise DomainError("need 0 < |q| < 1")
+    qv = _in_unit_disc(qv)
     acc = 0j
     for i, term in enumerate(_twisted_terms(chi, h, n)):
         c = chi.value_complex(i)
@@ -268,9 +271,7 @@ def generalized_via_generating_function(chi: DirichletCharacter, h: int,
 
     built over complex coefficients at numeric q."""
     d = chi.modulus
-    qv = complex(qv)
-    if not 0 < abs(qv) < 1:
-        raise DomainError("need 0 < |q| < 1")
+    qv = _in_unit_disc(qv)
     if h == 0:
         raise DomainError("h d = 0 makes the denominator constant term vanish")
     order = n_max if order is None else order

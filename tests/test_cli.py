@@ -414,8 +414,22 @@ def test_meaningless_precision_or_slack_exits_2(target, flags, capsys):
     # and 1+2i still parses: the error is about x
     (["zeta", "--h", "1", "--q", "0.5", "--s", "1+2i", "--x", "nan"],
      "x = nan"),
+    # a NaN |q| passed both the q = 0 and the |q| >= 1 test
+    (["bernoulli", "--h", "1", "--n", "2", "--q", "nan"], "need 0 < |q| < 1"),
+    (["bernoulli", "--h", "1", "--n", "2", "--q=nan+1i"], "need 0 < |q| < 1"),
+    # a verdict tol no error can meet made a FAIL of a holding identity
+    (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "2",
+      "--tol", "nan"], "tol nan must be >= 0"),
+    (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "2",
+      "--tol", "-1"], "tol -1.0 must be >= 0"),
+    (["verify", "interp-l", "--h", "1", "--q", "0.5", "--n", "2",
+      "--tol", "nan"], "tol nan must be >= 0"),
+    (["verify", "interp-l", "--h", "1", "--q", "0.5", "--n", "2",
+      "--tol", "-1"], "tol -1.0 must be >= 0"),
 ], ids=["s-nan", "x-nan", "x-inf", "tol-nan", "max-terms-0", "lfunction-s-nan",
-        "interp-zeta-x-nan", "s-inf", "s-1+2i-x-nan"])
+        "interp-zeta-x-nan", "s-inf", "s-1+2i-x-nan", "bernoulli-q-nan",
+        "bernoulli-q-nan+1i", "interp-zeta-tol-nan", "interp-zeta-tol-negative",
+        "interp-l-tol-nan", "interp-l-tol-negative"])
 def test_non_finite_input_exits_2_fast(argv, msg, capsys):
     # NaN fails every comparison, so no bound check stopped it short of
     # max_terms, and x = inf made every term and the tail bound 0

@@ -1,7 +1,10 @@
 """The (h,q)-Bernoulli numbers and polynomials, exact layer."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +212,27 @@ def test_classical_limit_errors_decrease():
             errs = classical_limit_errors(h, n)
             assert errs[0] > errs[1] > errs[2]
             assert errs[-1] <= 1e-3
+
+
+_B600 = """
+import hashlib, json, sys
+from qzeta.qbernoulli import q_bernoulli_number
+for n in range(int(sys.argv[1]), 601):
+    value = q_bernoulli_number(1, n)
+print(hashlib.sha256(json.dumps(value.to_json_dict()).encode()).hexdigest())
+"""
+
+
+def test_high_order_number_from_cold_cache():
+    # the Eulerian rows are built in a loop, so n = 600 from a cold cache
+    # does not recurse 600 deep; a fresh interpreter keeps the caches cold
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def digest(start):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})"
+             + _B600, str(start)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    assert digest(600) == digest(0)    # cold, and warmed from n = 0 up

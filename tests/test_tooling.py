@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 _SETUP = """
@@ -66,6 +68,23 @@ ok = witt_verify(1, 2, q, [3, 4, 5], 12, 3).passed and \\
 tracer.close()
 print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
 """
+
+_PADIC_LOG_EXP = """
+from fractions import Fraction
+from qzeta.characters import enumerate_characters
+from qzeta.padic import (PadicNumber, closed_form_verify,
+                         padic_generalized_verify)
+
+q = PadicNumber.from_fraction(5, Fraction(6), 40)
+t = PadicNumber.from_fraction(5, Fraction(5), 40)
+chi = next(c for c in enumerate_characters(3) if not c.is_principal())
+tracer = Tracer()
+tracer.install()
+ok = CHECK.passed
+tracer.close()
+print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
+"""
+
 
 _LERCH = """
 from qzeta import analytic
@@ -146,6 +165,20 @@ def test_span_tracer_sees_padic_target():
     spans = doc["spans"]
     assert spans["padic.target"]["calls"] == 4
     assert spans["padic.volkenborn"]["calls"] == 1
+
+
+@pytest.mark.parametrize("check", [
+    "closed_form_verify(1, t, q, 4, 12, 3)",
+    "padic_generalized_verify(chi, 1, 2, q, [3, 4], 12, 3)",
+], ids=["closedform", "twisted"])
+def test_span_tracer_sees_padic_log_and_exp(check):
+    # closed_form_verify takes exp t and log q, and the twisted check reads
+    # its target through eval_log_scalar_padic and the padic_log it calls:
+    # two padic.target calls each, now that log and exp return through
+    # PadicNumber.from_int_mod
+    doc = _traced(_PADIC_LOG_EXP.replace("CHECK", check))
+    assert doc["ok"]
+    assert doc["spans"]["padic.target"]["calls"] == 2
 
 
 def test_span_tracer_counts_lerch_terms():
