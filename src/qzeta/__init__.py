@@ -13,7 +13,7 @@ would add its compile time to every `import qzeta`."""
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "analytic": ("SeriesEvalConfig", "l_interpolation_verify", "lerch_sum",
+    "analytic": ("SeriesEvalConfig", "l_interpolation_verify",
                  "q_hurwitz_zeta", "q_lfunction", "q_zeta",
                  "zeta_interpolation_verify"),
     "characters": ("DirichletCharacter", "UnityRoot", "enumerate_characters",

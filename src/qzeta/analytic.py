@@ -136,11 +136,6 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     return _lerch_pair(w, s, x, cfg, alone=True)[:2]
 
 
-def lerch_sum(w: complex, s: complex, x: float,
-              cfg: SeriesEvalConfig = DEFAULT_CONFIG) -> complex:
-    return lerch_sum_with_bound(w, s, x, cfg)[0]
-
-
 def _check_q(h: int, qv: complex) -> complex:
     qv = complex(qv)
     if not 0 < abs(qv) < 1:

@@ -2,11 +2,11 @@
 and the p-adic verification suite (Witt's formula, the shift identities, the
 closed-form integral and the character-twisted integral).
 
-The level-N sums sum_{x<p^N} x^n q^{hx} behind Witt's formula, the shift
-identities and the twisted integral come in closed form from one Mahler
-expansion (`_power_sums`), in O(n (n + w)) operations per level at working
-precision p^w; the q-Volkenborn sum is n + 1 geometric series.  Nothing
-here loops over x < p^N.
+The level-N sums sum_{x<p^N} x^n q^{hx} behind Witt's formula and the
+twisted integral come in closed form from one Mahler expansion
+(`_power_sums`), in O(n (n + w)) operations per level at working precision
+p^w; the shift check sums only the b end terms of f(x+b) - f(x), and the
+q-Volkenborn sum is n + 1 geometric series.  Nothing loops over x < p^N.
 
 The verifiers compare these sums with an exact LogScalar target r(q) +
 l(q) log q.  `eval_log_scalar_padic` evaluates both rational parts exactly
@@ -17,9 +17,9 @@ p^(q.abs_prec) and no digit is lost to cancellation.
 A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
 is known modulo p^(valuation + prec).  `from_fraction` is `from_int_mod`,
 the one residue constructor, plus the remembered rational, so that an input
-q can be lifted to any working precision.  The results of arithmetic, and
-the sums of `padic_log` and `padic_exp` (known modulo p^(abs_prec of their
-argument)), remember none: `at_precision` on them raises PrecisionExhausted.
+q can be lifted to any working precision.  The results of arithmetic and
+of `padic_log` and `padic_exp` (one series in integers mod p^(abs_prec of the
+argument)) remember none: `at_precision` on them raises PrecisionExhausted.
 The four verifiers share one report: an (N, valuation) pair per level.
 """
 
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, factorial, log2
+from math import comb, log2
 
 from .characters import DirichletCharacter, _Frozen
-from .exact import LogScalar, RationalFunction, _Ring
+from .exact import LogScalar, _Ring
 from .qbernoulli import generalized_q_bernoulli_exact, q_bernoulli_number
 from .report import VerificationReport
 
@@ -46,6 +46,9 @@ DEFAULT_SLACK = 3
 # its exp series and p^N-th power, takes the same bound with k_max = 0.
 # Larger calls raise PrecisionExhausted before anything of size p^w is built.
 MAX_POWER_SUM_TERMS = 360
+# The same bound on the b end terms of the shift check: any b <= 10^4 at the
+# p^w (at most 4,800 bits) that the bound above admits for p < 2^64.
+MAX_SHIFT_TERMS = 50_000
 
 
 class PadicError(ArithmeticError):
@@ -218,32 +221,34 @@ def _log_domain_ok(q: PadicNumber) -> bool:
     return _exp_domain_ok(q - 1)
 
 
-def padic_log(q: PadicNumber) -> PadicNumber:
-    """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1))."""
-    p = q.p
-    if not _log_domain_ok(q):
-        raise PadicDomainError("padic_log needs v(q-1) >= 1 (>= 2 for p = 2)")
-    u = q - 1
-    if u.is_zero():
-        return PadicNumber.zero(p, u.val)
-    a = q.abs_prec
-    vu = u.val
-    ufr = q._exact - 1 if q._exact is not None else Fraction(u.unit * p ** vu)
-    s = Fraction(0)
-    k, term = 1, ufr
-    while k * vu - _vp(k, p) < a:
-        s += term / k if k % 2 else -term / k
+def _series(t: PadicNumber, exp: bool) -> PadicNumber:
+    """exp t = 1 + sum_{k>=1} t^k / k!, or log(1 + t) = sum_{k>=1} (-1)^(k+1)
+    t^k / k, mod p^a (a = t.abs_prec) in integers: term k of t = p^v u is
+    p^(k v - v_p(den_k)) u^k / (unit of den_k).  From the first k with k v -
+    B(k) >= a on every term is 0 mod p^a, as B(k) >= v_p(den_k) grows by at
+    most v per step: floor((k-1)/(p-1)) >= v_p(k!) for exp, floor(log2 k)."""
+    p, v, a = t.p, t.val, t.abs_prec
+    mod = p ** a
+    s, uk, dv, inv = int(exp), 1, 0, 1  # u^k, v_p(den_k), 1 / unit of den_k
+    k = 1
+    while k * v - ((k - 1) // (p - 1) if exp else k.bit_length() - 1) < a:
+        e = _vp(k, p)
+        unit = pow(k // p ** e, -1, mod)
+        if exp:
+            dv, inv = dv + e, inv * unit % mod
+        else:
+            dv, inv = e, unit if k % 2 else -unit
+        uk = uk * t.unit % mod
+        s += p ** (k * v - dv) * uk * inv
         k += 1
-        term *= ufr
     return PadicNumber.from_int_mod(p, s, a)
 
 
-def _vp_factorial(k: int, p: int) -> int:
-    v, pk = 0, p
-    while pk <= k:
-        v += k // pk
-        pk *= p
-    return v
+def padic_log(q: PadicNumber) -> PadicNumber:
+    """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1))."""
+    if not _log_domain_ok(q):
+        raise PadicDomainError("padic_log needs v(q-1) >= 1 (>= 2 for p = 2)")
+    return _series(q - 1, False)    # 0 too, known mod p^(q.abs_prec)
 
 
 def padic_exp(t: PadicNumber) -> PadicNumber:
@@ -254,16 +259,7 @@ def padic_exp(t: PadicNumber) -> PadicNumber:
     if t.is_zero():
         return PadicNumber.from_fraction(
             p, 1, min(t.val, 4 * DEFAULT_PRECISION + 64))
-    a = t.abs_prec
-    vt = t.val
-    tfr = t._exact if t._exact is not None else Fraction(t.unit * p ** vt)
-    s = Fraction(1)
-    k, term = 1, tfr
-    while k * vt - _vp_factorial(k, p) < a:
-        s += term / factorial(k)
-        k += 1
-        term *= tfr
-    return PadicNumber.from_int_mod(p, s, a)
+    return _series(t, True)
 
 
 def padic_pow(q: PadicNumber, x) -> PadicNumber:
@@ -335,20 +331,21 @@ class MonomialTestFunction(_Frozen):
         self._set(n, h, q)
 
 
-def _check_work(terms: int, w: int, p: int, need: str) -> None:
+def _check_work(terms: int, w: int, p: int, need: str,
+                bound: str = "MAX_POWER_SUM_TERMS") -> None:
     """Raise PrecisionExhausted, saying what `need`s the work, when `terms`
-    products mod p^w are above the work bound MAX_POWER_SUM_TERMS."""
+    products mod p^w are above the work bound named `bound`."""
     bits = w * log2(p)                          # the size of p^w
-    if terms * max(bits, 1024) > MAX_POWER_SUM_TERMS * 1024:
+    cap = globals()[bound]
+    if terms * max(bits, 1024) > cap * 1024:
         raise PrecisionExhausted(
             f"{need} on {bits:.0f}-bit integers, above the work bound "
-            f"MAX_POWER_SUM_TERMS = {MAX_POWER_SUM_TERMS} terms of up to "
-            "1024 bits")
+            f"{bound} = {cap} terms of up to 1024 bits")
 
 
 def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
-    """r = q^h modulo p^w for a unit q, for a call of `_power_sums` with
-    this k_max and w, whose work bound it checks before lifting q."""
+    """r = q^h modulo p^w for a unit q, after the work bound of `_power_sums`
+    at this k_max and w (which the shift check keeps, though it sums none)."""
     _check_work(k_max + w, w, q.p, f"level sums need up to k_max + w = "
                 f"{k_max + w} Mahler terms")
     if q.val != 0:
@@ -509,28 +506,35 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
                           prec: int = DEFAULT_PRECISION,
                           slack: int = DEFAULT_SLACK) -> VerificationReport:
     """I_1(f(.+b)) = I_1(f) + sum_{i<b} f'(i) at level N: the residual's
-    valuation must be >= N - slack."""
+    valuation must be >= N - slack.  The level sums differ by b end terms,
+    sum_{x<p^N} f(x+b) - f(x) = sum_{i<b} f(p^N+i) - f(i), so one loop over
+    i < b mod p^w gives both sides."""
     _check_prec_slack(prec, slack)
     if b < 1:
         raise ValueError("b must be >= 1")
-    p = f.q.p
-    n = f.n
+    p, n, h = f.q.p, f.n, f.h
     w = max(prec, N) + N    # >= N - slack absolute digits after / p^N
-    r = _ratio(f.q, f.h, n, w)
-    mod = p ** w
-    (row,) = _power_sums(r, n, [N], p, w)
-    # sum_{x<p^N} r^(x+b) (x+b)^n = r^b sum_j C(n, j) b^(n-j) S_j
-    acc_fb = pow(r, b, mod) * sum(comb(n, j) * b ** (n - j) * row[j]
-                                  for j in range(n + 1)) % mod
-    inv_pn = PadicNumber(p, N, 1, w)
-    i_f = PadicNumber.from_int_mod(p, row[n], w) / inv_pn
-    i_fb = PadicNumber.from_int_mod(p, acc_fb, w) / inv_pn
-    # sum_{i<b} f'(i) = sum_i q^(hi) (n i^(n-1) + h i^n log q)
-    qh = [RationalFunction.q_power(f.h * i) for i in range(b)]
-    deriv = LogScalar(sum(n * i ** (n - 1) * t for i, t in enumerate(qh) if n),
-                      sum(f.h * i ** n * t for i, t in enumerate(qh)))
-    residual = i_fb - i_f - eval_log_scalar_padic(deriv, f.q.at_precision(w))
-    v = residual.valuation()
+    r = _ratio(f.q, h, n, w)
+    if (r - 1) % p:
+        raise PadicDomainError(
+            "q^h must be 1 mod p: x -> q^(hx) is not continuous on Z_p")
+    _check_work(b, w, p, f"the shift check needs b = {b} end terms",
+                "MAX_SHIFT_TERMS")
+    mod, M = p ** w, p ** N
+    r_m = pow(r, M, mod)
+    # f(i) = i^n r^i, f'(i) = r^i (n i^(n-1) + h i^n log q); lg, a sum of
+    # residues, is 0 just where the exact log part is, which reads log q
+    ends, rat, lg, r_i = 0, 0, 0, 1
+    for i in range(b):
+        i_n1 = pow(i, n - 1, mod) if n else 0
+        i_n = i * i_n1 if n else 1
+        ends += (pow(M + i, n, mod) * r_m - i_n) * r_i
+        rat += n * i_n1 * r_i
+        lg += i_n * r_i % mod
+        r_i = r_i * r % mod
+    v = (PadicNumber.from_int_mod(p, ends % mod, w) / PadicNumber(p, N, 1, w)
+         - eval_log_scalar_padic(LogScalar(rat % mod, h * lg),
+                                 f.q.at_precision(w))).valuation()
     return _level_report(
         "shift", {"n": f.n, "h": f.h, "b": b, "N": N, "p": p, "slack": slack},
         [(N, v)], v >= N - slack)

@@ -336,6 +336,20 @@ def test_runaway_level_range_exits_3_fast(capsys):
         assert "MAX_POWER_SUM_TERMS" in err
 
 
+def test_runaway_shift_b_exits_3_fast(capsys):
+    # the shift check loops over its b end terms, and checks their number
+    # before the loop; b = 20000 took 173 s as b exact rational functions
+    with deadline(1):
+        code, out, err = run(["verify", "shift", "--b", "1000000000"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "MAX_SHIFT_TERMS" in err
+    with deadline(1):
+        code, out, _ = run(["verify", "shift", "--b", "20000"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
 @contextmanager
 def deadline(seconds):
     """Raise TimeoutError in the body after `seconds`, so that a hang fails."""

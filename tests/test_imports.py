@@ -21,7 +21,7 @@ ALL = ['DirichletCharacter', 'LogScalar', 'MonomialTestFunction',
        'eval_log_scalar_padic', 'exact', 'gen_function_identity_check',
        'generalized_q_bernoulli', 'generalized_q_bernoulli_exact',
        'generalized_via_generating_function', 'l_interpolation_verify',
-       'lerch_sum', 'padic', 'padic_exp', 'padic_generalized_verify',
+       'padic', 'padic_exp', 'padic_generalized_verify',
        'padic_log', 'padic_pow', 'principal_character', 'q_bernoulli_number',
        'q_bernoulli_polynomial', 'q_bernoulli_table', 'q_bracket',
        'q_hurwitz_zeta', 'q_lfunction', 'q_volkenborn_sum', 'q_zeta',

@@ -1,5 +1,6 @@
 """p-adic arithmetic, Volkenborn sums, and the p-adic identity verifiers."""
 
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -100,6 +101,60 @@ def test_padic_log_multiplicative():
     lhs = padic_log(q * r)
     rhs = padic_log(q) + padic_log(r)
     assert (lhs - rhs).valuation() >= 20
+
+
+def _reference_series(t, K, log):
+    """sum_{1<=k<=K} t^k / den_k in exact Fractions, den_k = (-1)^(k+1) k
+    for log(1 + t) and k! for exp t - 1."""
+    s, term, fact = F(0), F(1), 1
+    for k in range(1, K + 1):
+        term *= t
+        fact *= k
+        s += (term / k if k % 2 else -term / k) if log else term / fact
+    return s
+
+
+# q - 1 and t of valuation 1 and 2 (2 and 3 at p = 2), of either sign and
+# with a denominator; at k = p^m the term valuations fall again, so a loop
+# that stops at the first term of valuation a misses later terms
+LOG_Q = {2: (F(5), F(9), F(-3), F(13, 9), F(1, 5)),
+         3: (F(4), F(10), F(-2), F(7, 4), F(1, 4)),
+         5: (F(6), F(26), F(-4), F(11, 6)),
+         7: (F(8), F(50), F(-6), F(15, 8))}
+EXP_T = {2: (F(4), F(8), F(-12), F(4, 3)),
+         3: (F(3), F(9), F(-6), F(3, 2)),
+         5: (F(5), F(25), F(-10), F(5, 3)),
+         7: (F(7), F(49), F(-14))}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_padic_log_exp_match_long_reference_sums(p):
+    # every claimed digit is right: the result, known mod p^a, equals a sum
+    # of 3a + 30 terms, far past the last term of valuation below a; both
+    # an input that remembers its rational and one that does not
+    for a in range(2, 41):
+        K = 3 * a + 30
+        for kind, xs in (("log", LOG_Q[p]), ("exp", EXP_T[p])):
+            for x in xs:
+                want = PadicNumber.from_int_mod(
+                    p, _reference_series(x - 1, K, True) if kind == "log"
+                    else 1 + _reference_series(x, K, False), a)
+                z = PadicNumber.from_int_mod(p, x, a)
+                args = [z] if z.is_zero() else \
+                    [z, PadicNumber.from_fraction(p, x, a - z.val)]
+                for arg in args:
+                    got = padic_log(arg) if kind == "log" else padic_exp(arg)
+                    assert (got.val, got.unit, got.prec) == \
+                        (want.val, want.unit, want.prec), (kind, x, a)
+
+
+def test_padic_log_exp_last_digits():
+    # stopping at the first term of valuation a gives 2122*3 + O(3^8) and
+    # 845 + O(2^10)
+    assert repr(padic_log(PadicNumber.from_fraction(3, F(4), 8))) == \
+        "664*3^1 + O(3^8)"
+    assert repr(padic_exp(PadicNumber.from_int_mod(2, 4, 10))) == \
+        "333*2^0 + O(2^10)"
 
 
 def test_padic_pow_integer_matches_repeated_product():
@@ -268,8 +323,10 @@ def residues(monkeypatch):
     real = PadicNumber.from_int_mod
 
     def spy(cls, p, value, abs_prec):
-        # the exact targets come in as Fractions; the sums are integers
-        if isinstance(value, int):
+        # the exact targets come in as Fractions, and padic_log reduces its
+        # own integer series; the sums are the integers a verifier reduces
+        if (isinstance(value, int)
+                and sys._getframe(1).f_code.co_name.endswith("_verify")):
             seen.append(value % p ** abs_prec)
         return real(p, value, abs_prec)
     monkeypatch.setattr(PadicNumber, "from_int_mod", classmethod(spy))
@@ -292,7 +349,8 @@ def test_shift_sums_match_loop(p, h, residues):
                            lambda x: pow(x, n, mod) * pow(r, x, mod))
         want_fb = _loop_sum(p, w, p ** N,
                             lambda x: pow(x + b, n, mod) * pow(r, x + b, mod))
-        assert residues == [want_f, want_fb], n
+        # one residue: sum_{x<p^N} f(x+b) - f(x), from its b end terms
+        assert residues == [(want_fb - want_f) % mod], n
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (2, 5), (3, 4), (3, 8), (5, 3),
@@ -440,6 +498,34 @@ def test_shift_identity_beyond_working_precision(N, prec):
     rep = shift_identity_verify(MonomialTestFunction(6, 1, q), 3, N, prec=prec)
     assert rep.passed
     assert rep.levels[0][1] >= N - 3
+
+
+# (p, q, h, n, b, N, prec, valuation), as computed from both level sums in
+# closed form; at N = 20 the residual is known to w - N = 20 digits
+@pytest.mark.parametrize("p,qf,h,n,b,N,prec,v", [
+    (5, F(6), 2, 3, 7, 6, 16, 6),
+    (5, F(6), -3, 2, 300, 5, 16, 7),
+    (3, F(4), 0, 4, 7, 20, 3, 20),
+    (2, F(5), 2, 0, 7, 8, 16, 13),
+    (7, F(8), -3, 0, 300, 4, 16, 6),
+    (2, F(13, 9), 1, 5, 300, 20, 16, 20),
+    (3, F(10), 2, 1, 7, 20, 16, 20),
+])
+def test_shift_reports_are_pinned(p, qf, h, n, b, N, prec, v):
+    rep = shift_identity_verify(MonomialTestFunction(n, h, Q(p, qf, 40)), b,
+                                N, prec=prec)
+    assert rep.to_dict() == {
+        "identity": "shift",
+        "params": {"N": N, "b": b, "h": h, "n": n, "p": p, "slack": 3},
+        "pass": True, "levels": [{"N": N, "valuation": v}],
+        "witnesses": [{"case": f"N={N}", "discrepancy": v}]}
+
+
+def test_shift_reads_log_q_in_its_domain():
+    # q = 2 has q^2 = 1 mod 3, but log_3 2 is not defined
+    with pytest.raises(PadicDomainError,
+                       match=r"need \|q-1\|_p < p\^\(-1/\(p-1\)\)"):
+        shift_identity_verify(MonomialTestFunction(1, 2, Q(3, F(2), 40)), 3, 4)
 
 
 @pytest.mark.parametrize("prec,slack", [(0, 3), (-5, 3), (16, -1)])
