@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import _Frozen, euler_phi
@@ -261,11 +262,12 @@ class QPolynomial(_Ring, _Frozen):
             return QPolynomial._raw([c * other.numerator for c in self.ints],
                                     self.den * other.denominator)
         if isinstance(other, QPolynomial):
-            a, b = self.ints, other.ints
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
+            # over the nonzero terms only: the binomials of _expand are sparse
+            b = [(j, y) for j, y in enumerate(other.ints) if y]
+            out = [0] * (len(self.ints) + len(other.ints) - 1)
+            for i, x in enumerate(self.ints):
                 if x:
-                    for j, y in enumerate(b):
+                    for j, y in b:
                         out[i + j] += x * y
             return QPolynomial._raw(out, self.den * other.den)
         return NotImplemented
@@ -321,12 +323,25 @@ _P1 = QPolynomial([1])
 # rational functions of q over cyclotomic denominators, always in lowest terms
 # ---------------------------------------------------------------------------
 
-def _expand(exps: dict) -> QPolynomial:
-    """prod_d Phi_d^exps[d], expanded."""
-    out = _P1
-    for d, e in sorted(exps.items()):
-        out = out * _phi_power(d, e)
-    return out
+def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
+    """num * prod_d Phi_d^exps[d], expanded.  Each run prod_{c | N} Phi_c^t,
+    the largest N first, is the sparse binomial (q^N - 1)^t; the Phi_d left
+    over are multiplied in as powers, and q^a as a shift."""
+    left = dict(exps)
+    a = left.pop(0, 0)
+    factors = []
+    for n in sorted(left, reverse=True):
+        divs = [c for c in range(1, n + 1) if n % c == 0]
+        t = min(left.get(c, 0) for c in divs)
+        if t:
+            binom = [0] * (n * t + 1)
+            binom[::n] = [(-1) ** (t - k) * comb(t, k) for k in range(t + 1)]
+            factors.append(QPolynomial._raw(binom))
+            for c in divs:
+                left[c] -= t
+    factors += [_phi_power(d, e) for d, e in sorted(left.items()) if e]
+    num = reduce(mul, factors, num)
+    return QPolynomial._raw([0] * a + list(num.ints), num.den) if a else num
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +356,7 @@ def _lift(num: QPolynomial, exps: dict, top: dict) -> QPolynomial:
     top >= exps: num times the factors that exps lacks."""
     lift = {d: e - exps.get(d, 0) for d, e in top.items()
             if e > exps.get(d, 0)}
-    return num * _expand(lift) if lift else num
+    return _expand(lift, num) if lift else num
 
 
 def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, log2
+from math import ceil, comb, log2
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import LogScalar, _Ring
@@ -46,9 +46,11 @@ DEFAULT_SLACK = 3
 # its exp series and p^N-th power, takes the same bound with k_max = 0.
 # Larger calls raise PrecisionExhausted before anything of size p^w is built.
 MAX_POWER_SUM_TERMS = 360
-# The same bound on the b end terms of the shift check: any b <= 10^4 at the
-# p^w (at most 4,800 bits) that the bound above admits for p < 2^64.
-MAX_SHIFT_TERMS = 50_000
+# The same bound on the products mod p^w of the shift check: its b end terms,
+# about w terms of the log series and N log2 p squarings for r^(p^N).  For
+# p < 2^64 it admits every b <= 50,000 / (size of p^w) with any w and N that
+# the bound above admits, so any b <= 10^4 there.
+MAX_SHIFT_TERMS = 62_000
 
 
 class PadicError(ArithmeticError):
@@ -345,7 +347,7 @@ def _check_work(terms: int, w: int, p: int, need: str,
 
 def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
     """r = q^h modulo p^w for a unit q, after the work bound of `_power_sums`
-    at this k_max and w (which the shift check keeps, though it sums none)."""
+    at this k_max and w."""
     _check_work(k_max + w, w, q.p, f"level sums need up to k_max + w = "
                 f"{k_max + w} Mahler terms")
     if q.val != 0:
@@ -514,13 +516,16 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
         raise ValueError("b must be >= 1")
     p, n, h = f.q.p, f.n, f.h
     w = max(prec, N) + N    # >= N - slack absolute digits after / p^N
-    r = _ratio(f.q, h, n, w)
+    terms = b + w + ceil(N * log2(p))
+    _check_work(terms, w, p, f"the shift check needs b + w + N log2 p = "
+                f"{terms} products", "MAX_SHIFT_TERMS")
+    if f.q.val != 0:
+        raise PadicDomainError("q must be a p-adic unit")
+    mod, M = p ** w, p ** N
+    r = pow(f.q.at_precision(w).unit, h, mod)
     if (r - 1) % p:
         raise PadicDomainError(
             "q^h must be 1 mod p: x -> q^(hx) is not continuous on Z_p")
-    _check_work(b, w, p, f"the shift check needs b = {b} end terms",
-                "MAX_SHIFT_TERMS")
-    mod, M = p ** w, p ** N
     r_m = pow(r, M, mod)
     # f(i) = i^n r^i, f'(i) = r^i (n i^(n-1) + h i^n log q); lg, a sum of
     # residues, is 0 just where the exact log part is, which reads log q

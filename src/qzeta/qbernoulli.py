@@ -21,9 +21,15 @@ generating function and the distribution relation.  The exact per-residue
 terms q^{h i} B_{n, q^d}^{(h)}(i/d) of a twisted value depend on the
 character only through its modulus d, so they are cached per (d, h, n) and
 shared by every character mod d, the L-interpolation check, the numeric
-twisted values and the p-adic twisted target.  The generating-function
-check multiplies the closed-form values by q^h e^t - 1, so it is independent
-of how they were built.
+twisted values and the p-adic twisted target.
+
+Both checks lift each term once, per component (rat, log), to one common
+cyclotomic denominator, and then build every coefficient of lhs - rhs from
+integer lists by integer multiples, additions and shifts by powers of q,
+with no polynomial product.  The generating-function check runs the
+recurrence that multiplying by q^h e^t - 1 gives, so it is independent of
+how the closed-form values were built; the distribution check builds its
+right side from Taylor shifts x -> x + 1.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, mul, sub
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
@@ -133,86 +140,115 @@ def q_bernoulli_polynomial(h: int, n: int) -> XPolynomial:
     return XPolynomial(coeffs)
 
 
+def _lift_all(parts, s: int):
+    """Lift the rational functions `parts` once to their least common
+    denominator times q^s: (its exponents, an integer D, one integer
+    numerator list per part, all of one length), part i being
+    q^{-s} * lists[i] / D over that denominator."""
+    top = {}
+    for r in parts:
+        for d, e in r.exps.items():
+            top[d] = max(top.get(d, 0), e)
+    nums = [_lift(r.num, r.exps, top) for r in parts]
+    den = lcm(*(p.den for p in nums))
+    width = max(len(p.ints) for p in nums)
+    return ({**top, 0: top.get(0, 0) + s} if s else top, den,
+            [[c * (den // p.den) for c in p.ints] + [0] * (width - len(p.ints))
+             for p in nums])
+
+
+def _report(identity: str, params: dict, var: str, parts) -> VerificationReport:
+    """One witness per power of `var`.  `parts` holds per component (rat,
+    log) its denominator's exponents and, per power, lhs - rhs as an integer
+    numerator list and an integer divisor.  The identity holds where both
+    lists are 0, and only a nonzero one is reduced to lowest terms, as the
+    witness."""
+    witnesses = []
+    for j, nums in enumerate(zip(*(nums for _, nums in parts))):
+        if not any(any(ints) for ints, _ in nums):
+            witnesses.append((f"{var}^{j}", "0"))
+            continue
+        witnesses.append((f"{var}^{j}", LogScalar(*(
+            RationalFunction._raw(*_lowest(QPolynomial._raw(ints, d), exps, exps))
+            for (ints, d), (exps, _) in zip(nums, parts)))))
+    return VerificationReport(
+        identity=identity, params=params, witnesses=tuple(witnesses),
+        passed=all(w == "0" for _, w in witnesses))
+
+
 def gen_function_identity_check(h: int, order: int) -> VerificationReport:
-    """(q^h e^t - 1) * sum B_n t^n/n! == h*LAMBDA + t, coefficientwise."""
+    """(q^h e^t - 1) * sum B_n t^n/n! == h*LAMBDA + t, coefficientwise.
+
+    n! times the t^n coefficient of the left side is the recurrence
+    q^h sum_{j<=n} C(n, j) B_j - B_n.  Per component (rat, log), B_0..B_order
+    and the constant 1 are lifted once to one common denominator, times
+    q^{|h|} for h < 0, so each coefficient minus its expected value is one
+    numerator: integer multiples of the lifted numerators, shifted by the
+    power of q."""
     if h == 0:
         raise DomainError("identity check needs h != 0")
     table = q_bernoulli_table(h, order)
-    f = TruncatedSeries(
-        [table[n] / factorial(n) for n in range(order + 1)], order)
-    qh = RationalFunction.q_power(h)
-    den = [LogScalar(qh * Fraction(1, factorial(k))) for k in range(order + 1)]
-    den[0] = den[0] - 1
-    prod = TruncatedSeries(den, order) * f
-    expected = [LogScalar.lam(h)] + [LogScalar(1)] + [LogScalar.zero()] * max(order - 1, 0)
-    witnesses = []
-    ok = True
-    for n in range(order + 1):
-        diff = prod.coeffs[n] - expected[n]
-        good = diff.is_zero()
-        ok = ok and good
-        witnesses.append((f"t^{n}", "0" if good else diff))
-    return VerificationReport(
-        identity="generating-function",
-        params={"h": h, "order": order},
-        witnesses=tuple(witnesses),
-        passed=ok,
-    )
+    s = max(-h, 0)
+    parts = []
+    for part, want in (("rat", {1: 1}), ("log", {0: h})):
+        full, den, b = _lift_all([getattr(c, part) for c in table.values]
+                                 + [RationalFunction.q_power(0)], s)
+        one = b.pop()
+        cols, width = list(zip(*b)), len(one)
+        nums = []
+        for n in range(order + 1):
+            ks = [comb(n, j) for j in range(order + 1)]
+            acc = ([0] * max(h, 0) + [sum(map(mul, ks, col)) for col in cols]
+                   + [0] * s)
+            w = want.get(n, 0)
+            acc[s:s + width] = [x - y - w * e for x, y, e in
+                                zip(acc[s:s + width], b[n], one)]
+            nums.append((acc, den * factorial(n)))
+        parts.append((full, nums))
+    return _report("generating-function", {"h": h, "order": order}, "t",
+                   parts)
+
+
+def _taylor_shift(c: list) -> None:
+    """c(x) -> c(x + 1) in place, c[k] being the x^k coefficient as a list
+    of integers, all of one length: additions only."""
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] = list(map(add, c[k], c[k + 1]))
 
 
 def distribution_check(h: int, n: int, m: int) -> VerificationReport:
     """B_n^{(h)}(x) == m^{n-1} sum_{i<m} q^{h i} B_{n, base q^m}^{(h)}((x+i)/m),
     exact coefficientwise equality of both sides as polynomials in x.
 
-    With b_k the x^k coefficient at base q^m, the right side's x^j
-    coefficient is m^{n-1} sum_{k>=j} C(k, j) m^{-k} b_k P_{k-j}, P_e =
-    sum_{i<m} i^e q^{h i}.  Per component (rat, log), each b_k is lifted once
-    to one common denominator, so each lhs - rhs is one numerator over it:
-    the identity holds when all are 0, and only a nonzero one is reduced to
-    lowest terms, as the witness."""
+    With b_k the x^k coefficient at base q^m and R(x) = sum_k m^{n-1-k} b_k
+    x^k, the right side is sum_{i<m} q^{h i} R(x + i).  Per component (rat,
+    log), the coefficients of both sides are lifted once to one common
+    denominator, times q^s for h < 0, so each R(x + i) is a Taylor shift by
+    1 of R(x + i - 1) on integer lists, added at offset h i + s, and each
+    lhs - rhs is one numerator over that denominator."""
     if m < 1:
         raise ValueError("m must be >= 1")
     poly = q_bernoulli_polynomial(h, n)
     lhs, base = poly.coeffs, poly.subst_q_power(m).coeffs
-    # q^s P_e, an integer polynomial (s > 0 only for h < 0), so the right
-    # side's numerators sit over q^s times the b_k's common denominator
     s = max(-h, 0) * (m - 1)
-    rows = [[0] * (abs(h) * (m - 1) + 1) for _ in base]
-    for i in range(m):
-        for e, row in enumerate(rows):
-            row[h * i + s] += i ** e
-    pows = [QPolynomial._raw(row) for row in rows]
-    parts = []  # per component: its denominator's exponents, the numerators
+    parts = []
     for part in ("rat", "log"):
-        a = [getattr(c, part) for c in lhs]
-        b = [getattr(c, part) for c in base]
-        top = {}
-        for r in a + b:
-            for d, e in r.exps.items():
-                top[d] = max(top.get(d, 0), e)
-        full = {**top, 0: top.get(0, 0) + s} if s else top
-        lifted = [_lift(r.num, r.exps, top) * Fraction(m) ** (n - 1 - k)
-                  for k, r in enumerate(b)]
-        nums = []
-        for j, r in enumerate(a):
-            rhs = sum((pows[k - j] * comb(k, j) * lifted[k]
-                       for k in range(j, len(lifted))), QPolynomial())
-            nums.append(_lift(r.num, r.exps, full) - rhs)
-        parts.append((full, nums))
-    witnesses = []
-    ok = True
-    for j in range(len(lhs)):
-        good = not any(nums[j] for _, nums in parts)
-        ok = ok and good
-        witnesses.append((f"x^{j}", "0" if good else LogScalar(
-            *(RationalFunction._raw(*_lowest(nums[j], den, den))
-              for den, nums in parts))))
-    return VerificationReport(
-        identity="distribution",
-        params={"h": h, "n": n, "m": m},
-        witnesses=tuple(witnesses),
-        passed=ok,
-    )
+        full, den, ints = _lift_all([getattr(c, part) for c in lhs + base], s)
+        width = len(ints[0])
+        # m R(x), so that k = n stays integral: both sides are over m * den
+        r = [[m ** (n - k) * c for c in row]
+             for k, row in enumerate(ints[len(lhs):])]
+        nums = [[0] * s + [m * c for c in row] + [0] * (abs(h) * (m - 1) - s)
+                for row in ints[:len(lhs)]]
+        for i in range(m):
+            if i:
+                _taylor_shift(r)
+            o = h * i + s
+            for num, row in zip(nums, r):
+                num[o:o + width] = map(sub, num[o:o + width], row)
+        parts.append((full, [(num, m * den) for num in nums]))
+    return _report("distribution", {"h": h, "n": n, "m": m}, "x", parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Truncated formal power series in t, for the two generating-function
-routes in `qbernoulli`: LogScalar coefficients in the exact identity check,
-complex ones in the twisted values at numeric q."""
+"""Truncated formal power series in t, for the generating-function route
+of the twisted values at numeric q in `qbernoulli`, with complex
+coefficients; the exact identity check runs its recurrence instead."""
 
 from __future__ import annotations
 

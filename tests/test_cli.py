@@ -324,16 +324,19 @@ def test_negative_n_exits_2(argv, capsys):
 def test_runaway_level_range_exits_3_fast(capsys):
     # every p-adic target checks the work bound before it builds p^w or a
     # list of the levels (3:3000000 took seconds to hours, and 130 MB)
-    for argv in (["witt", "--levels", "3:4000"],
-                 ["witt", "--levels", "3:3000000"],
-                 ["shift", "--levels", "3:3000000"],
-                 ["closedform", "--levels", "3:3000000"],
-                 ["twisted", "--levels", "3:3000000"]):
+    # (shift sums no Mahler terms, and is held to its own bound)
+    for argv, bound in ((["witt", "--levels", "3:4000"], "MAX_POWER_SUM_TERMS"),
+                        (["witt", "--levels", "3:3000000"], "MAX_POWER_SUM_TERMS"),
+                        (["shift", "--levels", "3:3000000"], "MAX_SHIFT_TERMS"),
+                        (["closedform", "--levels", "3:3000000"],
+                         "MAX_POWER_SUM_TERMS"),
+                        (["twisted", "--levels", "3:3000000"],
+                         "MAX_POWER_SUM_TERMS")):
         with deadline(1):
             code, out, err = run(["verify", *argv], capsys)
         assert code == EXIT_NUMERIC, argv
         assert out == ""
-        assert "MAX_POWER_SUM_TERMS" in err
+        assert bound in err
 
 
 def test_runaway_shift_b_exits_3_fast(capsys):
@@ -348,6 +351,23 @@ def test_runaway_shift_b_exits_3_fast(capsys):
         code, out, _ = run(["verify", "shift", "--b", "20000"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["pass"] is True
+
+
+def test_shift_bound_counts_the_work_it_runs(capsys):
+    # shift runs b end terms, about w log-series terms and N log2 p
+    # squarings mod p^w, and no Mahler terms: N = 200 at p = 5 passes, and
+    # N = 3000 (about 4.5 s unbounded) exits 3 at once
+    with deadline(1):
+        code, out, _ = run(["verify", "shift", "--p", "5", "--levels", "200"],
+                           capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["levels"] == [{"N": 200, "valuation": 200}]
+    with deadline(1):
+        code, out, err = run(["verify", "shift", "--p", "5",
+                              "--levels", "3000"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "MAX_SHIFT_TERMS" in err
 
 
 @contextmanager

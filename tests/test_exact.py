@@ -5,11 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qzeta.exact import (DomainError, LogDegreeOverflow, LogScalar,
                          NonInvertible, QPolynomial, RationalFunction,
-                         XPolynomial, eval_log_scalar_complex,
-                         eval_log_scalar_mp)
+                         XPolynomial, _cyclotomic, _expand,
+                         eval_log_scalar_complex, eval_log_scalar_mp)
 
 F = Fraction
 
@@ -31,6 +32,46 @@ def test_polynomial_ring_ops():
     assert p + q == QPolynomial([0, 2])
     assert p - p == QPolynomial()
     assert p * QPolynomial() == QPolynomial()
+
+
+def _schoolbook(a, b):
+    """a * b by the dense schoolbook product of the integer forms."""
+    out = [0] * (len(a.ints) + len(b.ints) - 1)
+    for i, x in enumerate(a.ints):
+        for j, y in enumerate(b.ints):
+            out[i + j] += x * y
+    return QPolynomial([F(c, a.den * b.den) for c in out])
+
+
+# few nonzero terms between runs of zeros, and sometimes none at all
+_SPARSE = st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                             st.fractions(-5, 5, max_denominator=7)),
+                   max_size=12).map(QPolynomial)
+_QUICK = settings(derandomize=True, database=None, max_examples=80,
+                  deadline=None)
+
+
+@_QUICK
+@given(_SPARSE, _SPARSE)
+def test_sparse_product_matches_schoolbook(a, b):
+    assert a * b == _schoolbook(a, b) == b * a
+
+
+@_QUICK
+@given(st.dictionaries(st.integers(1, 30), st.integers(0, 5), max_size=4),
+       st.integers(0, 5), _SPARSE)
+# the lifts of the distribution check: a run over the divisors of 15, then
+# Phi_5 Phi_15 left over
+@example({1: 2, 3: 2, 5: 4, 15: 4}, 1, QPolynomial([1, 0, F(2, 3)]))
+def test_expand_is_the_product_of_cyclotomic_powers(exps, a, num):
+    # binomial runs (q^N - 1)^t, the Phi_d left over, and q^a as a shift
+    exps = {**exps, 0: a}
+    want = QPolynomial([1])
+    for d, e in exps.items():
+        for _ in range(e):
+            want = _schoolbook(want, QPolynomial(_cyclotomic(d)))
+    assert _expand(exps) == want
+    assert _expand(exps, num) == _schoolbook(num, want)
 
 
 def test_polynomial_immutable():

@@ -3,7 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from qzeta.qbernoulli import (classical_bernoulli, classical_limit_errors,
                               generalized_via_generating_function,
                               q_bernoulli_number, q_bernoulli_polynomial,
                               q_bernoulli_table)
+from qzeta.series import TruncatedSeries
 
 F = Fraction
 
@@ -167,6 +168,62 @@ def test_distribution_witnesses_of_a_perturbed_polynomial(h, m, part,
                                   for j, w in enumerate(want))
     # at m = 1 the relation holds for every polynomial
     assert rep.passed is (m == 1)
+
+
+def _gen_function_oracle(values, h, order):
+    """lhs - rhs of the generating-function identity per power of t, from
+    the Cauchy product of truncated series; the check's former route, kept
+    as its oracle."""
+    f = TruncatedSeries([values[n] / factorial(n) for n in range(order + 1)],
+                        order)
+    qh = RationalFunction.q_power(h)
+    den = [LogScalar(qh * F(1, factorial(k))) for k in range(order + 1)]
+    den[0] = den[0] - 1
+    prod = TruncatedSeries(den, order) * f
+    expected = [LogScalar.lam(h), LogScalar(1)] + [LogScalar.zero()] * order
+    return [c - e for c, e in zip(prod.coeffs, expected)]
+
+
+# q/Phi_5 in the rational part brings a new cyclotomic factor, log q/(3 q^2)
+# a power of q; "both" adds the two
+_TABLE_BUMPS = {
+    "rat": LogScalar(RationalFunction([0, 1], [1, 1, 1, 1, 1])),
+    "log": _BUMPS["log"],
+    "both": LogScalar(RationalFunction([0, 1], [1, 1, 1, 1, 1]))
+    + _BUMPS["log"]}
+
+
+@pytest.mark.parametrize("part", ["rat", "log", "both"])
+@pytest.mark.parametrize("order", [1, 4, 9])
+@pytest.mark.parametrize("h", [-3, -1, 2])
+def test_generating_function_witnesses_of_a_perturbed_table(h, order, part,
+                                                            monkeypatch):
+    values = list(q_bernoulli_table(h, order).values)
+    values[order // 2] = values[order // 2] + _TABLE_BUMPS[part]
+    bad = qbernoulli.QBernoulliTable(h, order, tuple(values))
+    monkeypatch.setattr(qbernoulli, "q_bernoulli_table", lambda *_: bad)
+    rep = gen_function_identity_check(h, order)
+    want = _gen_function_oracle(values, h, order)
+    assert rep.witnesses == tuple((f"t^{n}", w if w else "0")
+                                  for n, w in enumerate(want))
+    assert not rep.passed
+
+
+def test_distribution_products_on_a_warm_cache(monkeypatch):
+    # each term is lifted once, and the right side is built by Taylor shifts
+    # of integer lists: the products left are those of the lifts
+    # (the former route made 428 here)
+    distribution_check(3, 12, 5)
+    products = []
+    mul = exact.QPolynomial.__mul__
+
+    def spy(a, b):
+        if isinstance(b, exact.QPolynomial):
+            products.append(b)
+        return mul(a, b)
+    monkeypatch.setattr(exact.QPolynomial, "__mul__", spy)
+    assert distribution_check(3, 12, 5).passed
+    assert 0 < len(products) <= 160
 
 
 def test_generalized_mod1_reduces_to_plain():

@@ -3,6 +3,7 @@ the frozen-value contract and the number types' derived operators each stay
 in one class."""
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,12 +20,16 @@ from spans import TRACED, Tracer
 """
 
 _EXACT = """
+from qzeta.exact import RationalFunction
 from qzeta.qbernoulli import distribution_check, gen_function_identity_check
 
+x, y = RationalFunction(1, [-1, 1]), RationalFunction(1, [1, 1])
+total, product = RationalFunction([0, 2], [-1, 0, 1]), RationalFunction(1, [-1, 0, 1])
 tracer = Tracer()
 tracer.install()
 ok = distribution_check(2, 3, 2).passed and \\
-    gen_function_identity_check(-3, 5).passed
+    gen_function_identity_check(-3, 5).passed and \\
+    x + y == total and x * y == product
 tracer.close()
 print(json.dumps({"ok": ok, "traced": list(TRACED),
                   "spans": tracer.summary()["spans"]}))
@@ -123,12 +128,17 @@ def _traced(script):
 
 def test_span_tracer_installs_on_src():
     # Tracer.install() looks up each traced name (QPolynomial.gcd,
-    # RationalFunction.__add__, rf_sum, ...) and raises if one is gone
+    # RationalFunction.__add__, rf_sum, ...) and raises if one is gone; the
+    # two checks lift their terms without rational sums, so the script adds
+    # and multiplies two rational functions itself to show the spans wrap
     doc = _traced(_EXACT)
     assert doc["ok"]
     spans = doc["spans"]
     assert spans["exact.rf_add"]["calls"] > 0
     assert spans["exact.rf_mul"]["calls"] > 0
+    # neither check builds a truncated series any more
+    assert "series.mul" in doc["traced"]
+    assert not [name for name in spans if name.startswith("series.")]
     # denominators stay factored: no polynomial gcd on any arithmetic path
     assert "exact.poly_gcd" in doc["traced"]
     assert "exact.poly_gcd" not in spans
@@ -189,6 +199,38 @@ def test_span_tracer_counts_lerch_terms():
     assert doc["spans"]["analytic.lerch"]["calls"] == 1
     assert doc["terms"] == 183
     assert doc["summed"]
+
+
+def _result_line(ops_per_s, p90_ms, failed):
+    return {"correct": True, "attempted": 100, "failed": failed,
+            "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                        "op_p90_ms": {"value": p90_ms, "unit": "ms"}}}
+
+
+def test_bench_pairs_summary_of_canned_lines():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    pairs = [{"seed": 701 + i, "first": "parent" if i % 2 == 0 else "change",
+              "parent": _result_line(par, p90, 0),
+              "change": _result_line(chg, p90 - 5, f)}
+             for i, (par, chg, p90, f) in enumerate([
+                 (180.0, 350.0, 14.0, 0), (190.0, 170.0, 15.0, 0),
+                 (185.0, 370.0, 13.0, 1), (200.0, 360.0, 16.0, 0)])]
+    summary = bench_pairs.summarise(
+        pairs, {"ops_per_s": "higher", "op_p90_ms": "lower"})
+    ops = summary["ops_per_s"]
+    assert ops["parent_median"] == 187.5
+    assert ops["change_median"] == 355.0
+    # statistics.quantiles' default (exclusive) quartiles of 4 values
+    assert ops["parent_iqr"] == pytest.approx(197.5 - 181.25)
+    assert ops["change_iqr"] == pytest.approx(367.5 - 215.0)
+    assert (ops["pairs_better"], ops["pairs"]) == (3, 4)
+    # lower is better here: the change is 5 ms faster in every pair
+    assert summary["op_p90_ms"]["pairs_better"] == 4
+    assert summary["failed"] == {"parent": [0, 0, 0, 0],
+                                 "change": [0, 0, 1, 0]}
 
 
 # method -> the one class in src/ that defines it: every immutable value
