@@ -230,23 +230,26 @@ def _check_interp(n: int, tol: float) -> None:
         raise ValueError(f"tol {tol} must be >= 0")
 
 
+def _interp_report(identity: str, params: dict, diff: complex, tol: float):
+    """The one witness at s = 1 - n of lhs = -B/n: |diff|, diff = lhs + B/n."""
+    from .report import VerificationReport
+
+    err = abs(diff)
+    return VerificationReport(identity, {**params, "tol": tol},
+                              ((f"s=1-{params['n']}", err),), err <= tol)
+
+
 def zeta_interpolation_verify(h: int, qv: complex, n: int, x: float,
                               cfg: SeriesEvalConfig = DEFAULT_CONFIG,
                               tol: float = 1e-8) -> VerificationReport:
     """zeta_q^{(h)}(1-n, x) = -B_n^{(h)}(x)/n."""
     _check_interp(n, tol)
     from .qbernoulli import q_bernoulli_polynomial
-    from .report import VerificationReport
 
     lhs = q_hurwitz_zeta(h, qv, complex(1 - n), x, cfg)
     bval = q_bernoulli_polynomial(h, n).eval_complex(complex(x), complex(qv))
-    err = abs(lhs + bval / n)
-    return VerificationReport(
-        identity="zeta-interpolation",
-        params={"h": h, "q": complex(qv), "n": n, "x": x, "tol": tol},
-        witnesses=((f"s=1-{n}", err),),
-        passed=err <= tol,
-    )
+    return _interp_report("zeta-interpolation", {"h": h, "q": complex(qv),
+                          "n": n, "x": x}, lhs + bval / n, tol)
 
 
 def l_interpolation_verify(h: int, qv: complex, n: int,
@@ -256,15 +259,10 @@ def l_interpolation_verify(h: int, qv: complex, n: int,
     """L_q^{(h)}(1-n, chi) = -B_{n,chi}^{(h)}/n."""
     _check_interp(n, tol)
     from .qbernoulli import generalized_q_bernoulli
-    from .report import VerificationReport
 
     lhs = q_lfunction(h, qv, complex(1 - n), chi, cfg)
     bval = generalized_q_bernoulli(chi, h, n, qv)
-    err = abs(lhs + bval / n)
-    return VerificationReport(
-        identity="l-interpolation",
-        params={"h": h, "q": complex(qv), "n": n, "d": chi.modulus,
-                "exponents": list(chi.exponents), "tol": tol},
-        witnesses=((f"s=1-{n}", err),),
-        passed=err <= tol,
-    )
+    return _interp_report("l-interpolation",
+                          {"h": h, "q": complex(qv), "n": n, "d": chi.modulus,
+                           "exponents": list(chi.exponents)},
+                          lhs + bval / n, tol)

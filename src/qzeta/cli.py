@@ -118,31 +118,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="(h,q)-Bernoulli tables and identity verification")
     subactions = ap.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        def add_parser(self, name, **kw):
-            return subactions.add_parser(name, parents=[common], **kw)
-    sub = _Sub()
+    def sub(name, **kw):
+        return subactions.add_parser(name, parents=[common], **kw)
 
-    b = sub.add_parser("bernoulli", help="exact B_n^{(h)} table")
+    b = sub("bernoulli", help="exact B_n^{(h)} table")
     b.add_argument("--h", type=int, required=True)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--q", default=None, help="complex q for numeric evaluation")
 
-    p = sub.add_parser("polynomial", help="exact B_n^{(h)}(x) coefficients")
+    p = sub("polynomial", help="exact B_n^{(h)}(x) coefficients")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    g = sub.add_parser("generalized", help="character-twisted values")
+    g = sub("generalized", help="character-twisted values")
     g.add_argument("--modulus", type=int, required=True)
     g.add_argument("--char-index", type=int, default=0)
     g.add_argument("--h", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--q", required=True)
 
-    c = sub.add_parser("characters", help="list Dirichlet characters mod d")
+    c = sub("characters", help="list Dirichlet characters mod d")
     c.add_argument("--modulus", type=int, required=True)
 
-    z = sub.add_parser("zeta", help="q-zeta / q-Hurwitz zeta value")
+    z = sub("zeta", help="q-zeta / q-Hurwitz zeta value")
     z.add_argument("--h", type=int, required=True)
     z.add_argument("--q", required=True)
     z.add_argument("--s", required=True)
@@ -150,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--tol", type=float, default=1e-12)
     z.add_argument("--max-terms", type=int, default=10 ** 7)
 
-    lf = sub.add_parser("lfunction", help="q-L-function value")
+    lf = sub("lfunction", help="q-L-function value")
     lf.add_argument("--modulus", type=int, required=True)
     lf.add_argument("--char-index", type=int, default=0)
     lf.add_argument("--h", type=int, required=True)
@@ -159,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lf.add_argument("--tol", type=float, default=1e-12)
     lf.add_argument("--max-terms", type=int, default=10 ** 7)
 
-    v = sub.add_parser("verify", help="run an identity verification")
+    v = sub("verify", help="run an identity verification")
     v.add_argument("target", choices=["witt", "shift", "closedform",
                                       "distribution", "genfunction",
                                       "interp-zeta", "interp-l", "twisted"])

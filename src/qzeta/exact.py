@@ -630,6 +630,8 @@ class LogScalar(_Ring, _Frozen):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LogScalar":
+        """The inverse of `to_json_dict`, kept as the JSON reader of the
+        values this package writes, though no src/ path calls it."""
         def poly(cs: list[str]) -> QPolynomial:
             return QPolynomial([Fraction(c) for c in cs])
 

@@ -2,11 +2,11 @@
 and the p-adic verification suite (Witt's formula, the shift identities, the
 closed-form integral and the character-twisted integral).
 
-The level-N sums sum_{x<p^N} x^n q^{hx} behind Witt's formula and the
-twisted integral come in closed form from one Mahler expansion
-(`_power_sums`), in O(n (n + w)) operations per level at working precision
-p^w; the shift check sums only the b end terms of f(x+b) - f(x), and the
-q-Volkenborn sum is n + 1 geometric series.  Nothing loops over x < p^N.
+Witt's formula is the twisted integral at the character mod 1: both sum
+chi(x) x^n q^{hx} over x < d p^N in one core (`_level_sums`), from one Mahler
+expansion (`_power_sums`) in O(n (n + w)) operations per level at precision
+p^w, and pass when every level N reaches min(prec, N - slack).  Shift sums b
+end terms, q-Volkenborn n + 1 geometric series: nothing loops over x < p^N.
 
 The verifiers compare these sums with an exact LogScalar target r(q) +
 l(q) log q.  `eval_log_scalar_padic` evaluates both rational parts exactly
@@ -345,16 +345,6 @@ def _check_work(terms: int, w: int, p: int, need: str,
             f"{bound} = {cap} terms of up to 1024 bits")
 
 
-def _ratio(q: PadicNumber, h: int, k_max: int, w: int) -> int:
-    """r = q^h modulo p^w for a unit q, after the work bound of `_power_sums`
-    at this k_max and w."""
-    _check_work(k_max + w, w, q.p, f"level sums need up to k_max + w = "
-                f"{k_max + w} Mahler terms")
-    if q.val != 0:
-        raise PadicDomainError("q must be a p-adic unit")
-    return pow(q.at_precision(w).unit, h, q.p ** w)
-
-
 def _power_sums(r: int, k_max: int, levels: list[int], p: int,
                 w: int) -> list[list[int]]:
     """[sum_{x<p^N} x^k r^x mod p^w for k = 0..k_max], for each N in
@@ -401,28 +391,49 @@ def _power_sums(r: int, k_max: int, levels: list[int], p: int,
     return out
 
 
+def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
+                levels: list[int], prec: int) -> dict[int, list[PadicNumber]]:
+    """{N: [(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n for n in ns]} for
+    each N in `levels`, d = len(chi) prime to p, chi(x) = chi[x mod d].  With
+    x = a + d y and r = q^h, a sum is sum_j C(n, j) d^j c_j S_j, where c_j =
+    sum_a chi(a) r^a a^(n-j) and S_j = sum_{y<p^N} y^j r^(d y) (`_power_sums`);
+    at the character mod 1 (d = 1, chi = [1]) only c_n = 1 is left: Witt's
+    S_N.  Sums are taken mod p^w, w = prec + 2 N_max, N_max = max(levels); a
+    level-N sum is reduced mod p^(prec + N_max + N) and divided by d p^N, so
+    every value is known to prec + N_max absolute digits."""
+    if not ns or ns[0] < 0:
+        raise ValueError("n must be >= 0")
+    p, d, k_max, n_top = q.p, len(chi), ns[-1], max(levels)
+    w = prec + 2 * n_top
+    _check_work(k_max + w, w, p, f"level sums need up to k_max + w = "
+                f"{k_max + w} Mahler terms")
+    if q.val != 0:
+        raise PadicDomainError("q must be a p-adic unit")
+    mod = p ** w
+    r = pow(q.at_precision(w).unit, h, mod)
+    chi_r = [c * pow(r, a, mod) for a, c in enumerate(chi)]
+    coefs = [[comb(n, j) * d ** j * sum(t * a ** (n - j)
+                                         for a, t in enumerate(chi_r)) % mod
+              for j in range(n + 1)] for n in ns]
+    sums = _power_sums(pow(r, d, mod), k_max, levels, p, w)
+    return {N: [PadicNumber.from_int_mod(
+                    p, sum(c * s for c, s in zip(coef, row)), prec + n_top + N)
+                / PadicNumber(p, N, d % mod, w) for coef in coefs]
+            for N, row in zip(levels, sums)}
+
+
 def volkenborn_levels(n_max: int, h: int, q: PadicNumber, levels: list[int],
                       prec: int = DEFAULT_PRECISION) -> dict[int, list[PadicNumber]]:
     """S_N = p^-N sum_{x < p^N} q^{h x} x^n for n = 0..n_max and every N in
-    `levels`, from the closed-form power sums of `_power_sums`.
-
-    Each level-N sum is reduced modulo p^(prec + N_max + N), N_max =
-    max(levels), and divided by p^N, so every S_N is known to prec + N_max
-    absolute digits.
-    """
-    p = q.p
-    n_top = max(levels)
-    w = prec + 2 * n_top
-    r = _ratio(q, h, n_max, w)
-    sums = _power_sums(r, n_max, levels, p, w)
-    return {N: [PadicNumber.from_int_mod(p, s, prec + n_top + N)
-                / PadicNumber(p, N, 1, w) for s in row]
-            for N, row in zip(levels, sums)}
+    `levels`: the level sums of `_level_sums` at the character mod 1, each
+    known to prec + max(levels) absolute digits."""
+    return _level_sums([1], h, range(n_max + 1), q, levels, prec)
 
 
 def volkenborn_sum(f: MonomialTestFunction, N: int,
                    prec: int = DEFAULT_PRECISION) -> PadicNumber:
-    """Level-N Volkenborn approximant p^-N sum_{x<p^N} f(x)."""
+    """Level-N Volkenborn approximant p^-N sum_{x<p^N} f(x): the paper's
+    object, kept as such, though no src/ path calls it."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return volkenborn_levels(f.n, f.h, f.q, [N], prec)[N][f.n]
@@ -484,24 +495,32 @@ def _level_report(identity: str, params: dict, vals: list[tuple[int, int]],
                               tuple(vals))
 
 
+def _target_verdict(identity: str, params: dict, exact, q: PadicNumber,
+                    levels: list[int], sums: dict) -> VerificationReport:
+    """Witt's and twisted's verdict: every level N has v(sums[N][-1] -
+    exact(h)) >= min(prec, N - slack).  At q = 1 both parts of the target
+    have a pole; the target is their q -> 1 limit, the h = 0 value."""
+    levels = sorted(levels)
+    h, prec, slack = params["h"], params["prec"], params["slack"]
+    target = eval_log_scalar_padic(exact(h if q._exact != 1 else 0),
+                                   q.at_precision(prec + levels[-1]))
+    vals = [(N, (sums[N][-1] - target).valuation()) for N in levels]
+    return _level_report(identity, params, vals,
+                         all(v >= min(prec, N - slack) for N, v in vals))
+
+
 def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
                 prec: int = DEFAULT_PRECISION,
                 slack: int = DEFAULT_SLACK) -> VerificationReport:
-    """S_N -> B_n^{(h)} at the given q: at every level N the valuation of
-    S_N - target must reach min(prec, N - slack).  The valuations need not
-    increase with N: S_N can come closer to the target than S_(N+1)."""
+    """S_N -> B_n^{(h)} at the given q, the twisted check at the character
+    mod 1: at every level N the valuation of S_N - target must reach
+    min(prec, N - slack).  The valuations need not increase with N: S_N can
+    come closer to the target than S_(N+1)."""
     _check_prec_slack(prec, slack)
-    sums = volkenborn_levels(n, h, q, levels, prec)    # checks the work bound
-    levels = sorted(levels)
-    # at q = 1 both parts of B_n^{(h)} have a pole; the target is their
-    # q -> 1 limit, the classical B_n = B_n^{(0)}
-    target = eval_log_scalar_padic(
-        q_bernoulli_number(h if q._exact != 1 else 0, n),
-        q.at_precision(prec + levels[-1]))
-    vals = [(N, (sums[N][n] - target).valuation()) for N in levels]
-    return _level_report(
+    sums = volkenborn_levels(n, h, q, levels, prec)    # checks n, work bound
+    return _target_verdict(
         "witt", {"h": h, "n": n, "p": q.p, "prec": prec, "slack": slack},
-        vals, all(v >= min(prec, N - slack) for N, v in vals))
+        lambda g: q_bernoulli_number(g, n), q, levels, sums)
 
 
 def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
@@ -575,37 +594,17 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
                              prec: int = DEFAULT_PRECISION,
                              slack: int = DEFAULT_SLACK) -> VerificationReport:
     """(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n against the exact
-    twisted value, for quadratic chi with gcd(p, d) = 1."""
+    twisted value for quadratic chi, gcd(p, d) = 1, with witt's verdict."""
     _check_prec_slack(prec, slack)
-    p = q.p
-    d = chi.modulus
+    p, d = q.p, chi.modulus
     if d % p == 0:
         raise PadicDomainError("need gcd(p, d) = 1")
     if not chi.is_real():
         raise PadicDomainError("p-adic route needs a quadratic character")
-    n_top = max(levels)
-    w = prec + 2 * n_top
-    r = _ratio(q, h, n, w)
-    mod = p ** w
-    levels = sorted(levels)
-    # x = a + d y: sum_x chi(x) r^x x^n
-    #   = sum_a chi(a) r^a sum_j C(n, j) a^(n-j) d^j S_j(r^d, p^N)
-    chivals = [int(chi.value_rational(a)) for a in range(d)]
-    coef = [comb(n, j) * d ** j * sum(chivals[a] * pow(r, a, mod) * a ** (n - j)
-                                      for a in range(d)) % mod
-            for j in range(n + 1)]
-    sums = _power_sums(pow(r, d, mod), n, levels, p, w)
-    target = eval_log_scalar_padic(  # at q = 1, the q -> 1 limit as in witt
-        generalized_q_bernoulli_exact(chi, h if q._exact != 1 else 0, n),
-        q.at_precision(prec + n_top))
-    vals = []
-    for N, row in zip(levels, sums):
-        acc = sum(c * s for c, s in zip(coef, row))
-        s = PadicNumber.from_int_mod(p, acc, prec + n_top + N) \
-            / PadicNumber(p, N, 1, w) / d
-        vals.append((N, (s - target).valuation()))
-    return _level_report(
+    sums = _level_sums([int(chi.value_rational(a)) for a in range(d)], h,
+                       range(n, n + 1), q, levels, prec)
+    return _target_verdict(
         "twisted-volkenborn",
         {"d": d, "exponents": list(chi.exponents), "h": h, "n": n, "p": p,
          "prec": prec, "slack": slack},
-        vals, vals[-1][1] >= min(prec, n_top - slack))
+        lambda g: generalized_q_bernoulli_exact(chi, g, n), q, levels, sums)

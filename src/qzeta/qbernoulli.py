@@ -123,7 +123,7 @@ def q_bernoulli_number(h: int, n: int) -> LogScalar:
 def q_bernoulli_table(h: int, max_n: int) -> QBernoulliTable:
     """B_0..B_max_n for the given h (any integer, including h <= 0)."""
     if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+        raise ValueError(f"n must be >= 0 (max_n = {max_n})")
     if h == 0:
         vals = tuple(LogScalar(b) for b in classical_bernoulli(max_n))
     else:

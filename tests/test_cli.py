@@ -313,12 +313,38 @@ def test_q1_target_is_the_classical_limit(argv, capsys):
     ["verify", "shift", "--p", "5", "--n", "-1", "--levels", "3"],
     ["generalized", "--modulus", "4", "--char-index", "1", "--h", "1",
      "--n", "-1", "--q", "0.5"],
-], ids=["shift", "generalized"])
+    ["bernoulli", "--h", "1", "--n", "-1"],
+    ["polynomial", "--h", "2", "--n", "-1"],
+    ["verify", "genfunction", "--h", "2", "--n", "-1"],
+    ["verify", "distribution", "--h", "1", "--n", "-1", "--m", "3"],
+    # a level range above the work bound: n is rejected before the sums
+    ["verify", "twisted", "--p", "5", "--n", "-1", "--levels", "3:4000"],
+    ["verify", "witt", "--p", "5", "--n", "-1", "--levels", "3:4000"],
+], ids=["shift", "generalized", "bernoulli", "polynomial", "genfunction",
+        "distribution", "twisted", "witt"])
 def test_negative_n_exits_2(argv, capsys):
+    # each entry point names n and rejects it before any work
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "n must be >= 0" in err
+    assert err.startswith("error: n must be >= 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "5"],
+    ["--p", "3", "--q", "4/7", "--h", "2", "--n", "4", "--levels", "2:7"],
+    ["--p", "2", "--h", "-1", "--n", "3", "--precision", "8"],
+], ids=["defaults", "p3", "p2"])
+def test_witt_is_twisted_at_the_character_mod_1(argv, capsys):
+    # B_{n,chi}^{(h)} at the one character mod 1 is B_n^{(h)}: the twisted
+    # check there reads the same valuations and verdict as witt
+    code, out, _ = run(["verify", "witt", *argv], capsys)
+    code1, out1, _ = run(["verify", "twisted", "--modulus", "1",
+                          "--char-index", "0", *argv], capsys)
+    witt, twisted = json.loads(out), json.loads(out1)
+    assert code == code1 == EXIT_OK
+    assert twisted["levels"] == witt["levels"]
+    assert twisted["pass"] is witt["pass"] is True
 
 
 def test_runaway_level_range_exits_3_fast(capsys):

@@ -1,5 +1,7 @@
 """p-adic arithmetic, Volkenborn sums, and the p-adic identity verifiers."""
 
+import hashlib
+import json
 import sys
 import time
 from fractions import Fraction
@@ -7,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from qzeta.characters import enumerate_characters
+from qzeta.characters import enumerate_characters, principal_character
 from qzeta.exact import LogScalar, RationalFunction
 from qzeta.padic import (MonomialTestFunction, PadicDomainError, PadicNumber,
                          PrecisionExhausted, _power_sums, closed_form_verify,
@@ -324,9 +326,15 @@ def residues(monkeypatch):
 
     def spy(cls, p, value, abs_prec):
         # the exact targets come in as Fractions, and padic_log reduces its
-        # own integer series; the sums are the integers a verifier reduces
+        # own integer series; the sums are the integers a verifier reduces,
+        # itself or (witt and twisted) in the level sums' core, from a
+        # comprehension there
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        name = frame.f_code.co_name
         if (isinstance(value, int)
-                and sys._getframe(1).f_code.co_name.endswith("_verify")):
+                and (name.endswith("_verify") or name == "_level_sums")):
             seen.append(value % p ** abs_prec)
         return real(p, value, abs_prec)
     monkeypatch.setattr(PadicNumber, "from_int_mod", classmethod(spy))
@@ -476,6 +484,75 @@ def test_witt_true_valuations_need_not_increase(prec):
 def test_witt_formula_p7():
     q = Q(7, F(8), 40)
     assert witt_verify(1, 2, q, [2, 3, 4], prec=10).passed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_witt_is_twisted_at_the_character_mod_1(p):
+    # B_{n,chi}^{(h)} at the one character mod 1 is B_n^{(h)}: the twisted
+    # check there reads Witt's valuations and verdict
+    chi = principal_character(1)
+    for qf, h, n in product((F(5), F(13, 9)) if p == 2
+                            else (F(1 + p), F(1 + p, 1 + 2 * p)),
+                            range(-2, 4), range(7)):
+        q = Q(p, qf, 40)
+        witt = witt_verify(h, n, q, [3, 4, 5], prec=12)
+        twisted = padic_generalized_verify(chi, h, n, q, [3, 4, 5], prec=12)
+        assert (twisted.levels, twisted.passed) == \
+            (witt.levels, witt.passed), (qf, h, n)
+
+
+def test_twisted_verdict_reads_every_level():
+    # at slack 0 level 2 misses its bar min(4, 2) by one digit while level 7
+    # clears min(4, 7): witt's every-level rule fails where a rule reading
+    # the last level alone would pass, for the twisted check too
+    q = Q(3, F(4), 40)
+    chi = enumerate_characters(4)[0]
+    for rep in (witt_verify(-2, 5, q, [2, 3, 7], 4, 0),
+                padic_generalized_verify(chi, -2, 5, q, [2, 3, 7], 4, 0)):
+        assert rep.levels == ((2, 1), (3, 2), (7, 6))
+        assert not rep.passed
+
+
+# sha256 of the reports below, as the witt and twisted checks and
+# volkenborn_levels gave them before the two checks shared one core
+_PINNED = {
+    "witt": "34f8584254686dcc518680cd4e509a44818a8057ebca47a35950f0ebad19c5aa",
+    "twisted": "ed07b15ab0ac4ec574bee2b4484d7cd27b86ed6a8afa42ce6bc1144cc2c42e7f",
+    "levels": "7958f1a8087d5363ac04789f2d111c898c876d67a6ae013307d86c030c12a32a",
+}
+_PINNED_Q = ((2, F(5)), (3, F(4, 7)), (3, F(2)), (5, F(6)), (5, F(1)),
+             (7, F(50)))
+
+
+def _pinned_calls(kind):
+    if kind == "witt":
+        for (p, qf), h, n in product(_PINNED_Q, (-2, 1, 3), (0, 3, 6)):
+            yield lambda: witt_verify(h, n, Q(p, qf, 40), range(3, 8), 12)
+    elif kind == "twisted":
+        for (p, qf), d in product(_PINNED_Q, (3, 4, 8)):
+            for chi in enumerate_characters(d):
+                if d % p and chi.is_real():
+                    for h, n in ((-1, 1), (2, 4)):
+                        yield lambda: padic_generalized_verify(
+                            chi, h, n, Q(p, qf, 40), [3, 4, 5, 6], 10)
+    else:
+        for (p, qf), h in product(_PINNED_Q, (-1, 2)):
+            yield lambda: volkenborn_levels(4, h, Q(p, qf, 40), [2, 5], 12)
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED))
+def test_witt_twisted_reports_are_pinned(kind):
+    lines = []
+    for call in _pinned_calls(kind):
+        try:
+            got = call()
+        except (ArithmeticError, ValueError) as e:
+            lines.append(f"{type(e).__name__}: {e}")
+            continue
+        lines.append(repr(got) if kind == "levels"
+                     else json.dumps(got.to_dict(), sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PINNED[kind]
 
 
 # -- identity verifiers ------------------------------------------------------

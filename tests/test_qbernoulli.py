@@ -227,9 +227,10 @@ def test_distribution_products_on_a_warm_cache(monkeypatch):
 
 
 def test_generalized_mod1_reduces_to_plain():
+    # the paper's B_{n,chi}^{(h)} at the one character mod 1 is B_n^{(h)}
     chi = principal_character(1)
-    for h in (1, 2):
-        for n in range(5):
+    for h in range(-3, 4):
+        for n in range(9):
             assert generalized_q_bernoulli_exact(chi, h, n) == \
                 q_bernoulli_number(h, n)
 

@@ -74,6 +74,21 @@ tracer.close()
 print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
 """
 
+_WITT_TWISTED = """
+from fractions import Fraction
+from qzeta import padic
+from qzeta.characters import enumerate_characters
+
+q = padic.PadicNumber.from_fraction(5, Fraction(6), 40)
+chi = next(c for c in enumerate_characters(3) if not c.is_principal())
+tracer = Tracer()
+tracer.install()
+ok = padic.witt_verify(1, 2, q, [3, 4, 5], 12, 3).passed and \\
+    padic.padic_generalized_verify(chi, 1, 2, q, [3, 4], 12, 3).passed
+tracer.close()
+print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
+"""
+
 _PADIC_LOG_EXP = """
 from fractions import Fraction
 from qzeta.characters import enumerate_characters
@@ -175,6 +190,18 @@ def test_span_tracer_sees_padic_target():
     spans = doc["spans"]
     assert spans["padic.target"]["calls"] == 4
     assert spans["padic.volkenborn"]["calls"] == 1
+
+
+def test_span_tracer_attributes_witt_and_twisted_level_sums():
+    # both checks sum their levels in one core: witt reaches it through
+    # volkenborn_levels (padic.volkenborn), twisted directly, inside its own
+    # padic.verify_loops span, so neither check's time moves between layers
+    doc = _traced(_WITT_TWISTED)
+    assert doc["ok"]
+    spans = doc["spans"]
+    assert spans["padic.volkenborn"]["calls"] == 1
+    assert spans["padic.verify_loops"]["calls"] == 1
+    assert spans["padic.witt"]["calls"] == 1
 
 
 @pytest.mark.parametrize("check", [
