@@ -3,7 +3,8 @@ tail-bounded series summation, plus the interpolation checks at negative
 integer arguments.
 
 zeta_q^{(h)} and L_q^{(h)} are each one combination of two Lerch series,
-sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s).  One loop,
+sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s), which `_combine`
+takes, with its bound, for both.  One loop,
 `_lerch_pair`, sums every Lerch series here: both at once in a single pass
 over k, sharing w^k and log(k+x), or, for `lerch_sum_with_bound`, the one
 at s alone.  Each series keeps its own stopping test and stays frozen once
@@ -136,7 +137,11 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     return _lerch_pair(w, s, x, cfg, alone=True)[:2]
 
 
-def _check_q(h: int, qv: complex) -> complex:
+def _combine(h: int, qv: complex, s: complex, name: str,
+             pair) -> tuple[complex, float]:
+    """The step shared by the q-zeta and q-L definitions (`name` names it in
+    the pole message): a - (h log q/(s-1)) b and its bound, from the series
+    at s and s - 1 and their bounds, (a, ba, b, bb) = pair(q^h, s)."""
     qv = complex(qv)
     if not 0 < abs(qv) < 1:
         from .exact import DomainError
@@ -145,7 +150,12 @@ def _check_q(h: int, qv: complex) -> complex:
         raise SeriesDivergence(
             f"|q^h| = {abs(qv ** h)} >= 1: defining series diverges "
             f"(h = {h}: h <= 0 is not analytically continued)")
-    return qv
+    s = complex(s)
+    if s == 1:
+        raise PoleAt1(f"s = 1 is the simple pole of the {name} definition")
+    a, ba, b, bb = pair(qv ** h, s)
+    fac = h * cmath.log(qv) / (s - 1)
+    return a - fac * b, ba + abs(fac) * bb
 
 
 def q_hurwitz_zeta_with_bound(h: int, qv: complex, s: complex, x: float,
@@ -153,13 +163,8 @@ def q_hurwitz_zeta_with_bound(h: int, qv: complex, s: complex, x: float,
                               ) -> tuple[complex, float]:
     """zeta_q^{(h)}(s, x) = sum_{n>=0} q^{nh}/(n+x)^s
                             - (h log q/(s-1)) sum_{n>=0} q^{nh}/(n+x)^{s-1}."""
-    qv = _check_q(h, qv)
-    s = complex(s)
-    if s == 1:
-        raise PoleAt1("s = 1 is the simple pole of the q-zeta definition")
-    a, ba, b, bb = _lerch_pair(qv ** h, s, x, cfg)
-    fac = h * cmath.log(qv) / (s - 1)
-    return a - fac * b, ba + abs(fac) * bb
+    return _combine(h, qv, s, "q-zeta",
+                    lambda w, s: _lerch_pair(w, s, x, cfg))
 
 
 def q_hurwitz_zeta(h: int, qv: complex, s: complex, x: float,
@@ -203,13 +208,7 @@ def q_lfunction_with_bound(h: int, qv: complex, s: complex,
     """L_q^{(h)}(s, chi) = sum_{n>=1} q^{nh} chi(n)/n^s
                            - (h log q/(s-1)) sum_{n>=1} q^{nh} chi(n)/n^{s-1},
     exactly as defined (note the q^{nh}, not q^{(n-1)h})."""
-    qv = _check_q(h, qv)
-    s = complex(s)
-    if s == 1:
-        raise PoleAt1("s = 1 is the simple pole of the q-L definition")
-    a, ba, b, bb = _char_sum(chi, qv ** h, s, cfg)
-    fac = h * cmath.log(qv) / (s - 1)
-    return a - fac * b, ba + abs(fac) * bb
+    return _combine(h, qv, s, "q-L", lambda w, s: _char_sum(chi, w, s, cfg))
 
 
 def q_lfunction(h: int, qv: complex, s: complex, chi: DirichletCharacter,

@@ -259,23 +259,19 @@ def _run(args) -> tuple[object, int]:
                         "conductor": chi.conductor(), "values": values})
         return out, EXIT_OK
 
-    if cmd == "zeta":
-        from .analytic import SeriesEvalConfig, q_hurwitz_zeta_with_bound
+    if cmd in ("zeta", "lfunction"):
+        from . import analytic
 
-        cfg = SeriesEvalConfig(tol=args.tol, max_terms=args.max_terms)
-        qv = _parse_complex(args.q)
-        s = _parse_complex(args.s)
-        val, bound = q_hurwitz_zeta_with_bound(args.h, qv, s, args.x, cfg)
-        return {"re": val.real, "im": val.imag,
-                "certified_tail_bound": bound}, EXIT_OK
-
-    if cmd == "lfunction":
-        from .analytic import SeriesEvalConfig, q_lfunction_with_bound
-
-        cfg = SeriesEvalConfig(tol=args.tol, max_terms=args.max_terms)
-        chi = _char(args.modulus, args.char_index)
-        val, bound = q_lfunction_with_bound(
-            args.h, _parse_complex(args.q), _parse_complex(args.s), chi, cfg)
+        cfg = analytic.SeriesEvalConfig(tol=args.tol, max_terms=args.max_terms)
+        if cmd == "zeta":
+            val, bound = analytic.q_hurwitz_zeta_with_bound(
+                args.h, _parse_complex(args.q), _parse_complex(args.s),
+                args.x, cfg)
+        else:
+            chi = _char(args.modulus, args.char_index)
+            val, bound = analytic.q_lfunction_with_bound(
+                args.h, _parse_complex(args.q), _parse_complex(args.s), chi,
+                cfg)
         return {"re": val.real, "im": val.imag,
                 "certified_tail_bound": bound}, EXIT_OK
 

@@ -16,6 +16,10 @@ exponents {d: e_d} (Phi_0 = q): products add them, sums take their maximum,
 and lowest terms come from exact integer division of the numerator by the
 monic Phi_d, with no polynomial gcd.  A denominator with any other factor
 raises DomainError; inverting such a numerator raises NonInvertible.
+
+Only this module reads that format: `rf_sum` and both identity checks of
+qbernoulli lift with `_lift_all` to integer numerator lists over one common
+denominator, and `_lower` turns such a list back into lowest terms.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _subst_factors(d: int, m: int) -> tuple[int, ...]:
     """The factors c of Phi_d(q^m) = prod Phi_c: q^m for d = 0, else every
-    c | d m with c / gcd(c, m) = d."""
+    c | d m with c / gcd(c, m) = d.  At d = 1 these are the c | m, so
+    (q^m - 1)^k = prod_{c | m} Phi_c^k."""
     if d == 0:
         return (0,) * m
     return tuple(c for c in range(1, d * m + 1)
@@ -139,14 +144,22 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
 # ---------------------------------------------------------------------------
 
 class _Ring:
-    """`-`, `==`, the reflected operators and, where there is an `inverse`,
-    `/`, from a type's `_coerce` (its own type, or None for a foreign
-    operand), `+`, unary `-` and `*`.  A foreign operand, such as a p-adic
-    number met by an exact one, gets NotImplemented both ways, so Python
-    raises TypeError."""
+    """`-`, `==`, `hash`, the reflected operators and, where there is an
+    `inverse`, `/`, from a type's `_coerce` (its own type, or None for a
+    foreign operand), `+`, unary `-` and `*`.  A foreign operand, such as a
+    p-adic number met by an exact one, gets NotImplemented both ways, so
+    Python raises TypeError."""
 
     __slots__ = ()
-    __hash__ = _Frozen.__hash__
+
+    def __hash__(self):
+        """Equal across the exact types, int and Fraction: a constant's is
+        its Fraction's, any other value's that of its LogScalar normal form."""
+        v = self if isinstance(self, LogScalar) else LogScalar(self)
+        if not v.log and not v.rat.exps and v.rat.num.degree < 1:
+            return hash(v.rat.num(0))
+        return hash(tuple((r.num.ints, r.num.den, tuple(sorted(r.exps.items())))
+                          for r in (v.rat, v.log)))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -315,7 +328,6 @@ class QPolynomial(_Ring, _Frozen):
         return "QPolynomial(" + " + ".join(terms) + ")"
 
 
-_P0 = QPolynomial()
 _P1 = QPolynomial([1])
 
 
@@ -331,13 +343,13 @@ def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
     a = left.pop(0, 0)
     factors = []
     for n in sorted(left, reverse=True):
-        divs = [c for c in range(1, n + 1) if n % c == 0]
-        t = min(left.get(c, 0) for c in divs)
+        run = _subst_factors(1, n)                 # the c | n
+        t = min(left.get(c, 0) for c in run)
         if t:
             binom = [0] * (n * t + 1)
             binom[::n] = [(-1) ** (t - k) * comb(t, k) for k in range(t + 1)]
             factors.append(QPolynomial._raw(binom))
-            for c in divs:
+            for c in run:
                 left[c] -= t
     factors += [_phi_power(d, e) for d, e in sorted(left.items()) if e]
     num = reduce(mul, factors, num)
@@ -349,25 +361,6 @@ def _phi_power(d: int, e: int) -> QPolynomial:
     if e == 1:
         return QPolynomial(_cyclotomic(d))
     return _phi_power(d, e // 2) * _phi_power(d, e - e // 2)
-
-
-def _lift(num: QPolynomial, exps: dict, top: dict) -> QPolynomial:
-    """The numerator of num / prod Phi_d^exps[d] over prod Phi_d^top[d],
-    top >= exps: num times the factors that exps lacks."""
-    lift = {d: e - exps.get(d, 0) for d, e in top.items()
-            if e > exps.get(d, 0)}
-    return _expand(lift, num) if lift else num
-
-
-def _lowest(num: QPolynomial, exps: dict, check) -> tuple[QPolynomial, dict]:
-    """num / prod Phi_d^exps[d] with the factors Phi_d, d in `check`,
-    cancelled from num."""
-    if not num:
-        return num, {}
-    quo, left = _cancel(num.ints, exps, check)
-    if quo is not num.ints:
-        num = QPolynomial._raw(quo, num.den)
-    return num, left
 
 
 class RationalFunction(_Ring, _Frozen):
@@ -388,8 +381,9 @@ class RationalFunction(_Ring, _Frozen):
             raise DomainError(f"denominator {den!r} is not q^a times a "
                               "product of cyclotomic polynomials")
         lead, exps = factored
-        num, exps = _lowest(num * (1 / lead), exps, exps)
-        self._set(num, exps, None)
+        num = num * (1 / lead)
+        low = _lower(list(num.ints), num.den, exps, exps)
+        self._set(low.num, low.exps, None)
 
     @classmethod
     def _raw(cls, num: QPolynomial, exps: dict) -> "RationalFunction":
@@ -418,9 +412,6 @@ class RationalFunction(_Ring, _Frozen):
 
     def __bool__(self):
         return bool(self.num)
-
-    def __hash__(self):  # exps is a dict
-        return hash((self.num, frozenset(self.exps.items())))
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -452,12 +443,12 @@ class RationalFunction(_Ring, _Frozen):
             return _RF0
         # each numerator is coprime to its own denominator, so only the
         # other one's factors can cancel
-        n1, e2 = _lowest(self.num, o.exps, o.exps)
-        n2, e1 = _lowest(o.num, self.exps, self.exps)
-        exps = dict(e1)
-        for d, e in e2.items():
+        a = _lower(list(self.num.ints), self.num.den, o.exps, o.exps)
+        b = _lower(list(o.num.ints), o.num.den, self.exps, self.exps)
+        exps = dict(b.exps)
+        for d, e in a.exps.items():
             exps[d] = exps.get(d, 0) + e
-        return RationalFunction._raw(n1 * n2, exps)
+        return RationalFunction._raw(a.num * b.num, exps)
 
     def __pow__(self, k: int) -> "RationalFunction":
         if not isinstance(k, int):
@@ -512,26 +503,53 @@ class RationalFunction(_Ring, _Frozen):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-_RF0 = RationalFunction._raw(_P0, {})
+_RF0 = RationalFunction._raw(QPolynomial(), {})
+
+
+def _lift_all(parts, s: int = 0) -> tuple[dict, int, list[list[int]]]:
+    """Lift the rational functions `parts` once to their least common
+    denominator times q^s: (its exponents, an integer D, one integer list
+    per part, all of one length), where part i has the numerator
+    q^s * lists[i] / D over that denominator."""
+    top = {}
+    for r in parts:
+        for d, e in r.exps.items():
+            if e > top.get(d, 0):
+                top[d] = e
+    nums = []
+    for r in parts:   # times the factors of top that its denominator lacks
+        lift = {d: e - r.exps.get(d, 0) for d, e in top.items()
+                if e > r.exps.get(d, 0)}
+        nums.append(_expand(lift, r.num) if lift else r.num)
+    den = lcm(*(p.den for p in nums))
+    width = max((len(p.ints) for p in nums), default=0)
+    rows = []
+    for p in nums:
+        k = den // p.den
+        rows.append([c * k for c in p.ints] + [0] * (width - len(p.ints)))
+    return {**top, 0: top.get(0, 0) + s} if s else top, den, rows
+
+
+def _lower(ints: list[int], den: int, exps: dict, check) -> RationalFunction:
+    """ints / den over prod Phi_d^exps[d], with each Phi_d, d in `check`,
+    cancelled from the numerator (a list it takes over) as often as it
+    divides: the one step that brings a value to lowest terms."""
+    if not any(ints):
+        return _RF0
+    quo, left = _cancel(ints, exps, check)
+    return RationalFunction._raw(QPolynomial._raw(quo, den), left)
 
 
 def rf_sum(parts) -> RationalFunction:
     """Sum over the least common denominator, whose exponent of each Phi_d
-    is the largest among the parts.  Phi_d can divide the summed numerator
-    only where two or more parts reach that largest exponent."""
-    parts = [p for p in parts if not p.is_zero()]
-    top, reached = {}, {}
-    for p in parts:
-        for d, e in p.exps.items():
-            if e > top.get(d, 0):
-                top[d], reached[d] = e, 1
-            elif e == top[d]:
-                reached[d] += 1
-    num = _P0
-    for p in parts:
-        num = num + _lift(p.num, p.exps, top)
-    return RationalFunction._raw(
-        *_lowest(num, top, [d for d, k in reached.items() if k > 1]))
+    is the largest among the parts: the column sums of `_lift_all`.  Phi_d
+    can divide the summed numerator only where two or more parts reach that
+    largest exponent."""
+    parts = [p for p in parts if p]
+    top, den, rows = _lift_all(parts)
+    reached = [d for d, e in top.items()
+               if sum(p.exps.get(d, 0) == e for p in parts) > 1]
+    return _lower(list(map(sum, zip(*rows))), den, top, reached)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ MAX_POWER_SUM_TERMS = 360
 # The same bound on the products mod p^w of the shift check: its b end terms,
 # about w terms of the log series and N log2 p squarings for r^(p^N).  For
 # p < 2^64 it admits every b <= 50,000 / (size of p^w) with any w and N that
-# the bound above admits, so any b <= 10^4 there.
+# the bound above admits, so any b <= 10^4 there.  q_volkenborn_sum takes it
+# on its (n + 2) N log2 p squarings.
 MAX_SHIFT_TERMS = 62_000
 
 
@@ -457,11 +458,15 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
     x0 = Fraction(x0)
     if _vp(x0.denominator, p) > 0:
         raise PadicDomainError("|x0|_p <= 1 required")
-    M = p ** N
     # digits lost: v(1-q) + N + v(h+j) in 1 - q^((h+j) M), and about
     # n v(1-q) + N in the sum, whose terms are (1 - q^(x0+x))^n q^(hx)
     w = (prec + N + (n + 1) * (1 - q).valuation()
          + max((_vp(h + j, p) for j in range(n + 1) if h + j), default=0) + 4)
+    # n + 2 powers q^(e M), each N log2 p squarings mod p^w
+    terms = (n + 2) * ceil(N * log2(p))
+    _check_work(terms, w, p, f"the q-Volkenborn sum needs (n + 2) N log2 p = "
+                f"{terms} products", "MAX_SHIFT_TERMS")
+    M = p ** N
     qw = q.at_precision(w)
     one_minus_q = 1 - qw
     if one_minus_q.is_zero():

@@ -24,9 +24,10 @@ shared by every character mod d, the L-interpolation check, the numeric
 twisted values and the p-adic twisted target.
 
 Both checks lift each term once, per component (rat, log), to one common
-cyclotomic denominator, and then build every coefficient of lhs - rhs from
-integer lists by integer multiples, additions and shifts by powers of q,
-with no polynomial product.  The generating-function check runs the
+cyclotomic denominator (`exact._lift_all`), and then build every coefficient
+of lhs - rhs from integer lists by integer multiples, additions and shifts
+by powers of q, with no polynomial product; `exact._lower` brings only a
+nonzero one to lowest terms.  The generating-function check runs the
 recurrence that multiplying by q^h e^t - 1 gives, so it is independent of
 how the closed-form values were built; the distribution check builds its
 right side from Taylor shifts x -> x + 1.
@@ -37,13 +38,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add, mul, sub
 
 from .characters import DirichletCharacter, _Frozen
-from .exact import (DomainError, LogScalar, QPolynomial, RationalFunction,
-                    XPolynomial, _in_unit_disc, _lift, _lowest,
-                    eval_log_scalar_complex)
+from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
+                    _in_unit_disc, _lift_all, _lower, eval_log_scalar_complex)
 from .report import VerificationReport
 from .series import TruncatedSeries
 
@@ -93,10 +93,7 @@ def _over_one_minus_z(num: list[int], k: int, h: int) -> RationalFunction:
         num = (num + [0] * (k + 1 - len(num)))[::-1]
     else:
         num = [(-1) ** k * c for c in num]
-    # (q^{|h|} - 1)^k = prod_{d | |h|} Phi_d^k
-    return RationalFunction._raw(QPolynomial._raw(num).subst_q_power(abs(h)),
-                                 {d: k for d in range(1, abs(h) + 1)
-                                  if h % d == 0})
+    return _lower(num, 1, {1: k}, ()).subst_q_power(abs(h))
 
 
 @lru_cache(maxsize=None)
@@ -140,23 +137,6 @@ def q_bernoulli_polynomial(h: int, n: int) -> XPolynomial:
     return XPolynomial(coeffs)
 
 
-def _lift_all(parts, s: int):
-    """Lift the rational functions `parts` once to their least common
-    denominator times q^s: (its exponents, an integer D, one integer
-    numerator list per part, all of one length), part i being
-    q^{-s} * lists[i] / D over that denominator."""
-    top = {}
-    for r in parts:
-        for d, e in r.exps.items():
-            top[d] = max(top.get(d, 0), e)
-    nums = [_lift(r.num, r.exps, top) for r in parts]
-    den = lcm(*(p.den for p in nums))
-    width = max(len(p.ints) for p in nums)
-    return ({**top, 0: top.get(0, 0) + s} if s else top, den,
-            [[c * (den // p.den) for c in p.ints] + [0] * (width - len(p.ints))
-             for p in nums])
-
-
 def _report(identity: str, params: dict, var: str, parts) -> VerificationReport:
     """One witness per power of `var`.  `parts` holds per component (rat,
     log) its denominator's exponents and, per power, lhs - rhs as an integer
@@ -169,7 +149,7 @@ def _report(identity: str, params: dict, var: str, parts) -> VerificationReport:
             witnesses.append((f"{var}^{j}", "0"))
             continue
         witnesses.append((f"{var}^{j}", LogScalar(*(
-            RationalFunction._raw(*_lowest(QPolynomial._raw(ints, d), exps, exps))
+            _lower(ints, d, exps, exps)
             for (ints, d), (exps, _) in zip(nums, parts)))))
     return VerificationReport(
         identity=identity, params=params, witnesses=tuple(witnesses),

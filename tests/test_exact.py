@@ -1,5 +1,7 @@
 """Exact-layer tests: polynomials, rational functions, log scalars."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qzeta.exact import (DomainError, LogDegreeOverflow, LogScalar,
                          NonInvertible, QPolynomial, RationalFunction,
                          XPolynomial, _cyclotomic, _expand,
-                         eval_log_scalar_complex, eval_log_scalar_mp)
+                         eval_log_scalar_complex, eval_log_scalar_mp, rf_sum)
 
 F = Fraction
 
@@ -384,3 +386,113 @@ def test_mixed_operand_contract():
                       (3 + pn, F(27, 7)), (1 / pn, F(7, 6))):
         assert (got - PadicNumber.from_fraction(5, want)).is_zero()
     assert 1 / LogScalar(2) == LogScalar(F(1, 2))
+
+
+# -- hashing: equal values hash equal ----------------------------------------
+
+def test_equal_values_hash_equal():
+    p = QPolynomial([1, 2])
+    assert p == RationalFunction(p) == LogScalar(p)
+    assert len({p, RationalFunction(p), LogScalar(p)}) == 1
+    assert LogScalar(3) in {3}
+    assert {QPolynomial([F(1, 2)]): 1}[F(1, 2)] == 1
+    assert hash(RationalFunction(F(2, 3))) == hash(F(2, 3))
+    # a denominator and a log part: the LogScalar normal form
+    r = RationalFunction(QPolynomial([1, 1]), QPolynomial([0, -1, 1]))
+    assert hash(r) == hash(LogScalar(r)) == hash(LogScalar(r, 0))
+    assert len({LogScalar(r, 3), LogScalar(r, 3) + 0, r}) == 2
+    # a p-adic number keeps identity == and hash
+    from qzeta.padic import PadicNumber
+    a, b = PadicNumber.from_fraction(5, F(6)), PadicNumber.from_fraction(5, F(6))
+    assert a != b and len({a, b}) == 2
+
+
+# -- ring laws on random values over cyclotomic denominators -----------------
+
+# Phi_d^e (d <= 12) and q^a: the only factors a denominator may hold
+_DENS = st.tuples(st.dictionaries(st.integers(1, 12), st.integers(1, 2),
+                                  max_size=2),
+                  st.integers(0, 2))
+_NUMS = st.lists(st.integers(-3, 3), max_size=4)
+_RING = settings(derandomize=True, database=None, max_examples=40,
+                 deadline=None)
+
+
+def _den(exps, a):
+    """prod_d Phi_d^exps[d] times q^a, built by schoolbook products."""
+    out = QPolynomial([0] * a + [1])
+    for d, e in exps.items():
+        for _ in range(e):
+            out = _schoolbook(out, QPolynomial(_cyclotomic(d)))
+    return out
+
+
+_RF = st.builds(lambda num, den, c: RationalFunction(
+    QPolynomial(num) * c, _den(*den)), _NUMS, _DENS,
+    st.fractions(-2, 2, max_denominator=3))
+_UNIT = st.builds(lambda top, bottom, c: RationalFunction(
+    _den(*top) * c, _den(*bottom)), _DENS, _DENS,
+    st.sampled_from([F(1), F(-2), F(3, 5)]))
+_LS = st.builds(LogScalar, _RF, _RF)
+
+
+@_RING
+@given(_RF, _RF, _RF)
+def test_rational_function_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0
+    for r in (a + b, a * b, a - b, a * (b + c)):
+        _assert_lowest_terms(r)
+
+
+@_RING
+@given(_LS, _LS, _RF, _RF)
+def test_log_scalar_ring_laws(a, b, c, d):
+    # at most one factor of a product may carry a log part
+    assert (a + b) + c == a + (b + c)
+    assert (a * c) * d == a * (c * d)
+    assert a * (c + d) == a * c + a * d
+    assert (a + b) * c == a * c + b * c
+    assert a - a == 0 and (a - a).is_zero()
+    for v in (a + b, a * c, a - b):
+        _assert_lowest_terms(v.rat)
+        _assert_lowest_terms(v.log)
+
+
+@_RING
+@given(_LS, _RF, _UNIT)
+def test_division_by_a_unit_undoes_the_product(a, r, u):
+    assert (r / u) * u == r
+    assert (a / u) * u == a
+    assert (a * u) / u == a
+    _assert_lowest_terms(r / u)
+
+
+@_RING
+@given(st.lists(_RF, max_size=5))
+def test_rf_sum_is_the_folded_sum(parts):
+    total = rf_sum(parts)
+    assert total == functools.reduce(operator.add, parts, RationalFunction(0))
+    # an oracle that shares no lift: each part evaluated at a rational point
+    x = F(2, 7)
+    assert total.eval_fraction(x) == sum((p.eval_fraction(x) for p in parts),
+                                         F(0))
+    _assert_lowest_terms(total)
+
+
+@_RING
+@given(_LS, _RF, _UNIT)
+def test_equal_values_hash_equal_across_types(a, r, u):
+    # the same value reached by different routes, and through each type
+    for x, y in ((r, (r * u) / u), (r, rf_sum([r, u, -u])), (r, LogScalar(r)),
+                 (a, (a * u) / u), (a, a + r - r)):
+        assert x == y and hash(x) == hash(y)
+    if not r.den.degree:           # a polynomial: QPolynomial too
+        assert hash(r) == hash(r.num) == hash(LogScalar(r.num))
+        if r.num.degree < 1:       # a constant: Fraction, and int when whole
+            c = r.num.coeffs[0] if r.num else F(0)
+            assert hash(r) == hash(c) and r == c
+            if c.denominator == 1:
+                assert hash(r) == hash(int(c))

@@ -426,6 +426,19 @@ def test_q_volkenborn_sum_deep_level_is_fast():
     assert s.prec >= 10
 
 
+def test_q_volkenborn_sum_has_a_work_bound():
+    # (n + 2) N log2 p squarings mod p^w against MAX_SHIFT_TERMS: at these
+    # arguments N = 1707 is the largest level accepted, and N = 30000 raises
+    # before anything of size p^w is built (it used to run for minutes)
+    q = Q(5, F(6))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match="MAX_SHIFT_TERMS"):
+        q_volkenborn_sum(2, 1, 0, q, 30000, prec=10)
+    with pytest.raises(PrecisionExhausted):
+        q_volkenborn_sum(2, 1, 0, q, 1708, prec=10)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("h,n", [(0, 1), (1, 0), (1, 2), (2, 3)])
 def test_witt_formula(h, n):
     q = Q(5, F(6), 40)

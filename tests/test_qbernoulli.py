@@ -109,9 +109,9 @@ def test_distribution_pass_reduces_nothing(h, monkeypatch):
     q_bernoulli_polynomial(h, 6)
 
     def no_lowest(*_):
-        raise AssertionError("_lowest called on a PASS")
-    monkeypatch.setattr(exact, "_lowest", no_lowest)
-    monkeypatch.setattr(qbernoulli, "_lowest", no_lowest)
+        raise AssertionError("lowered to lowest terms on a PASS")
+    monkeypatch.setattr(exact, "_lower", no_lowest)
+    monkeypatch.setattr(qbernoulli, "_lower", no_lowest)
     assert distribution_check(h, 6, 3).passed
 
 

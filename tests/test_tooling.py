@@ -297,3 +297,30 @@ def test_setattr_defined_only_in_frozen_base():
             if name in found:
                 found[name].append((path.name, cls))
     assert found == {m: [owner] for m, owner in _DEFINED_ONLY_IN.items()}
+
+
+# the cyclotomic denominator format: a rational function's exponents and a
+# polynomial's integer form, and the private constructors and lowering
+# helpers that read them, are exact.py's alone; other modules go through
+# the public classes and exact's _lift_all and _lower
+_FORMAT_ATTRIBUTES = {"exps", "ints"}
+_FORMAT_CALLS = {"_raw", "_lowest", "_lift"}
+
+
+def test_denominator_format_is_read_only_in_exact():
+    found = []
+    for path in sorted((ROOT / "src" / "qzeta").glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # .exps and .ints as attributes: a local `exps` is no read
+            if isinstance(node, ast.Attribute):
+                names = {node.attr} & (_FORMAT_ATTRIBUTES | _FORMAT_CALLS)
+            elif isinstance(node, ast.Name):
+                names = {node.id} & _FORMAT_CALLS
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & _FORMAT_CALLS
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names]
+    assert found == []
