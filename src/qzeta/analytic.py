@@ -30,7 +30,7 @@ class SeriesDivergence(ArithmeticError):
     pass
 
 
-class PoleAt1(ArithmeticError):
+class PoleAt1(ArithmeticError, ValueError):
     """s = 1 hits the simple pole of the h*log q/(s-1) term."""
 
 

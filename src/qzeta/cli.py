@@ -1,7 +1,12 @@
 """Batch command-line surface: table generation and identity verification.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
-3 precision or convergence failure.
+Exit codes: 0 success/pass, 1 verification failure, 2 bad input, 3 a
+number that cannot be computed or certified.  Python's exception hierarchy
+carries the rule: bad input raises a ValueError (UsageError,
+exact.DomainError, analytic.PoleAt1) and exits 2, as does an OSError of
+writing --out; a failed computation raises an ArithmeticError (the analytic
+series errors, exact.ExactError, padic.PadicError with PadicDomainError,
+ZeroDivisionError, OverflowError) and exits 3.  A class that is both exits 2.
 
 A process loads only the modules its subcommand runs: `characters` needs
 no exact arithmetic, `zeta` and `lfunction` none either and no p-adic
@@ -24,7 +29,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -327,7 +332,7 @@ def _run_padic(args, modulus: int):
         return padic.shift_identity_verify(f, args.b, levels[-1],
                                            prec=prec, slack=slack)
     if t == "closedform":
-        # check --p before from_fraction, which never returns at p = 1
+        # check --p before --t: from_fraction takes any p >= 2, prime or not
         q = _padic_q(args, prec)
         tv = (_parse_rational(args.t) if args.t
               else Fraction(4 if args.p == 2 else args.p))
@@ -345,18 +350,6 @@ def _run_padic(args, modulus: int):
                                      f"--p {args.p}: need gcd(p, d) = 1")
     return padic.padic_generalized_verify(chi, args.h, args.n, q, levels,
                                           prec=prec, slack=slack)
-
-
-def _loaded(*names: str) -> tuple[type, ...]:
-    """The error classes `module.Class` whose qzeta module is loaded: a class
-    of a module this process never imported cannot have been raised."""
-    out = []
-    for name in names:
-        mod, cls = name.split(".")
-        m = sys.modules.get(f"{__package__}.{mod}")
-        if m is not None:
-            out.append(getattr(m, cls))
-    return tuple(out)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -390,19 +383,15 @@ def main(argv=None) -> int:
             sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    # an except clause is evaluated only when an exception reaches it
     try:
         doc, code = _run(args)
-    except (UsageError, ValueError,
-            *_loaded("analytic.PoleAt1", "exact.DomainError")) as e:
+        _emit(doc, args.format, args.out)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ZeroDivisionError, OverflowError,
-            *_loaded("analytic.SeriesDivergence", "analytic.TruncationFailure",
-                     "padic.PadicError", "exact.ExactError")) as e:
+    except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(doc, args.format, args.out)
     return code
 
 

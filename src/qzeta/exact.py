@@ -51,7 +51,7 @@ class PoleError(ExactError):
     """Denominator vanishes at the evaluation point."""
 
 
-class DomainError(ExactError):
+class DomainError(ExactError, ValueError):
     pass
 
 
@@ -619,13 +619,6 @@ class LogScalar(_Ring, _Frozen):
         if not self.log.is_zero():
             raise NonInvertible("non-invertible: scalar carries a log part")
         return LogScalar(self.rat.inverse())
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return LogScalar(self.rat * (1 / other), self.log * (1 / other))
-        return _Ring.__truediv__(self, other)
 
     def subst_q_power(self, m: int) -> "LogScalar":
         """q -> q^m; the LAMBDA coefficient picks up a factor m since

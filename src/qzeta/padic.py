@@ -66,6 +66,12 @@ class PadicDomainError(PadicError):
     pass
 
 
+def _check_base(p: int) -> None:
+    # _vp loops forever at p = 1 or -1
+    if p < 2:
+        raise ValueError(f"p = {p} must be a prime >= 2")
+
+
 def _vp(n: int, p: int) -> int:
     if n == 0:
         return _BIG
@@ -88,6 +94,7 @@ class PadicNumber(_Ring, _Frozen):
 
     @classmethod
     def zero(cls, p: int, abs_prec: int = _BIG) -> "PadicNumber":
+        _check_base(p)
         return cls(p, abs_prec, 0, 0, Fraction(0) if abs_prec >= _BIG else None)
 
     @classmethod
@@ -95,6 +102,7 @@ class PadicNumber(_Ring, _Frozen):
                       ) -> "PadicNumber":
         """`from_int_mod` at relative precision max(prec, 1) that remembers
         the rational fr; 0 is the exact zero."""
+        _check_base(p)
         fr = Fraction(fr)
         if fr == 0:
             return cls.zero(p)
@@ -106,6 +114,7 @@ class PadicNumber(_Ring, _Frozen):
     def from_int_mod(cls, p: int, value, abs_prec: int) -> "PadicNumber":
         """Number known as the integer or rational `value` modulo
         p^abs_prec."""
+        _check_base(p)
         fr = Fraction(value)
         vn, vd = _vp(fr.numerator, p), _vp(fr.denominator, p)
         v = vn - vd

@@ -112,6 +112,53 @@ def test_out_file(tmp_path, capsys):
     json.loads(path.read_text())
 
 
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    # an error of the file system is bad input, not a failing identity
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(["characters", "--modulus", "3", "--out", str(path)],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["characters", "--modulus", "3"],
+     "conductor: 1\nexponents:\n  0\nindex: 0\nmodulus: 3\nvalues:\n"
+     "  0: 0\n  1: e(2*pi*i*0)\n  2: e(2*pi*i*0)\n"
+     "conductor: 3\nexponents:\n  1\nindex: 1\nmodulus: 3\nvalues:\n"
+     "  0: 0\n  1: e(2*pi*i*0)\n  2: e(2*pi*i*1/2)\n"),
+    (["verify", "witt", "--levels", "3:4"],
+     "identity: witt\nlevels:\n  N: 3\n  valuation: 3\n  N: 4\n"
+     "  valuation: 4\nparams:\n  h: 1\n  n: 1\n  p: 5\n  prec: 16\n"
+     "  slack: 3\npass: True\nwitnesses:\n  case: N=3\n  discrepancy: 3\n"
+     "  case: N=4\n  discrepancy: 4\n"),
+], ids=["characters", "witt"])
+def test_text_format_nests_key_value_lines(argv, text, capsys):
+    # a dict's keys sorted, one per line; a nested value indented below its
+    # key, and a list's items at the indent of the list
+    code, out, _ = run(argv + ["--format", "text"], capsys)
+    assert code == EXIT_OK
+    assert out == text
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["verify", "witt", "--q", "abc"], "cannot parse rational 'abc'"),
+    (["verify", "closedform", "--t", "1/0"], "cannot parse rational '1/0'"),
+    (["generalized", "--modulus", "4", "--char-index", "5", "--h", "1",
+      "--n", "2", "--q", "0.5"], "char index 5 out of range (modulus 4 has 2)"),
+    (["verify", "interp-l", "--modulus", "4", "--char-index", "5",
+      "--q", "0.5"], "char index 5 out of range (modulus 4 has 2)"),
+], ids=["witt-q", "closedform-t", "generalized-char", "interp-l-char"])
+def test_unparsable_rational_or_char_index_exits_2(argv, msg, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {msg}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--format", "csv", "characters", "--modulus", "3"],
     ["--out", "OUT", "characters", "--modulus", "3"],

@@ -348,6 +348,19 @@ def test_non_cyclotomic_numerator_not_invertible():
         RationalFunction(QPolynomial([1, F(1, 2), F(1, 2)]), QPolynomial([0, 1]))
 
 
+def test_division_has_one_path():
+    # LogScalar divides as every number type does, through _Ring and inverse
+    errors = []
+    for a in (LogScalar(1), RationalFunction(1)):
+        with pytest.raises(NonInvertible) as e:
+            a / 0
+        errors.append((type(e.value), str(e.value)))
+    assert errors[0] == errors[1] == (NonInvertible,
+                                      "division by zero rational function")
+    assert repr(LogScalar(0, 1) / 2) == repr(LogScalar(0, 1) * F(1, 2))
+    assert repr(LogScalar(3, 1) / F(2, 3)) == repr(LogScalar(3, 1) * F(3, 2))
+
+
 def test_mixed_operand_contract():
     # -, /, == and the reflected operators derive from _coerce, +, unary -,
     # * and inverse; a number of the other arithmetic world, or a string,

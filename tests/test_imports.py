@@ -168,7 +168,7 @@ print(json.dumps({"code": code, "err": err.getvalue()}))
     ("builtins.ZeroDivisionError", 3),
     ("builtins.OverflowError", 3),
     ("builtins.RuntimeError", "RuntimeError"),
-    ("builtins.ArithmeticError", "ArithmeticError"),
+    ("builtins.ArithmeticError", 3),
 ])
 def test_error_class_exit_code(cls, code):
     doc = _python(_RAISE, cls)

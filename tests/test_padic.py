@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -216,6 +217,38 @@ def test_from_int_mod_takes_rationals(value, abs_prec, val):
     x = PadicNumber.from_int_mod(5, value, abs_prec)
     assert (x.valuation(), x.abs_prec) == (val, abs_prec)
     assert (x - Q(5, F(value), 40)).valuation() >= abs_prec
+
+
+_BAD_BASE = """
+import json, sys, time
+from fractions import Fraction
+from qzeta.padic import PadicNumber, witt_verify
+start = time.perf_counter()
+try:
+    eval(sys.argv[1])
+    err = None
+except Exception as e:
+    err = [type(e).__name__, str(e)]
+print(json.dumps({"err": err, "s": time.perf_counter() - start}))
+"""
+
+
+@pytest.mark.parametrize("call,p", [
+    ("PadicNumber.from_fraction(1, Fraction(2))", 1),
+    ("PadicNumber.from_int_mod(1, 3, 5)", 1),
+    ("PadicNumber.from_fraction(-1, Fraction(2))", -1),
+    ("witt_verify(1, 2, PadicNumber.from_fraction(1, Fraction(2)), [3])", 1),
+    ("PadicNumber.from_fraction(0, Fraction(2))", 0),
+    ("PadicNumber.zero(1)", 1),
+])
+def test_base_below_2_raises_fast(call, p):
+    # the p-adic valuation loops forever at p = 1 or -1; a subprocess, so
+    # that a hang fails the test instead of the run
+    done = subprocess.run([sys.executable, "-c", _BAD_BASE, call],
+                          capture_output=True, text=True, timeout=10)
+    doc = json.loads(done.stdout)
+    assert doc["err"] == ["ValueError", f"p = {p} must be a prime >= 2"]
+    assert doc["s"] < 1
 
 
 def test_eval_log_scalar_padic_is_exact_in_its_rational_parts():

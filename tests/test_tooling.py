@@ -269,6 +269,7 @@ _DEFINED_ONLY_IN = {
     "__rsub__": ("exact.py", "_Ring"),
     "__radd__": ("exact.py", "_Ring"),
     "__rmul__": ("exact.py", "_Ring"),
+    "__truediv__": ("exact.py", "_Ring"),
     "__rtruediv__": ("exact.py", "_Ring"),
 }
 
@@ -324,3 +325,17 @@ def test_denominator_format_is_read_only_in_exact():
                 continue
             found += [(path.name, node.lineno, name) for name in names]
     assert found == []
+
+
+def test_every_error_class_has_an_exit_code_family():
+    # the CLI exits 2 on a ValueError and 3 on an ArithmeticError; an error
+    # class of neither family would escape as a traceback with exit 1, the
+    # code of a failing identity
+    outside = []
+    for path in sorted((ROOT / "src" / "qzeta").glob("*.py")):
+        mod = importlib.import_module(f"qzeta.{path.stem}")
+        outside += [f"{path.stem}.{name}" for name, cls in vars(mod).items()
+                    if isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls.__module__ == mod.__name__
+                    and not issubclass(cls, (ValueError, ArithmeticError))]
+    assert outside == []
