@@ -185,21 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases: exact below 2^64."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    return all(pow(b, d, n) == 1 or
-               any(pow(b, d << r, n) == n - 1 for r in range(s))
-               for b in bases)
-
-
 def _padic_q(args, prec: int):
-    from .padic import PadicDomainError, PadicNumber, _log_domain_ok
+    from .padic import (PadicDomainError, PadicNumber, _is_prime,
+                        _log_domain_ok)
 
     if args.p >= 2 ** 64:
         raise UsageError(f"--p {args.p} is not below the bound 2^64")

@@ -305,10 +305,17 @@ class QPolynomial(_Ring, _Frozen):
         return QPolynomial._raw(out, self.den)
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.ints):
-            acc = acc * x + c
-        return acc / self.den
+        """The value at x = a/b, in integers: Horner's rule gives sum_i c_i
+        a^i b^(D - i), D the degree, and one Fraction divides it by den b^D,
+        so only the result is put in lowest terms."""
+        if not self.ints:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc, bk = self.ints[-1], 1
+        for c in reversed(self.ints[:-1]):
+            bk *= b
+            acc = acc * a + c * bk
+        return Fraction(acc, self.den * bk)
 
     def eval_complex(self, x: complex) -> complex:
         # c / den per coefficient: int / int is correctly rounded, so each

@@ -3,9 +3,10 @@ and the p-adic verification suite (Witt's formula, the shift identities, the
 closed-form integral and the character-twisted integral).
 
 Witt's formula is the twisted integral at the character mod 1: both sum
-chi(x) x^n q^{hx} over x < d p^N in one core (`_level_sums`), from one Mahler
-expansion (`_power_sums`) in O(n (n + w)) operations per level at precision
-p^w, and pass when every level N reaches min(prec, N - slack).  Shift sums b
+chi(x) x^n q^{hx} over x < d p^N in one core (`_level_sums`), each calling
+it in the same way at its own n alone, from one Mahler expansion
+(`_power_sums`) in O(n (n + w)) operations per level at precision p^w, and
+pass when every level N reaches min(prec, N - slack).  Shift sums b
 end terms, q-Volkenborn n + 1 geometric series: nothing loops over x < p^N.
 
 The verifiers compare these sums with an exact LogScalar target r(q) +
@@ -64,6 +65,19 @@ class PrecisionExhausted(PadicError):
 
 class PadicDomainError(PadicError):
     pass
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases: exact below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(b, d, n) == 1 or
+               any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in bases)
 
 
 def _check_base(p: int) -> None:
@@ -436,7 +450,9 @@ def volkenborn_levels(n_max: int, h: int, q: PadicNumber, levels: list[int],
                       prec: int = DEFAULT_PRECISION) -> dict[int, list[PadicNumber]]:
     """S_N = p^-N sum_{x < p^N} q^{h x} x^n for n = 0..n_max and every N in
     `levels`: the level sums of `_level_sums` at the character mod 1, each
-    known to prec + max(levels) absolute digits."""
+    known to prec + max(levels) absolute digits.  No verifier calls it: it is
+    the paper's S_N family, reached by `volkenborn_sum` (and traced by the
+    benchmark as padic.volkenborn); `witt_verify` sums its own n alone."""
     return _level_sums([1], h, range(n_max + 1), q, levels, prec)
 
 
@@ -493,8 +509,13 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _check_prec_slack(prec: int, slack: int) -> None:
-    """A verdict needs at least one digit and a slack that only lowers the bar."""
+def _check_prec_slack(p: int, prec: int, slack: int) -> None:
+    """A verdict needs a prime p, at least one digit and a slack that only
+    lowers the bar.  The constructors take any p >= 2; a composite p would
+    fail deep inside, on a unit that has no inverse mod p^w.  `_is_prime` is
+    exact only below 2^64."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if prec < 1:
         raise ValueError(f"precision {prec} must be >= 1")
     if slack < 0:
@@ -527,11 +548,12 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
                 prec: int = DEFAULT_PRECISION,
                 slack: int = DEFAULT_SLACK) -> VerificationReport:
     """S_N -> B_n^{(h)} at the given q, the twisted check at the character
-    mod 1: at every level N the valuation of S_N - target must reach
-    min(prec, N - slack).  The valuations need not increase with N: S_N can
-    come closer to the target than S_(N+1)."""
-    _check_prec_slack(prec, slack)
-    sums = volkenborn_levels(n, h, q, levels, prec)    # checks n, work bound
+    mod 1: it calls `_level_sums` at chi = [1] and its own n alone, as the
+    twisted check does at its character, and at every level N the valuation
+    of S_N - target must reach min(prec, N - slack).  The valuations need not
+    increase with N: S_N can come closer to the target than S_(N+1)."""
+    _check_prec_slack(q.p, prec, slack)
+    sums = _level_sums([1], h, range(n, n + 1), q, levels, prec)
     return _target_verdict(
         "witt", {"h": h, "n": n, "p": q.p, "prec": prec, "slack": slack},
         lambda g: q_bernoulli_number(g, n), q, levels, sums)
@@ -544,7 +566,7 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
     valuation must be >= N - slack.  The level sums differ by b end terms,
     sum_{x<p^N} f(x+b) - f(x) = sum_{i<b} f(p^N+i) - f(i), so one loop over
     i < b mod p^w gives both sides."""
-    _check_prec_slack(prec, slack)
+    _check_prec_slack(f.q.p, prec, slack)
     if b < 1:
         raise ValueError("b must be >= 1")
     p, n, h = f.q.p, f.n, f.h
@@ -582,7 +604,7 @@ def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
                        prec: int = DEFAULT_PRECISION,
                        slack: int = DEFAULT_SLACK) -> VerificationReport:
     """Level-N sum of q^{h x} e^{x t} against (h log q + t)/(q^h e^t - 1)."""
-    _check_prec_slack(prec, slack)
+    _check_prec_slack(q.p, prec, slack)
     p = q.p
     # after / p^N, min(prec, N) + 6 >= N - slack digits remain
     w = max(prec, N) + N + 6
@@ -609,7 +631,7 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
                              slack: int = DEFAULT_SLACK) -> VerificationReport:
     """(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n against the exact
     twisted value for quadratic chi, gcd(p, d) = 1, with witt's verdict."""
-    _check_prec_slack(prec, slack)
+    _check_prec_slack(q.p, prec, slack)
     p, d = q.p, chi.modulus
     if d % p == 0:
         raise PadicDomainError("need gcd(p, d) = 1")

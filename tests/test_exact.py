@@ -59,6 +59,28 @@ def test_sparse_product_matches_schoolbook(a, b):
     assert a * b == _schoolbook(a, b) == b * a
 
 
+def _horner(poly, x):
+    """poly(x) by Horner's rule in Fractions, one normalised step per
+    coefficient."""
+    acc = F(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@_QUICK
+@given(_SPARSE, st.one_of(st.sampled_from([0, F(0)]),
+                          st.integers(-10 ** 6, 10 ** 6).map(F),
+                          st.fractions(max_denominator=10 ** 6)))
+@example(QPolynomial(), F(3, 7))
+@example(QPolynomial([F(1, 2), 0, F(-3, 5)]), F(-999_999, 10 ** 6))
+def test_call_matches_fraction_horner(poly, x):
+    # integer Horner over a^i b^(D - i), then one Fraction
+    got = poly(x)
+    assert type(got) is F
+    assert got == _horner(poly, x)
+
+
 @_QUICK
 @given(st.dictionaries(st.integers(1, 30), st.integers(0, 5), max_size=4),
        st.integers(0, 5), _SPARSE)

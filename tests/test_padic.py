@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from qzeta import padic
 from qzeta.characters import enumerate_characters, principal_character
 from qzeta.exact import LogScalar, RationalFunction
 from qzeta.padic import (MonomialTestFunction, PadicDomainError, PadicNumber,
@@ -222,7 +223,10 @@ def test_from_int_mod_takes_rationals(value, abs_prec, val):
 _BAD_BASE = """
 import json, sys, time
 from fractions import Fraction
-from qzeta.padic import PadicNumber, witt_verify
+from qzeta.characters import principal_character
+from qzeta.padic import (MonomialTestFunction, PadicNumber, closed_form_verify,
+                         padic_generalized_verify, shift_identity_verify,
+                         witt_verify)
 start = time.perf_counter()
 try:
     eval(sys.argv[1])
@@ -248,6 +252,25 @@ def test_base_below_2_raises_fast(call, p):
                           capture_output=True, text=True, timeout=10)
     doc = json.loads(done.stdout)
     assert doc["err"] == ["ValueError", f"p = {p} must be a prime >= 2"]
+    assert doc["s"] < 1
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+@pytest.mark.parametrize("call", [
+    "witt_verify(1, 2, {q}, [3, 4])",
+    "shift_identity_verify(MonomialTestFunction(2, 1, {q}), 3, 4)",
+    "closed_form_verify(1, PadicNumber.from_fraction({p}, {p}, 40), {q}, 4)",
+    "padic_generalized_verify(principal_character(1), 1, 2, {q}, [3, 4])",
+], ids=["witt", "shift", "closedform", "twisted"])
+def test_composite_base_raises_fast(call, p):
+    # the constructors take any p >= 2; each verifier names a composite p
+    # before a unit mod p^w turns out to have no inverse
+    q = f"PadicNumber.from_fraction({p}, {p + 1}, 40)"
+    done = subprocess.run([sys.executable, "-c", _BAD_BASE,
+                           call.format(p=p, q=q)],
+                          capture_output=True, text=True, timeout=10)
+    doc = json.loads(done.stdout)
+    assert doc["err"] == ["ValueError", f"p = {p} is not prime"]
     assert doc["s"] < 1
 
 
@@ -545,6 +568,33 @@ def test_witt_is_twisted_at_the_character_mod_1(p):
         twisted = padic_generalized_verify(chi, h, n, q, [3, 4, 5], prec=12)
         assert (twisted.levels, twisted.passed) == \
             (witt.levels, witt.passed), (qf, h, n)
+
+
+def test_witt_reads_the_level_sums_of_volkenborn_levels(monkeypatch):
+    # witt sums its own n alone; each value it reads is S_N of the whole
+    # family n' <= n, digit for digit
+    seen = []
+    monkeypatch.setattr(padic, "_target_verdict",
+                        lambda *a: seen.append(a[-1]))
+    levels = [3, 4, 6]
+    for p in (2, 3, 5, 7):
+        q = Q(p, F(5) if p == 2 else F(1 + p), 40)
+        for h, n in product(range(-2, 4), range(9)):
+            seen.clear()
+            witt_verify(h, n, q, levels)
+            (sums,) = seen
+            want = volkenborn_levels(n, h, q, levels)
+            for N in levels:
+                got, ref = sums[N][-1], want[N][n]
+                assert (got.val, got.unit, got.prec) == \
+                    (ref.val, ref.unit, ref.prec), (p, h, n, N)
+
+
+def test_witt_reduces_one_value_per_level(residues):
+    # 3 levels, 3 residues: the family n' <= 6 would reduce 21
+    q = PadicNumber.from_fraction(5, 6, 40)
+    assert witt_verify(1, 6, q, [3, 4, 5], 12, 3).passed
+    assert len(residues) == 3
 
 
 def test_twisted_verdict_reads_every_level():

@@ -62,14 +62,14 @@ print(json.dumps({"ok": ok, "spans": summary["spans"],
 
 _PADIC = """
 from fractions import Fraction
-from qzeta.padic import (MonomialTestFunction, PadicNumber,
-                         shift_identity_verify, witt_verify)
+from qzeta import padic
 
 tracer = Tracer()
 tracer.install()
-q = PadicNumber.from_fraction(5, Fraction(6), 40)
-ok = witt_verify(1, 2, q, [3, 4, 5], 12, 3).passed and \\
-    shift_identity_verify(MonomialTestFunction(2, 1, q), 3, 4, 12, 3).passed
+q = padic.PadicNumber.from_fraction(5, Fraction(6), 40)
+f = padic.MonomialTestFunction(2, 1, q)
+ok = padic.witt_verify(1, 2, q, [3, 4, 5], 12, 3).passed and \\
+    padic.shift_identity_verify(f, 3, 4, 12, 3).passed
 tracer.close()
 print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
 """
@@ -184,22 +184,24 @@ def test_span_tracer_sees_padic_target():
     # both verifiers evaluate their exact target through
     # eval_log_scalar_padic, which the bench times as padic.target with the
     # padic_log it calls: one of each per verifier, so shift reads log q
-    # once for its b = 3 derivative terms
+    # once for its b = 3 derivative terms; witt sums its levels inside its
+    # own padic.witt span, without volkenborn_levels
     doc = _traced(_PADIC)
     assert doc["ok"]
     spans = doc["spans"]
     assert spans["padic.target"]["calls"] == 4
-    assert spans["padic.volkenborn"]["calls"] == 1
+    assert "padic.volkenborn" not in spans
+    assert spans["padic.witt"]["calls"] == 1
 
 
 def test_span_tracer_attributes_witt_and_twisted_level_sums():
-    # both checks sum their levels in one core: witt reaches it through
-    # volkenborn_levels (padic.volkenborn), twisted directly, inside its own
-    # padic.verify_loops span, so neither check's time moves between layers
+    # both checks call the one core directly, each inside its own span
+    # (padic.witt, padic.verify_loops), so neither check's time moves
+    # between layers and volkenborn_levels (padic.volkenborn) is not called
     doc = _traced(_WITT_TWISTED)
     assert doc["ok"]
     spans = doc["spans"]
-    assert spans["padic.volkenborn"]["calls"] == 1
+    assert "padic.volkenborn" not in spans
     assert spans["padic.verify_loops"]["calls"] == 1
     assert spans["padic.witt"]["calls"] == 1
 
