@@ -19,17 +19,20 @@ raises DomainError; inverting such a numerator raises NonInvertible.
 
 Only this module reads that format: `rf_sum` and both identity checks of
 qbernoulli lift with `_lift_all` to integer numerator lists over one common
-denominator, and `_lower` turns such a list back into lowest terms.
+denominator, and `_lower` turns such a list back into lowest terms.  The
+lift multiplies in the binomial basis (`_expand`):
+prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M, by sparse products for E_M > 0
+and then exact divisions by prefix sums for E_M < 0, with no dense
+cyclotomic power.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import accumulate, zip_longest
 from math import comb, gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import _Frozen, euler_phi
@@ -95,8 +98,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _subst_factors(d: int, m: int) -> tuple[int, ...]:
     """The factors c of Phi_d(q^m) = prod Phi_c: q^m for d = 0, else every
-    c | d m with c / gcd(c, m) = d.  At d = 1 these are the c | m, so
-    (q^m - 1)^k = prod_{c | m} Phi_c^k."""
+    c | d m with c / gcd(c, m) = d."""
     if d == 0:
         return (0,) * m
     return tuple(c for c in range(1, d * m + 1)
@@ -343,31 +345,58 @@ _P1 = QPolynomial([1])
 # ---------------------------------------------------------------------------
 
 def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
-    """num * prod_d Phi_d^exps[d], expanded.  Each run prod_{c | N} Phi_c^t,
-    the largest N first, is the sparse binomial (q^N - 1)^t; the Phi_d left
-    over are multiplied in as powers, and q^a as a shift."""
-    left = dict(exps)
-    a = left.pop(0, 0)
-    factors = []
-    for n in sorted(left, reverse=True):
-        run = _subst_factors(1, n)                 # the c | n
-        t = min(left.get(c, 0) for c in run)
-        if t:
-            binom = [0] * (n * t + 1)
-            binom[::n] = [(-1) ** (t - k) * comb(t, k) for k in range(t + 1)]
-            factors.append(QPolynomial._raw(binom))
-            for c in run:
-                left[c] -= t
-    factors += [_phi_power(d, e) for d, e in sorted(left.items()) if e]
-    num = reduce(mul, factors, num)
-    return QPolynomial._raw([0] * a + list(num.ints), num.den) if a else num
+    """num * prod_d Phi_d^exps[d], expanded.  exps[0] (Phi_0 = q) is >= 0;
+    any other exponent may be negative and divides exactly, with ExactError
+    where the result is not a polynomial.
+
+    In the binomial basis prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M.  num is
+    first multiplied by the sparse (q^M - 1)^E_M for each E_M > 0, then
+    divided by (1 - q^M)^u, u = -E_M, for each E_M < 0: u prefix sums down
+    each residue column mod M.  Past the quotient's degree, u M zero
+    coefficients in a row force every later one to 0 by the recurrence of
+    (1 - q^M)^u, so one check of that tail proves the division exact.  The
+    sign (-1)^u of each division is applied once at the end, and q^a as a
+    shift."""
+    total = {}
+    for d, e in exps.items():
+        if d:
+            for m, k in _binomial_exponents(d):
+                total[m] = total.get(m, 0) + k * e
+    prod = num
+    for m, e in sorted(total.items()):
+        if e > 0:
+            binom = [0] * (m * e + 1)
+            binom[::m] = [(-1) ** (e - k) * comb(e, k) for k in range(e + 1)]
+            prod = prod * QPolynomial._raw(binom)
+    ints, flips = list(prod.ints), 0
+    for m, e in total.items():
+        if e < 0:
+            out = ints[:]
+            for r in range(m):
+                col = ints[r::m]
+                for _ in range(-e):
+                    col = accumulate(col)
+                out[r::m] = col
+            cut = max(len(out) + m * e, 0)
+            if any(out[cut:]):
+                raise ExactError(f"{num!r} times the cyclotomic powers {exps} "
+                                 "is not a polynomial")
+            ints, flips = out[:cut], flips - e
+    lead = [0] * exps.get(0, 0)
+    return QPolynomial._raw(lead + [-c for c in ints] if flips % 2
+                            else lead + ints, prod.den)
 
 
 @lru_cache(maxsize=None)
-def _phi_power(d: int, e: int) -> QPolynomial:
-    if e == 1:
-        return QPolynomial(_cyclotomic(d))
-    return _phi_power(d, e // 2) * _phi_power(d, e - e // 2)
+def _binomial_exponents(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (M, E) with Phi_d = prod_M (q^M - 1)^E, d >= 1: q^d - 1
+    over the Phi_c, c | d, c < d, as `_cyclotomic` builds Phi_d."""
+    out = {d: 1}
+    for c in range(1, d):
+        if d % c == 0:
+            for m, e in _binomial_exponents(c):
+                out[m] = out.get(m, 0) - e
+    return tuple((m, e) for m, e in out.items() if e)
 
 
 class RationalFunction(_Ring, _Frozen):

@@ -80,6 +80,14 @@ def _is_prime(n: int) -> bool:
                for b in bases)
 
 
+def _check_prime(p: int) -> None:
+    """The constructors take any p >= 2; a composite p would fail deep
+    inside, on a unit that has no inverse mod p^w.  `_is_prime` is exact
+    only below 2^64."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def _check_base(p: int) -> None:
     # _vp loops forever at p = 1 or -1
     if p < 2:
@@ -272,6 +280,7 @@ def _series(t: PadicNumber, exp: bool) -> PadicNumber:
 
 def padic_log(q: PadicNumber) -> PadicNumber:
     """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1))."""
+    _check_prime(q.p)
     if not _log_domain_ok(q):
         raise PadicDomainError("padic_log needs v(q-1) >= 1 (>= 2 for p = 2)")
     return _series(q - 1, False)    # 0 too, known mod p^(q.abs_prec)
@@ -280,6 +289,7 @@ def padic_log(q: PadicNumber) -> PadicNumber:
 def padic_exp(t: PadicNumber) -> PadicNumber:
     """exp t = sum t^k / k! for v(t) >= 1 (>= 2 for p = 2)."""
     p = t.p
+    _check_prime(p)
     if not _exp_domain_ok(t):
         raise PadicDomainError("padic_exp needs v(t) >= 1 (>= 2 for p = 2)")
     if t.is_zero():
@@ -460,6 +470,7 @@ def volkenborn_sum(f: MonomialTestFunction, N: int,
                    prec: int = DEFAULT_PRECISION) -> PadicNumber:
     """Level-N Volkenborn approximant p^-N sum_{x<p^N} f(x): the paper's
     object, kept as such, though no src/ path calls it."""
+    _check_prime(f.q.p)
     if N < 1:
         raise ValueError("N must be >= 1")
     return volkenborn_levels(f.n, f.h, f.q, [N], prec)[N][f.n]
@@ -480,6 +491,7 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
     or G_j = M when h + j = 0.
     """
     p = q.p
+    _check_prime(p)
     x0 = Fraction(x0)
     if _vp(x0.denominator, p) > 0:
         raise PadicDomainError("|x0|_p <= 1 required")
@@ -511,11 +523,8 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
 
 def _check_prec_slack(p: int, prec: int, slack: int) -> None:
     """A verdict needs a prime p, at least one digit and a slack that only
-    lowers the bar.  The constructors take any p >= 2; a composite p would
-    fail deep inside, on a unit that has no inverse mod p^w.  `_is_prime` is
-    exact only below 2^64."""
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    lowers the bar."""
+    _check_prime(p)
     if prec < 1:
         raise ValueError(f"precision {prec} must be >= 1")
     if slack < 0:

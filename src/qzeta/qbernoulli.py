@@ -39,7 +39,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import add, sub
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
@@ -163,8 +163,9 @@ def gen_function_identity_check(h: int, order: int) -> VerificationReport:
     q^h sum_{j<=n} C(n, j) B_j - B_n.  Per component (rat, log), B_0..B_order
     and the constant 1 are lifted once to one common denominator, times
     q^{|h|} for h < 0, so each coefficient minus its expected value is one
-    numerator: integer multiples of the lifted numerators, shifted by the
-    power of q."""
+    numerator: the lifted numerators, shifted by the power of q.  The
+    binomial sums are rows of Pascal's triangle on the lifted rows, each
+    level the pairwise sums of the one before: additions only."""
     if h == 0:
         raise DomainError("identity check needs h != 0")
     table = q_bernoulli_table(h, order)
@@ -174,12 +175,12 @@ def gen_function_identity_check(h: int, order: int) -> VerificationReport:
         full, den, b = _lift_all([getattr(c, part) for c in table.values]
                                  + [RationalFunction.q_power(0)], s)
         one = b.pop()
-        cols, width = list(zip(*b)), len(one)
+        width, level = len(one), b
         nums = []
         for n in range(order + 1):
-            ks = [comb(n, j) for j in range(order + 1)]
-            acc = ([0] * max(h, 0) + [sum(map(mul, ks, col)) for col in cols]
-                   + [0] * s)
+            if n:   # Pascal's rule: row 0 of level n is sum_j C(n, j) b_j
+                level = [list(map(add, x, y)) for x, y in zip(level, level[1:])]
+            acc = [0] * max(h, 0) + level[0] + [0] * s
             w = want.get(n, 0)
             acc[s:s + width] = [x - y - w * e for x, y, e in
                                 zip(acc[s:s + width], b[n], one)]

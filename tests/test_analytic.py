@@ -56,6 +56,31 @@ def test_lerch_tail_bound_is_honest():
     assert abs(val - ref) <= bound + 1e-13
 
 
+def test_lerch_sum_at_a_late_peak_against_direct_summation():
+    # at s = -60 the terms w^k (k + x)^60 grow until k = 2 before they fall,
+    # so a stop on the tail bound alone, without the ratio test, ends at
+    # k = 1 with the sum 0 (x^60 = 1e-360 underflows).  The reference is
+    # not mp.lerchphi: at this point it returns 2.09e17 at 50 dps and 1.03e5
+    # at 100 dps.  It is the direct sum of the first 60 terms at 60 dps,
+    # plus a bound on the rest: past k = 60 the ratio of successive terms is
+    # at most r = w ((K + 1 + x)/(K + x))^60 < 1, so the rest is at most
+    # term_K / (1 - r)
+    w, s, x, K = 1e-13, -60, 1e-6, 60
+    val, bound = lerch_sum_with_bound(w, s, x)
+    with mp.workdps(60):
+        mw, mx = mp.mpf(w), mp.mpf(x)
+        ref = mp.fsum(mw ** k * (k + mx) ** -s for k in range(K))
+        r = mw * ((K + 1 + mx) / (K + mx)) ** -s
+        rest = mw ** K * (K + mx) ** -s / (1 - r)
+        assert rest < mp.mpf(10) ** -600
+        err = abs(mp.mpf(val.real) - ref)
+    assert val.imag == 0
+    assert bound < 1e-13
+    # the tail bound, plus float rounding of the few summed terms
+    assert err <= bound + 1e-15 * abs(val)
+    assert float(ref) == pytest.approx(1.1572053073e-8, rel=1e-10)
+
+
 def test_lerch_domain_errors():
     with pytest.raises(SeriesDivergence):
         lerch_sum_with_bound(1.2, 2.0, 1.0, CFG)

@@ -9,9 +9,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qzeta.exact import (DomainError, LogDegreeOverflow, LogScalar,
-                         NonInvertible, QPolynomial, RationalFunction,
-                         XPolynomial, _cyclotomic, _expand,
+from qzeta.exact import (DomainError, ExactError, LogDegreeOverflow,
+                         LogScalar, NonInvertible, QPolynomial,
+                         RationalFunction, XPolynomial, _cyclotomic, _expand,
                          eval_log_scalar_complex, eval_log_scalar_mp, rf_sum)
 
 F = Fraction
@@ -84,11 +84,17 @@ def test_call_matches_fraction_horner(poly, x):
 @_QUICK
 @given(st.dictionaries(st.integers(1, 30), st.integers(0, 5), max_size=4),
        st.integers(0, 5), _SPARSE)
-# the lifts of the distribution check: a run over the divisors of 15, then
-# Phi_5 Phi_15 left over
+# the lifts of the distribution check:
+# Phi_1^2 Phi_3^2 Phi_5^4 Phi_15^4 = (q^15 - 1)^4 / (q^3 - 1)^2
 @example({1: 2, 3: 2, 5: 4, 15: 4}, 1, QPolynomial([1, 0, F(2, 3)]))
+# squared primes (mu = 0), three primes, and exponents E_M of both signs in
+# prod_M (q^M - 1)^E_M
+@example({4: 3, 12: 2}, 0, QPolynomial([F(1, 2), -1]))
+@example({30: 2}, 2, QPolynomial([0, 3, 0, 0, -5]))
+@example({4: 2, 12: 1, 30: 2}, 1, QPolynomial([F(-7, 3), 0, 1]))
 def test_expand_is_the_product_of_cyclotomic_powers(exps, a, num):
-    # binomial runs (q^N - 1)^t, the Phi_d left over, and q^a as a shift
+    # prod_M (q^M - 1)^E_M and q^a as a shift, against the schoolbook
+    # product of every Phi_d
     exps = {**exps, 0: a}
     want = QPolynomial([1])
     for d, e in exps.items():
@@ -96,6 +102,33 @@ def test_expand_is_the_product_of_cyclotomic_powers(exps, a, num):
             want = _schoolbook(want, QPolynomial(_cyclotomic(d)))
     assert _expand(exps) == want
     assert _expand(exps, num) == _schoolbook(num, want)
+
+
+def test_expand_divides_exactly_or_raises():
+    # a negative exponent divides: Phi_5 = (q^5 - 1)/(q - 1), so num is
+    # multiplied by q - 1 and then divided by q^5 - 1 on prefix sums, whose
+    # tail must vanish
+    tail = QPolynomial([2, 1])
+    assert _expand({5: -1}, QPolynomial(_cyclotomic(5)) * tail) == tail
+    assert _expand({4: -2, 12: -1}, _expand({4: 2, 12: 1}, tail)) == tail
+    with pytest.raises(ExactError):
+        _expand({5: -1}, tail)
+    with pytest.raises(ExactError):
+        _expand({4: -2}, QPolynomial(_cyclotomic(4)) * tail)
+
+
+@_QUICK
+@given(st.dictionaries(st.integers(1, 30), st.integers(1, 3), min_size=1,
+                       max_size=3), _SPARSE)
+def test_expand_with_negative_exponents_divides_exactly(exps, num):
+    # num * prod Phi_d^-e_d is returned only when it is a polynomial
+    over = {d: -e for d, e in exps.items()}
+    assert _expand(over, _expand(exps, num)) == num
+    try:
+        quo = _expand(over, num)
+    except ExactError:
+        return
+    assert _expand(exps, quo) == num
 
 
 def test_polynomial_immutable():

@@ -274,6 +274,20 @@ def test_composite_base_raises_fast(call, p):
     assert doc["s"] < 1
 
 
+@pytest.mark.parametrize("p", [4, 9])
+@pytest.mark.parametrize("call", [
+    lambda p: padic_log(Q(p, F(p + 1), 20)),
+    lambda p: padic_exp(Q(p, F(p * p), 20)),
+    lambda p: volkenborn_sum(MonomialTestFunction(2, 1, Q(p, F(p + 1), 20)), 3),
+    lambda p: q_volkenborn_sum(2, 1, 0, Q(p, F(p + 1), 20), 3),
+], ids=["log", "exp", "volkenborn", "q_volkenborn"])
+def test_composite_base_outside_the_verifiers_is_named(call, p):
+    # each checks p with its other arguments, before a unit mod p^w turns
+    # out to have no inverse ("base is not invertible for the given modulus")
+    with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
+        call(p)
+
+
 def test_eval_log_scalar_padic_is_exact_in_its_rational_parts():
     # B_8^(3) at q = 10, p = 3: the two parts have valuation -22 and -24
     # and their sum -1; the value is still known to the absolute precision

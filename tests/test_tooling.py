@@ -341,3 +341,37 @@ def test_every_error_class_has_an_exit_code_family():
                     and cls.__module__ == mod.__name__
                     and not issubclass(cls, (ValueError, ArithmeticError))]
     assert outside == []
+
+
+# the bad inputs that argparse itself rejects; every other one parses and
+# fails in the program's own checks
+_ARGPARSE_REJECTS = {"verify nonsense", "nonsense",
+                     "zeta --h 1 --q 0.5 --s --x 1",
+                     "--format csv characters --modulus 3"}
+
+
+def test_cli_parity_grid_parses():
+    # every command of tools/cli_parity.py goes through the CLI's own parser,
+    # as main() reads it, so a renamed flag or subcommand shows here and not
+    # as a digest that changed for no visible reason; no process is started
+    from contextlib import redirect_stderr
+    from io import StringIO
+
+    from qzeta import cli
+
+    spec = importlib.util.spec_from_file_location(
+        "cli_parity", ROOT / "tools" / "cli_parity.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    commands = grid.GOLDEN + grid.VALID + grid.BAD
+    assert len(commands) == len(set(commands)) == 75
+    rejected = set()
+    for argv in commands:
+        try:
+            with redirect_stderr(StringIO()):
+                cli._build_parser().parse_args(
+                    cli._attach_negative_values(argv.split()))
+        except SystemExit as e:
+            assert e.code == 2, argv
+            rejected.add(argv)
+    assert rejected == _ARGPARSE_REJECTS
