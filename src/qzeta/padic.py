@@ -41,17 +41,18 @@ DEFAULT_PRECISION = int(os.environ.get("QZK_DEFAULT_PRECISION", "16"))
 DEFAULT_SLACK = 3
 # Work bound on one call of the level sums: k_max + w, their number of Mahler
 # terms when v_p(q^h - 1) = 1, where w (at least twice the top level) is their
-# p-adic working precision.  Each term is weighted by the size of p^w in units
-# of 1024 bits, the size up to which a term's cost barely grows, so the bound
-# falls as log p grows.  The closed-form check, about w products mod p^w in
-# its exp series and p^N-th power, takes the same bound with k_max = 0.
+# p-adic working precision.  Each term is weighted by (size of p^w / 1024
+# bits)^1.58, at least 1: a term's cost barely grows up to 1024 bits, and
+# beyond that CPython multiplies in about size^1.58 (Karatsuba), so the bound
+# falls as log p or w grows.  The closed-form check, about w products mod
+# p^w in its exp series and p^N-th power, takes the same bound with k_max = 0.
 # Larger calls raise PrecisionExhausted before anything of size p^w is built.
 MAX_POWER_SUM_TERMS = 360
 # The same bound on the products mod p^w of the shift check: its b end terms,
 # about w terms of the log series and N log2 p squarings for r^(p^N).  For
-# p < 2^64 it admits every b <= 50,000 / (size of p^w) with any w and N that
-# the bound above admits, so any b <= 10^4 there.  q_volkenborn_sum takes it
-# on its (n + 2) N log2 p squarings.
+# p < 2^64 it admits every b <= 50,000 / (weight of p^w) with any w and N
+# that the bound above admits, so any b <= 7,000 there.  q_volkenborn_sum
+# takes it on its (n + 2) N log2 p squarings.
 MAX_SHIFT_TERMS = 62_000
 
 
@@ -373,7 +374,7 @@ def _check_work(terms: int, w: int, p: int, need: str,
     products mod p^w are above the work bound named `bound`."""
     bits = w * log2(p)                          # the size of p^w
     cap = globals()[bound]
-    if terms * max(bits, 1024) > cap * 1024:
+    if terms * (max(bits, 1024) / 1024) ** 1.58 > cap:
         raise PrecisionExhausted(
             f"{need} on {bits:.0f}-bit integers, above the work bound "
             f"{bound} = {cap} terms of up to 1024 bits")

@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qzeta.analytic import (PoleAt1, SeriesDivergence, SeriesEvalConfig,
-                            TruncationFailure, _lerch_pair,
+from qzeta.analytic import (DEFAULT_CONFIG, PoleAt1, SeriesDivergence,
+                            SeriesEvalConfig, TruncationFailure, _horizon,
+                            _lerch_pair, _level, _ratio,
                             l_interpolation_verify, lerch_sum_with_bound,
                             q_hurwitz_zeta, q_lfunction,
                             q_lfunction_with_bound, q_zeta,
@@ -299,3 +302,201 @@ def test_lerch_keeps_parent_bits(w, s, x, max_terms, single, pair):
     cfg = CFG if max_terms is None else SeriesEvalConfig(1e-13, max_terms)
     assert _repr_or_failure(lerch_sum_with_bound, w, s, x, cfg) == single
     assert _repr_or_failure(_lerch_pair, w, s, x, cfg) == pair
+
+
+# ---------------------------------------------------------------------------
+# the horizon: stretches of the Lerch loop summed with no stopping test
+# ---------------------------------------------------------------------------
+
+def _parent_lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
+                alone: bool = False) -> tuple[complex, float, complex, float]:
+    """The step-by-step loop that `_lerch_pair` replaced, kept verbatim (but
+    for its name and the DomainError import) as the oracle of its bits.
+
+    sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
+    geometric tail bound, in one pass over k: (value at s, its bound, value
+    at s - 1, its bound).  The two series share w^k and log(k+x); each keeps
+    its own terms, bound and stopping test, and once it stops it stays
+    frozen while the other goes on, so it stops at the same k, with the same
+    bits, as it does alone.  With `alone` the series at s - 1 starts out
+    stopped and (0j, 0.0) stands in for it."""
+    w = complex(w)
+    s = complex(s)
+    s1 = s - 1
+    if not cmath.isfinite(s):
+        raise DomainError(f"s = {s} is not finite")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"x = {x} must be positive and finite")
+    aw = abs(w)
+    if aw >= 1:
+        raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
+    log, exp = math.log, cmath.exp
+    ns, ns1 = -s, -s1
+    rs, rs1 = s.real, s1.real
+    nrs, nrs1 = -rs, -rs1
+    r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
+    den, den1 = 1 - r, 1 - r1
+    tol, max_terms = cfg.tol, cfg.max_terms
+    a = b = 0j
+    ba = bb = 0.0
+    done_a, done_b = False, alone
+    k = 0
+    kx = k + x
+    wk = 1 + 0j
+    # a float power or exp past the float range raises OverflowError with
+    # no context; say which sum and which term
+    try:
+        if w == 0:
+            lg = log(x)
+            return exp(ns * lg), 0.0, b if alone else exp(ns1 * lg), 0.0
+        while True:
+            lg = log(kx)
+            if not done_a:
+                a += wk * exp(ns * lg)
+            if not done_b:
+                b += wk * exp(ns1 * lg)
+            k += 1
+            wk *= w
+            awk = abs(wk)
+            kx = k + x
+            if not done_a:
+                ba = awk * kx ** nrs / den
+                done_a = ba <= tol and (
+                    rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r)
+            if not done_b:
+                bb = awk * kx ** nrs1 / den1
+                done_b = bb <= tol and (
+                    rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
+            if done_a and done_b:
+                return a, ba, b, bb
+            if k >= max_terms:
+                raise TruncationFailure(f"tail bound {bb if done_a else ba} "
+                                        f"still above tol after {k} terms")
+    except OverflowError as e:
+        raise OverflowError(f"float overflow in the Lerch sum at s = {s}, "
+                            f"term k = {k}") from e
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the class and text of the error."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# |w| from U(0, 1), 1 - 10^U(-3, 0) and 10^U(-15, 0), real or complex
+_ABS_W = st.one_of(st.floats(0, 1, exclude_max=True),
+                   st.floats(-3, 0).map(lambda e: 1 - 10 ** e),
+                   st.floats(-15, 0).map(lambda e: 10 ** e))
+_W = st.one_of(_ABS_W, st.builds(cmath.rect, _ABS_W,
+                                 st.floats(-math.pi, math.pi)))
+_S = st.builds(complex,
+               st.one_of(st.floats(-40, 8), st.integers(-130, 0)),
+               st.one_of(st.just(0.0), st.floats(-20, 20)))
+_X = st.floats(1e-9, 5)
+_TOL = st.sampled_from([1e-12, 1e-13, 1e-14])
+_HORIZON = settings(derandomize=True, database=None, max_examples=150,
+                    deadline=None)
+
+
+@_HORIZON
+@given(_W, _S, _X, _TOL, st.one_of(st.just(DEFAULT_CONFIG.max_terms),
+                                  st.integers(1, 400)))
+@example(1e-13, -60, 1e-6, 1e-13, DEFAULT_CONFIG.max_terms)   # a late peak
+@example(0.5, -120, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)     # overflow
+@example(0.478, -100, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)   # subnormal w^k
+@example(complex(math.nan, 0), 2, 1.0, 1e-12, 50)              # NaN w
+@example(0.999, -40, 0.5, 1e-14, DEFAULT_CONFIG.max_terms)
+def test_lerch_pair_matches_the_step_by_step_loop(w, s, x, tol, max_terms):
+    cfg = SeriesEvalConfig(tol, max_terms)
+    for alone in (False, True):
+        assert (_outcome(_lerch_pair, w, s, x, cfg, alone)
+                == _outcome(_parent_lerch_pair, w, s, x, cfg, alone))
+
+
+_U = 2.0 ** -53
+
+
+def _certified(w, nrs, den, tol, x, j):
+    """At check index j, the loop's float bound |w^j| (j+x)^nrs / den is
+    above tol for every rounding within the standard error bounds: the j
+    complex products of w^j (sqrt(5) u each), abs, the power, a product and
+    a quotient; and w^j, (j+x)^nrs and their product are normal floats."""
+    with mp.workdps(40):
+        lw = j * mp.log(abs(mp.mpc(w)))
+        lp = nrs * mp.log(mp.mpf(j + x))
+        slack = (mp.sqrt(5) * j + 6) * 1.01 * _U
+        tiny, huge = mp.log(2.0 ** -1022), mp.log(sys.float_info.max)
+        return (lw > tiny and tiny < lp < huge and lw + lp > tiny
+                and lw + lp - mp.log(den) - slack > mp.log(tol))
+
+
+def _check_horizon(w, s, x, tol, k, replay):
+    """_horizon from check index k, for the series at s as _lerch_pair sets
+    it up: every skipped check is certified at the ends of the stretch (g
+    is concave or decreasing in between), and, if `replay`, the loop's own
+    float bound is above tol, with no overflow, at every one of them.
+    Returns K."""
+    aw = abs(w)
+    nrs, r = -s.real, _ratio(aw, s.real)
+    den = 1 - r
+    K = _horizon(k, x, math.log(aw), nrs, _level(tol, den), 10 ** 7)
+    assert k + 1 <= K <= 10 ** 7
+    if K > k + 1:
+        assert _certified(w, nrs, den, tol, x, k + 1)
+        assert _certified(w, nrs, den, tol, x, K - 1)
+    if replay:
+        wk = 1 + 0j
+        for j in range(1, K):
+            wk *= w
+            if j > k:
+                assert abs(wk) * (j + x) ** nrs / den > tol, j
+    return K
+
+
+@_HORIZON
+@given(_W, _S, _X, _TOL, st.floats(0, 1))
+def test_horizon_skips_only_checks_that_cannot_pass(w, s, x, tol, where):
+    assume(0 < abs(w) < 1)
+    for t in (s, s - 1):
+        K = _check_horizon(w, t, x, tol, 0, False)
+        _check_horizon(w, t, x, tol, int(where * K), K <= 20_000)
+
+
+@pytest.mark.parametrize("w,s,x,tol,k,end", [
+    # the terms peak at k = 2 and the first check may pass: nothing skipped
+    (1e-13, -60, 1e-6, 1e-12, 0, 1),
+    # (k + 1)^121 overflows at k = 352: the stretch ends before
+    (0.5, -121, 1.0, 1e-12, 0, 325),
+    # |w^k| is subnormal from k = 960 and the loop stops at 983: the stretch
+    # ends where k log|w| reaches -700
+    (0.478, -101, 1.0, 1e-12, 0, 949),
+])
+def test_horizon_at_its_edges(w, s, x, tol, k, end):
+    assert _check_horizon(w, complex(s), x, tol, k, True) == end
+
+
+def test_horizon_skips_nothing_at_a_nan():
+    assert _horizon(0, 1.0, math.nan, 2.0, _level(1e-12, 0.5), 10 ** 7) == 1
+    assert _level(1e-12, math.nan) == math.inf
+    assert _horizon(0, 1.0, -0.5, 2.0, math.inf, 10 ** 7) == 1
+
+
+def test_horizon_keeps_its_rounding_margin_at_a_flat_peak():
+    # w = 1 - 2^-17, s = -40, x = 0.5: g(j) = j log w + 40 log(j + x) peaks
+    # near j = 5.2e6, where the rounding of w^j alone may reach 1.3e-9 in
+    # log space, more than the absolute 1e-9.  With tol set so that the
+    # peak is 1.15e-9 above log(tol den), no check near it may be skipped.
+    w, s, x = 1 - 2.0 ** -17, complex(-40), 0.5
+    den = 1 - _ratio(w, s.real)
+    with mp.workdps(40):
+        la, top = mp.log(w), None
+        j0 = int(40 / -la - x)
+        for j in range(j0 - 2, j0 + 3):
+            g = j * la + 40 * mp.log(mp.mpf(j + x))
+            if top is None or g > top[1]:
+                top = (j, g)
+        tol = float(mp.exp(top[1] - mp.mpf("1.15e-9")) / den)
+    for k in range(top[0] - 40, top[0] + 1, 8):
+        _check_horizon(w, s, x, tol, k, False)

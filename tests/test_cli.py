@@ -242,7 +242,8 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv,msg", [
-    (["zeta", "--h", "1", "--q", "0.5", "--s=-120"], "at s = (-120+0j), term"),
+    (["zeta", "--h", "1", "--q", "0.5", "--s=-120"],
+     "at s = (-120+0j), term k = 352\n"),
     (["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
       "--q", "0.5", "--s=-300"], "at s = (-300+0j), term"),
     (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "300"],
@@ -428,19 +429,23 @@ def test_runaway_shift_b_exits_3_fast(capsys):
 
 def test_shift_bound_counts_the_work_it_runs(capsys):
     # shift runs b end terms, about w log-series terms and N log2 p
-    # squarings mod p^w, and no Mahler terms: N = 200 at p = 5 passes, and
-    # N = 3000 (about 4.5 s unbounded) exits 3 at once
-    with deadline(1):
-        code, out, _ = run(["verify", "shift", "--p", "5", "--levels", "200"],
-                           capsys)
-    assert code == EXIT_OK
-    assert json.loads(out)["levels"] == [{"N": 200, "valuation": 200}]
-    with deadline(1):
-        code, out, err = run(["verify", "shift", "--p", "5",
-                              "--levels", "3000"], capsys)
-    assert code == EXIT_NUMERIC
-    assert out == ""
-    assert "MAX_SHIFT_TERMS" in err
+    # squarings mod p^w, and no Mahler terms: N = 200 at p = 5 passes, N =
+    # 1112 is the largest level accepted there (about 0.3 s), and N = 1113
+    # and N = 3000 (about 4.5 s unbounded) exit 3 at once
+    for level in ("200", "1112"):
+        with deadline(1):
+            code, out, _ = run(["verify", "shift", "--p", "5",
+                                "--levels", level], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["levels"] == [{"N": int(level),
+                                              "valuation": int(level)}]
+    for level in ("1113", "3000"):
+        with deadline(1):
+            code, out, err = run(["verify", "shift", "--p", "5",
+                                  "--levels", level], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "MAX_SHIFT_TERMS" in err
 
 
 @contextmanager
@@ -467,15 +472,19 @@ def test_large_prime_p_is_fast(capsys):
 
 
 def test_level_range_bound_scales_with_p(capsys):
-    # p = 7 accepts this range; at p = 2^61 - 1 each Mahler term works on
-    # 21,000-bit integers instead of 1,000-bit ones
-    with deadline(2):
-        code, out, err = run(["verify", "witt", "--p", str(2 ** 61 - 1),
-                              "--h", "1", "--n", "6", "--levels", "1:169"],
-                             capsys)
-    assert code == EXIT_NUMERIC
-    assert out == ""
-    assert "MAX_POWER_SUM_TERMS" in err
+    # p = 7 accepts 1:169; at p = 2^61 - 1 each Mahler term works on
+    # 21,000-bit integers instead of 1,000-bit ones, and 1:18 is the largest
+    # range accepted
+    witt = ["verify", "witt", "--p", str(2 ** 61 - 1), "--h", "1", "--n", "6"]
+    with deadline(1):
+        code, out, _ = run([*witt, "--levels", "1:18"], capsys)
+    assert code == EXIT_OK
+    for levels in ("1:19", "1:169"):
+        with deadline(2):
+            code, out, err = run([*witt, "--levels", levels], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "MAX_POWER_SUM_TERMS" in err
 
 
 @pytest.mark.parametrize("p,reason", [

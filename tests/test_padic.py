@@ -498,15 +498,19 @@ def test_q_volkenborn_sum_deep_level_is_fast():
 
 def test_q_volkenborn_sum_has_a_work_bound():
     # (n + 2) N log2 p squarings mod p^w against MAX_SHIFT_TERMS: at these
-    # arguments N = 1707 is the largest level accepted, and N = 30000 raises
-    # before anything of size p^w is built (it used to run for minutes)
+    # arguments N = 1253 is the largest level accepted (about 0.3 s), and N =
+    # 1254 and N = 30000 raise before anything of size p^w is built (30000
+    # used to run for minutes)
     q = Q(5, F(6))
     start = time.perf_counter()
     with pytest.raises(PrecisionExhausted, match="MAX_SHIFT_TERMS"):
         q_volkenborn_sum(2, 1, 0, q, 30000, prec=10)
     with pytest.raises(PrecisionExhausted):
-        q_volkenborn_sum(2, 1, 0, q, 1708, prec=10)
+        q_volkenborn_sum(2, 1, 0, q, 1254, prec=10)
     assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert q_volkenborn_sum(2, 1, 0, q, 1253, prec=10).prec >= 10
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("h,n", [(0, 1), (1, 0), (1, 2), (2, 3)])
