@@ -4,12 +4,13 @@ integer arguments.
 
 zeta_q^{(h)} and L_q^{(h)} are each one combination of two Lerch series,
 sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s), which `_combine`
-takes, with its bound, for both.  One loop,
-`_lerch_pair`, sums every Lerch series here: both at once in a single pass
-over k, sharing w^k and log(k+x), or, for `lerch_sum_with_bound`, the one
-at s alone.  Each series keeps its own stopping test and stays frozen once
-it passes, so value and tail bound are bit-identical to two separate
-`lerch_sum_with_bound` calls.  L_q runs one pair per residue class mod d.
+takes, with its bound, for both.  One kernel, `_lerch_pair`, sums every
+Lerch series here: both at once in a single pass over k, sharing w^k and
+log(k+x), or, for `lerch_sum_with_bound`, the one at s alone, with one
+summation loop per number of running series.  Each series keeps its own
+stopping test and stays frozen once it passes, so value and tail bound are
+bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
+pair per residue class mod d.
 The interpolation checks import qbernoulli and report when they run, and a
 domain check imports exact only to raise DomainError, so the direct values
 load no exact arithmetic."""
@@ -68,8 +69,9 @@ _log = math.log
 def _level(tol: float, den: float) -> float:
     """`_horizon`'s level for the bound |w^j| (j+x)^nrs / den > tol: log(tol
     den) + 1e-9, floored at -700 so that |w^j| (j+x)^nrs stays a normal
-    float.  den = 0 (r rounded to 1) skips nothing: the exact step divides by
-    it and raises as before."""
+    float.  den = 0 (r rounded to 1) gives inf: `_lerch_pair` refuses such a
+    series before it sums, except the series at s - 1 of `alone`, which
+    never runs."""
     return max(_log(tol) + _log(den), -700.0) + 1e-9 if den > 0 else math.inf
 
 
@@ -120,14 +122,16 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     its own terms, bound and stopping test, and once it stops it stays
     frozen while the other goes on, so it stops at the same k, with the same
     bits, as it does alone.  With `alone` the series at s - 1 starts out
-    stopped and (0j, 0.0) stands in for it.
+    stopped and (0j, 0.0) stands in for it.  A series whose tail ratio
+    (1 + |w|)/2 rounds to 1 raises TruncationFailure before any term.
 
-    Before each exact step, `_horizon` gives a K up to which each running
-    series' stopping test cannot pass and no power can overflow; terms k ..
-    K - 2 are summed in a stretch with no test, in the same order and by the
-    same operations, and the exact step then sums term K - 1 and tests at K.
-    K <= max_terms, so every value, bound, stopping k and error message is
-    the one of the step-by-step loop."""
+    From check index k, `_horizon` gives a K up to which no running series'
+    stopping test can pass and no power can overflow.  Terms k .. K - 1 are
+    summed with no test, in one loop for both series or one for the series
+    still running, and the tests run at K.  K <= max_terms, the terms are
+    added in the same order by the same operations, and only term k of a
+    stretch can overflow, so every value, bound, stopping k and error
+    message is the one of a step-by-step loop."""
     w = complex(w)
     s = complex(s)
     s1 = s - 1
@@ -146,12 +150,14 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     nrs, nrs1 = -rs, -rs1
     r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
     den, den1 = 1 - r, 1 - r1
+    if den == 0 or den1 == 0 and not alone:
+        raise TruncationFailure(f"|w| = {aw}: the tail ratio (1 + |w|)/2 "
+                                "rounds to 1, so no tail bound holds")
     tol, max_terms = cfg.tol, cfg.max_terms
     a = b = 0j
     ba = bb = 0.0
     done_a, done_b = False, alone
     k = 0
-    kx = k + x
     wk = 1 + 0j
     # a float power or exp past the float range raises OverflowError with
     # no context; say which sum and which term
@@ -166,30 +172,19 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 K = _horizon(k, x, la, nrs, lev, K)
             if not done_b:
                 K = _horizon(k, x, la, nrs1, lev1, K)
-            if K > k + 1:
-                lgs = map(log, map(x.__radd__, range(k, K - 1)))
-                if done_b:
-                    for lg in lgs:
-                        a += wk * exp(ns * lg)
-                        wk *= w
-                elif done_a:
-                    for lg in lgs:
-                        b += wk * exp(ns1 * lg)
-                        wk *= w
-                else:
-                    for lg in lgs:
-                        a += wk * exp(ns * lg)
-                        b += wk * exp(ns1 * lg)
-                        wk *= w
-                k = K - 1
-                kx = k + x
-            lg = log(kx)
-            if not done_a:
-                a += wk * exp(ns * lg)
-            if not done_b:
-                b += wk * exp(ns1 * lg)
-            k += 1
-            wk *= w
+            lgs = map(log, map(x.__radd__, range(k, K)))
+            if done_a or done_b:
+                t, acc = (ns1, b) if done_a else (ns, a)
+                for lg in lgs:
+                    acc += wk * exp(t * lg)
+                    wk *= w
+                a, b = (a, acc) if done_a else (acc, b)
+            else:
+                for lg in lgs:
+                    a += wk * exp(ns * lg)
+                    b += wk * exp(ns1 * lg)
+                    wk *= w
+            k = K
             awk = abs(wk)
             kx = k + x
             if not done_a:

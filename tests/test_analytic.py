@@ -248,6 +248,21 @@ def test_lerch_pair_truncation_in_both_phases(w, s, x):
             == _failure(lerch_sum_with_bound, w, s - 1, x, cfg))
 
 
+def test_tail_ratio_rounding_to_1_raises_before_summing():
+    # |w| = 1 - 2^-53, the largest float below 1: for Re s < 0 the tail
+    # ratio (1 + |w|)/2 rounds to 1 and no tail bound exists.  At s = 0.5
+    # only the series at s - 1 lacks one, and `alone` never runs it: the
+    # sum at s goes on and truncates
+    w = 1 - 2.0 ** -53
+    msg = ("|w| = 0.9999999999999999: the tail ratio (1 + |w|)/2 rounds to "
+           "1, so no tail bound holds")
+    assert _failure(lerch_sum_with_bound, w, -1, 1.0) == msg
+    assert _failure(_lerch_pair, w, 0.5, 1.0, CFG) == msg
+    cfg = SeriesEvalConfig(1e-12, 50)
+    assert (_failure(lerch_sum_with_bound, w, 0.5, 1.0, cfg)
+            == "tail bound 1261260172928567.2 still above tol after 50 terms")
+
+
 # repr of (lerch_sum_with_bound, _lerch_pair) at tol 1e-13, taken from the
 # two-loop implementation this one loop replaced.  In each pair the series
 # at s stops first and the one at s - 1 runs on alone; with max_terms = 183

@@ -245,9 +245,9 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
     (["zeta", "--h", "1", "--q", "0.5", "--s=-120"],
      "at s = (-120+0j), term k = 352\n"),
     (["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
-      "--q", "0.5", "--s=-300"], "at s = (-300+0j), term"),
+      "--q", "0.5", "--s=-300"], "at s = (-300+0j), term k = 11\n"),
     (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "300"],
-     "at s = (-299+0j), term"),
+     "at s = (-299+0j), term k = 10\n"),
 ], ids=["zeta", "lfunction", "interp-zeta"])
 def test_float_overflow_exits_3(argv, msg, capsys):
     # a value too large for floats is a numeric error, not a FAIL verdict,
@@ -258,6 +258,23 @@ def test_float_overflow_exits_3(argv, msg, capsys):
     assert err.startswith("error: float overflow in the Lerch sum ")
     assert msg in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--h", "1", "--q", "0.99999999999999989", "--s=-1"],
+    ["zeta", "--h", "1", "--q", "0.99999999999999989", "--s=0.5"],
+    ["lfunction", "--modulus", "1", "--char-index", "0", "--h", "1",
+     "--q", "0.99999999999999989", "--s=-1"],
+], ids=["zeta-s-1", "zeta-s0.5", "lfunction"])
+def test_tail_ratio_rounding_to_1_exits_3(argv, capsys):
+    # at |q| = 1 - 2^-53, (1 + |q|)/2 rounds to 1 for a series with Re < 0
+    # (the one at s, or at s - 1): no tail bound, and the message says so
+    # instead of dividing by zero
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == ("error: |w| = 0.9999999999999999: the tail ratio "
+                   "(1 + |w|)/2 rounds to 1, so no tail bound holds\n")
 
 
 @pytest.mark.parametrize("h", ["0", "-1"])

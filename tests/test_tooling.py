@@ -247,8 +247,9 @@ def test_bench_pairs_summary_of_canned_lines():
              for i, (par, chg, p90, f) in enumerate([
                  (180.0, 350.0, 14.0, 0), (190.0, 170.0, 15.0, 0),
                  (185.0, 370.0, 13.0, 1), (200.0, 360.0, 16.0, 0)])]
-    summary = bench_pairs.summarise(
-        pairs, {"ops_per_s": "higher", "op_p90_ms": "lower"})
+    metrics = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+               {"name": "op_p90_ms", "better": "lower", "bound": 0.25}]
+    summary = bench_pairs.summarise(pairs, metrics)
     ops = summary["ops_per_s"]
     assert ops["parent_median"] == 187.5
     assert ops["change_median"] == 355.0
@@ -260,6 +261,25 @@ def test_bench_pairs_summary_of_canned_lines():
     assert summary["op_p90_ms"]["pairs_better"] == 4
     assert summary["failed"] == {"parent": [0, 0, 0, 0],
                                  "change": [0, 0, 1, 0]}
+    # 3 wins in 4 is too few to call better, and the median is not worse
+    assert ops["verdict"] == "within bound"
+    assert summary["op_p90_ms"]["verdict"] == "better"
+    # the parent's ops_per_s spread (IQR 125 of median 225) exceeds the
+    # bound and the change does not beat it run for run; op_p90_ms is 40 %
+    # worse against a 25 % bound
+    pairs = [{"parent": _result_line(par, p90, 0),
+              "change": _result_line(chg, c90, 0)}
+             for par, chg, p90, c90 in [(200.0, 190.0, 10.0, 14.0),
+                                        (300.0, 280.0, 10.2, 14.1),
+                                        (150.0, 160.0, 9.8, 13.9),
+                                        (250.0, 240.0, 10.1, 14.2)]]
+    summary = bench_pairs.summarise(pairs, metrics)
+    assert summary["ops_per_s"]["verdict"] == "unresolved"
+    assert summary["op_p90_ms"]["verdict"] == "worse"
+    # a wide parent spread is resolved when every change run beats every
+    # parent run
+    assert bench_pairs.verdict([200, 300, 150, 250], [400, 420, 410, 405],
+                               1, 0.25) == "better"
 
 
 # method -> the one class in src/ that defines it: every immutable value

@@ -12,8 +12,9 @@ parent goes first in the even pairs and the change in the odd ones, so a
 drift of the machine's speed does not favour one side.  It writes every
 result line (the last stdout line of run.py) and, per workload, a summary of
 each end-to-end metric of BENCHMARK.json: the medians and interquartile
-ranges of both sides and the number of pairs in which the change did
-better, and the `failed` counts of both sides, pair by pair.
+ranges of both sides, the number of pairs in which the change did better
+and a verdict against the metric's bound (see `verdict`), and the `failed`
+counts of both sides, pair by pair.  BENCHMARK.json is only read.
 """
 
 from __future__ import annotations
@@ -39,22 +40,48 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(par: list[float], chg: list[float], sign: int,
+            bound: float) -> str:
+    """One metric's runs against its relative bound; sign is 1 where
+    higher is better, -1 where lower is.
+
+    "unresolved" when the parent's own IQR exceeds bound * its median and
+    not every change run beats every parent run; else "better" when the
+    change wins at least 9 pairs in 10 and its median beats the parent's
+    by more than the parent's IQR; else "worse" when its median is worse
+    than the parent's by more than bound * the parent's median; else
+    "within bound"."""
+    pm, cm, spread = statistics.median(par), statistics.median(chg), _iqr(par)
+    if (spread > bound * abs(pm)
+            and min(sign * c for c in chg) <= max(sign * p for p in par)):
+        return "unresolved"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+    if 10 * wins >= 9 * len(par) and sign * (cm - pm) > spread:
+        return "better"
+    if sign * (cm - pm) < -bound * abs(pm):
+        return "worse"
+    return "within bound"
+
+
+def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """The summary of one workload's pairs, each {"seed", "first",
-    "parent", "change"} with run.py result lines; `better` maps each metric
-    to "higher" or "lower"."""
+    "parent", "change"} with run.py result lines, for the metrics of
+    `end_to_end` (BENCHMARK.json's entries: "name", "better" = "higher" or
+    "lower", and the relative "bound")."""
     out = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name = metric["name"]
         par, chg = ([p[side]["metrics"][name]["value"] for p in pairs]
                     for side in ("parent", "change"))
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         out[name] = {
             "parent_median": statistics.median(par),
             "change_median": statistics.median(chg),
             "parent_iqr": _iqr(par),
             "change_iqr": _iqr(chg),
             "pairs_better": sum(sign * (c - p) > 0 for p, c in zip(par, chg)),
-            "pairs": len(pairs)}
+            "pairs": len(pairs),
+            "verdict": verdict(par, chg, sign, metric["bound"])}
     out["failed"] = {side: [p[side]["failed"] for p in pairs]
                      for side in ("parent", "change")}
     return out
@@ -100,8 +127,7 @@ def main() -> int:
                     help="NAME:PAIRS:SEED")
     ap.add_argument("--seconds", type=float, default=20)
     args = ap.parse_args()
-    bench = json.loads(Path("BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
     doc = {"description": "", "command": "python3 perfbench/run.py "
            f"--workload W --seed N --seconds {args.seconds:g}", "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,7 +154,7 @@ def main() -> int:
                 print(name, int(seed) + i,
                       {side: line["metrics"]["ops_per_s"]["value"]
                        for side, line in lines.items()}, file=sys.stderr)
-            doc["workloads"][name] = {"summary": summarise(pairs, better),
+            doc["workloads"][name] = {"summary": summarise(pairs, end_to_end),
                                       "pairs": pairs}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
