@@ -753,10 +753,45 @@ class XPolynomial(_Frozen):
         return self.coeffs[k] if k < len(self.coeffs) else _LS0
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
-        acc = _LS0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x: `eval_points` at the one point x = a/b."""
+        return self.eval_points([x.numerator], x.denominator)[0]
+
+    def eval_points(self, nums: Sequence[int], b: int,
+                    h: int = 0) -> list[LogScalar]:
+        """[q^(h i) * self(a / b) for i, a in enumerate(nums)], b >= 1.
+
+        Per component (rat, log) the coefficients c_j are lifted once to one
+        common denominator (`_lift_all`).  At x = a/b of degree n the value
+        is sum_j a^j b^(n-j) c_j / b^n: one integer numerator over the lifted
+        denominator times b^n, whose power of q, with q^(h i), is cancelled
+        by counting.  Phi_d, d >= 1, can divide the numerator only where the
+        number of c_j with a^j != 0 that reach its top exponent is not one,
+        and `_lower` tries only those.  Lowest terms are unique, so each value
+        is the one that Horner's rule in LogScalar arithmetic gives."""
+        if not self.coeffs:
+            return [_LS0] * len(nums)
+        n, parts = len(self.coeffs) - 1, []
+        for part in ("rat", "log"):
+            cs = [getattr(c, part) for c in self.coeffs]
+            exps, den, rows = _lift_all(cs)
+            cols = list(zip(*rows))
+            # the j whose c_j reaches the top exponent of Phi_d, d >= 1
+            reach = {d: [j for j, c in enumerate(cs) if c.exps.get(d) == e]
+                     for d, e in exps.items() if d}
+            vals = []
+            for i, a in enumerate(nums):
+                ws = [a ** j * b ** (n - j) for j in range(n + 1)]
+                num = [sum(map(int.__mul__, ws, col)) for col in cols]
+                # q^(h i) num = q^(h i + z) num[z:], num[z] != 0, over q^e0:
+                # q^t num[z:] over no q if t >= 0, else num[z:] over q^-t
+                z = next((k for k, c in enumerate(num) if c), 0)
+                t = h * i + z - exps.get(0, 0)
+                check = [d for d, js in reach.items()
+                         if sum(1 for j in js if ws[j]) != 1]
+                vals.append(_lower([0] * t + num[z:], den * b ** n,
+                                   {**exps, 0: max(-t, 0)}, check))
+            parts.append(vals)
+        return [LogScalar(r, l) for r, l in zip(*parts)]
 
     def eval_complex(self, x: complex, qv: complex) -> complex:
         acc = 0j

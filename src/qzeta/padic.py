@@ -4,10 +4,14 @@ closed-form integral and the character-twisted integral).
 
 Witt's formula is the twisted integral at the character mod 1: both sum
 chi(x) x^n q^{hx} over x < d p^N in one core (`_level_sums`), each calling
-it in the same way at its own n alone, from one Mahler expansion
-(`_power_sums`) in O(n (n + w)) operations per level at precision p^w, and
-pass when every level N reaches min(prec, N - slack).  Shift sums b
-end terms, q-Volkenborn n + 1 geometric series: nothing loops over x < p^N.
+it in the same way at its own n alone, and pass when every level N reaches
+min(prec, N - slack).  The core reads the power sums S_k = sum_{y<p^N} y^k
+r^y only at the k whose coefficient is nonzero (k = n alone for Witt), from
+one Mahler expansion (`_power_sums`) at precision p^w: n + 1 rows of K = n
++ ceil(w / v_p(r - 1)) coefficients, built once for all levels, and per
+level K binomials and one dot product of length K for each k read.  Shift
+sums b end terms, q-Volkenborn n + 1 geometric series: nothing loops over
+x < p^N.
 
 The verifiers compare these sums with an exact LogScalar target r(q) +
 l(q) log q.  `eval_log_scalar_padic` evaluates both rational parts exactly
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, log2
 
 from .characters import DirichletCharacter, _Frozen
@@ -253,7 +258,29 @@ def _exp_domain_ok(t: PadicNumber) -> bool:
 
 
 def _log_domain_ok(q: PadicNumber) -> bool:
-    return _exp_domain_ok(q - 1)
+    """`_exp_domain_ok(q - 1)` in integers: v(q) = 0 and v_p(unit - 1) >= 1
+    (>= 2 for p = 2), where unit - 1 is known mod p^prec; a zero q has a
+    zero q - 1 only when it is known to no digit (abs_prec <= 0)."""
+    if q.is_zero():
+        return q.abs_prec <= 0
+    x = (q.unit - 1) % q.p ** q.prec
+    return q.val == 0 and (x == 0 or _vp(x, q.p) >= (2 if q.p == 2 else 1))
+
+
+def _unit_factorials(units: list[int], mod: int) -> tuple[list[int], list[int]]:
+    """The products units[1] ... units[k] mod `mod` for k < len(units) (1 at
+    k = 0), and their inverses, from one modular inverse of the last: the
+    inverse of the (k-1)-th is units[k] times that of the k-th.  With
+    units[k] the unit part of k, these are the unit parts of k! and their
+    inverses."""
+    fact = [1] * len(units)
+    for k in range(1, len(units)):
+        fact[k] = fact[k - 1] * units[k] % mod
+    inv = fact[:]
+    inv[-1] = pow(fact[-1], -1, mod)
+    for k in range(len(units) - 1, 1, -1):
+        inv[k - 1] = inv[k] * units[k] % mod
+    return fact, inv
 
 
 def _series(t: PadicNumber, exp: bool) -> PadicNumber:
@@ -261,26 +288,36 @@ def _series(t: PadicNumber, exp: bool) -> PadicNumber:
     t^k / k, mod p^a (a = t.abs_prec) in integers: term k of t = p^v u is
     p^(k v - v_p(den_k)) u^k / (unit of den_k).  From the first k with k v -
     B(k) >= a on every term is 0 mod p^a, as B(k) >= v_p(den_k) grows by at
-    most v per step: floor((k-1)/(p-1)) >= v_p(k!) for exp, floor(log2 k)."""
+    most v per step: floor((k-1)/(p-1)) >= v_p(k!) for exp, floor(log2 k).
+    So the K - 1 terms are known before the loop: the inverses of the unit
+    parts of 1!, ..., (K-1)! come from one modular inverse
+    (`_unit_factorials`; for log, 1 / (unit of k) is (unit of (k-1)!) /
+    (unit of k!)), and p^(k v) is a running product, divided by
+    p^v_p(den_k) from a small table."""
     p, v, a = t.p, t.val, t.abs_prec
+    if t.is_zero():                 # known to no digit: every term is 0
+        return PadicNumber.from_int_mod(p, int(exp), a)
     mod = p ** a
-    s, uk, dv, inv = int(exp), 1, 0, 1  # u^k, v_p(den_k), 1 / unit of den_k
-    k = 1
-    while k * v - ((k - 1) // (p - 1) if exp else k.bit_length() - 1) < a:
-        e = _vp(k, p)
-        unit = pow(k // p ** e, -1, mod)
-        if exp:
-            dv, inv = dv + e, inv * unit % mod
-        else:
-            dv, inv = e, unit if k % 2 else -unit
+    K = 1
+    while K * v - ((K - 1) // (p - 1) if exp else K.bit_length() - 1) < a:
+        K += 1
+    es = [0] + [_vp(k, p) for k in range(1, K)]
+    fact, inv = _unit_factorials([k // p ** e for k, e in enumerate(es)], mod)
+    dvs = list(accumulate(es)) if exp else es       # v_p(den_k)
+    pows = [p ** e for e in range(max(dvs) + 1)]
+    s, uk, pk, pv = int(exp), 1, 1, p ** v          # u^k, p^(k v), p^v
+    for k in range(1, K):
         uk = uk * t.unit % mod
-        s += p ** (k * v - dv) * uk * inv
-        k += 1
+        pk *= pv
+        c = inv[k] if exp else inv[k] * fact[k - 1] * (1 if k % 2 else -1)
+        s += pk // pows[dvs[k]] * uk * c
     return PadicNumber.from_int_mod(p, s, a)
 
 
 def padic_log(q: PadicNumber) -> PadicNumber:
-    """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1))."""
+    """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1)): the
+    domain test in integers (`_log_domain_ok`), then q - 1, formed once, into
+    `_series`."""
     _check_prime(q.p)
     if not _log_domain_ok(q):
         raise PadicDomainError("padic_log needs v(q-1) >= 1 (>= 2 for p = 2)")
@@ -380,20 +417,23 @@ def _check_work(terms: int, w: int, p: int, need: str,
             f"{bound} = {cap} terms of up to 1024 bits")
 
 
-def _power_sums(r: int, k_max: int, levels: list[int], p: int,
+def _power_sums(r: int, ks: list[int], levels: list[int], p: int,
                 w: int) -> list[list[int]]:
-    """[sum_{x<p^N} x^k r^x mod p^w for k = 0..k_max], for each N in
-    `levels`.
+    """[sum_{x<p^N} x^k r^x mod p^w for k in `ks`], for each N in `levels`.
 
     Mahler expansion: sum_{x<M} f(x) = sum_m (Delta^m f)(0) C(M, m+1).  For
     f_k(x) = x^k r^x and u = r - 1, the coefficients a_{k,m} = (Delta^m
     f_k)(0) satisfy a_{0,m} = u^m and a_{k+1,m} = m (a_{k,m-1} + a_{k,m})
     (from x C(x, m) = (m+1) C(x, m+1) + m C(x, m)), so a_{k,m} = 0 mod
-    p^((m-k) v) with v = v_p(u), and K = k_max + ceil(w/v) terms give the
-    sums mod p^w.  They do not depend on N; each level then costs only the
-    binomials C(p^N, j) = p^(N - v_p(j)) prod_{0<i<j} (p^N - i)/p^v_p(i)
-    / (unit part of j!), all of whose factors but the first are units.
-    Integer arithmetic mod p^w, no division by p.
+    p^((m-k) v) with v = v_p(u), and K = max(ks) + ceil(w/v) terms give the
+    sums mod p^w.  The rows a_k run up to k = max(ks), but only the rows in
+    `ks` are kept and dotted with the binomials.  They do not depend on N;
+    each level then costs only the binomials C(p^N, j) = p^(N - v_p(j))
+    prod_{0<i<j} (p^N - i)/p^v_p(i) / (unit part of j!), all of whose
+    factors but the first are units: the p-powers come from a table per
+    level, and the K inverses of the unit parts of j! from one modular
+    inverse (`_unit_factorials`).  Integer arithmetic mod p^w, no division
+    by p.
     """
     mod = p ** w
     u = (r - 1) % mod
@@ -401,26 +441,26 @@ def _power_sums(r: int, k_max: int, levels: list[int], p: int,
     if v == 0:
         raise PadicDomainError(
             "q^h must be 1 mod p: x -> q^(hx) is not continuous on Z_p")
+    k_max = max(ks, default=0)
     K = k_max + -(-w // v)
     row = [1] * K
     for m in range(1, K):
         row[m] = row[m - 1] * u % mod
-    rows = [row]
-    for _ in range(k_max):
+    rows = [row] if 0 in ks else []
+    for k in range(1, k_max + 1):
         row = [0] + [m * (row[m - 1] + row[m]) % mod for m in range(1, K)]
-        rows.append(row)
+        if k in ks:
+            rows.append(row)
     vs = [0] + [_vp(j, p) for j in range(1, K + 1)]
     units = [j // p ** vs[j] for j in range(K + 1)]
-    inv_fact = [1] * (K + 1)      # 1 / (unit part of j!) mod p^w
-    for j in range(1, K + 1):
-        inv_fact[j] = inv_fact[j - 1] * pow(units[j], -1, mod) % mod
+    inv_fact = _unit_factorials(units, mod)[1]
     out = []
     for N in levels:
+        pe = [p ** (N - e) % mod for e in range(min(N, max(vs)) + 1)]
         binom, num = [], 1        # binom[m] = C(p^N, m+1) mod p^w
         for j in range(1, min(K, p ** N) + 1):
-            pe = pow(p, N - vs[j], mod)
-            binom.append(pe * num * inv_fact[j] % mod)
-            num = num * (pe - units[j]) % mod
+            binom.append(pe[vs[j]] * num * inv_fact[j] % mod)
+            num = num * (pe[vs[j]] - units[j]) % mod
         out.append([sum(a * b for a, b in zip(a_k, binom)) % mod
                     for a_k in rows])
     return out
@@ -431,8 +471,9 @@ def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
     """{N: [(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n for n in ns]} for
     each N in `levels`, d = len(chi) prime to p, chi(x) = chi[x mod d].  With
     x = a + d y and r = q^h, a sum is sum_j C(n, j) d^j c_j S_j, where c_j =
-    sum_a chi(a) r^a a^(n-j) and S_j = sum_{y<p^N} y^j r^(d y) (`_power_sums`);
-    at the character mod 1 (d = 1, chi = [1]) only c_n = 1 is left: Witt's
+    sum_a chi(a) r^a a^(n-j) and S_j = sum_{y<p^N} y^j r^(d y) (`_power_sums`,
+    asked only for the j whose coefficient is nonzero mod p^w); at the
+    character mod 1 (d = 1, chi = [1]) only c_n = 1 is left: Witt's
     S_N.  Sums are taken mod p^w, w = prec + 2 N_max, N_max = max(levels); a
     level-N sum is reduced mod p^(prec + N_max + N) and divided by d p^N, so
     every value is known to prec + N_max absolute digits."""
@@ -449,10 +490,12 @@ def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
     chi_r = [c * pow(r, a, mod) for a, c in enumerate(chi)]
     coefs = [[comb(n, j) * d ** j * sum(t * a ** (n - j)
                                          for a, t in enumerate(chi_r)) % mod
-              for j in range(n + 1)] for n in ns]
-    sums = _power_sums(pow(r, d, mod), k_max, levels, p, w)
+              for j in range(n + 1)] + [0] * (k_max - n) for n in ns]
+    ks = sorted({j for coef in coefs for j, c in enumerate(coef) if c})
+    sums = _power_sums(pow(r, d, mod), ks, levels, p, w)
     return {N: [PadicNumber.from_int_mod(
-                    p, sum(c * s for c, s in zip(coef, row)), prec + n_top + N)
+                    p, sum(coef[k] * s for k, s in zip(ks, row)),
+                    prec + n_top + N)
                 / PadicNumber(p, N, d % mod, w) for coef in coefs]
             for N, row in zip(levels, sums)}
 

@@ -243,10 +243,11 @@ def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> tuple[LogScalar, 
 
 @lru_cache(maxsize=None)
 def _twisted_terms_mod(d: int, h: int, n: int) -> tuple[LogScalar, ...]:
+    """q^{h i} B_{n, q^d}^{(h)}(i/d), i < d: the coefficients are lifted
+    once per component and every residue is one integer combination of
+    them (`XPolynomial.eval_points`)."""
     poly = q_bernoulli_polynomial(h, n).subst_q_power(d)
-    return tuple(poly.eval_fraction(Fraction(i, d))
-                 * LogScalar(RationalFunction.q_power(h * i))
-                 for i in range(d))
+    return tuple(poly.eval_points(range(d), d, h))
 
 
 def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> LogScalar:

@@ -313,6 +313,44 @@ def test_xpolynomial_eval_and_compose():
     assert p.eval_fraction(F(1, 2)) == LogScalar(F(15, 4))
 
 
+def _horner(poly, x):
+    """Horner's rule in LogScalar arithmetic: the reference for
+    `XPolynomial.eval_fraction` and `eval_points`."""
+    acc = LogScalar()
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _same(a, b):
+    return all((x.num.ints, x.num.den, x.exps) == (y.num.ints, y.num.den, y.exps)
+               for x, y in ((a.rat, b.rat), (a.log, b.log)))
+
+
+def test_xpolynomial_eval_points_match_horner():
+    # q-powers in numerators and denominators, coefficients that share the
+    # top exponent of Phi_1 (so x = 1 cancels q - 1), a log part, a zero
+    # polynomial and a = 0, against Horner's rule times q^(h i)
+    q = RationalFunction.q_power(1)
+    polys = [XPolynomial([]), XPolynomial([2, 3, 1]),
+             XPolynomial([q / (q - 1), -1 / (q - 1)]),
+             XPolynomial([LogScalar(1 / q, q / (q ** 2 - 1)), LogScalar(q),
+                          LogScalar(0, -1 / ((q - 1) * q ** 3))]),
+             XPolynomial([LogScalar(q ** 2 / (q ** 3 - 1) ** 2, 1 / q ** 2),
+                          LogScalar(-1 / (q ** 3 - 1), q / (q + 1)),
+                          LogScalar(1 / (q ** 3 - 1) ** 2)])]
+    for poly, b, h in zip(polys * 3, [1, 2, 3, 4, 5] * 3, range(-7, 8)):
+        nums = list(range(-b, 2 * b + 1))
+        got = poly.eval_points(nums, b, h)
+        for i, (a, g) in enumerate(zip(nums, got)):
+            want = _horner(poly, F(a, b)) * LogScalar(
+                RationalFunction.q_power(h * i))
+            assert g == want and _same(g, want), (poly, a, b, h)
+        for a in nums:
+            x = F(a, b)
+            assert _same(poly.eval_fraction(x), _horner(poly, x)), (poly, x)
+
+
 def test_xpolynomial_eval_complex_with_log_coeff():
     import cmath
     p = XPolynomial([LogScalar(0, 1), LogScalar(1)])   # log q + x

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +138,10 @@ def test_padic_log_exp_match_long_reference_sums(p):
     # every claimed digit is right: the result, known mod p^a, equals a sum
     # of 3a + 30 terms, far past the last term of valuation below a; both
     # an input that remembers its rational and one that does not
+    low = 2 if p == 2 else 1                # the least valuation in domain
+    for xs in ([x - 1 for x in LOG_Q[p]], EXP_T[p]):
+        vals = {padic._vp(x.numerator, p) for x in xs}
+        assert {low, low + 1} <= vals
     for a in range(2, 41):
         K = 3 * a + 30
         for kind, xs in (("log", LOG_Q[p]), ("exp", EXP_T[p])):
@@ -150,6 +156,25 @@ def test_padic_log_exp_match_long_reference_sums(p):
                     got = padic_log(arg) if kind == "log" else padic_exp(arg)
                     assert (got.val, got.unit, got.prec) == \
                         (want.val, want.unit, want.prec), (kind, x, a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_log_domain_test_in_integers_matches_q_minus_1(p):
+    # _log_domain_ok(q) decides in integers what _exp_domain_ok(q - 1) does
+    # on a p-adic difference, over valuations, zeros and precisions
+    qs = [PadicNumber.zero(p), PadicNumber.zero(p, 3), PadicNumber.zero(p, 0),
+          PadicNumber.zero(p, -2), PadicNumber(p, 0, 1, 5),
+          PadicNumber(p, 0, 1, 9),
+          PadicNumber(p, 0, 1 + p ** 9, 10)]
+    for val, prec, unit in product((-2, -1, 0, 1, 3), (1, 2, 3, 6),
+                                   range(1, 4 * p * p, 2 if p == 2 else 1)):
+        if unit % p:
+            qs.append(PadicNumber(p, val, unit % p ** prec, prec))
+    for x in (*LOG_Q[p], *EXP_T[p], F(1), F(p - 1), F(1, p), F(p * p)):
+        qs += [Q(p, x, a) for a in (1, 2, 5)]
+    for q in qs:
+        assert padic._log_domain_ok(q) == padic._exp_domain_ok(q - 1), repr(q)
+    assert sum(map(padic._log_domain_ok, qs)) > 10
 
 
 def test_padic_log_exp_last_digits():
@@ -220,6 +245,9 @@ def test_from_int_mod_takes_rationals(value, abs_prec, val):
     assert (x - Q(5, F(value), 40)).valuation() >= abs_prec
 
 
+# the subprocesses import qzeta from this checkout's src, installed or not
+_SUB_ENV = dict(os.environ,
+                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 _BAD_BASE = """
 import json, sys, time
 from fractions import Fraction
@@ -249,7 +277,8 @@ def test_base_below_2_raises_fast(call, p):
     # the p-adic valuation loops forever at p = 1 or -1; a subprocess, so
     # that a hang fails the test instead of the run
     done = subprocess.run([sys.executable, "-c", _BAD_BASE, call],
-                          capture_output=True, text=True, timeout=10)
+                          capture_output=True, text=True, timeout=10,
+                          env=_SUB_ENV)
     doc = json.loads(done.stdout)
     assert doc["err"] == ["ValueError", f"p = {p} must be a prime >= 2"]
     assert doc["s"] < 1
@@ -268,7 +297,8 @@ def test_composite_base_raises_fast(call, p):
     q = f"PadicNumber.from_fraction({p}, {p + 1}, 40)"
     done = subprocess.run([sys.executable, "-c", _BAD_BASE,
                            call.format(p=p, q=q)],
-                          capture_output=True, text=True, timeout=10)
+                          capture_output=True, text=True, timeout=10,
+                          env=_SUB_ENV)
     doc = json.loads(done.stdout)
     assert doc["err"] == ["ValueError", f"p = {p} is not prime"]
     assert doc["s"] < 1
@@ -382,10 +412,50 @@ def test_power_sums_match_loop(p, h):
             r = _ratio_mod(p, make_q(p), h, w)
             if (r - 1) % p:
                 with pytest.raises(PadicDomainError):
-                    _power_sums(r, 8, [N], p, w)
+                    _power_sums(r, range(9), [N], p, w)
                 continue
             want = _loop_power_sums(r, 8, p ** N, p, w)
-            assert _power_sums(r, 8, [N], p, w) == [want], (make_q(p), N)
+            assert _power_sums(r, range(9), [N], p, w) == [want], \
+                (make_q(p), N)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_sums_at_a_subset_of_k(p):
+    # S_k for k in ks alone: the entries of the full result, and of the
+    # loop, in the order of ks; rows below max(ks) still feed the ones read
+    for make_q, h in product(ORACLE_Q, (-2, 1, 2)):
+        w = 11
+        r = _ratio_mod(p, make_q(p), h, w)
+        if (r - 1) % p:
+            continue
+        levels = [1, 2, 3]
+        full = _power_sums(r, range(9), levels, p, w)
+        for ks in ([8], [0], [3], [0, 5], [2, 3, 7], [1, 8], []):
+            got = _power_sums(r, ks, levels, p, w)
+            assert got == [[row[k] for k in ks] for row in full], (ks, h)
+            for N, sums in zip(levels, got):
+                want = _loop_power_sums(r, max(ks, default=0), p ** N, p, w)
+                assert sums == [want[k] for k in ks], (ks, h, N)
+
+
+def test_witt_sums_only_its_own_power(monkeypatch):
+    # witt asks the Mahler core for S_n alone; volkenborn_levels for the
+    # whole family 0..n
+    seen = []
+    real = padic._power_sums
+
+    def spy(r, ks, *rest):
+        seen.append(list(ks))
+        return real(r, ks, *rest)
+    monkeypatch.setattr(padic, "_power_sums", spy)
+    q = Q(5, F(6), 40)
+    for n in range(7):
+        seen.clear()
+        witt_verify(1, n, q, [3, 4, 5], 12, 3)
+        assert seen == [[n]]
+    seen.clear()
+    volkenborn_levels(4, 1, q, [3])
+    assert seen == [[0, 1, 2, 3, 4]]
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from pathlib import Path
 
@@ -294,3 +295,29 @@ def test_high_order_number_from_cold_cache():
         return proc.stdout.strip()
 
     assert digest(600) == digest(0)    # cold, and warmed from n = 0 up
+
+
+def _horner_twisted_terms(d, h, n):
+    """q^{h i} B_{n, q^d}^{(h)}(i/d) for i < d by Horner's rule in LogScalar
+    arithmetic at each residue: the reference for `_twisted_terms_mod`."""
+    poly = q_bernoulli_polynomial(h, n).subst_q_power(d)
+    out = []
+    for i in range(d):
+        acc = LogScalar()
+        for c in reversed(poly.coeffs):
+            acc = acc * F(i, d) + c
+        out.append(acc * LogScalar(RationalFunction.q_power(h * i)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
+def test_twisted_terms_match_horner_per_residue(d):
+    # the terms come from one lift of the coefficients per component; each
+    # equals Horner's value in lowest terms: value, JSON and exponents
+    for h, n in product((-3, -2, -1, 1, 2, 3), range(13)):
+        got = qbernoulli._twisted_terms_mod(d, h, n)
+        want = _horner_twisted_terms(d, h, n)
+        assert got == want, (d, h, n)
+        for g, w in zip(got, want):
+            assert g.to_json_dict() == w.to_json_dict(), (d, h, n)
+            assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
