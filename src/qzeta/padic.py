@@ -89,9 +89,19 @@ def _is_prime(n: int) -> bool:
 def _check_prime(p: int) -> None:
     """The constructors take any p >= 2; a composite p would fail deep
     inside, on a unit that has no inverse mod p^w.  `_is_prime` is exact
-    only below 2^64."""
+    only below 2^64, so a larger p is refused, as the CLI refuses it."""
+    if p >= 2 ** 64:
+        raise ValueError(f"p = {p} is not below the bound 2^64")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+
+
+def _check_levels(levels) -> None:
+    """A level sum over x < p^N needs N >= 1: at N <= 0 a verifier's bar
+    min(prec, N - slack) is <= 0, and its verdict would check nothing."""
+    if not levels or min(levels) < 1:
+        raise ValueError(
+            f"levels {list(levels)} must be non-empty, each N >= 1")
 
 
 def _check_base(p: int) -> None:
@@ -507,6 +517,8 @@ def volkenborn_levels(n_max: int, h: int, q: PadicNumber, levels: list[int],
     known to prec + max(levels) absolute digits.  No verifier calls it: it is
     the paper's S_N family, reached by `volkenborn_sum` (and traced by the
     benchmark as padic.volkenborn); `witt_verify` sums its own n alone."""
+    _check_prime(q.p)
+    _check_levels(levels)
     return _level_sums([1], h, range(n_max + 1), q, levels, prec)
 
 
@@ -514,9 +526,6 @@ def volkenborn_sum(f: MonomialTestFunction, N: int,
                    prec: int = DEFAULT_PRECISION) -> PadicNumber:
     """Level-N Volkenborn approximant p^-N sum_{x<p^N} f(x): the paper's
     object, kept as such, though no src/ path calls it."""
-    _check_prime(f.q.p)
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return volkenborn_levels(f.n, f.h, f.q, [N], prec)[N][f.n]
 
 
@@ -536,6 +545,7 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
     """
     p = q.p
     _check_prime(p)
+    _check_levels([N])
     x0 = Fraction(x0)
     if _vp(x0.denominator, p) > 0:
         raise PadicDomainError("|x0|_p <= 1 required")
@@ -565,14 +575,15 @@ def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _check_prec_slack(p: int, prec: int, slack: int) -> None:
-    """A verdict needs a prime p, at least one digit and a slack that only
-    lowers the bar."""
+def _check_prec_slack(p: int, prec: int, slack: int, levels) -> None:
+    """A verdict needs a prime p, at least one digit, a slack that only
+    lowers the bar and at least one level, each N >= 1."""
     _check_prime(p)
     if prec < 1:
         raise ValueError(f"precision {prec} must be >= 1")
     if slack < 0:
         raise ValueError(f"slack {slack} must be >= 0")
+    _check_levels(levels)
 
 
 def _level_report(identity: str, params: dict, vals: list[tuple[int, int]],
@@ -605,7 +616,7 @@ def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
     twisted check does at its character, and at every level N the valuation
     of S_N - target must reach min(prec, N - slack).  The valuations need not
     increase with N: S_N can come closer to the target than S_(N+1)."""
-    _check_prec_slack(q.p, prec, slack)
+    _check_prec_slack(q.p, prec, slack, levels)
     sums = _level_sums([1], h, range(n, n + 1), q, levels, prec)
     return _target_verdict(
         "witt", {"h": h, "n": n, "p": q.p, "prec": prec, "slack": slack},
@@ -619,7 +630,7 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
     valuation must be >= N - slack.  The level sums differ by b end terms,
     sum_{x<p^N} f(x+b) - f(x) = sum_{i<b} f(p^N+i) - f(i), so one loop over
     i < b mod p^w gives both sides."""
-    _check_prec_slack(f.q.p, prec, slack)
+    _check_prec_slack(f.q.p, prec, slack, [N])
     if b < 1:
         raise ValueError("b must be >= 1")
     p, n, h = f.q.p, f.n, f.h
@@ -657,7 +668,7 @@ def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
                        prec: int = DEFAULT_PRECISION,
                        slack: int = DEFAULT_SLACK) -> VerificationReport:
     """Level-N sum of q^{h x} e^{x t} against (h log q + t)/(q^h e^t - 1)."""
-    _check_prec_slack(q.p, prec, slack)
+    _check_prec_slack(q.p, prec, slack, [N])
     p = q.p
     # after / p^N, min(prec, N) + 6 >= N - slack digits remain
     w = max(prec, N) + N + 6
@@ -684,7 +695,7 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
                              slack: int = DEFAULT_SLACK) -> VerificationReport:
     """(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n against the exact
     twisted value for quadratic chi, gcd(p, d) = 1, with witt's verdict."""
-    _check_prec_slack(q.p, prec, slack)
+    _check_prec_slack(q.p, prec, slack, levels)
     p, d = q.p, chi.modulus
     if d % p == 0:
         raise PadicDomainError("need gcd(p, d) = 1")

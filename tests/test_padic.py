@@ -308,9 +308,10 @@ def test_composite_base_raises_fast(call, p):
 @pytest.mark.parametrize("call", [
     lambda p: padic_log(Q(p, F(p + 1), 20)),
     lambda p: padic_exp(Q(p, F(p * p), 20)),
+    lambda p: volkenborn_levels(2, 1, Q(p, F(p + 1), 20), [3]),
     lambda p: volkenborn_sum(MonomialTestFunction(2, 1, Q(p, F(p + 1), 20)), 3),
     lambda p: q_volkenborn_sum(2, 1, 0, Q(p, F(p + 1), 20), 3),
-], ids=["log", "exp", "volkenborn", "q_volkenborn"])
+], ids=["log", "exp", "levels", "volkenborn", "q_volkenborn"])
 def test_composite_base_outside_the_verifiers_is_named(call, p):
     # each checks p with its other arguments, before a unit mod p^w turns
     # out to have no inverse ("base is not invertible for the given modulus")
@@ -805,6 +806,53 @@ def test_verifiers_reject_meaningless_precision_or_slack(prec, slack):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+_CHI4 = next(c for c in enumerate_characters(4) if not c.is_principal())
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda q, N: witt_verify(1, 3, q, [N]),
+    lambda q, N: padic_generalized_verify(_CHI4, 1, 2, q, [N]),
+    lambda q, N: shift_identity_verify(MonomialTestFunction(1, 1, q), 1, N),
+    lambda q, N: closed_form_verify(1, Q(5, F(5), 40), q, N),
+    lambda q, N: volkenborn_levels(2, 1, q, [N]),
+    lambda q, N: volkenborn_sum(MonomialTestFunction(2, 1, q), N),
+    lambda q, N: q_volkenborn_sum(2, 1, 0, q, N),
+], ids=["witt", "twisted", "shift", "closedform", "levels", "volkenborn",
+        "q_volkenborn"])
+def test_levels_below_1_are_refused(call, N):
+    # at N <= 0 a verifier's bar min(prec, N - slack) is <= 0, so its verdict
+    # would check nothing (a vacuous PASS at N = 0), and a level sum there is
+    # no approximant (volkenborn_levels would give S_0 = [1, 0, 0] at N = 0)
+    with pytest.raises(ValueError, match=rf"^levels \[{N}\] must be "
+                                         r"non-empty, each N >= 1$"):
+        call(Q(5, F(6), 40), N)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: witt_verify(1, 3, q, []),
+    lambda q: padic_generalized_verify(_CHI4, 1, 2, q, []),
+    lambda q: volkenborn_levels(2, 1, q, []),
+], ids=["witt", "twisted", "levels"])
+def test_empty_levels_are_refused(call):
+    with pytest.raises(ValueError, match=r"^levels \[\] must be non-empty"):
+        call(Q(5, F(6), 40))
+
+
+def test_base_at_or_above_2_64_is_refused():
+    # the twelve-base Miller-Rabin test is exact only below 2^64: this
+    # product of two primes passes it, and witt_verify at q = 1 + p would
+    # return PASS; the verifiers refuse such a p by the bound, as the CLI does
+    p = 318665857834031151167461
+    assert p == 399165290221 * 798330580441 and padic._is_prime(p)
+    with pytest.raises(ValueError,
+                       match=rf"^p = {p} is not below the bound 2\^64$"):
+        witt_verify(1, 2, Q(p, F(1 + p), 40), [1, 2], prec=4)
+    padic._check_prime(2 ** 64 - 59)      # the largest prime below 2^64
+    with pytest.raises(ValueError, match=r"is not below the bound 2\^64$"):
+        padic._check_prime(2 ** 64 + 13)
 
 
 def test_closed_form():

@@ -371,16 +371,17 @@ _ARGPARSE_REJECTS = {"verify nonsense", "nonsense",
 
 
 def test_cli_parity_grid_parses():
-    # every command of tools/cli_parity.py goes through the CLI's own parser,
-    # as main() reads it, so a renamed flag or subcommand shows here and not
-    # as a digest that changed for no visible reason; no process is started
+    # every command of tools/parity.py's cli grid goes through the CLI's own
+    # parser, as main() reads it, so a renamed flag or subcommand shows here
+    # and not as a digest that changed for no visible reason; no process is
+    # started
     from contextlib import redirect_stderr
     from io import StringIO
 
     from qzeta import cli
 
     spec = importlib.util.spec_from_file_location(
-        "cli_parity", ROOT / "tools" / "cli_parity.py")
+        "parity", ROOT / "tools" / "parity.py")
     grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(grid)
     commands = grid.GOLDEN + grid.VALID + grid.BAD
