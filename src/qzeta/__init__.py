@@ -26,10 +26,8 @@ _EXPORTS = {
               "shift_identity_verify", "volkenborn_sum", "witt_verify"),
     "qbernoulli": ("classical_bernoulli", "distribution_check",
                    "gen_function_identity_check", "generalized_q_bernoulli",
-                   "generalized_q_bernoulli_exact",
-                   "generalized_via_generating_function",
-                   "q_bernoulli_number", "q_bernoulli_polynomial",
-                   "q_bernoulli_table"),
+                   "generalized_q_bernoulli_exact", "q_bernoulli_number",
+                   "q_bernoulli_polynomial", "q_bernoulli_table"),
     "report": ("VerificationReport",),
     "series": (),
 }

@@ -476,6 +476,13 @@ def _power_sums(r: int, ks: list[int], levels: list[int], p: int,
     return out
 
 
+def _unit_power(q: PadicNumber, h: int, w: int) -> int:
+    """q^h mod p^w, as an integer, for a p-adic unit q."""
+    if q.val != 0:
+        raise PadicDomainError("q must be a p-adic unit")
+    return pow(q.at_precision(w).unit, h, q.p ** w)
+
+
 def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
                 levels: list[int], prec: int) -> dict[int, list[PadicNumber]]:
     """{N: [(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n for n in ns]} for
@@ -493,10 +500,8 @@ def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
     w = prec + 2 * n_top
     _check_work(k_max + w, w, p, f"level sums need up to k_max + w = "
                 f"{k_max + w} Mahler terms")
-    if q.val != 0:
-        raise PadicDomainError("q must be a p-adic unit")
     mod = p ** w
-    r = pow(q.at_precision(w).unit, h, mod)
+    r = _unit_power(q, h, w)
     chi_r = [c * pow(r, a, mod) for a, c in enumerate(chi)]
     coefs = [[comb(n, j) * d ** j * sum(t * a ** (n - j)
                                          for a, t in enumerate(chi_r)) % mod
@@ -638,10 +643,8 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
     terms = b + w + ceil(N * log2(p))
     _check_work(terms, w, p, f"the shift check needs b + w + N log2 p = "
                 f"{terms} products", "MAX_SHIFT_TERMS")
-    if f.q.val != 0:
-        raise PadicDomainError("q must be a p-adic unit")
     mod, M = p ** w, p ** N
-    r = pow(f.q.at_precision(w).unit, h, mod)
+    r = _unit_power(f.q, h, w)
     if (r - 1) % p:
         raise PadicDomainError(
             "q^h must be 1 mod p: x -> q^(hx) is not continuous on Z_p")

@@ -15,13 +15,13 @@ with A_n the Eulerian polynomial.  Both components are integer polynomials
 over a power of q^{|h|} - 1 and need no gcd.  For h = 0 the family reduces to
 the classical Bernoulli numbers, which is what we return on that path.
 
-Also here: the character-twisted generalized values (finite-sum and
-generating-function routes) and the exact identity checkers for the
-generating function and the distribution relation.  The exact per-residue
-terms q^{h i} B_{n, q^d}^{(h)}(i/d) of a twisted value depend on the
-character only through its modulus d, so they are cached per (d, h, n) and
-shared by every character mod d, the L-interpolation check, the numeric
-twisted values and the p-adic twisted target.
+Also here: the character-twisted generalized values, exact and at numeric
+q, both as the finite sum over residues, and the exact identity checkers for
+the generating function and the distribution relation.  The exact
+per-residue terms q^{h i} B_{n, q^d}^{(h)}(i/d) of a twisted value depend
+on the character only through its modulus d, so they are cached per
+(d, h, n) and shared by every character mod d, the L-interpolation check,
+the numeric twisted values and the p-adic twisted target.
 
 Both checks lift each term once, per component (rat, log), to one common
 cyclotomic denominator (`exact._lift_all`), and then build every coefficient
@@ -35,7 +35,6 @@ right side from Taylor shifts x -> x + 1.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -45,7 +44,6 @@ from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
                     _in_unit_disc, _lift_all, _lower, eval_log_scalar_complex)
 from .report import VerificationReport
-from .series import TruncatedSeries
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
@@ -266,8 +264,8 @@ def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> Lo
 
 def generalized_q_bernoulli(chi: DirichletCharacter, h: int, n: int,
                             qv: complex) -> complex:
-    """Finite-sum route of the twisted value at numeric q; the per-residue
-    bracket stays exact, only the final evaluation is numeric."""
+    """The twisted value at numeric q as the finite sum over residues; the
+    per-residue bracket stays exact, only the final evaluation is numeric."""
     d = chi.modulus
     if h == 0:
         raise DomainError("h = 0 is degenerate for the twisted family")
@@ -278,36 +276,6 @@ def generalized_q_bernoulli(chi: DirichletCharacter, h: int, n: int,
         if c:
             acc += c * eval_log_scalar_complex(term, qv)
     return acc * float(d) ** (n - 1)
-
-
-def generalized_via_generating_function(chi: DirichletCharacter, h: int,
-                                        n_max: int, qv: complex,
-                                        order: int | None = None) -> list[complex]:
-    """Twisted values B_0..B_n_max by coefficient extraction from
-
-        [ sum_i (t e^{i t} + h log q e^{i t}) chi(i) q^{h i} ] / (q^{h d} e^{d t} - 1)
-
-    built over complex coefficients at numeric q."""
-    d = chi.modulus
-    qv = _in_unit_disc(qv)
-    if h == 0:
-        raise DomainError("h d = 0 makes the denominator constant term vanish")
-    order = n_max if order is None else order
-    logq = cmath.log(qv)
-    # coefficient k of (t + h log q) e^{it} is (k i^(k-1) + h log q i^k) / k!
-    num = [0j] * (order + 1)
-    for i in range(d):
-        ci = chi.value_complex(i)
-        if ci == 0:
-            continue
-        w = ci * qv ** (h * i)
-        for k in range(order + 1):
-            lead = k * i ** (k - 1) if k else 0
-            num[k] += w * (lead + h * logq * i ** k) / factorial(k)
-    den_coeffs = [qv ** (h * d) * (d ** k / factorial(k)) for k in range(order + 1)]
-    den_coeffs[0] -= 1
-    f = TruncatedSeries(num, order) * TruncatedSeries(den_coeffs, order).invert()
-    return [f.coeffs[n] * factorial(n) for n in range(n_max + 1)]
 
 
 def classical_limit_errors(h: int, n: int, eps_list=(Fraction(1, 10 ** 3),

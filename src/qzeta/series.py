@@ -1,6 +1,6 @@
-"""Truncated formal power series in t, for the generating-function route
-of the twisted values at numeric q in `qbernoulli`, with complex
-coefficients; the exact identity check runs its recurrence instead."""
+"""Truncated formal power series in t.  No `qzeta` module calls it: it stays
+for the benchmark's tracer (`perfbench/spans.py`) and as the Cauchy product
+of the generating-function test oracle in `tests/test_qbernoulli.py`."""
 
 from __future__ import annotations
 

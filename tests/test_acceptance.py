@@ -6,15 +6,15 @@ Run with `pytest -s tests/test_acceptance.py` to see the summary lines.
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import qzeta
 from qzeta import (PadicNumber, SeriesEvalConfig, classical_bernoulli,
                    closed_form_verify, distribution_check, enumerate_characters,
                    gen_function_identity_check, generalized_q_bernoulli,
-                   generalized_via_generating_function, l_interpolation_verify,
-                   padic_generalized_verify, shift_identity_verify, witt_verify,
-                   zeta_interpolation_verify)
+                   l_interpolation_verify, padic_generalized_verify,
+                   shift_identity_verify, witt_verify, zeta_interpolation_verify)
 from qzeta.padic import MonomialTestFunction
 from qzeta.qbernoulli import classical_limit_errors
 
@@ -160,18 +160,39 @@ def test_criterion_08_modulus1_n1_residual_is_exactly_one():
     report("criterion 8 addendum: modulus-1 n=1 residual equals 1", ok, 0.0)
 
 
+def _twisted_series_reference(chi, h, qv, n_max):
+    """n! [t^n] of sum_i chi(i) q^{hi} (t + h log q) e^{it} / (q^{hd} e^{dt}
+    - 1) for n <= n_max, by `mpmath.taylor` at 30 digits: the twisted values
+    from their generating function, with no sum over residues of B_n(x)."""
+    d = chi.modulus
+    with mp.workdps(30):
+        q = mp.mpc(qv)
+        lam, qhd = h * mp.log(q), q ** (h * d)
+        vals = [0 if e.is_zero() else mp.expjpi(2 * mp.mpf(
+            e.exponent.numerator) / e.exponent.denominator)
+            for e in map(chi, range(d))]
+
+        def gen(t):
+            num = sum(vals[i] * q ** (h * i) * (t + lam) * mp.exp(i * t)
+                      for i in range(d))
+            return num / (qhd * mp.exp(d * t) - 1)
+        c = mp.taylor(gen, 0, n_max)
+        return [complex(c[n] * mp.factorial(n)) for n in range(n_max + 1)]
+
+
 def test_criterion_09_cross_path_generalized_values():
     t0 = time.time()
     ok = True
-    for qv in QV_GRID:
-        for d in (1, 3, 4, 5):
-            for chi in enumerate_characters(d):
-                gen = generalized_via_generating_function(chi, 2, 6, qv)
-                for n in range(7):
-                    direct = generalized_q_bernoulli(chi, 2, n, qv)
-                    ok = ok and abs(direct - gen[n]) < 1e-10
-    report("criterion 9: finite sum vs series coefficients agree", ok,
-           time.time() - t0)
+    for h in (-2, 1, 2, 3):
+        for qv in QV_GRID + (0.3 + 0.2j,):
+            for d in (1, 3, 4, 5):
+                for chi in enumerate_characters(d):
+                    ref = _twisted_series_reference(chi, h, qv, 6)
+                    for n in range(7):
+                        direct = generalized_q_bernoulli(chi, h, n, qv)
+                        ok = ok and abs(direct - ref[n]) < 1e-10
+    report("criterion 9: finite sum vs generating-function coefficients "
+           "agree", ok, time.time() - t0)
 
 
 def test_criterion_10_classical_limit():

@@ -135,6 +135,12 @@ def test_zeta_interpolation(h, x):
         assert rep.passed, (h, n, x)
 
 
+def test_zeta_interpolation_needs_n_at_least_1():
+    # s = 1 - n = 1 is the pole, and there is no B_0 / 0
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        zeta_interpolation_verify(1, 0.5, 0, 1.0)
+
+
 def test_l_interpolation_nontrivial_moduli():
     for d in (3, 4):
         for chi in enumerate_characters(d):

@@ -44,6 +44,18 @@ def test_unity_root_arithmetic():
     minus = UnityRoot.from_exponent(Fraction(1, 2))
     assert minus.to_complex() == -1
     assert UnityRoot.zero().is_zero()
+    with pytest.raises(ValueError, match=r"^root of unity e\^\(2 pi i 1/4\) "
+                                         r"is not real$"):
+        i.as_rational()
+
+
+def test_bad_modulus_or_exponents_are_refused():
+    with pytest.raises(ValueError, match=r"^modulus must be positive$"):
+        unit_group_generators(0)
+    # (Z/5)^* is cyclic: one generator, so one exponent
+    with pytest.raises(ValueError, match=r"^exponent vector length must match "
+                                         r"generator count$"):
+        DirichletCharacter(5, (1, 2))
 
 
 @pytest.mark.parametrize("d", list(range(1, 25)))

@@ -303,6 +303,9 @@ def test_eval_log_scalar_mp_matches_complex_eval():
     got = float(eval_log_scalar_mp(a, F(1, 2), dps=40))
     want = 1 / (0.5 - 1) + 0.5 * math.log(0.5)
     assert abs(got - want) < 1e-14
+    with pytest.raises(DomainError, match=r"^mp evaluation requires rational "
+                                          r"q > 0$"):
+        eval_log_scalar_mp(a, 0)
 
 
 # -- XPolynomial -------------------------------------------------------------
@@ -313,7 +316,7 @@ def test_xpolynomial_eval_and_compose():
     assert p.eval_fraction(F(1, 2)) == LogScalar(F(15, 4))
 
 
-def _horner(poly, x):
+def _horner_log_scalar(poly, x):
     """Horner's rule in LogScalar arithmetic: the reference for
     `XPolynomial.eval_fraction` and `eval_points`."""
     acc = LogScalar()
@@ -343,12 +346,13 @@ def test_xpolynomial_eval_points_match_horner():
         nums = list(range(-b, 2 * b + 1))
         got = poly.eval_points(nums, b, h)
         for i, (a, g) in enumerate(zip(nums, got)):
-            want = _horner(poly, F(a, b)) * LogScalar(
+            want = _horner_log_scalar(poly, F(a, b)) * LogScalar(
                 RationalFunction.q_power(h * i))
             assert g == want and _same(g, want), (poly, a, b, h)
         for a in nums:
             x = F(a, b)
-            assert _same(poly.eval_fraction(x), _horner(poly, x)), (poly, x)
+            assert _same(poly.eval_fraction(x),
+                         _horner_log_scalar(poly, x)), (poly, x)
 
 
 def test_xpolynomial_eval_complex_with_log_coeff():
@@ -408,6 +412,14 @@ def test_arithmetic_stays_in_lowest_terms(seed):
         assert (a + b) - b == a
         assert (a * u) / u == a
         assert (a / u) * u == a
+
+
+def test_subst_q_power_needs_a_positive_exponent():
+    q = RationalFunction.q_power(1)
+    for a in (1 / (q - 1), LogScalar(q, 1)):
+        with pytest.raises(DomainError, match=r"^substitution exponent must "
+                                              r"be >= 1$"):
+            a.subst_q_power(0)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -477,6 +489,10 @@ def test_mixed_operand_contract():
         QPolynomial([1]) / 2
     with pytest.raises(TypeError):
         1 / QPolynomial([1])
+    # nor a float coefficient
+    with pytest.raises(TypeError, match=r"^expected int or Fraction, got "
+                                        r"float$"):
+        QPolynomial([1.5])
     # == follows _coerce, as + does
     assert RationalFunction(QPolynomial([1, 1])) == QPolynomial([1, 1])
     # reflected operators give what they gave when each type wrote its own

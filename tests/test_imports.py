@@ -20,9 +20,9 @@ ALL = ['DirichletCharacter', 'LogScalar', 'MonomialTestFunction',
        'eval_log_scalar_complex', 'eval_log_scalar_mp',
        'eval_log_scalar_padic', 'exact', 'gen_function_identity_check',
        'generalized_q_bernoulli', 'generalized_q_bernoulli_exact',
-       'generalized_via_generating_function', 'l_interpolation_verify',
-       'padic', 'padic_exp', 'padic_generalized_verify',
-       'padic_log', 'padic_pow', 'principal_character', 'q_bernoulli_number',
+       'l_interpolation_verify', 'padic', 'padic_exp',
+       'padic_generalized_verify', 'padic_log', 'padic_pow',
+       'principal_character', 'q_bernoulli_number',
        'q_bernoulli_polynomial', 'q_bernoulli_table', 'q_bracket',
        'q_hurwitz_zeta', 'q_lfunction', 'q_volkenborn_sum', 'q_zeta',
        'qbernoulli', 'report', 'series', 'shift_identity_verify',
@@ -73,8 +73,7 @@ def test_unknown_name_is_attribute_error():
 
 
 BASE = ["qzeta", "qzeta.characters", "qzeta.cli"]
-TABLES = BASE + ["qzeta.exact", "qzeta.qbernoulli", "qzeta.report",
-                 "qzeta.series"]
+TABLES = BASE + ["qzeta.exact", "qzeta.qbernoulli", "qzeta.report"]
 MODULES = {  # the qzeta modules each kind of subcommand loads
     "base": BASE,
     "tables": TABLES,

@@ -368,6 +368,8 @@ def test_level_sums_reject_discontinuous_ratio():
         volkenborn_levels(2, 1, q, [3])
     with pytest.raises(PadicDomainError):
         volkenborn_sum(MonomialTestFunction(2, 1, q), 3)
+    with pytest.raises(PadicDomainError, match=r"^q\^h must be 1 mod p: "):
+        shift_identity_verify(MonomialTestFunction(2, 1, q), 1, 3)
     # q^4 = 16 is 1 mod 5, so h = 4 is inside the domain
     assert len(volkenborn_levels(2, 4, q, [3])[3]) == 3
 
@@ -783,6 +785,20 @@ def test_shift_reports_are_pinned(p, qf, h, n, b, N, prec, v):
         "witnesses": [{"case": f"N={N}", "discrepancy": v}]}
 
 
+@pytest.mark.parametrize("call", [
+    lambda q: witt_verify(1, 2, q, [2, 3]),
+    lambda q: shift_identity_verify(MonomialTestFunction(2, 1, q), 1, 3),
+], ids=["witt", "shift"])
+def test_q_must_be_a_unit(call):
+    with pytest.raises(PadicDomainError, match=r"^q must be a p-adic unit$"):
+        call(Q(5, F(5), 40))
+
+
+def test_shift_needs_b_at_least_1():
+    with pytest.raises(ValueError, match=r"^b must be >= 1$"):
+        shift_identity_verify(MonomialTestFunction(2, 1, Q(5, F(6), 40)), 0, 3)
+
+
 def test_shift_reads_log_q_in_its_domain():
     # q = 2 has q^2 = 1 mod 3, but log_3 2 is not defined
     with pytest.raises(PadicDomainError,
@@ -863,6 +879,13 @@ def test_closed_form():
         assert rep.passed, N
 
 
+def test_closed_form_refuses_a_ratio_of_1():
+    # h = 0, t = 0: q^h e^t = 1, and the geometric sum has no closed form
+    with pytest.raises(PadicDomainError,
+                       match=r"^q\^h e\^t = 1 to working precision$"):
+        closed_form_verify(0, Q(5, F(0), 40), Q(5, F(6), 40), 3)
+
+
 def test_generalized_padic_vs_exact():
     q = Q(5, F(6), 40)
     chi3 = next(c for c in enumerate_characters(3) if not c.is_principal())
@@ -878,3 +901,11 @@ def test_generalized_requires_coprime_modulus():
     chi5 = next(c for c in enumerate_characters(5) if not c.is_principal())
     with pytest.raises(PadicDomainError):
         padic_generalized_verify(chi5, 1, 1, q, [3], prec=10)
+
+
+def test_generalized_padic_needs_a_quadratic_character():
+    # 5 is prime to 3, but the target is exact only for values in {-1, 0, 1}
+    chi5 = next(c for c in enumerate_characters(5) if not c.is_real())
+    with pytest.raises(PadicDomainError,
+                       match=r"^p-adic route needs a quadratic character$"):
+        padic_generalized_verify(chi5, 1, 1, Q(3, F(4), 40), [3], prec=10)

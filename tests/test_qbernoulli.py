@@ -1,5 +1,6 @@
 """The (h,q)-Bernoulli numbers and polynomials, exact layer."""
 
+import cmath
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,13 +12,12 @@ import pytest
 
 from qzeta import exact, qbernoulli
 from qzeta.characters import enumerate_characters, principal_character
-from qzeta.exact import (LogScalar, RationalFunction, XPolynomial,
-                         eval_log_scalar_complex)
+from qzeta.exact import (DomainError, LogScalar, RationalFunction,
+                         XPolynomial, eval_log_scalar_complex)
 from qzeta.qbernoulli import (classical_bernoulli, classical_limit_errors,
                               distribution_check, gen_function_identity_check,
                               generalized_q_bernoulli,
                               generalized_q_bernoulli_exact,
-                              generalized_via_generating_function,
                               q_bernoulli_number, q_bernoulli_polynomial,
                               q_bernoulli_table)
 from qzeta.series import TruncatedSeries
@@ -79,9 +79,27 @@ def test_generating_function_identity(h, order):
 
 
 def test_generating_function_identity_rejects_h0():
-    from qzeta.exact import DomainError
     with pytest.raises(DomainError):
         gen_function_identity_check(0, 4)
+
+
+_CHI4 = enumerate_characters(4)[1]
+_CHI5_COMPLEX = next(c for c in enumerate_characters(5) if not c.is_real())
+
+
+@pytest.mark.parametrize("call,cls,match", [
+    (lambda: classical_bernoulli(-1), ValueError, r"^n_max must be >= 0$"),
+    (lambda: q_bernoulli_number(1, -1), ValueError, r"^n must be >= 0$"),
+    (lambda: distribution_check(1, 3, 0), ValueError, r"^m must be >= 1$"),
+    (lambda: generalized_q_bernoulli_exact(_CHI5_COMPLEX, 1, 2), DomainError,
+     r"^exact generalized values need a quadratic character$"),
+    (lambda: generalized_q_bernoulli(_CHI4, 0, 2, 0.5), DomainError,
+     r"^h = 0 is degenerate for the twisted family$"),
+], ids=["classical", "number", "distribution", "exact-complex-chi",
+        "numeric-h0"])
+def test_arguments_outside_the_domain_are_refused(call, cls, match):
+    with pytest.raises(cls, match=match):
+        call()
 
 
 def test_polynomial_constant_term_is_number():
@@ -169,6 +187,10 @@ def test_distribution_witnesses_of_a_perturbed_polynomial(h, m, part,
                                   for j, w in enumerate(want))
     # at m = 1 the relation holds for every polynomial
     assert rep.passed is (m == 1)
+    # a nonzero witness is rendered as the LogScalar's JSON
+    assert rep.to_dict()["witnesses"] == [
+        {"case": f"x^{j}", "discrepancy": w.to_json_dict() if w else "0"}
+        for j, w in enumerate(want)]
 
 
 def _gen_function_oracle(values, h, order):
@@ -247,18 +269,39 @@ def test_generalized_exact_matches_numeric():
             assert abs(exact - numeric) < 1e-12
 
 
+def _twisted_gen_function_oracle(chi, h, n_max, qv, order=None):
+    """B_0..B_n_max as n! [t^n] of sum_i chi(i) q^{hi} (t + h log q) e^{it}
+    / (q^{hd} e^{dt} - 1), from the truncated series of numerator and
+    denominator in complex floats; the former numeric route, kept as the
+    finite sum's oracle."""
+    d = chi.modulus
+    order = n_max if order is None else order
+    logq = cmath.log(qv)
+    # coefficient k of (t + h log q) e^{it} is (k i^(k-1) + h log q i^k) / k!
+    num = [0j] * (order + 1)
+    for i in range(d):
+        w = chi.value_complex(i) * qv ** (h * i)
+        for k in range(order + 1):
+            lead = k * i ** (k - 1) if k else 0
+            num[k] += w * (lead + h * logq * i ** k) / factorial(k)
+    den = [qv ** (h * d) * d ** k / factorial(k) for k in range(order + 1)]
+    den[0] -= 1
+    f = TruncatedSeries(num, order) * TruncatedSeries(den, order).invert()
+    return [f.coeffs[n] * factorial(n) for n in range(n_max + 1)]
+
+
 @pytest.mark.parametrize("h", [-2, 1, 2, 3])
 def test_generalized_two_routes_agree(h):
     qv = 0.3 + 0.2j
     for d in (1, 3, 4, 5):
         for chi in enumerate_characters(d):
-            gen = generalized_via_generating_function(chi, h, 4, qv)
+            gen = _twisted_gen_function_oracle(chi, h, 4, qv)
             for n in range(5):
                 a = generalized_q_bernoulli(chi, h, n, qv)
                 assert abs(a - gen[n]) < 1e-10, (d, chi.exponents, n)
-    # an order past n_max gives the same B_0..B_n_max
+    # a series order past n_max gives the same B_0..B_n_max
     chi = enumerate_characters(5)[2]
-    longer = generalized_via_generating_function(chi, h, 4, qv, order=7)
+    longer = _twisted_gen_function_oracle(chi, h, 4, qv, order=7)
     assert len(longer) == 5
     for n in range(5):
         a = generalized_q_bernoulli(chi, h, n, qv)

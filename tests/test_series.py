@@ -1,4 +1,6 @@
-"""Truncated power series, as the generating-function routes use them."""
+"""Truncated power series: no `qzeta` module calls them, but the benchmark's
+tracer wraps their product and inverse, and the generating-function oracle
+in `test_qbernoulli.py` multiplies with them."""
 
 from fractions import Fraction
 

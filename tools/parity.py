@@ -181,8 +181,11 @@ def exact(tree: Path):
     """For h in -3..3: the JSON report of `distribution_check(h, n, m)` for
     n <= 12, m in 1, 2, 3, 5; of `gen_function_identity_check(h, order)` for
     h != 0, order <= 16; the JSON of `q_bernoulli_table(h, 12)` and of
-    `q_bernoulli_polynomial(h, n)` for n <= 12."""
+    `q_bernoulli_polynomial(h, n)` for n <= 12.  Then, on criterion 9's grid,
+    the repr of `generalized_q_bernoulli(chi, h, n, q)` for h in -2, 1, 2, 3,
+    q in 0.2, 0.5, 0.3 + 0.4i, 0.3 + 0.2i, every chi mod 1, 3, 4, 5, n <= 6."""
     from qzeta import qbernoulli as qb
+    from qzeta.characters import enumerate_characters
 
     def out(fn, *args):   # a report, or a list of values, as JSON
         return _outcome(fn, *args, show=lambda r: json.dumps(
@@ -197,6 +200,10 @@ def exact(tree: Path):
         yield out(lambda: qb.q_bernoulli_table(h, 12).values)
         for n in range(13):
             yield out(lambda: qb.q_bernoulli_polynomial(h, n).coeffs)
+    for h, q, d in product((-2, 1, 2, 3), (0.2, 0.5, 0.3 + 0.4j, 0.3 + 0.2j),
+                           (1, 3, 4, 5)):
+        for chi, n in product(enumerate_characters(d), range(7)):
+            yield _outcome(qb.generalized_q_bernoulli, chi, h, n, q)
 
 
 GRIDS = {grid.__name__: grid for grid in (cli, lerch, padic, exact)}
