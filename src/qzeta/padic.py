@@ -7,24 +7,25 @@ chi(x) x^n q^{hx} over x < d p^N in one core (`_level_sums`), each calling
 it in the same way at its own n alone, and pass when every level N reaches
 min(prec, N - slack).  The core reads the power sums S_k = sum_{y<p^N} y^k
 r^y only at the k whose coefficient is nonzero (k = n alone for Witt), from
-one Mahler expansion (`_power_sums`) at precision p^w: n + 1 rows of K = n
-+ ceil(w / v_p(r - 1)) coefficients, built once for all levels, and per
-level K binomials and one dot product of length K for each k read.  Shift
-sums b end terms, q-Volkenborn n + 1 geometric series: nothing loops over
-x < p^N.
+one Mahler expansion (`_power_sums`) mod p^w: n + 1 rows of K = n + ceil((w
+- N_top + e) / v_p(r - 1)) coefficients, e <= log_p K, the terms the levels
+read, built once for all levels, and per level K binomials and one dot
+product of length K for each k read.  Shift sums b end terms, q-Volkenborn
+n + 1 geometric series: nothing loops over x < p^N.
 
 The verifiers compare these sums with an exact LogScalar target r(q) +
 l(q) log q.  `eval_log_scalar_padic` evaluates both rational parts exactly
 at the rational q came from and reduces each once; only log_p q is p-adic,
-taken at the precision its coefficient needs, so the target is known modulo
-p^(q.abs_prec) and no digit is lost to cancellation.
+taken at exactly the precision its coefficient needs, so the target is known
+modulo p^(q.abs_prec) and no digit is lost to cancellation.  Witt, twisted
+and shift pass q at exactly prec + N_top, or w, digits: what they read.
 
 A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
 is known modulo p^(valuation + prec).  `from_fraction` is `from_int_mod`,
 the one residue constructor, plus the remembered rational, so that an input
 q can be lifted to any working precision.  The results of arithmetic and
-of `padic_log` and `padic_exp` (one series in integers mod p^(abs_prec of the
-argument)) remember none: `at_precision` on them raises PrecisionExhausted.
+of `padic_log` and `padic_exp` (one series in integers, log's after argument
+reduction) remember none: `at_precision` on them raises PrecisionExhausted.
 The four verifiers share one report: an (N, valuation) pair per level.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, comb, log2
+from math import ceil, comb, isqrt, log2
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import LogScalar, _Ring
@@ -44,17 +45,17 @@ _BIG = 10 ** 9  # valuation sentinel for an exact zero
 
 DEFAULT_PRECISION = int(os.environ.get("QZK_DEFAULT_PRECISION", "16"))
 DEFAULT_SLACK = 3
-# Work bound on one call of the level sums: k_max + w, their number of Mahler
-# terms when v_p(q^h - 1) = 1, where w (at least twice the top level) is their
-# p-adic working precision.  Each term is weighted by (size of p^w / 1024
-# bits)^1.58, at least 1: a term's cost barely grows up to 1024 bits, and
-# beyond that CPython multiplies in about size^1.58 (Karatsuba), so the bound
-# falls as log p or w grows.  The closed-form check, about w products mod
+# Work bound on one call of the level sums: k_max + w, where w (at least
+# twice the top level) is their p-adic working precision.  It caps the input;
+# fewer Mahler terms run, about k_max + w - N_top at v_p(q^h - 1) = 1.  Each
+# term is weighted by (size of p^w / 1024 bits)^1.58, at least 1: a term's
+# cost barely grows up to 1024 bits, and beyond that CPython multiplies in
+# about size^1.58 (Karatsuba), so the bound falls as log p or w grows.  The closed-form check, about w products mod
 # p^w in its exp series and p^N-th power, takes the same bound with k_max = 0.
 # Larger calls raise PrecisionExhausted before anything of size p^w is built.
 MAX_POWER_SUM_TERMS = 360
-# The same bound on the products mod p^w of the shift check: its b end terms,
-# about w terms of the log series and N log2 p squarings for r^(p^N).  For
+# The same bound on the shift check, b + w + N log2 p: its b end terms, at
+# most w terms of the log series and N log2 p squarings for r^(p^N).  For
 # p < 2^64 it admits every b <= 50,000 / (weight of p^w) with any w and N
 # that the bound above admits, so any b <= 7,000 there.  q_volkenborn_sum
 # takes it on its (n + 2) N log2 p squarings.
@@ -305,8 +306,6 @@ def _series(t: PadicNumber, exp: bool) -> PadicNumber:
     (unit of k!)), and p^(k v) is a running product, divided by
     p^v_p(den_k) from a small table."""
     p, v, a = t.p, t.val, t.abs_prec
-    if t.is_zero():                 # known to no digit: every term is 0
-        return PadicNumber.from_int_mod(p, int(exp), a)
     mod = p ** a
     K = 1
     while K * v - ((K - 1) // (p - 1) if exp else K.bit_length() - 1) < a:
@@ -325,13 +324,24 @@ def _series(t: PadicNumber, exp: bool) -> PadicNumber:
 
 
 def padic_log(q: PadicNumber) -> PadicNumber:
-    """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1)): the
-    domain test in integers (`_log_domain_ok`), then q - 1, formed once, into
-    `_series`."""
-    _check_prime(q.p)
+    """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1)), known
+    mod p^a, a = q.abs_prec: the domain test in integers (`_log_domain_ok`),
+    then log q = p^-j log(q^(p^j)), whose q^(p^j) - 1, of valuation v + j
+    (v = v_p(q - 1)), is known mod p^(a+j): `_series` runs about (a + j) /
+    (v + j) terms, and j, about sqrt(4 a / log2 p) - v, balances them
+    against the j log2 p squarings of q^(p^j)."""
+    p = q.p
+    _check_prime(p)
     if not _log_domain_ok(q):
         raise PadicDomainError("padic_log needs v(q-1) >= 1 (>= 2 for p = 2)")
-    return _series(q - 1, False)    # 0 too, known mod p^(q.abs_prec)
+    a, x = q.abs_prec, (q.unit - 1) % p ** q.prec   # q - 1 mod p^a
+    if x == 0:                      # log q = 0 mod p^a (a <= 0 for zero q)
+        return PadicNumber.from_int_mod(p, 0, a)
+    v = _vp(x, p)
+    j = max(isqrt(4 * (a - v) // p.bit_length()) - v, 0)
+    s = _series(PadicNumber.from_int_mod(
+        p, pow(q.unit, p ** j, p ** (a + j)) - 1, a + j), False)
+    return PadicNumber(p, s.val - j, s.unit, s.prec)    # s / p^j, mod p^a
 
 
 def padic_exp(t: PadicNumber) -> PadicNumber:
@@ -382,12 +392,12 @@ def q_bracket(x: int, q: PadicNumber) -> PadicNumber:
 # ---------------------------------------------------------------------------
 
 def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
-    """rat(q) + log-part(q) * log_p q, known modulo p^(q.abs_prec).
+    """rat(q) + log-part(q) * log_p q, known modulo p^k, k = q.abs_prec.
 
     Both rational parts are evaluated exactly at the rational q came from,
     so no digit is lost to cancellation; log_p q is taken only when a has a
-    log part, at q lifted by -v_p of its coefficient, so that the product
-    keeps the absolute precision of q."""
+    log part, from that rational at exactly k - v_p(coefficient) digits, the
+    least that keeps the product known mod p^k."""
     if q._exact is None:
         raise PrecisionExhausted("cannot evaluate exactly: no exact origin")
     p, k = q.p, q.abs_prec
@@ -396,7 +406,8 @@ def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
         if not _log_domain_ok(q):
             raise PadicDomainError("need |q-1|_p < p^(-1/(p-1))")
         c = PadicNumber.from_int_mod(p, a.log.eval_fraction(q._exact), k)
-        out = out + c * padic_log(q.at_precision(k - c.val))
+        out = out + c * padic_log(PadicNumber.from_int_mod(p, q._exact,
+                                                           k - c.val))
     return out
 
 
@@ -429,19 +440,25 @@ def _check_work(terms: int, w: int, p: int, need: str,
 
 def _power_sums(r: int, ks: list[int], levels: list[int], p: int,
                 w: int) -> list[list[int]]:
-    """[sum_{x<p^N} x^k r^x mod p^w for k in `ks`], for each N in `levels`.
+    """[sum_{x<p^N} x^k r^x for k in `ks`] mod p^w, right mod p^(w - N_top +
+    N) (N_top = max(levels)), the digits `_level_sums` reads, for each N in
+    `levels`.
 
     Mahler expansion: sum_{x<M} f(x) = sum_m (Delta^m f)(0) C(M, m+1).  For
     f_k(x) = x^k r^x and u = r - 1, the coefficients a_{k,m} = (Delta^m
     f_k)(0) satisfy a_{0,m} = u^m and a_{k+1,m} = m (a_{k,m-1} + a_{k,m})
     (from x C(x, m) = (m+1) C(x, m+1) + m C(x, m)), so a_{k,m} = 0 mod
-    p^((m-k) v) with v = v_p(u), and K = max(ks) + ceil(w/v) terms give the
-    sums mod p^w.  The rows a_k run up to k = max(ks), but only the rows in
-    `ks` are kept and dotted with the binomials.  They do not depend on N;
-    each level then costs only the binomials C(p^N, j) = p^(N - v_p(j))
-    prod_{0<i<j} (p^N - i)/p^v_p(i) / (unit part of j!), all of whose
-    factors but the first are units: the p-powers come from a table per
-    level, and the K inverses of the unit parts of j! from one modular
+    p^((m-k) v) with v = v_p(u), and C(p^N, m+1) = 0 mod p^(N - v_p(m+1))
+    (0 past m + 1 = p^N, so v_p(m+1) <= min(N_top, floor(log_p(m+1)))): as
+    (m - k) v - floor(log_p(m+1)) never falls, every term from K = max(ks) +
+    ceil((w - N_top + e)/v) on is 0 mod p^(w - N_top + N), with e =
+    min(N_top, floor(log_p(K' + 1))) read off K' = max(ks) + ceil(w/v) >= K,
+    the terms that give all of p^w.  The rows a_k run up to k = max(ks), but
+    only the rows in `ks` are kept and dotted with the binomials.  They do
+    not depend on N; each level then costs only the binomials C(p^N, j) =
+    p^(N - v_p(j)) prod_{0<i<j} (p^N - i)/p^v_p(i) / (unit part of j!), all
+    of whose factors but the first are units: the p-powers come from a table
+    per level, and the K inverses of the unit parts of j! from one modular
     inverse (`_unit_factorials`).  Integer arithmetic mod p^w, no division
     by p.
     """
@@ -451,8 +468,10 @@ def _power_sums(r: int, ks: list[int], levels: list[int], p: int,
     if v == 0:
         raise PadicDomainError(
             "q^h must be 1 mod p: x -> q^(hx) is not continuous on Z_p")
-    k_max = max(ks, default=0)
+    k_max, top = max(ks, default=0), max(levels)
     K = k_max + -(-w // v)
+    vs = [0] + [_vp(j, p) for j in range(1, K + 2)]
+    K = k_max + -(-(w - top + min(max(vs), top)) // v)
     row = [1] * K
     for m in range(1, K):
         row[m] = row[m - 1] * u % mod
@@ -461,7 +480,6 @@ def _power_sums(r: int, ks: list[int], levels: list[int], p: int,
         row = [0] + [m * (row[m - 1] + row[m]) % mod for m in range(1, K)]
         if k in ks:
             rows.append(row)
-    vs = [0] + [_vp(j, p) for j in range(1, K + 1)]
     units = [j // p ** vs[j] for j in range(K + 1)]
     inv_fact = _unit_factorials(units, mod)[1]
     out = []
@@ -606,8 +624,12 @@ def _target_verdict(identity: str, params: dict, exact, q: PadicNumber,
     have a pole; the target is their q -> 1 limit, the h = 0 value."""
     levels = sorted(levels)
     h, prec, slack = params["h"], params["prec"], params["slack"]
-    target = eval_log_scalar_padic(exact(h if q._exact != 1 else 0),
-                                   q.at_precision(prec + levels[-1]))
+    # the sums are known mod p^k, so the target is built at exactly k digits
+    # of the unit q (the level sums took q^h)
+    k = prec + levels[-1]
+    target = eval_log_scalar_padic(
+        exact(h if q._exact != 1 else 0),
+        PadicNumber(q.p, 0, q.at_precision(k).unit % q.p ** k, k, q._exact))
     vals = [(N, (sums[N][-1] - target).valuation()) for N in levels]
     return _level_report(identity, params, vals,
                          all(v >= min(prec, N - slack) for N, v in vals))
@@ -659,9 +681,10 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
         rat += n * i_n1 * r_i
         lg += i_n * r_i % mod
         r_i = r_i * r % mod
+    # the target from exactly the w digits of q that the residual can read
+    qw = PadicNumber(p, 0, f.q.at_precision(w).unit % mod, w, f.q._exact)
     v = (PadicNumber.from_int_mod(p, ends % mod, w) / PadicNumber(p, N, 1, w)
-         - eval_log_scalar_padic(LogScalar(rat % mod, h * lg),
-                                 f.q.at_precision(w))).valuation()
+         - eval_log_scalar_padic(LogScalar(rat % mod, h * lg), qw)).valuation()
     return _level_report(
         "shift", {"n": f.n, "h": f.h, "b": b, "N": N, "p": p, "slack": slack},
         [(N, v)], v >= N - slack)

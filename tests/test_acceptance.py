@@ -9,9 +9,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-import qzeta
-from qzeta import (PadicNumber, SeriesEvalConfig, classical_bernoulli,
-                   closed_form_verify, distribution_check, enumerate_characters,
+from qzeta import (PadicNumber, SeriesEvalConfig, closed_form_verify,
+                   distribution_check, enumerate_characters,
                    gen_function_identity_check, generalized_q_bernoulli,
                    l_interpolation_verify, padic_generalized_verify,
                    shift_identity_verify, witt_verify, zeta_interpolation_verify)

@@ -21,7 +21,8 @@ from qzeta.padic import (MonomialTestFunction, PadicDomainError, PadicNumber,
                          padic_generalized_verify, padic_log, padic_pow,
                          q_bracket, q_volkenborn_sum, shift_identity_verify,
                          volkenborn_levels, volkenborn_sum, witt_verify)
-from qzeta.qbernoulli import q_bernoulli_number
+from qzeta.qbernoulli import (generalized_q_bernoulli_exact,
+                              q_bernoulli_number)
 
 F = Fraction
 
@@ -110,23 +111,25 @@ def test_padic_log_multiplicative():
 
 
 def _reference_series(t, K, log):
-    """sum_{1<=k<=K} t^k / den_k in exact Fractions, den_k = (-1)^(k+1) k
-    for log(1 + t) and k! for exp t - 1."""
-    s, term, fact = F(0), F(1), 1
+    """The partial sums sum_{1<=k<=J} t^k / den_k for J = 0..K in exact
+    Fractions, den_k = (-1)^(k+1) k for log(1 + t) and k! for exp t - 1."""
+    sums, term, fact = [F(0)], F(1), 1
     for k in range(1, K + 1):
         term *= t
         fact *= k
-        s += (term / k if k % 2 else -term / k) if log else term / fact
-    return s
+        sums.append(sums[-1] + ((term / k if k % 2 else -term / k) if log
+                                else term / fact))
+    return sums
 
 
 # q - 1 and t of valuation 1 and 2 (2 and 3 at p = 2), of either sign and
-# with a denominator; at k = p^m the term valuations fall again, so a loop
-# that stops at the first term of valuation a misses later terms
-LOG_Q = {2: (F(5), F(9), F(-3), F(13, 9), F(1, 5)),
-         3: (F(4), F(10), F(-2), F(7, 4), F(1, 4)),
-         5: (F(6), F(26), F(-4), F(11, 6)),
-         7: (F(8), F(50), F(-6), F(15, 8))}
+# with a denominator, and q - 1 = p^6; at k = p^m the term valuations fall
+# again, so a loop that stops at the first term of valuation a misses later
+# terms
+LOG_Q = {2: (F(5), F(9), F(-3), F(13, 9), F(1, 5), F(1 + 2 ** 6)),
+         3: (F(4), F(10), F(-2), F(7, 4), F(1, 4), F(1 + 3 ** 6)),
+         5: (F(6), F(26), F(-4), F(11, 6), F(1 + 5 ** 6)),
+         7: (F(8), F(50), F(-6), F(15, 8), F(1 + 7 ** 6))}
 EXP_T = {2: (F(4), F(8), F(-12), F(4, 3)),
          3: (F(3), F(9), F(-6), F(3, 2)),
          5: (F(5), F(25), F(-10), F(5, 3)),
@@ -137,18 +140,24 @@ EXP_T = {2: (F(4), F(8), F(-12), F(4, 3)),
 def test_padic_log_exp_match_long_reference_sums(p):
     # every claimed digit is right: the result, known mod p^a, equals a sum
     # of 3a + 30 terms, far past the last term of valuation below a; both
-    # an input that remembers its rational and one that does not
+    # an input that remembers its rational and one that does not.  For a <=
+    # 64 and these valuations, padic_log reduces its argument by every
+    # depth j that a p-adic log argument of at most 64 digits takes
     low = 2 if p == 2 else 1                # the least valuation in domain
     for xs in ([x - 1 for x in LOG_Q[p]], EXP_T[p]):
         vals = {padic._vp(x.numerator, p) for x in xs}
         assert {low, low + 1} <= vals
-    for a in range(2, 41):
-        K = 3 * a + 30
+    top = 64
+    ref = {("log", x): _reference_series(x - 1, 3 * top + 30, True)
+           for x in LOG_Q[p]}
+    ref.update({("exp", x): [1 + s for s in
+                             _reference_series(x, 3 * top + 30, False)]
+                for x in EXP_T[p]})
+    for a in range(2, top + 1):
         for kind, xs in (("log", LOG_Q[p]), ("exp", EXP_T[p])):
             for x in xs:
-                want = PadicNumber.from_int_mod(
-                    p, _reference_series(x - 1, K, True) if kind == "log"
-                    else 1 + _reference_series(x, K, False), a)
+                want = PadicNumber.from_int_mod(p, ref[kind, x][3 * a + 30],
+                                                a)
                 z = PadicNumber.from_int_mod(p, x, a)
                 args = [z] if z.is_zero() else \
                     [z, PadicNumber.from_fraction(p, x, a - z.val)]
@@ -406,26 +415,41 @@ ORACLE_Q = (lambda p: F(1 + p), lambda p: F(1 + p, 1 + 2 * p),
             lambda p: F(p - 1))
 
 
+def _mod_read(levels, w, p, N):
+    """p^(w - N_top + N): the modulus a level-N power sum is right to."""
+    return p ** (w - max(levels) + N)
+
+
 @pytest.mark.parametrize("h", range(-3, 4))
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_power_sums_match_loop(p, h):
-    for make_q in ORACLE_Q:
-        for N in range(1, 6):
-            w = 2 * N + 5
-            r = _ratio_mod(p, make_q(p), h, w)
-            if (r - 1) % p:
-                with pytest.raises(PadicDomainError):
-                    _power_sums(r, range(9), [N], p, w)
-                continue
+    # every entry equals the loop's mod p^(w - N_top + N), the digits
+    # _level_sums reads: all of p^w at a single level; at p = 2 also levels
+    # 5 and 12 at once, where level 5 drops terms that only feed digits
+    # past that modulus (some nonzero mod p^w when v_2(q^h - 1) = 1)
+    cases = [([N], 2 * N + 5) for N in range(1, 6)]
+    cases += [([5, 12], 29)] if p == 2 else []
+    cut = False
+    for make_q, (levels, w) in product(ORACLE_Q, cases):
+        r = _ratio_mod(p, make_q(p), h, w)
+        if (r - 1) % p:
+            with pytest.raises(PadicDomainError):
+                _power_sums(r, range(9), levels, p, w)
+            continue
+        for N, sums in zip(levels, _power_sums(r, range(9), levels, p, w)):
             want = _loop_power_sums(r, 8, p ** N, p, w)
-            assert _power_sums(r, range(9), [N], p, w) == [want], \
+            mod = _mod_read(levels, w, p, N)
+            assert [s % mod for s in sums] == [x % mod for x in want], \
                 (make_q(p), N)
+            cut = cut or sums != want
+    assert cut or not (p == 2 and h % 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_power_sums_at_a_subset_of_k(p):
     # S_k for k in ks alone: the entries of the full result, and of the
-    # loop, in the order of ks; rows below max(ks) still feed the ones read
+    # loop, in the order of ks, mod p^(w - N_top + N); rows below max(ks)
+    # still feed the ones read
     for make_q, h in product(ORACLE_Q, (-2, 1, 2)):
         w = 11
         r = _ratio_mod(p, make_q(p), h, w)
@@ -435,10 +459,12 @@ def test_power_sums_at_a_subset_of_k(p):
         full = _power_sums(r, range(9), levels, p, w)
         for ks in ([8], [0], [3], [0, 5], [2, 3, 7], [1, 8], []):
             got = _power_sums(r, ks, levels, p, w)
-            assert got == [[row[k] for k in ks] for row in full], (ks, h)
-            for N, sums in zip(levels, got):
+            for N, sums, row in zip(levels, got, full):
                 want = _loop_power_sums(r, max(ks, default=0), p ** N, p, w)
-                assert sums == [want[k] for k in ks], (ks, h, N)
+                mod = _mod_read(levels, w, p, N)
+                assert [s % mod for s in sums] == \
+                    [row[k] % mod for k in ks] == \
+                    [want[k] % mod for k in ks], (ks, h, N)
 
 
 def test_witt_sums_only_its_own_power(monkeypatch):
@@ -459,6 +485,40 @@ def test_witt_sums_only_its_own_power(monkeypatch):
     seen.clear()
     volkenborn_levels(4, 1, q, [3])
     assert seen == [[0, 1, 2, 3, 4]]
+
+
+def test_verdict_targets_take_log_at_the_digits_read(monkeypatch):
+    # witt and twisted know their level sums to prec + N_top digits, so
+    # log_p q runs at exactly prec + N_top - v_p(l(q)) digits, not at the 40
+    # digits q carries (nor 40 - v_p(l(q))); shift, whose residual is known
+    # to w - N digits, at w - v_p(l) with l = h sum_{i<b} i^n q^(h i)
+    seen = []
+    real = padic.padic_log
+
+    def spy(z):
+        seen.append(z.abs_prec)
+        return real(z)
+    monkeypatch.setattr(padic, "padic_log", spy)
+    q, prec, levels = Q(5, F(6), 40), 12, [5, 6, 7]
+    chis = [c for d in (3, 4) for c in enumerate_characters(d)
+            if c.is_real() and not c.is_principal()]
+    for h, n in product((1, 2), range(5)):
+        runs = [(witt_verify, (h, n), q_bernoulli_number(h, n))]
+        runs += [(padic_generalized_verify, (chi, h, n),
+                  generalized_q_bernoulli_exact(chi, h, n)) for chi in chis]
+        for verify, args, exact in runs:
+            seen.clear()
+            verify(*args, q, levels, prec)
+            lq = exact.log.eval_fraction(F(6))
+            v = padic._vp(lq.numerator, 5) - padic._vp(lq.denominator, 5)
+            assert seen == [prec + 7 - v], (verify.__name__, h, n)
+    for n, h, b, N in product((0, 2), (1, 2), (2, 3), (5, 13)):
+        seen.clear()
+        shift_identity_verify(MonomialTestFunction(n, h, q), b, N, prec)
+        w = max(prec, N) + N
+        r = _ratio_mod(5, F(6), h, w)
+        lg = h * sum(i ** n * r ** i for i in range(b)) % 5 ** w
+        assert seen == [w - padic._vp(lg, 5)], (n, h, b, N)
 
 
 @pytest.fixture

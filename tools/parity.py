@@ -131,7 +131,7 @@ def padic(tree: Path):
     `closed_form_verify` (t = p, 2p, p/(1 + p), doubled at p = 2); then
     (val, unit, prec) of `padic_log` and `padic_exp` at arguments of
     valuation 1 and 2 (2 and 3 at p = 2), of either sign and with a
-    denominator, at precisions 1..30, from the rational and from the residue
+    denominator, at precisions 1..64, from the rational and from the residue
     alone; then repr and JSON of `qbernoulli._twisted_terms_mod(d, h, n)`,
     d <= 8."""
     from qzeta import padic, qbernoulli
@@ -164,7 +164,7 @@ def padic(tree: Path):
                 product((1, -1), (1, 2), (1, 1 + p ** 2 * m))]
         exps = [F(s * m * p ** k, c) for s, k, c in
                 product((1, -1), (1, 2), (1, 1 + p))]
-        for a in range(1, 31):
+        for a in range(1, 65):
             for fn, xs in ((padic.padic_log, logs), (padic.padic_exp, exps)):
                 for x in xs:
                     z = padic.PadicNumber.from_int_mod(p, x, a)
