@@ -85,14 +85,9 @@ def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
 
 @lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, ascending; Phi_0 = q by convention."""
-    if d == 0:
-        return (0, 1)
-    a = [-1] + [0] * (d - 1) + [1]           # q^d - 1 = prod_{c | d} Phi_c
-    for c in range(1, d):
-        if d % c == 0:
-            a = _divmod_monic(a, _cyclotomic(c))[0]
-    return tuple(a)
+    """Coefficients of Phi_d, ascending; Phi_0 = q by convention.  Expanded
+    from its exponents in the binomial basis (`_binomial_exponents`)."""
+    return _expand({d: 1}).ints
 
 
 @lru_cache(maxsize=None)
@@ -389,8 +384,8 @@ def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def _binomial_exponents(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (M, E) with Phi_d = prod_M (q^M - 1)^E, d >= 1: q^d - 1
-    over the Phi_c, c | d, c < d, as `_cyclotomic` builds Phi_d."""
+    """The pairs (M, E) with Phi_d = prod_M (q^M - 1)^E, d >= 1: Phi_d is
+    q^d - 1 over the Phi_c, c | d, c < d."""
     out = {d: 1}
     for c in range(1, d):
         if d % c == 0:

@@ -200,12 +200,12 @@ class PadicNumber(_Ring, _Frozen):
             if fr == 0:
                 return PadicNumber.zero(self.p)
             v = _vp(fr.numerator, self.p) - _vp(fr.denominator, self.p)
-            # enough relative digits that the coerced operand never caps the
-            # other operand's absolute precision; an exact zero has none
-            # to match
-            need = (self.abs_prec - v + 2 if self.abs_prec < _BIG
+            # exactly the digits the operation keeps: self's relative ones
+            # (a product) and its absolute ones (a sum); an exact zero has
+            # none to match
+            need = (max(self.prec, self.abs_prec - v) if self.abs_prec < _BIG
                     else 4 * DEFAULT_PRECISION + 64)
-            return PadicNumber.from_fraction(self.p, fr, max(2, need))
+            return PadicNumber.from_fraction(self.p, fr, need)
         return None
 
     def __add__(self, other):
@@ -339,9 +339,8 @@ def padic_log(q: PadicNumber) -> PadicNumber:
         return PadicNumber.from_int_mod(p, 0, a)
     v = _vp(x, p)
     j = max(isqrt(4 * (a - v) // p.bit_length()) - v, 0)
-    s = _series(PadicNumber.from_int_mod(
-        p, pow(q.unit, p ** j, p ** (a + j)) - 1, a + j), False)
-    return PadicNumber(p, s.val - j, s.unit, s.prec)    # s / p^j, mod p^a
+    return _series(PadicNumber.from_int_mod(
+        p, pow(q.unit, p ** j, p ** (a + j)) - 1, a + j), False) / p ** j
 
 
 def padic_exp(t: PadicNumber) -> PadicNumber:
@@ -526,10 +525,10 @@ def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
               for j in range(n + 1)] + [0] * (k_max - n) for n in ns]
     ks = sorted({j for coef in coefs for j, c in enumerate(coef) if c})
     sums = _power_sums(pow(r, d, mod), ks, levels, p, w)
-    return {N: [PadicNumber.from_int_mod(
-                    p, sum(coef[k] * s for k, s in zip(ks, row)),
-                    prec + n_top + N)
-                / PadicNumber(p, N, d % mod, w) for coef in coefs]
+    return {N: [PadicNumber.from_int_mod(p, Fraction(
+                    sum(coef[k] * s for k, s in zip(ks, row))
+                    % p ** (prec + n_top + N), d * p ** N), prec + n_top)
+                for coef in coefs]
             for N, row in zip(levels, sums)}
 
 
@@ -683,7 +682,7 @@ def shift_identity_verify(f: MonomialTestFunction, b: int, N: int,
         r_i = r_i * r % mod
     # the target from exactly the w digits of q that the residual can read
     qw = PadicNumber(p, 0, f.q.at_precision(w).unit % mod, w, f.q._exact)
-    v = (PadicNumber.from_int_mod(p, ends % mod, w) / PadicNumber(p, N, 1, w)
+    v = (PadicNumber.from_int_mod(p, Fraction(ends % mod, M), w - N)
          - eval_log_scalar_padic(LogScalar(rat % mod, h * lg), qw)).valuation()
     return _level_report(
         "shift", {"n": f.n, "h": f.h, "b": b, "N": N, "p": p, "slack": slack},
@@ -707,7 +706,7 @@ def closed_form_verify(h: int, t: PadicNumber, q: PadicNumber, N: int,
     den = r - 1
     if den.is_zero():
         raise PadicDomainError("q^h e^t = 1 to working precision")
-    lhs = (padic_pow(r, p ** N) - 1) / den / PadicNumber(p, N, 1, w)
+    lhs = (padic_pow(r, p ** N) - 1) / den / p ** N
     num = tw if h == 0 else h * padic_log(qw) + tw
     v = (lhs - num / den).valuation()
     return _level_report("closed-form",

@@ -42,7 +42,8 @@ from operator import add, sub
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
-                    _in_unit_disc, _lift_all, _lower, eval_log_scalar_complex)
+                    _in_unit_disc, _lift_all, _lower, eval_log_scalar_complex,
+                    rf_sum)
 from .report import VerificationReport
 
 
@@ -253,13 +254,11 @@ def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> Lo
     values in {-1, 0, 1}, kept fully symbolic."""
     if not chi.is_real():
         raise DomainError("exact generalized values need a quadratic character")
-    d = chi.modulus
-    acc = LogScalar.zero()
-    for i, term in enumerate(_twisted_terms(chi, h, n)):
-        c = chi.value_rational(i)
-        if c:
-            acc = acc + term * c
-    return acc * Fraction(d) ** (n - 1)
+    terms = [(term, c) for i, term in enumerate(_twisted_terms(chi, h, n))
+             if (c := chi.value_rational(i))]
+    scale = Fraction(chi.modulus) ** (n - 1)
+    return LogScalar(rf_sum([t.rat * c for t, c in terms]) * scale,
+                     rf_sum([t.log * c for t, c in terms]) * scale)
 
 
 def generalized_q_bernoulli(chi: DirichletCharacter, h: int, n: int,

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qzeta.exact import (DomainError, ExactError, LogDegreeOverflow,
                          LogScalar, NonInvertible, QPolynomial,
-                         RationalFunction, XPolynomial, _cyclotomic, _expand,
-                         eval_log_scalar_complex, eval_log_scalar_mp, rf_sum)
+                         RationalFunction, XPolynomial, _cyclotomic,
+                         _divmod_monic, _expand, eval_log_scalar_complex,
+                         eval_log_scalar_mp, rf_sum)
 
 F = Fraction
 
@@ -43,6 +44,25 @@ def _schoolbook(a, b):
         for j, y in enumerate(b.ints):
             out[i + j] += x * y
     return QPolynomial([F(c, a.den * b.den) for c in out])
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(d):
+    """Coefficients of Phi_d, ascending, Phi_0 = q: q^d - 1 divided by every
+    Phi_c, c | d, c < d, by long division, independently of `_expand`."""
+    if d == 0:
+        return (0, 1)
+    a = [-1] + [0] * (d - 1) + [1]           # q^d - 1 = prod_{c | d} Phi_c
+    for c in range(1, d):
+        if d % c == 0:
+            a = _divmod_monic(a, _cyclotomic_by_division(c))[0]
+    return tuple(a)
+
+
+def test_cyclotomic_matches_division():
+    # `_cyclotomic` expands Phi_d from its binomial exponents
+    for d in range(61):
+        assert _cyclotomic(d) == _cyclotomic_by_division(d), d
 
 
 # few nonzero terms between runs of zeros, and sometimes none at all
@@ -99,7 +119,7 @@ def test_expand_is_the_product_of_cyclotomic_powers(exps, a, num):
     want = QPolynomial([1])
     for d, e in exps.items():
         for _ in range(e):
-            want = _schoolbook(want, QPolynomial(_cyclotomic(d)))
+            want = _schoolbook(want, QPolynomial(_cyclotomic_by_division(d)))
     assert _expand(exps) == want
     assert _expand(exps, num) == _schoolbook(num, want)
 
@@ -545,7 +565,7 @@ def _den(exps, a):
     out = QPolynomial([0] * a + [1])
     for d, e in exps.items():
         for _ in range(e):
-            out = _schoolbook(out, QPolynomial(_cyclotomic(d)))
+            out = _schoolbook(out, QPolynomial(_cyclotomic_by_division(d)))
     return out
 
 

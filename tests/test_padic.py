@@ -64,6 +64,21 @@ def test_exact_zero_handling():
     assert (x * z).is_zero()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exact_operand_keeps_relative_precision(p):
+    # an int or Fraction operand carries the digits the operation keeps, so
+    # a product or quotient by p^v keeps all 10 relative digits of the unit
+    # x and a sum keeps its 10 absolute ones, at every v, v > 2 included,
+    # where the operand's valuation is above x's plus 2
+    x = PadicNumber.from_fraction(p, F(1 + p, 1 + 2 * p), 10)
+    for v in range(13):
+        pv = p ** v
+        for z, val in ((x * pv, v), (pv * x, v), (x / pv, -v),
+                       (x * F(pv), v)):
+            assert (z.val, z.unit, z.prec) == (val, x.unit, 10), v
+        assert (x + pv).abs_prec == 10, v
+
+
 def test_precision_lifting_through_exact_tag():
     x = Q(5, F(1, 3), prec=4)
     y = x.at_precision(20)
@@ -523,22 +538,22 @@ def test_verdict_targets_take_log_at_the_digits_read(monkeypatch):
 
 @pytest.fixture
 def residues(monkeypatch):
-    """The integers the verifiers reduce to p-adic numbers, in call order."""
+    """The level values the verifiers reduce to p-adic numbers, as
+    Fractions, in call order."""
     seen = []
     real = PadicNumber.from_int_mod
 
     def spy(cls, p, value, abs_prec):
-        # the exact targets come in as Fractions, and padic_log reduces its
-        # own integer series; the sums are the integers a verifier reduces,
-        # itself or (witt and twisted) in the level sums' core, from a
-        # comprehension there
+        # the exact targets are reduced in eval_log_scalar_padic and padic_log
+        # reduces its own integer series; the level values are what a
+        # verifier reduces, itself or (witt and twisted) in the level sums'
+        # core, from a comprehension there
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):
             frame = frame.f_back
         name = frame.f_code.co_name
-        if (isinstance(value, int)
-                and (name.endswith("_verify") or name == "_level_sums")):
-            seen.append(value % p ** abs_prec)
+        if name.endswith("_verify") or name == "_level_sums":
+            seen.append(F(value))
         return real(p, value, abs_prec)
     monkeypatch.setattr(PadicNumber, "from_int_mod", classmethod(spy))
     return seen
@@ -560,8 +575,8 @@ def test_shift_sums_match_loop(p, h, residues):
                            lambda x: pow(x, n, mod) * pow(r, x, mod))
         want_fb = _loop_sum(p, w, p ** N,
                             lambda x: pow(x + b, n, mod) * pow(r, x + b, mod))
-        # one residue: sum_{x<p^N} f(x+b) - f(x), from its b end terms
-        assert residues == [(want_fb - want_f) % mod], n
+        # one value: p^-N sum_{x<p^N} f(x+b) - f(x), from its b end terms
+        assert residues == [F((want_fb - want_f) % mod, p ** N)], n
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (2, 5), (3, 4), (3, 8), (5, 3),
@@ -580,9 +595,10 @@ def test_twisted_sums_match_loop(p, d, residues):
             w = prec + max(levels) + N
             mod = p ** w
             r = _ratio_mod(p, qf, h, w)
-            want.append(_loop_sum(
+            want.append(F(_loop_sum(
                 p, w, d * p ** N,
-                lambda x: chivals[x % d] * pow(x, n, mod) * pow(r, x, mod)))
+                lambda x: chivals[x % d] * pow(x, n, mod) * pow(r, x, mod)),
+                d * p ** N))
         assert residues == want, (h, n)
 
 

@@ -396,3 +396,26 @@ def test_cli_parity_grid_parses():
             assert e.code == 2, argv
             rejected.add(argv)
     assert rejected == _ARGPARSE_REJECTS
+
+
+def test_parity_records_are_what_the_digest_hashes(monkeypatch, capsys):
+    # --records prints, one a line, the records whose digest the plain run
+    # prints, so a `diff` of two trees' records lists what a changed digest
+    # hides; a stub grid stands in for the real ones
+    import hashlib
+
+    spec = importlib.util.spec_from_file_location(
+        "parity", ROOT / "tools" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    recs = ["(0, 1, 10)", "ValueError: p = 4 is not prime"]
+    monkeypatch.setitem(parity.GRIDS, "padic", lambda tree: iter(recs))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for argv in (["padic", str(ROOT)], ["padic", str(ROOT), "--records"]):
+        monkeypatch.setattr(sys, "argv", ["parity.py", *argv])
+        assert parity.main() == 0
+    digest, *printed = capsys.readouterr().out.splitlines()
+    assert printed == recs
+    assert json.loads(digest) == {
+        "n": 2, "sha256": hashlib.sha256(
+            "".join(r + "\n" for r in recs).encode()).hexdigest()}

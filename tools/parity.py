@@ -1,13 +1,15 @@
 """Parity: hash what one source tree gives on a fixed grid.
 
-    python3 tools/parity.py GRID [TREE]
+    python3 tools/parity.py GRID [TREE] [--records]
 
 GRID is `cli`, `lerch`, `padic` or `exact`, each a generator of records
 below.  It runs TREE/src (TREE defaults to this checkout) and prints {"n",
 "sha256"}, the digest of every record in order: cli records with no
 separator, the others each followed by a newline.  Equal digests on two
 trees, for example a `git archive` of the parent commit and the checkout,
-mean the same bytes, bits, verdicts and errors on the whole grid.
+mean the same bytes, bits, verdicts and errors on the whole grid.  With
+--records it prints each record on its own line instead, so that `diff`
+lists the records a change moves.
 """
 
 from __future__ import annotations
@@ -132,8 +134,11 @@ def padic(tree: Path):
     (val, unit, prec) of `padic_log` and `padic_exp` at arguments of
     valuation 1 and 2 (2 and 3 at p = 2), of either sign and with a
     denominator, at precisions 1..64, from the rational and from the residue
-    alone; then repr and JSON of `qbernoulli._twisted_terms_mod(d, h, n)`,
-    d <= 8."""
+    alone; then, at each q above at precisions 10 and 40, (val, unit, prec)
+    of `q_bracket(x, q)` for x = -3..3, of `padic_pow(q, p^k / c)` for k <=
+    5, c = 3, -5, 7, and of `q_volkenborn_sum(n, h, x0, q, N)` for n <= 4,
+    h = -2..3, x0 = 0, 1, 1/2, 2/3 and N = 1, 3; then repr and JSON of
+    `qbernoulli._twisted_terms_mod(d, h, n)`, d <= 8."""
     from qzeta import padic, qbernoulli
     from qzeta.characters import enumerate_characters
 
@@ -172,6 +177,16 @@ def padic(tree: Path):
                     if not z.is_zero():
                         yield out(fn, padic.PadicNumber.from_fraction(
                             p, x, a - z.val))
+    for p, prec in product((2, 3, 5, 7), (10, 40)):
+        for x in (F(1 + p), F(1 + p, 1 + 2 * p), F(1 - p)):
+            q = padic.PadicNumber.from_fraction(p, x, prec)
+            for e in range(-3, 4):
+                yield out(padic.q_bracket, e, q)
+            for k, c in product(range(6), (3, -5, 7)):
+                yield out(padic.padic_pow, q, F(p ** k, c))
+            for n, h, x0, N in product(range(5), range(-2, 4),
+                                       (0, 1, F(1, 2), F(2, 3)), (1, 3)):
+                yield out(padic.q_volkenborn_sum, n, h, x0, q, N)
     for d, h, n in product(range(1, 9), range(-2, 4), range(9)):
         for term in qbernoulli._twisted_terms_mod(d, h, n):
             yield repr(term) + json.dumps(term.to_json_dict())
@@ -209,12 +224,17 @@ def exact(tree: Path):
 GRIDS = {grid.__name__: grid for grid in (cli, lerch, padic, exact)}
 
 
+def records(grid: str, tree: Path):
+    """`grid`'s records, run from `tree`."""
+    sys.path[:0] = [str(tree / "src")]
+    return GRIDS[grid](tree)
+
+
 def run(grid: str, tree: Path) -> dict:
     """{"n", "sha256"} of `grid`'s records, run from `tree`."""
     sep = b"" if grid == "cli" else b"\n"
-    sys.path[:0] = [str(tree / "src")]
     total, n = hashlib.sha256(), 0
-    for rec in GRIDS[grid](tree):
+    for rec in records(grid, tree):
         total.update(rec.encode() + sep)
         n += 1
     return {"n": n, "sha256": total.hexdigest()}
@@ -226,8 +246,14 @@ def main() -> int:
     ap.add_argument("tree", nargs="?", type=Path,
                     default=Path(__file__).resolve().parent.parent,
                     help="the tree whose src/ (and perfbench/) is read")
+    ap.add_argument("--records", action="store_true",
+                    help="print each record instead of the digest")
     args = ap.parse_args()
-    print(json.dumps(run(args.grid, args.tree.resolve())))
+    if args.records:
+        for rec in records(args.grid, args.tree.resolve()):
+            print(rec)
+    else:
+        print(json.dumps(run(args.grid, args.tree.resolve())))
     return 0
 
 
