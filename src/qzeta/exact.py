@@ -19,8 +19,11 @@ raises DomainError; inverting such a numerator raises NonInvertible.
 
 Only this module reads that format: `rf_sum` and both identity checks of
 qbernoulli lift with `_lift_all` to integer numerator lists over one common
-denominator, and `_lower` turns such a list back into lowest terms.  The
-lift multiplies in the binomial basis (`_expand`):
+denominator, and `_lower` turns such a list back into lowest terms.  Values
+at q^m are read from the same lift: the rows over L, read in Q = q^m, are
+the numerators over L(q^m), which `XPolynomial.eval_points` and, for the
+distribution check, `_lift_to_power` use, so no substituted coefficient is
+lifted.  The lift multiplies in the binomial basis (`_expand`):
 prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M, by sparse products for E_M > 0
 and then exact divisions by prefix sums for E_M < 0, with no dense
 cyclotomic power.
@@ -98,6 +101,16 @@ def _subst_factors(d: int, m: int) -> tuple[int, ...]:
         return (0,) * m
     return tuple(c for c in range(1, d * m + 1)
                  if d * m % c == 0 and c // gcd(c, m) == d)
+
+
+def _subst_exps(exps: dict, m: int) -> dict:
+    """The exponents of prod_d Phi_d(q^m)^exps[d] (`_subst_factors`); each
+    c comes from one d only, the d = c / gcd(c, m)."""
+    out = {}
+    for d, e in exps.items():
+        for c in _subst_factors(d, m):
+            out[c] = out.get(c, 0) + e
+    return out
 
 
 def _cancel(ints: Sequence[int], exps: dict, check) -> tuple[list[int], dict]:
@@ -512,11 +525,8 @@ class RationalFunction(_Ring, _Frozen):
             raise DomainError("substitution exponent must be >= 1")
         if m == 1:
             return self
-        exps = {}
-        for d, e in self.exps.items():
-            for c in _subst_factors(d, m):
-                exps[c] = exps.get(c, 0) + e
-        return RationalFunction._raw(self.num.subst_q_power(m), exps)
+        return RationalFunction._raw(self.num.subst_q_power(m),
+                                     _subst_exps(self.exps, m))
 
     def eval_fraction(self, x: Fraction) -> Fraction:
         dv = self.den(x)
@@ -537,20 +547,23 @@ class RationalFunction(_Ring, _Frozen):
 _RF0 = RationalFunction._raw(QPolynomial(), {})
 
 
-def _lift_all(parts, s: int = 0) -> tuple[dict, int, list[list[int]]]:
+def _lift_all(parts, s: int = 0,
+              top: dict | None = None) -> tuple[dict, int, list[list[int]]]:
     """Lift the rational functions `parts` once to their least common
-    denominator times q^s: (its exponents, an integer D, one integer list
-    per part, all of one length), where part i has the numerator
-    q^s * lists[i] / D over that denominator."""
-    top = {}
-    for r in parts:
-        for d, e in r.exps.items():
-            if e > top.get(d, 0):
-                top[d] = e
+    denominator, or to the multiple of it whose exponents are `top`, times
+    q^s: (its exponents, an integer D, one integer list per part, all of one
+    length), where part i has the numerator q^s * lists[i] / D over that
+    denominator.  D does not depend on `top`: a lift multiplies by a monic
+    integer polynomial, which keeps the content of the numerator."""
+    if top is None:
+        top = {}
+        for r in parts:
+            for d, e in r.exps.items():
+                if e > top.get(d, 0):
+                    top[d] = e
     nums = []
     for r in parts:   # times the factors of top that its denominator lacks
-        lift = {d: e - r.exps.get(d, 0) for d, e in top.items()
-                if e > r.exps.get(d, 0)}
+        lift = _excess(top, r.exps)
         nums.append(_expand(lift, r.num) if lift else r.num)
     den = lcm(*(p.den for p in nums))
     width = max((len(p.ints) for p in nums), default=0)
@@ -559,6 +572,36 @@ def _lift_all(parts, s: int = 0) -> tuple[dict, int, list[list[int]]]:
         k = den // p.den
         rows.append([c * k for c in p.ints] + [0] * (width - len(p.ints)))
     return {**top, 0: top.get(0, 0) + s} if s else top, den, rows
+
+
+def _excess(top: dict, exps: dict) -> dict:
+    """The exponents of the factors of `top` that `exps` lacks."""
+    return {d: e - exps.get(d, 0) for d, e in top.items()
+            if e > exps.get(d, 0)}
+
+
+def _lift_to_power(parts, m: int, s: int = 0):
+    """Lift the rational functions `parts` once, in q, to compare them with
+    their values at q^m: (top, D, lhs, rows, up).  rows[i] / D is part i
+    over the least common denominator L (`_lift_all`), and the same list
+    read in Q = q^m is the numerator of part i at q^m over L(q^m), so
+    nothing substituted is lifted.  top holds the exponents of
+    lcm(L, L(q^m)) times q^s, and q^s lhs[i] / D is part i over it (rows
+    itself where that is L).  up(ints) lifts a numerator over L(q^m) q^s to
+    top: times the factors of L that q -> q^m does not give back, as
+    Phi_4(q^2) = Phi_8 does not give back Phi_4; a power of q^k - 1 has
+    none.  The lists of lhs and of up may differ in length."""
+    low, den, rows = _lift_all(parts)
+    high = _subst_exps(low, m)
+    top = {d: max(low.get(d, 0), high.get(d, 0)) for d in {**low, **high}}
+    full, _, lhs = (low, den, rows) if top == low and not s else \
+        _lift_all(parts, s, top)
+    extra = _excess(top, high)
+
+    def up(ints: list[int]) -> list[int]:
+        return (list(_expand(extra, QPolynomial._raw(list(ints))).ints)
+                if extra else ints)
+    return full, den, lhs, rows, up
 
 
 def _lower(ints: list[int], den: int, exps: dict, check) -> RationalFunction:
@@ -751,40 +794,48 @@ class XPolynomial(_Frozen):
         """The value at x: `eval_points` at the one point x = a/b."""
         return self.eval_points([x.numerator], x.denominator)[0]
 
-    def eval_points(self, nums: Sequence[int], b: int,
-                    h: int = 0) -> list[LogScalar]:
-        """[q^(h i) * self(a / b) for i, a in enumerate(nums)], b >= 1.
+    def eval_points(self, nums: Sequence[int], b: int, h: int = 0,
+                    m: int = 1) -> list[LogScalar]:
+        """[q^(h i) * self(a / b) at base q^m for i, a in enumerate(nums)],
+        b >= 1, m >= 1.
 
-        Per component (rat, log) the coefficients c_j are lifted once to one
-        common denominator (`_lift_all`).  At x = a/b of degree n the value
-        is sum_j a^j b^(n-j) c_j / b^n: one integer numerator over the lifted
-        denominator times b^n, whose power of q, with q^(h i), is cancelled
-        by counting.  Phi_d, d >= 1, can divide the numerator only where the
-        number of c_j with a^j != 0 that reach its top exponent is not one,
-        and `_lower` tries only those.  Lowest terms are unique, so each value
-        is the one that Horner's rule in LogScalar arithmetic gives."""
+        Per component (rat, log) the coefficients c_j are lifted once, in q,
+        to one common denominator L (`_lift_all`).  At x = a/b of degree n
+        the value is sum_j a^j b^(n-j) c_j / b^n: one integer numerator over
+        L times b^n.  At base q^m that numerator is read in Q = q^m, times m
+        in the log part (log q^m = m log q), over L(q^m); its power of q,
+        with q^(h i), is cancelled by counting.  Phi_c, c >= 1, divides it
+        only where Phi_d, d = c / gcd(c, m), divides the numerator in q, and
+        that can be only where the number of c_j with a^j != 0 that reach
+        L's exponent of Phi_d is not one: `_lower` tries only those.  Lowest
+        terms are unique, so each value is the one that Horner's rule in
+        LogScalar arithmetic gives on `subst_q_power(m)`."""
         if not self.coeffs:
             return [_LS0] * len(nums)
         n, parts = len(self.coeffs) - 1, []
-        for part in ("rat", "log"):
+        for part, k in (("rat", 1), ("log", m)):
             cs = [getattr(c, part) for c in self.coeffs]
             exps, den, rows = _lift_all(cs)
             cols = list(zip(*rows))
             # the j whose c_j reaches the top exponent of Phi_d, d >= 1
             reach = {d: [j for j, c in enumerate(cs) if c.exps.get(d) == e]
                      for d, e in exps.items() if d}
+            high = _subst_exps(exps, m)
             vals = []
             for i, a in enumerate(nums):
-                ws = [a ** j * b ** (n - j) for j in range(n + 1)]
+                ws = [k * a ** j * b ** (n - j) for j in range(n + 1)]
                 num = [sum(map(int.__mul__, ws, col)) for col in cols]
-                # q^(h i) num = q^(h i + z) num[z:], num[z] != 0, over q^e0:
-                # q^t num[z:] over no q if t >= 0, else num[z:] over q^-t
-                z = next((k for k, c in enumerate(num) if c), 0)
-                t = h * i + z - exps.get(0, 0)
-                check = [d for d, js in reach.items()
-                         if sum(1 for j in js if ws[j]) != 1]
-                vals.append(_lower([0] * t + num[z:], den * b ** n,
-                                   {**exps, 0: max(-t, 0)}, check))
+                # q^(h i) num(q^m) = q^(h i + m z) num[z:](q^m), num[z] != 0,
+                # over q^e0: q^t num[z:] over no q if t >= 0, else over q^-t
+                z = next((j for j, c in enumerate(num) if c), 0)
+                t = h * i + m * z - high.get(0, 0)
+                spread = [0] * (m * (len(num) - z - 1) + 1)
+                spread[::m] = num[z:]
+                check = [c for d, js in reach.items()
+                         if sum(1 for j in js if ws[j]) != 1
+                         for c in _subst_factors(d, m)]
+                vals.append(_lower([0] * t + spread, den * b ** n,
+                                   {**high, 0: max(-t, 0)}, check))
             parts.append(vals)
         return [LogScalar(r, l) for r, l in zip(*parts)]
 

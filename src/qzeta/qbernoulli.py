@@ -23,27 +23,32 @@ on the character only through its modulus d, so they are cached per
 (d, h, n) and shared by every character mod d, the L-interpolation check,
 the numeric twisted values and the p-adic twisted target.
 
-Both checks lift each term once, per component (rat, log), to one common
+Both checks lift their terms, per component (rat, log), to one common
 cyclotomic denominator (`exact._lift_all`), and then build every coefficient
 of lhs - rhs from integer lists by integer multiples, additions and shifts
 by powers of q, with no polynomial product; `exact._lower` brings only a
 nonzero one to lowest terms.  The generating-function check runs the
 recurrence that multiplying by q^h e^t - 1 gives, so it is independent of
-how the closed-form values were built; the distribution check builds its
-right side from Taylor shifts x -> x + 1.
+how the closed-form values were built.  The distribution check lifts
+B_n^{(h)}(x) in q alone (`exact._lift_to_power`), Taylor-shifts x -> x + 1
+its right side on those rows read in Q = q^m and adds them at stride m;
+only the left rows are lifted again, to the common denominator.  The
+twisted terms are lifted once in q as well, and read at q^d
+(`XPolynomial.eval_points`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, factorial
-from operator import add, sub
+from operator import add
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
-                    _in_unit_disc, _lift_all, _lower, eval_log_scalar_complex,
-                    rf_sum)
+                    _in_unit_disc, _lift_all, _lift_to_power, _lower,
+                    eval_log_scalar_complex, rf_sum)
 from .report import VerificationReport
 
 
@@ -203,30 +208,33 @@ def distribution_check(h: int, n: int, m: int) -> VerificationReport:
 
     With b_k the x^k coefficient at base q^m and R(x) = sum_k m^{n-1-k} b_k
     x^k, the right side is sum_{i<m} q^{h i} R(x + i).  Per component (rat,
-    log), the coefficients of both sides are lifted once to one common
-    denominator, times q^s for h < 0, so each R(x + i) is a Taylor shift by
-    1 of R(x + i - 1) on integer lists, added at offset h i + s, and each
-    lhs - rhs is one numerator over that denominator."""
+    log), the coefficients of B_n^{(h)}(x) are lifted once, in q: read in
+    Q = q^m, those rows are the numerators of the b_k (times m in the log
+    part), so each R(x + i) is a Taylor shift by 1 of R(x + i - 1) on rows
+    in Q, added at stride m and offset h i + s, times q^s for h < 0.  Each
+    lhs - rhs is then one numerator over one common denominator."""
     if m < 1:
         raise ValueError("m must be >= 1")
     poly = q_bernoulli_polynomial(h, n)
-    lhs, base = poly.coeffs, poly.subst_q_power(m).coeffs
     s = max(-h, 0) * (m - 1)
     parts = []
-    for part in ("rat", "log"):
-        full, den, ints = _lift_all([getattr(c, part) for c in lhs + base], s)
-        width = len(ints[0])
+    for part, log_m in (("rat", 1), ("log", m)):
+        full, den, lhs, rows, up = _lift_to_power(
+            [getattr(c, part) for c in poly.coeffs], m, s)
+        width = m * len(rows[0])
         # m R(x), so that k = n stays integral: both sides are over m * den
-        r = [[m ** (n - k) * c for c in row]
-             for k, row in enumerate(ints[len(lhs):])]
-        nums = [[0] * s + [m * c for c in row] + [0] * (abs(h) * (m - 1) - s)
-                for row in ints[:len(lhs)]]
+        r = [[log_m * m ** (n - k) * c for c in row]
+             for k, row in enumerate(rows)]
+        rhs = [[0] * (width + abs(h) * (m - 1)) for _ in r]
         for i in range(m):
             if i:
                 _taylor_shift(r)
             o = h * i + s
-            for num, row in zip(nums, r):
-                num[o:o + width] = map(sub, num[o:o + width], row)
+            for acc, row in zip(rhs, r):
+                acc[o:o + width:m] = map(add, acc[o:o + width:m], row)
+        nums = [[m * a - b for a, b in
+                 zip_longest([0] * s + left, up(acc), fillvalue=0)]
+                for left, acc in zip(lhs, rhs)]
         parts.append((full, [(num, m * den) for num in nums]))
     return _report("distribution", {"h": h, "n": n, "m": m}, "x", parts)
 
@@ -242,11 +250,10 @@ def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> tuple[LogScalar, 
 
 @lru_cache(maxsize=None)
 def _twisted_terms_mod(d: int, h: int, n: int) -> tuple[LogScalar, ...]:
-    """q^{h i} B_{n, q^d}^{(h)}(i/d), i < d: the coefficients are lifted
-    once per component and every residue is one integer combination of
-    them (`XPolynomial.eval_points`)."""
-    poly = q_bernoulli_polynomial(h, n).subst_q_power(d)
-    return tuple(poly.eval_points(range(d), d, h))
+    """q^{h i} B_{n, q^d}^{(h)}(i/d), i < d: the coefficients of
+    B_n^{(h)}(x) are lifted once per component, in q, and every residue is
+    one integer combination of them read at q^d (`XPolynomial.eval_points`)."""
+    return tuple(q_bernoulli_polynomial(h, n).eval_points(range(d), d, h, d))
 
 
 def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> LogScalar:

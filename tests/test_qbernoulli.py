@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -164,13 +164,16 @@ def test_compose_affine_oracle():
 
 
 # q/(q^2 - 1) in the rational part, log q / (3 q^2) in the log part: a new
-# cyclotomic factor, and a power of q, in the denominators
+# cyclotomic factor, and a power of q, in the denominators; q/(q^2 + 1) is
+# over Phi_4, which q -> q^m does not give back at even m (Phi_4(q^2) =
+# Phi_8), so the summed right side is lifted by it
 _BUMPS = {"rat": LogScalar(RationalFunction([0, 1], [-1, 0, 1])),
-          "log": LogScalar(0, RationalFunction([F(1, 3)], [0, 0, 1]))}
+          "log": LogScalar(0, RationalFunction([F(1, 3)], [0, 0, 1])),
+          "phi4": LogScalar(RationalFunction([0, 1], [1, 0, 1]))}
 
 
-@pytest.mark.parametrize("part", ["rat", "log"])
-@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("part", ["rat", "log", "phi4"])
+@pytest.mark.parametrize("m", [1, 2, 4, 5])
 @pytest.mark.parametrize("h", [-2, 0, 3])
 def test_distribution_witnesses_of_a_perturbed_polynomial(h, m, part,
                                                           monkeypatch):
@@ -364,3 +367,20 @@ def test_twisted_terms_match_horner_per_residue(d):
         for g, w in zip(got, want):
             assert g.to_json_dict() == w.to_json_dict(), (d, h, n)
             assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
+
+
+@pytest.mark.parametrize("d", [16, 30, 60])
+def test_twisted_terms_at_large_moduli_match_the_substituted_route(d):
+    # read at q^d from one lift in q, the terms are those of the polynomial
+    # substituted first and lifted at q^d: value and exponents at every
+    # residue, and JSON at the residues prime to d, which the characters mod
+    # d read (the JSON of every residue at d = 60 alone takes about 3 s)
+    for h, n in product((-2, 1, 3), (0, 3, 6)):
+        got = qbernoulli._twisted_terms_mod(d, h, n)
+        want = q_bernoulli_polynomial(h, n).subst_q_power(d).eval_points(
+            range(d), d, h)
+        assert got == tuple(want), (d, h, n)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
+            if gcd(i, d) == 1:
+                assert g.to_json_dict() == w.to_json_dict(), (d, h, n, i)

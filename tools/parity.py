@@ -198,7 +198,12 @@ def exact(tree: Path):
     h != 0, order <= 16; the JSON of `q_bernoulli_table(h, 12)` and of
     `q_bernoulli_polynomial(h, n)` for n <= 12.  Then, on criterion 9's grid,
     the repr of `generalized_q_bernoulli(chi, h, n, q)` for h in -2, 1, 2, 3,
-    q in 0.2, 0.5, 0.3 + 0.4i, 0.3 + 0.2i, every chi mod 1, 3, 4, 5, n <= 6."""
+    q in 0.2, 0.5, 0.3 + 0.4i, 0.3 + 0.2i, every chi mod 1, 3, 4, 5, n <= 6.
+    Last, at the base powers q^m where reading B_n^{(h)}(x) from its lift in
+    q saves the most: the JSON report of `distribution_check(h, n, m)` for
+    m in 4, 7, 60, h in -3..3, n <= 12, and the JSON of
+    `qbernoulli._twisted_terms_mod(d, h, n)` for d in 12, 24, 60, h in -2,
+    1, 3 and n in 0, 3, 6."""
     from qzeta import qbernoulli as qb
     from qzeta.characters import enumerate_characters
 
@@ -219,6 +224,10 @@ def exact(tree: Path):
                            (1, 3, 4, 5)):
         for chi, n in product(enumerate_characters(d), range(7)):
             yield _outcome(qb.generalized_q_bernoulli, chi, h, n, q)
+    for h, m, n in product(range(-3, 4), (4, 7, 60), range(13)):
+        yield out(qb.distribution_check, h, n, m)
+    for d, h, n in product((12, 24, 60), (-2, 1, 3), (0, 3, 6)):
+        yield out(qb._twisted_terms_mod, d, h, n)
 
 
 GRIDS = {grid.__name__: grid for grid in (cli, lerch, padic, exact)}
