@@ -705,8 +705,9 @@ class LogScalar(_Ring, _Frozen):
     # -- JSON interchange ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def poly(p: QPolynomial) -> list[str]:
-            return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+        def poly(p: QPolynomial) -> list[str]:   # den > 0: gcd(0, den) = den
+            return [f"{c // g}/{p.den // g}" for c in p.ints
+                    for g in (gcd(c, p.den),)]
 
         def rf(r: RationalFunction) -> dict:
             return {"num": poly(r.num), "den": poly(r.den)}
@@ -796,15 +797,14 @@ class XPolynomial(_Frozen):
 
     def eval_points(self, nums: Sequence[int], b: int, h: int = 0,
                     m: int = 1) -> list[LogScalar]:
-        """[q^(h i) * self(a / b) at base q^m for i, a in enumerate(nums)],
-        b >= 1, m >= 1.
+        """[q^(h a) * self(a / b) at base q^m for a in nums], b >= 1, m >= 1.
 
         Per component (rat, log) the coefficients c_j are lifted once, in q,
         to one common denominator L (`_lift_all`).  At x = a/b of degree n
         the value is sum_j a^j b^(n-j) c_j / b^n: one integer numerator over
         L times b^n.  At base q^m that numerator is read in Q = q^m, times m
         in the log part (log q^m = m log q), over L(q^m); its power of q,
-        with q^(h i), is cancelled by counting.  Phi_c, c >= 1, divides it
+        with q^(h a), is cancelled by counting.  Phi_c, c >= 1, divides it
         only where Phi_d, d = c / gcd(c, m), divides the numerator in q, and
         that can be only where the number of c_j with a^j != 0 that reach
         L's exponent of Phi_d is not one: `_lower` tries only those.  Lowest
@@ -822,13 +822,13 @@ class XPolynomial(_Frozen):
                      for d, e in exps.items() if d}
             high = _subst_exps(exps, m)
             vals = []
-            for i, a in enumerate(nums):
+            for a in nums:
                 ws = [k * a ** j * b ** (n - j) for j in range(n + 1)]
                 num = [sum(map(int.__mul__, ws, col)) for col in cols]
-                # q^(h i) num(q^m) = q^(h i + m z) num[z:](q^m), num[z] != 0,
+                # q^(h a) num(q^m) = q^(h a + m z) num[z:](q^m), num[z] != 0,
                 # over q^e0: q^t num[z:] over no q if t >= 0, else over q^-t
                 z = next((j for j, c in enumerate(num) if c), 0)
-                t = h * i + m * z - high.get(0, 0)
+                t = h * a + m * z - high.get(0, 0)
                 spread = [0] * (m * (len(num) - z - 1) + 1)
                 spread[::m] = num[z:]
                 check = [c for d, js in reach.items()

@@ -16,12 +16,12 @@ over a power of q^{|h|} - 1 and need no gcd.  For h = 0 the family reduces to
 the classical Bernoulli numbers, which is what we return on that path.
 
 Also here: the character-twisted generalized values, exact and at numeric
-q, both as the finite sum over residues, and the exact identity checkers for
-the generating function and the distribution relation.  The exact
-per-residue terms q^{h i} B_{n, q^d}^{(h)}(i/d) of a twisted value depend
-on the character only through its modulus d, so they are cached per
-(d, h, n) and shared by every character mod d, the L-interpolation check,
-the numeric twisted values and the p-adic twisted target.
+q, both as the finite sum over the units i mod d, and the exact identity
+checkers for the generating function and the distribution relation.  The
+exact terms q^{h i} B_{n, q^d}^{(h)}(i/d) at the units depend on the
+character only through its modulus d, so they are cached per (d, h, n) and
+shared by every character mod d, the L-interpolation check, the numeric
+twisted values and the p-adic twisted target.
 
 Both checks lift their terms, per component (rat, log), to one common
 cyclotomic denominator (`exact._lift_all`), and then build every coefficient
@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add
 
 from .characters import DirichletCharacter, _Frozen
@@ -243,17 +243,19 @@ def distribution_check(h: int, n: int, m: int) -> VerificationReport:
 # generalized (character-twisted) values
 # ---------------------------------------------------------------------------
 
-def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> tuple[LogScalar, ...]:
-    """Exact q^{h i} * B_{n, q^d}^{(h)}(i/d) for i = 0..d-1, d = chi.modulus."""
+def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> dict[int, LogScalar]:
+    """`_twisted_terms_mod` at d = chi.modulus: the terms chi can weight."""
     return _twisted_terms_mod(chi.modulus, h, n)
 
 
 @lru_cache(maxsize=None)
-def _twisted_terms_mod(d: int, h: int, n: int) -> tuple[LogScalar, ...]:
-    """q^{h i} B_{n, q^d}^{(h)}(i/d), i < d: the coefficients of
-    B_n^{(h)}(x) are lifted once per component, in q, and every residue is
-    one integer combination of them read at q^d (`XPolynomial.eval_points`)."""
-    return tuple(q_bernoulli_polynomial(h, n).eval_points(range(d), d, h, d))
+def _twisted_terms_mod(d: int, h: int, n: int) -> dict[int, LogScalar]:
+    """{i: q^{h i} B_{n, q^d}^{(h)}(i/d)} over the units i < d (i = 0 at
+    d = 1), where characters mod d are nonzero: one lift of the coefficients
+    of B_n^{(h)}(x) in q, read at q^d (`XPolynomial.eval_points`)."""
+    units = [i for i in range(d) if gcd(i, d) == 1]
+    return dict(zip(units, q_bernoulli_polynomial(h, n).eval_points(
+        units, d, h, d)))
 
 
 def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> LogScalar:
@@ -261,8 +263,8 @@ def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> Lo
     values in {-1, 0, 1}, kept fully symbolic."""
     if not chi.is_real():
         raise DomainError("exact generalized values need a quadratic character")
-    terms = [(term, c) for i, term in enumerate(_twisted_terms(chi, h, n))
-             if (c := chi.value_rational(i))]
+    terms = [(term, chi.value_rational(i))
+             for i, term in _twisted_terms(chi, h, n).items()]
     scale = Fraction(chi.modulus) ** (n - 1)
     return LogScalar(rf_sum([t.rat * c for t, c in terms]) * scale,
                      rf_sum([t.log * c for t, c in terms]) * scale)
@@ -270,17 +272,15 @@ def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> Lo
 
 def generalized_q_bernoulli(chi: DirichletCharacter, h: int, n: int,
                             qv: complex) -> complex:
-    """The twisted value at numeric q as the finite sum over residues; the
-    per-residue bracket stays exact, only the final evaluation is numeric."""
+    """The twisted value at numeric q as the finite sum over the units mod d;
+    each unit's term stays exact, only the final evaluation is numeric."""
     d = chi.modulus
     if h == 0:
         raise DomainError("h = 0 is degenerate for the twisted family")
     qv = _in_unit_disc(qv)
     acc = 0j
-    for i, term in enumerate(_twisted_terms(chi, h, n)):
-        c = chi.value_complex(i)
-        if c:
-            acc += c * eval_log_scalar_complex(term, qv)
+    for i, term in _twisted_terms(chi, h, n).items():
+        acc += chi.value_complex(i) * eval_log_scalar_complex(term, qv)
     return acc * float(d) ** (n - 1)
 
 

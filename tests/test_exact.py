@@ -304,6 +304,15 @@ def test_log_scalar_json_round_trip():
     assert LogScalar.from_json_dict(a.to_json_dict()) == a
 
 
+def test_log_scalar_json_writes_each_coefficient_in_lowest_terms():
+    # the coefficients share one denominator, 4, which JSON reduces per
+    # coefficient; a zero coefficient is written 0/1
+    a = LogScalar(QPolynomial([F(1, 2), 1, 0, F(-3, 4)]))
+    assert a.to_json_dict() == {
+        "rat": {"num": ["1/2", "1/1", "0/1", "-3/4"], "den": ["1/1"]},
+        "log": {"num": [], "den": ["1/1"]}}
+
+
 def test_eval_log_scalar_complex():
     import cmath
     q = RationalFunction.q_power(1)
@@ -353,7 +362,7 @@ def _same(a, b):
 def test_xpolynomial_eval_points_match_horner():
     # q-powers in numerators and denominators, coefficients that share the
     # top exponent of Phi_1 (so x = 1 cancels q - 1), a log part, a zero
-    # polynomial and a = 0, against Horner's rule times q^(h i)
+    # polynomial and a = 0, against Horner's rule times q^(h a)
     q = RationalFunction.q_power(1)
     polys = [XPolynomial([]), XPolynomial([2, 3, 1]),
              XPolynomial([q / (q - 1), -1 / (q - 1)]),
@@ -365,9 +374,9 @@ def test_xpolynomial_eval_points_match_horner():
     for poly, b, h in zip(polys * 3, [1, 2, 3, 4, 5] * 3, range(-7, 8)):
         nums = list(range(-b, 2 * b + 1))
         got = poly.eval_points(nums, b, h)
-        for i, (a, g) in enumerate(zip(nums, got)):
+        for a, g in zip(nums, got):
             want = _horner_log_scalar(poly, F(a, b)) * LogScalar(
-                RationalFunction.q_power(h * i))
+                RationalFunction.q_power(h * a))
             assert g == want and _same(g, want), (poly, a, b, h)
         for a in nums:
             x = F(a, b)

@@ -343,17 +343,29 @@ def test_high_order_number_from_cold_cache():
     assert digest(600) == digest(0)    # cold, and warmed from n = 0 up
 
 
+def _units(d):
+    return [i for i in range(d) if gcd(i, d) == 1]
+
+
 def _horner_twisted_terms(d, h, n):
-    """q^{h i} B_{n, q^d}^{(h)}(i/d) for i < d by Horner's rule in LogScalar
-    arithmetic at each residue: the reference for `_twisted_terms_mod`."""
+    """{i: q^{h i} B_{n, q^d}^{(h)}(i/d)} over the units i < d by Horner's
+    rule in LogScalar arithmetic: the reference for `_twisted_terms_mod`."""
     poly = q_bernoulli_polynomial(h, n).subst_q_power(d)
-    out = []
-    for i in range(d):
+    out = {}
+    for i in _units(d):
         acc = LogScalar()
         for c in reversed(poly.coeffs):
             acc = acc * F(i, d) + c
-        out.append(acc * LogScalar(RationalFunction.q_power(h * i)))
-    return tuple(out)
+        out[i] = acc * LogScalar(RationalFunction.q_power(h * i))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 12, 30, 60])
+def test_twisted_terms_are_built_at_the_units_only(d):
+    # a character mod d is 0 at every residue that shares a factor with d,
+    # so the cache builds no term there; at d = 1 the one residue is 0
+    for h, n in product((-2, 1, 3), (0, 4)):
+        assert list(qbernoulli._twisted_terms_mod(d, h, n)) == _units(d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
@@ -364,7 +376,7 @@ def test_twisted_terms_match_horner_per_residue(d):
         got = qbernoulli._twisted_terms_mod(d, h, n)
         want = _horner_twisted_terms(d, h, n)
         assert got == want, (d, h, n)
-        for g, w in zip(got, want):
+        for g, w in zip(got.values(), want.values()):
             assert g.to_json_dict() == w.to_json_dict(), (d, h, n)
             assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
 
@@ -372,15 +384,13 @@ def test_twisted_terms_match_horner_per_residue(d):
 @pytest.mark.parametrize("d", [16, 30, 60])
 def test_twisted_terms_at_large_moduli_match_the_substituted_route(d):
     # read at q^d from one lift in q, the terms are those of the polynomial
-    # substituted first and lifted at q^d: value and exponents at every
-    # residue, and JSON at the residues prime to d, which the characters mod
-    # d read (the JSON of every residue at d = 60 alone takes about 3 s)
+    # substituted first and lifted at q^d: value, exponents and JSON at
+    # every unit
     for h, n in product((-2, 1, 3), (0, 3, 6)):
         got = qbernoulli._twisted_terms_mod(d, h, n)
         want = q_bernoulli_polynomial(h, n).subst_q_power(d).eval_points(
-            range(d), d, h)
-        assert got == tuple(want), (d, h, n)
-        for i, (g, w) in enumerate(zip(got, want)):
+            _units(d), d, h)
+        assert list(got.values()) == want, (d, h, n)
+        for (i, g), w in zip(got.items(), want):
             assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
-            if gcd(i, d) == 1:
-                assert g.to_json_dict() == w.to_json_dict(), (d, h, n, i)
+            assert g.to_json_dict() == w.to_json_dict(), (d, h, n, i)

@@ -2,14 +2,14 @@
 
     python3 tools/parity.py GRID [TREE] [--records]
 
-GRID is `cli`, `lerch`, `padic` or `exact`, each a generator of records
-below.  It runs TREE/src (TREE defaults to this checkout) and prints {"n",
-"sha256"}, the digest of every record in order: cli records with no
-separator, the others each followed by a newline.  Equal digests on two
-trees, for example a `git archive` of the parent commit and the checkout,
-mean the same bytes, bits, verdicts and errors on the whole grid.  With
---records it prints each record on its own line instead, so that `diff`
-lists the records a change moves.
+GRID is `cli`, `lerch`, `padic`, `exact` or `twisted`, each a generator of
+records below.  It runs TREE/src (TREE defaults to this checkout) and
+prints {"n", "sha256"}, the digest of every record in order: cli records
+with no separator, the others each followed by a newline.  Equal digests
+on two trees, for example a `git archive` of the parent commit and the
+checkout, mean the same bytes, bits, verdicts and errors on the whole grid.
+With --records it prints each record on its own line instead, so that
+`diff` lists the records a change moves.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def padic(tree: Path):
     of `q_bracket(x, q)` for x = -3..3, of `padic_pow(q, p^k / c)` for k <=
     5, c = 3, -5, 7, and of `q_volkenborn_sum(n, h, x0, q, N)` for n <= 4,
     h = -2..3, x0 = 0, 1, 1/2, 2/3 and N = 1, 3; then repr and JSON of
-    `qbernoulli._twisted_terms_mod(d, h, n)`, d <= 8."""
+    each term of `qbernoulli._twisted_terms_mod(d, h, n)`, d <= 8, in
+    residue order."""
     from qzeta import padic, qbernoulli
     from qzeta.characters import enumerate_characters
 
@@ -188,7 +189,7 @@ def padic(tree: Path):
                                        (0, 1, F(1, 2), F(2, 3)), (1, 3)):
                 yield out(padic.q_volkenborn_sum, n, h, x0, q, N)
     for d, h, n in product(range(1, 9), range(-2, 4), range(9)):
-        for term in qbernoulli._twisted_terms_mod(d, h, n):
+        for term in qbernoulli._twisted_terms_mod(d, h, n).values():
             yield repr(term) + json.dumps(term.to_json_dict())
 
 
@@ -201,9 +202,9 @@ def exact(tree: Path):
     q in 0.2, 0.5, 0.3 + 0.4i, 0.3 + 0.2i, every chi mod 1, 3, 4, 5, n <= 6.
     Last, at the base powers q^m where reading B_n^{(h)}(x) from its lift in
     q saves the most: the JSON report of `distribution_check(h, n, m)` for
-    m in 4, 7, 60, h in -3..3, n <= 12, and the JSON of
-    `qbernoulli._twisted_terms_mod(d, h, n)` for d in 12, 24, 60, h in -2,
-    1, 3 and n in 0, 3, 6."""
+    m in 4, 7, 60, h in -3..3, n <= 12, and the JSON of the terms of
+    `qbernoulli._twisted_terms_mod(d, h, n)`, in residue order, for d in 12,
+    24, 60, h in -2, 1, 3 and n in 0, 3, 6."""
     from qzeta import qbernoulli as qb
     from qzeta.characters import enumerate_characters
 
@@ -227,10 +228,27 @@ def exact(tree: Path):
     for h, m, n in product(range(-3, 4), (4, 7, 60), range(13)):
         yield out(qb.distribution_check, h, n, m)
     for d, h, n in product((12, 24, 60), (-2, 1, 3), (0, 3, 6)):
-        yield out(qb._twisted_terms_mod, d, h, n)
+        yield out(lambda: qb._twisted_terms_mod(d, h, n).values())
 
 
-GRIDS = {grid.__name__: grid for grid in (cli, lerch, padic, exact)}
+def twisted(tree: Path):
+    """For d in 8, 12, 24, every chi mod d (all real), h in -2, 1, 3 and
+    n <= 6: the repr of `generalized_q_bernoulli(chi, h, n, q)` at q = 0.5
+    and 0.3 + 0.4i, then the JSON of `generalized_q_bernoulli_exact(chi, h,
+    n)`.  The grid reads only public values, so its digest compares two
+    trees whatever shape their cache of twisted terms has."""
+    from qzeta import qbernoulli as qb
+    from qzeta.characters import enumerate_characters
+
+    for d in (8, 12, 24):
+        for chi, h, n in product(enumerate_characters(d), (-2, 1, 3), range(7)):
+            for q in (0.5, 0.3 + 0.4j):
+                yield _outcome(qb.generalized_q_bernoulli, chi, h, n, q)
+            yield _outcome(qb.generalized_q_bernoulli_exact, chi, h, n,
+                           show=lambda v: json.dumps(v.to_json_dict()))
+
+
+GRIDS = {grid.__name__: grid for grid in (cli, lerch, padic, exact, twisted)}
 
 
 def records(grid: str, tree: Path):
