@@ -19,11 +19,14 @@ raises DomainError; inverting such a numerator raises NonInvertible.
 
 Only this module reads that format: `rf_sum` and both identity checks of
 qbernoulli lift with `_lift_all` to integer numerator lists over one common
-denominator, and `_lower` turns such a list back into lowest terms.  Values
-at q^m are read from the same lift: the rows over L, read in Q = q^m, are
-the numerators over L(q^m), which `XPolynomial.eval_points` and, for the
-distribution check, `_lift_to_power` use, so no substituted coefficient is
-lifted.  The lift multiplies in the binomial basis (`_expand`):
+denominator, and `_lower` turns such a list back into lowest terms.
+qbernoulli's closed form for q^{h a} B_{n, q^d}^{(h)}(a/d) hands `_lower`
+numerators with nothing to cancel: each is over a power of q^{|h| d} - 1,
+and at q^{|h| d} = 1, where every factor of that denominator vanishes, its
+Eulerian factor is d^m m! != 0.  For the distribution check, `_lift_to_power` reads
+values at q^m from the same lift: the rows over L, read in Q = q^m, are
+the numerators over L(q^m), so no substituted coefficient is lifted.  The
+lift multiplies in the binomial basis (`_expand`):
 prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M, by sparse products for E_M > 0
 and then exact divisions by prefix sums for E_M < 0, with no dense
 cyclotomic power.
@@ -93,23 +96,17 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return _expand({d: 1}).ints
 
 
-@lru_cache(maxsize=None)
-def _subst_factors(d: int, m: int) -> tuple[int, ...]:
-    """The factors c of Phi_d(q^m) = prod Phi_c: q^m for d = 0, else every
-    c | d m with c / gcd(c, m) = d."""
-    if d == 0:
-        return (0,) * m
-    return tuple(c for c in range(1, d * m + 1)
-                 if d * m % c == 0 and c // gcd(c, m) == d)
-
-
 def _subst_exps(exps: dict, m: int) -> dict:
-    """The exponents of prod_d Phi_d(q^m)^exps[d] (`_subst_factors`); each
-    c comes from one d only, the d = c / gcd(c, m)."""
+    """The exponents of prod_d Phi_d(q^m)^exps[d]: Phi_0(q^m) = q^m, and
+    Phi_d(q^m), d >= 1, is the product of the Phi_c with c | d m and
+    c / gcd(c, m) = d, so each c comes from one d only."""
     out = {}
     for d, e in exps.items():
-        for c in _subst_factors(d, m):
-            out[c] = out.get(c, 0) + e
+        if d == 0:
+            out[0] = m * e
+        else:
+            out.update((c, e) for c in range(1, d * m + 1)
+                       if d * m % c == 0 and c // gcd(c, m) == d)
     return out
 
 
@@ -792,52 +789,11 @@ class XPolynomial(_Frozen):
         return self.coeffs[k] if k < len(self.coeffs) else _LS0
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
-        """The value at x: `eval_points` at the one point x = a/b."""
-        return self.eval_points([x.numerator], x.denominator)[0]
-
-    def eval_points(self, nums: Sequence[int], b: int, h: int = 0,
-                    m: int = 1) -> list[LogScalar]:
-        """[q^(h a) * self(a / b) at base q^m for a in nums], b >= 1, m >= 1.
-
-        Per component (rat, log) the coefficients c_j are lifted once, in q,
-        to one common denominator L (`_lift_all`).  At x = a/b of degree n
-        the value is sum_j a^j b^(n-j) c_j / b^n: one integer numerator over
-        L times b^n.  At base q^m that numerator is read in Q = q^m, times m
-        in the log part (log q^m = m log q), over L(q^m); its power of q,
-        with q^(h a), is cancelled by counting.  Phi_c, c >= 1, divides it
-        only where Phi_d, d = c / gcd(c, m), divides the numerator in q, and
-        that can be only where the number of c_j with a^j != 0 that reach
-        L's exponent of Phi_d is not one: `_lower` tries only those.  Lowest
-        terms are unique, so each value is the one that Horner's rule in
-        LogScalar arithmetic gives on `subst_q_power(m)`."""
-        if not self.coeffs:
-            return [_LS0] * len(nums)
-        n, parts = len(self.coeffs) - 1, []
-        for part, k in (("rat", 1), ("log", m)):
-            cs = [getattr(c, part) for c in self.coeffs]
-            exps, den, rows = _lift_all(cs)
-            cols = list(zip(*rows))
-            # the j whose c_j reaches the top exponent of Phi_d, d >= 1
-            reach = {d: [j for j, c in enumerate(cs) if c.exps.get(d) == e]
-                     for d, e in exps.items() if d}
-            high = _subst_exps(exps, m)
-            vals = []
-            for a in nums:
-                ws = [k * a ** j * b ** (n - j) for j in range(n + 1)]
-                num = [sum(map(int.__mul__, ws, col)) for col in cols]
-                # q^(h a) num(q^m) = q^(h a + m z) num[z:](q^m), num[z] != 0,
-                # over q^e0: q^t num[z:] over no q if t >= 0, else over q^-t
-                z = next((j for j, c in enumerate(num) if c), 0)
-                t = h * a + m * z - high.get(0, 0)
-                spread = [0] * (m * (len(num) - z - 1) + 1)
-                spread[::m] = num[z:]
-                check = [c for d, js in reach.items()
-                         if sum(1 for j in js if ws[j]) != 1
-                         for c in _subst_factors(d, m)]
-                vals.append(_lower([0] * t + spread, den * b ** n,
-                                   {**high, 0: max(-t, 0)}, check))
-            parts.append(vals)
-        return [LogScalar(r, l) for r, l in zip(*parts)]
+        """The value at x, by Horner's rule in LogScalar arithmetic."""
+        acc = _LS0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def eval_complex(self, x: complex, qv: complex) -> complex:
         acc = 0j

@@ -4,24 +4,31 @@ B_n^{(h)}(q) is defined by the generating function
 
     (h*LAMBDA + t) / (q^h e^t - 1)  =  sum_n B_n t^n / n!
 
-with LAMBDA = log q.  The left side is f(t + h*LAMBDA) with
-f(u) = u/(e^u - 1), so B_n^{(h)} = f^{(n)}(h*LAMBDA), and expanding
-1/(e^u - 1) = sum_{k>=1} e^{-ku} gives the closed form
+with LAMBDA = log q.  At base q^d, x = a/d and t -> d t, times q^{h a},
+the generating function of B_n^{(h)}(x) is (h*LAMBDA + t) q^{h a} e^{a t}
+/ (q^{h d} e^{d t} - 1), and expanding 1/(1 - z) = sum_{k>=0} z^k gives
+the closed form, with w = q^h:
 
-    B_n^{(h)} = (-1)^n [h*LAMBDA * Li_{-n}(q^{-h}) - n * Li_{1-n}(q^{-h})],
-    Li_{-n}(z) = sum_k k^n z^k = z A_n(z) / (1 - z)^{n+1},
+    d^{n-1} q^{h a} B_{n, q^d}^{(h)}(a/d) = -[h*LAMBDA S_n(a, d) + n S_{n-1}(a, d)],
+    S_m(a, d) = sum_{k>=0} (a + d k)^m w^{a + d k} = w^a N(w^d) / (1 - w^d)^{m+1},
+    N(z) = sum_j C(m, j) a^{m-j} d^j T_j(z) (1 - z)^{m-j},
 
-with A_n the Eulerian polynomial.  Both components are integer polynomials
-over a power of q^{|h|} - 1 and need no gcd.  For h = 0 the family reduces to
-the classical Bernoulli numbers, which is what we return on that path.
+where sum_{k>=0} k^j z^k = T_j(z) / (1 - z)^{j+1}: T_0 = 1 and T_j = z A_j(z)
+with A_j the Eulerian polynomial.  B_n^{(h)} is the case a = 0, d = 1, where
+N = T_m.  Each component is an integer polynomial over a power of
+q^{|h| d} - 1, in lowest terms as built: N(1) = d^m m! is not 0, so no
+factor Phi_c, c | |h| d, of the denominator divides the numerator, and no
+gcd or trial division is needed.  For h = 0 the family reduces to the
+classical Bernoulli numbers, which is what we return on that path.
 
 Also here: the character-twisted generalized values, exact and at numeric
 q, both as the finite sum over the units i mod d, and the exact identity
 checkers for the generating function and the distribution relation.  The
-exact terms q^{h i} B_{n, q^d}^{(h)}(i/d) at the units depend on the
-character only through its modulus d, so they are cached per (d, h, n) and
-shared by every character mod d, the L-interpolation check, the numeric
-twisted values and the p-adic twisted target.
+exact terms q^{h i} B_{n, q^d}^{(h)}(i/d) at the units, the closed form at
+a = i, depend on the character only through its modulus d, so they are
+cached per (d, h, n) and shared by every character mod d, the
+L-interpolation check, the numeric twisted values and the p-adic twisted
+target.
 
 Both checks lift their terms, per component (rat, log), to one common
 cyclotomic denominator (`exact._lift_all`), and then build every coefficient
@@ -32,9 +39,7 @@ recurrence that multiplying by q^h e^t - 1 gives, so it is independent of
 how the closed-form values were built.  The distribution check lifts
 B_n^{(h)}(x) in q alone (`exact._lift_to_power`), Taylor-shifts x -> x + 1
 its right side on those rows read in Q = q^m and adds them at stride m;
-only the left rows are lifted again, to the common denominator.  The
-twisted terms are lifted once in q as well, and read at q^d
-(`XPolynomial.eval_points`).
+only the left rows are lifted again, to the common denominator.
 """
 
 from __future__ import annotations
@@ -73,12 +78,13 @@ class QBernoulliTable(_Frozen):
         return self.values[n]
 
 
-_EULERIAN = [(0, 1), (0, 1)]     # T_0, T_1, ... as far as built
+_EULERIAN = [(1,)]     # T_0, T_1, ... as far as built
 
 
 def _eulerian(n: int) -> tuple[int, ...]:
-    """Coefficients of T_n(z) = z A_n(z); Li_{-n}(z) = T_n(z)/(1 - z)^{n+1}.
-    Each row is built once, from the one before, in a loop."""
+    """Coefficients of T_n(z), sum_{k>=0} k^n z^k = T_n(z)/(1 - z)^{n+1}:
+    T_0 = 1 and T_n = z A_n(z), A_n the Eulerian polynomial.  Each row is
+    built once, from the one before, in a loop."""
     while len(_EULERIAN) <= n:
         m, prev = len(_EULERIAN), _EULERIAN[-1]
         # Li_{-m} = z d/dz Li_{1-m}:  T_m = z (1 - z) T_{m-1}' + m z T_{m-1}
@@ -90,34 +96,56 @@ def _eulerian(n: int) -> tuple[int, ...]:
     return _EULERIAN[n]
 
 
-def _over_one_minus_z(num: list[int], k: int, h: int) -> RationalFunction:
-    """num(z) / (1 - z)^k at z = q^{-h}, deg num <= k, over the monic
-    denominator (q^{|h|} - 1)^k.  No gcd: the caller's num(1) != 0."""
-    if h > 0:  # multiply through by (q^h)^k = z^{-k}
-        num = (num + [0] * (k + 1 - len(num)))[::-1]
-    else:
-        num = [(-1) ** k * c for c in num]
-    return _lower(num, 1, {1: k}, ()).subst_q_power(abs(h))
+def _eulerian_term(a: int, d: int, h: int, n: int) -> LogScalar:
+    """q^{h a} B_{n, q^d}^{(h)}(a/d) for h != 0 and 0 <= a < d (a = 0 at
+    d = 1, where it is B_n^{(h)}), from the closed form in the module
+    docstring: d^{1-n} times the log part -h S_n(a, d) and the rational
+    part -n S_{n-1}(a, d).
+
+    S_m = w^a N(z) / (1 - z)^{m+1}, w = q^h, z = w^d, and the numerator
+    N = sum_j C(m, j) a^{m-j} d^j T_j (1 - z)^{m-j} is built by Horner's
+    rule in 1 - z, already times the part's scale (N = T_m at a = 0).
+    Over (q^e - 1)^{m+1}, e = |h| d, the numerator is (-1)^{m+1} q^{h a}
+    N(q^e) for h > 0, and for h < 0 it is q^{|h|(d-a)} times N reversed,
+    at q^e: deg N = m, as its top coefficient is (d - a)^m.  N(1) = d^m m!
+    is not 0, so no Phi_c, c | e, divides N(q^e): each part is in lowest
+    terms as built, and only its power of q is placed."""
+    e, den, parts = abs(h) * d, d ** max(n - 1, 0), []
+    shift = h * a if h > 0 else -h * (d - a)
+    cyclotomic = [c for c in range(1, e + 1) if e % c == 0]   # q^e - 1
+    for m, k in ((n, h), (n - 1, n)):   # log part -h S_n, rat -n S_{n-1}
+        if m < 0:
+            parts.append(0)             # n = 0: no rational part
+            continue
+        s = (-k if h < 0 else (-1) ** m * k) * (1 if n else d)
+        if a == 0:      # so d = 1
+            num = [s * t for t in _eulerian(m)]
+        else:   # N -> N (1 - z) + c_j T_j
+            num = []
+            for j in range(m + 1):
+                c = s * comb(m, j) * a ** (m - j) * d ** j
+                num = [c * t + x - y for t, x, y in
+                       zip(_eulerian(j), num + [0], [0] + num)]
+        if h < 0:
+            num.reverse()
+        # the content and the scale are settled before spreading at stride e
+        g = gcd(den, *num)
+        ints = [0] * (shift + e * m + 1)
+        ints[shift::e] = [c // g for c in num] if g > 1 else num
+        parts.append(_lower(ints, den // g, dict.fromkeys(cyclotomic, m + 1),
+                            ()))
+    return LogScalar(parts[1], parts[0])
 
 
 @lru_cache(maxsize=None)
 def q_bernoulli_number(h: int, n: int) -> LogScalar:
-    """B_n^{(h)} from the Eulerian closed form in the module docstring.
-
-    Every root of q^{|h|} - 1 has z = 1, where the numerators are
-    +-T_n(1) = +-n! and +-n T_{n-1}(1) = +-n!, so both components are in
-    lowest terms as built.  The rational one, n Li_{1-n}, has one factor of
-    (1 - z) fewer in its denominator."""
+    """B_n^{(h)}: `_eulerian_term` at a = 0, d = 1 (the classical B_n at
+    h = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if h == 0:
         return LogScalar(classical_bernoulli(n)[n])
-    sign = (-1) ** n
-    log = _over_one_minus_z([sign * h * c for c in _eulerian(n)], n + 1, h)
-    if n == 0:
-        return LogScalar(0, log)
-    rat = _over_one_minus_z([-sign * n * c for c in _eulerian(n - 1)], n, h)
-    return LogScalar(rat, log)
+    return _eulerian_term(0, 1, h, n)
 
 
 @lru_cache(maxsize=None)
@@ -251,11 +279,13 @@ def _twisted_terms(chi: DirichletCharacter, h: int, n: int) -> dict[int, LogScal
 @lru_cache(maxsize=None)
 def _twisted_terms_mod(d: int, h: int, n: int) -> dict[int, LogScalar]:
     """{i: q^{h i} B_{n, q^d}^{(h)}(i/d)} over the units i < d (i = 0 at
-    d = 1), where characters mod d are nonzero: one lift of the coefficients
-    of B_n^{(h)}(x) in q, read at q^d (`XPolynomial.eval_points`)."""
+    d = 1), where characters mod d are nonzero: `_eulerian_term` at each,
+    and the classical B_n(i/d) at h = 0, where q^{h d} = 1."""
     units = [i for i in range(d) if gcd(i, d) == 1]
-    return dict(zip(units, q_bernoulli_polynomial(h, n).eval_points(
-        units, d, h, d)))
+    if h == 0:
+        poly = q_bernoulli_polynomial(0, n)
+        return {i: poly.eval_fraction(Fraction(i, d)) for i in units}
+    return {i: _eulerian_term(i, d, h, n) for i in units}
 
 
 def generalized_q_bernoulli_exact(chi: DirichletCharacter, h: int, n: int) -> LogScalar:

@@ -347,7 +347,7 @@ def test_xpolynomial_eval_and_compose():
 
 def _horner_log_scalar(poly, x):
     """Horner's rule in LogScalar arithmetic: the reference for
-    `XPolynomial.eval_fraction` and `eval_points`."""
+    `XPolynomial.eval_fraction`."""
     acc = LogScalar()
     for c in reversed(poly.coeffs):
         acc = acc * x + c
@@ -359,10 +359,12 @@ def _same(a, b):
                for x, y in ((a.rat, b.rat), (a.log, b.log)))
 
 
-def test_xpolynomial_eval_points_match_horner():
+def test_xpolynomial_eval_fraction_matches_horner():
     # q-powers in numerators and denominators, coefficients that share the
     # top exponent of Phi_1 (so x = 1 cancels q - 1), a log part, a zero
-    # polynomial and a = 0, against Horner's rule times q^(h a)
+    # polynomial and a = 0, against Horner's rule, and in floats against
+    # `eval_complex`, which sums the coefficients' values at q
+    import cmath
     q = RationalFunction.q_power(1)
     polys = [XPolynomial([]), XPolynomial([2, 3, 1]),
              XPolynomial([q / (q - 1), -1 / (q - 1)]),
@@ -371,17 +373,15 @@ def test_xpolynomial_eval_points_match_horner():
              XPolynomial([LogScalar(q ** 2 / (q ** 3 - 1) ** 2, 1 / q ** 2),
                           LogScalar(-1 / (q ** 3 - 1), q / (q + 1)),
                           LogScalar(1 / (q ** 3 - 1) ** 2)])]
-    for poly, b, h in zip(polys * 3, [1, 2, 3, 4, 5] * 3, range(-7, 8)):
-        nums = list(range(-b, 2 * b + 1))
-        got = poly.eval_points(nums, b, h)
-        for a, g in zip(nums, got):
-            want = _horner_log_scalar(poly, F(a, b)) * LogScalar(
-                RationalFunction.q_power(h * a))
-            assert g == want and _same(g, want), (poly, a, b, h)
-        for a in nums:
+    for poly, b in zip(polys, [1, 2, 3, 4, 5]):
+        for a in range(-b, 2 * b + 1):
             x = F(a, b)
-            assert _same(poly.eval_fraction(x),
-                         _horner_log_scalar(poly, x)), (poly, x)
+            got = poly.eval_fraction(x)
+            want = _horner_log_scalar(poly, x)
+            assert got == want and _same(got, want), (poly, x)
+            assert cmath.isclose(eval_log_scalar_complex(got, 0.3 + 0.4j),
+                                 poly.eval_complex(float(x), 0.3 + 0.4j),
+                                 rel_tol=1e-12, abs_tol=1e-12), (poly, x)
 
 
 def test_xpolynomial_eval_complex_with_log_coeff():

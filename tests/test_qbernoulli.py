@@ -370,9 +370,10 @@ def test_twisted_terms_are_built_at_the_units_only(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
 def test_twisted_terms_match_horner_per_residue(d):
-    # the terms come from one lift of the coefficients per component; each
-    # equals Horner's value in lowest terms: value, JSON and exponents
-    for h, n in product((-3, -2, -1, 1, 2, 3), range(13)):
+    # each term, built by the Eulerian closed form (the classical B_n(i/d)
+    # at h = 0), equals Horner's value in lowest terms: value, JSON and
+    # exponents
+    for h, n in product((-3, -2, -1, 0, 1, 2, 3), range(13)):
         got = qbernoulli._twisted_terms_mod(d, h, n)
         want = _horner_twisted_terms(d, h, n)
         assert got == want, (d, h, n)
@@ -383,14 +384,13 @@ def test_twisted_terms_match_horner_per_residue(d):
 
 @pytest.mark.parametrize("d", [16, 30, 60])
 def test_twisted_terms_at_large_moduli_match_the_substituted_route(d):
-    # read at q^d from one lift in q, the terms are those of the polynomial
-    # substituted first and lifted at q^d: value, exponents and JSON at
+    # the closed-form terms are those of the polynomial substituted first
+    # and evaluated at q^d by Horner's rule: value, exponents and JSON at
     # every unit
     for h, n in product((-2, 1, 3), (0, 3, 6)):
         got = qbernoulli._twisted_terms_mod(d, h, n)
-        want = q_bernoulli_polynomial(h, n).subst_q_power(d).eval_points(
-            _units(d), d, h)
-        assert list(got.values()) == want, (d, h, n)
-        for (i, g), w in zip(got.items(), want):
+        want = _horner_twisted_terms(d, h, n)
+        assert got == want, (d, h, n)
+        for (i, g), w in zip(got.items(), want.values()):
             assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
             assert g.to_json_dict() == w.to_json_dict(), (d, h, n, i)

@@ -204,7 +204,11 @@ def exact(tree: Path):
     q saves the most: the JSON report of `distribution_check(h, n, m)` for
     m in 4, 7, 60, h in -3..3, n <= 12, and the JSON of the terms of
     `qbernoulli._twisted_terms_mod(d, h, n)`, in residue order, for d in 12,
-    24, 60, h in -2, 1, 3 and n in 0, 3, 6."""
+    24, 60, h in -2, 1, 3 and n in 0, 3, 6.  Then, where the closed form
+    meets large n and the classical route: the JSON of
+    `q_bernoulli_number(h, n)` for h in -3..3, n in 40, 100, 200, and of
+    the terms of `_twisted_terms_mod(d, 0, n)` for d in 3, 4, 5, 12,
+    n <= 12."""
     from qzeta import qbernoulli as qb
     from qzeta.characters import enumerate_characters
 
@@ -229,6 +233,10 @@ def exact(tree: Path):
         yield out(qb.distribution_check, h, n, m)
     for d, h, n in product((12, 24, 60), (-2, 1, 3), (0, 3, 6)):
         yield out(lambda: qb._twisted_terms_mod(d, h, n).values())
+    for h, n in product(range(-3, 4), (40, 100, 200)):
+        yield out(lambda: [qb.q_bernoulli_number(h, n)])
+    for d, n in product((3, 4, 5, 12), range(13)):
+        yield out(lambda: qb._twisted_terms_mod(d, 0, n).values())
 
 
 def twisted(tree: Path):
