@@ -22,8 +22,8 @@ _EXPORTS = {
               "eval_log_scalar_complex", "eval_log_scalar_mp"),
     "padic": ("MonomialTestFunction", "PadicNumber", "closed_form_verify",
               "eval_log_scalar_padic", "padic_exp", "padic_generalized_verify",
-              "padic_log", "padic_pow", "q_bracket", "q_volkenborn_sum",
-              "shift_identity_verify", "volkenborn_sum", "witt_verify"),
+              "padic_log", "padic_pow", "q_volkenborn_sum",
+              "shift_identity_verify", "witt_verify"),
     "qbernoulli": ("classical_bernoulli", "distribution_check",
                    "gen_function_identity_check", "generalized_q_bernoulli",
                    "generalized_q_bernoulli_exact", "q_bernoulli_number",

@@ -15,7 +15,9 @@ q times cyclotomic polynomials, which is all that the generating function
 exponents {d: e_d} (Phi_0 = q): products add them, sums take their maximum,
 and lowest terms come from exact integer division of the numerator by the
 monic Phi_d, with no polynomial gcd.  A denominator with any other factor
-raises DomainError; inverting such a numerator raises NonInvertible.
+raises DomainError.  The exact types have `+`, `-`, `*` and rational
+scalars, and no `/` or `**`: a quotient is built as RationalFunction(num,
+den).
 
 Only this module reads that format: `rf_sum` and both identity checks of
 qbernoulli lift with `_lift_all` to integer numerator lists over one common
@@ -50,10 +52,6 @@ class ExactError(ArithmeticError):
 
 class LogDegreeOverflow(ExactError):
     """Raised when a product would carry (log q)^2."""
-
-
-class NonInvertible(ExactError):
-    pass
 
 
 class PoleError(ExactError):
@@ -152,7 +150,7 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
 
 class _Ring:
     """`-`, `==`, `hash`, the reflected operators and, where there is an
-    `inverse`, `/`, from a type's `_coerce` (its own type, or None for a
+    `inverse` (PadicNumber's alone), `/`, from a type's `_coerce` (its own type, or None for a
     foreign operand), `+`, unary `-` and `*`.  A foreign operand, such as a
     p-adic number met by an exact one, gets NotImplemented both ways, so
     Python raises TypeError."""
@@ -491,30 +489,6 @@ class RationalFunction(_Ring, _Frozen):
             exps[d] = exps.get(d, 0) + e
         return RationalFunction._raw(a.num * b.num, exps)
 
-    def __pow__(self, k: int) -> "RationalFunction":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RationalFunction._raw(_P1, {})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise NonInvertible("division by zero rational function")
-        factored = _cyclotomic_factors(self.num)
-        if factored is None:
-            raise NonInvertible(f"numerator {self.num!r} is not q^a times a "
-                                "product of cyclotomic polynomials")
-        lead, exps = factored
-        return RationalFunction._raw(self.den * (1 / lead), exps)
-
     def subst_q_power(self, m: int) -> "RationalFunction":
         """q -> q^m.  Stays in lowest terms: q -> q^m sends each root of a
         new factor Phi_c to a root of Phi_d, where the numerator is not 0."""
@@ -639,19 +613,6 @@ class LogScalar(_Ring, _Frozen):
         log = log if isinstance(log, RationalFunction) else RationalFunction(log)
         self._set(rat, log)
 
-    @classmethod
-    def lam(cls, coeff=1) -> "LogScalar":
-        """coeff * LAMBDA."""
-        return cls(0, coeff)
-
-    @classmethod
-    def one(cls) -> "LogScalar":
-        return _LS1
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return _LS0
-
     def is_zero(self) -> bool:
         return self.rat.is_zero() and self.log.is_zero()
 
@@ -686,11 +647,6 @@ class LogScalar(_Ring, _Frozen):
             return LogScalar(self.rat * o.rat, self.rat * o.log)
         return LogScalar(self.rat * o.rat, self.log * o.rat)
 
-    def inverse(self) -> "LogScalar":
-        if not self.log.is_zero():
-            raise NonInvertible("non-invertible: scalar carries a log part")
-        return LogScalar(self.rat.inverse())
-
     def subst_q_power(self, m: int) -> "LogScalar":
         """q -> q^m; the LAMBDA coefficient picks up a factor m since
         log q^m = m log q."""
@@ -711,24 +667,11 @@ class LogScalar(_Ring, _Frozen):
 
         return {"rat": rf(self.rat), "log": rf(self.log)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LogScalar":
-        """The inverse of `to_json_dict`, kept as the JSON reader of the
-        values this package writes, though no src/ path calls it."""
-        def poly(cs: list[str]) -> QPolynomial:
-            return QPolynomial([Fraction(c) for c in cs])
-
-        def rf(r: dict) -> RationalFunction:
-            return RationalFunction(poly(r["num"]), poly(r["den"]))
-
-        return cls(rf(d["rat"]), rf(d["log"]))
-
     def __repr__(self):
         return f"LogScalar({self.rat!r}, {self.log!r})"
 
 
 _LS0 = LogScalar()
-_LS1 = LogScalar(1)
 
 
 def _in_unit_disc(qv) -> complex:
@@ -784,9 +727,6 @@ class XPolynomial(_Frozen):
         while c and c[-1].is_zero():
             c.pop()
         self._set(tuple(c))
-
-    def coeff(self, k: int) -> LogScalar:
-        return self.coeffs[k] if k < len(self.coeffs) else _LS0
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
         """The value at x, by Horner's rule in LogScalar arithmetic."""

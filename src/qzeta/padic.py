@@ -377,15 +377,6 @@ def padic_pow(q: PadicNumber, x) -> PadicNumber:
     return padic_exp(x * padic_log(q))
 
 
-def q_bracket(x: int, q: PadicNumber) -> PadicNumber:
-    """[x]_q = (1 - q^x) / (1 - q); q must differ from 1 at the working
-    precision."""
-    one_minus_q = 1 - q
-    if one_minus_q.is_zero():
-        raise PadicDomainError("[x]_q undefined at q = 1")
-    return (1 - padic_pow(q, x)) / one_minus_q
-
-
 # ---------------------------------------------------------------------------
 # LogScalar evaluation at a p-adic point
 # ---------------------------------------------------------------------------
@@ -536,19 +527,12 @@ def volkenborn_levels(n_max: int, h: int, q: PadicNumber, levels: list[int],
                       prec: int = DEFAULT_PRECISION) -> dict[int, list[PadicNumber]]:
     """S_N = p^-N sum_{x < p^N} q^{h x} x^n for n = 0..n_max and every N in
     `levels`: the level sums of `_level_sums` at the character mod 1, each
-    known to prec + max(levels) absolute digits.  No verifier calls it: it is
-    the paper's S_N family, reached by `volkenborn_sum` (and traced by the
-    benchmark as padic.volkenborn); `witt_verify` sums its own n alone."""
+    known to prec + max(levels) absolute digits: the paper's S_N family, so
+    S_N of x^n q^{h x} is volkenborn_levels(n, h, q, [N], prec)[N][n].  No
+    verifier calls it: `witt_verify` sums its own n alone."""
     _check_prime(q.p)
     _check_levels(levels)
     return _level_sums([1], h, range(n_max + 1), q, levels, prec)
-
-
-def volkenborn_sum(f: MonomialTestFunction, N: int,
-                   prec: int = DEFAULT_PRECISION) -> PadicNumber:
-    """Level-N Volkenborn approximant p^-N sum_{x<p^N} f(x): the paper's
-    object, kept as such, though no src/ path calls it."""
-    return volkenborn_levels(f.n, f.h, f.q, [N], prec)[N][f.n]
 
 
 def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,

@@ -12,8 +12,9 @@ import pytest
 
 from qzeta import exact, qbernoulli
 from qzeta.characters import enumerate_characters, principal_character
-from qzeta.exact import (DomainError, LogScalar, RationalFunction,
-                         XPolynomial, eval_log_scalar_complex)
+from qzeta.exact import (DomainError, LogScalar, QPolynomial,
+                         RationalFunction, XPolynomial,
+                         eval_log_scalar_complex)
 from qzeta.qbernoulli import (classical_bernoulli, classical_limit_errors,
                               distribution_check, gen_function_identity_check,
                               generalized_q_bernoulli,
@@ -57,7 +58,7 @@ def test_b0_closed_form():
     for h in (1, 2, 3):
         v = q_bernoulli_number(h, 0)
         assert v.rat.is_zero()
-        assert v.log == h / (RationalFunction.q_power(h) - 1)
+        assert v.log == RationalFunction(h, QPolynomial.monomial(h) - 1)
 
 
 def test_b1_closed_form():
@@ -106,9 +107,9 @@ def test_polynomial_constant_term_is_number():
     for h in (0, 1, 2):
         for n in range(6):
             poly = q_bernoulli_polynomial(h, n)
-            assert poly.coeff(0) == q_bernoulli_number(h, n)
+            assert poly.coeffs[0] == q_bernoulli_number(h, n)
             # leading coefficient is B_0^{(h)}
-            assert poly.coeff(n) == q_bernoulli_number(h, 0)
+            assert poly.coeffs[n] == q_bernoulli_number(h, 0)
 
 
 @pytest.mark.parametrize("h,n,m", [(1, 1, 2), (1, 3, 2), (2, 4, 3),
@@ -137,7 +138,7 @@ def test_distribution_pass_reduces_nothing(h, monkeypatch):
 def _compose_affine(poly, a, b):
     """P(a x + b), each (a x + b)^k expanded; the distribution check's former
     route, kept as its oracle."""
-    out = [LogScalar.zero()] * len(poly.coeffs)
+    out = [LogScalar()] * len(poly.coeffs)
     for k, c in enumerate(poly.coeffs):
         for j in range(k + 1):
             out[j] = out[j] + c * (comb(k, j) * F(a) ** j * F(b) ** (k - j))
@@ -148,12 +149,12 @@ def _distribution_oracle(poly, h, n, m):
     """lhs - rhs of the distribution relation for the polynomial `poly`,
     per power of x, from m shifted compositions."""
     base = poly.subst_q_power(m)
-    rhs = [LogScalar.zero()] * len(poly.coeffs)
+    rhs = [LogScalar()] * len(poly.coeffs)
     for i in range(m):
         w = LogScalar(RationalFunction.q_power(h * i)) * F(m) ** (n - 1)
         for j, c in enumerate(_compose_affine(base, F(1, m), F(i, m)).coeffs):
             rhs[j] = rhs[j] + c * w
-    return [poly.coeff(j) - r for j, r in enumerate(rhs)]
+    return [poly.coeffs[j] - r for j, r in enumerate(rhs)]
 
 
 def test_compose_affine_oracle():
@@ -200,13 +201,13 @@ def _gen_function_oracle(values, h, order):
     """lhs - rhs of the generating-function identity per power of t, from
     the Cauchy product of truncated series; the check's former route, kept
     as its oracle."""
-    f = TruncatedSeries([values[n] / factorial(n) for n in range(order + 1)],
-                        order)
+    f = TruncatedSeries([values[n] * F(1, factorial(n))
+                         for n in range(order + 1)], order)
     qh = RationalFunction.q_power(h)
     den = [LogScalar(qh * F(1, factorial(k))) for k in range(order + 1)]
     den[0] = den[0] - 1
     prod = TruncatedSeries(den, order) * f
-    expected = [LogScalar.lam(h), LogScalar(1)] + [LogScalar.zero()] * order
+    expected = [LogScalar(0, h), LogScalar(1)] + [LogScalar()] * order
     return [c - e for c, e in zip(prod.coeffs, expected)]
 
 

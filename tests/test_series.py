@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from qzeta.exact import RationalFunction
 from qzeta.series import TruncatedSeries
 
 
@@ -39,15 +38,6 @@ def test_geometric_series_inverse():
     assert inv.coeffs == tuple(Fraction(1) for _ in range(6))
     prod = s * inv
     assert prod.coeffs == (1, 0, 0, 0, 0, 0)
-
-
-def test_inverse_over_rational_functions():
-    q = RationalFunction.q_power(1)
-    one = RationalFunction(1)
-    s = TruncatedSeries([q, one, one], order=2)
-    prod = s * s.invert()
-    assert prod.coeffs[0] == one
-    assert all(c.is_zero() for c in prod.coeffs[1:])
 
 
 def test_non_invertible_constant_term():

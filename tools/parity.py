@@ -135,11 +135,10 @@ def padic(tree: Path):
     valuation 1 and 2 (2 and 3 at p = 2), of either sign and with a
     denominator, at precisions 1..64, from the rational and from the residue
     alone; then, at each q above at precisions 10 and 40, (val, unit, prec)
-    of `q_bracket(x, q)` for x = -3..3, of `padic_pow(q, p^k / c)` for k <=
-    5, c = 3, -5, 7, and of `q_volkenborn_sum(n, h, x0, q, N)` for n <= 4,
-    h = -2..3, x0 = 0, 1, 1/2, 2/3 and N = 1, 3; then repr and JSON of
-    each term of `qbernoulli._twisted_terms_mod(d, h, n)`, d <= 8, in
-    residue order."""
+    of `padic_pow(q, p^k / c)` for k <= 5, c = 3, -5, 7, and of
+    `q_volkenborn_sum(n, h, x0, q, N)` for n <= 4, h = -2..3, x0 = 0, 1,
+    1/2, 2/3 and N = 1, 3; then repr and JSON of each term of
+    `qbernoulli._twisted_terms_mod(d, h, n)`, d <= 8, in residue order."""
     from qzeta import padic, qbernoulli
     from qzeta.characters import enumerate_characters
 
@@ -181,8 +180,6 @@ def padic(tree: Path):
     for p, prec in product((2, 3, 5, 7), (10, 40)):
         for x in (F(1 + p), F(1 + p, 1 + 2 * p), F(1 - p)):
             q = padic.PadicNumber.from_fraction(p, x, prec)
-            for e in range(-3, 4):
-                yield out(padic.q_bracket, e, q)
             for k, c in product(range(6), (3, -5, 7)):
                 yield out(padic.padic_pow, q, F(p ** k, c))
             for n, h, x0, N in product(range(5), range(-2, 4),
