@@ -11,6 +11,10 @@ summation loop per number of running series.  Each series keeps its own
 stopping test and stays frozen once it passes, so value and tail bound are
 bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
 pair per residue class mod d.
+At a real s (every interpolation check's s = 1 - n) a term's power is
+`math.exp` of the real (-Re s) log(k+x), and at a real w too, w^k and the
+sums are floats; either way the bits are those of the complex route,
+which `_lerch_pair` documents.
 The interpolation checks import qbernoulli and report when they run, and a
 domain check imports exact only to raise DomainError, so the direct values
 load no exact arithmetic."""
@@ -114,6 +118,15 @@ def _horizon(k: int, x: float, la: float, nrs: float, level: float,
     return lo + 1
 
 
+def _cexp_real(r: float) -> float | complex:
+    """exp(r) as `cmath.exp(r + 0j)` gives it: past log(DBL_MAX/4) ~
+    708.396 that is exp(r - 1)*e, which can differ from `math.exp(r)`.  At
+    r = inf it stays inf + 0j, so that a real w^k times it gets the NaN
+    imaginary part that the complex route's product gets."""
+    e = cmath.exp(r)
+    return e if e.real == math.inf else e.real
+
+
 def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 alone: bool = False) -> tuple[complex, float, complex, float]:
     """sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
@@ -131,7 +144,20 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     still running, and the tests run at K.  K <= max_terms, the terms are
     added in the same order by the same operations, and only term k of a
     stretch can overflow, so every value, bound, stopping k and error
-    message is the one of a step-by-step loop."""
+    message is the one of a step-by-step loop.
+
+    At a real s, a term's power is exp((-Re s) log(k+x)) by `math.exp`,
+    and at a real w, w^k and both sums are floats, returned as complex (a
+    NaN w never passes a stopping test, so it ends in the same error on
+    either route).  The bits are those of the complex route: for r <=
+    log(DBL_MAX/4) ~ 708.396, `cmath.exp(r +- 0j)` is exp(r) cos 0 =
+    exp(r); a product with a real factor keeps its real and imaginary parts
+    but for the sign of a zero, which sums that start at +0.0 drop.  Past
+    708.396, `cmath.exp` takes exp(r - 1)*e, which may differ from
+    `math.exp(r)` in the last bit, and at r = inf it returns inf + 0j
+    without raising.  `_horizon` keeps every exponent after a stretch's
+    first term finite and below 700, so that term alone goes through
+    `_cexp_real`, which follows `cmath.exp` in both cases."""
     w = complex(w)
     s = complex(s)
     s1 = s - 1
@@ -144,7 +170,7 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     aw = abs(w)
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
-    log, exp = math.log, cmath.exp
+    log, cexp = math.log, cmath.exp
     ns, ns1 = -s, -s1
     rs, rs1 = s.real, s1.real
     nrs, nrs1 = -rs, -rs1
@@ -159,12 +185,20 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     done_a, done_b = False, alone
     k = 0
     wk = 1 + 0j
+    # the exponents' multipliers, the exp of a stretch's first term and that
+    # of the rest: real ones at a real s, and at a real w, float sums too
+    if s.imag == 0:
+        ta, tb, exp0, exp = nrs, nrs1, _cexp_real, math.exp
+        if w.imag == 0:
+            w, wk, a, b = w.real, 1.0, 0.0, 0.0
+    else:
+        ta, tb, exp0, exp = ns, ns1, cexp, cexp
     # a float power or exp past the float range raises OverflowError with
     # no context; say which sum and which term
     try:
         if w == 0:
             lg = log(x)
-            return exp(ns * lg), 0.0, b if alone else exp(ns1 * lg), 0.0
+            return cexp(ns * lg), 0.0, 0j if alone else cexp(ns1 * lg), 0.0
         la, lev, lev1 = _log(aw), _level(tol, den), _level(tol, den1)
         while True:
             K = max_terms
@@ -174,15 +208,21 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 K = _horizon(k, x, la, nrs1, lev1, K)
             lgs = map(log, map(x.__radd__, range(k, K)))
             if done_a or done_b:
-                t, acc = (ns1, b) if done_a else (ns, a)
+                t, acc = (tb, b) if done_a else (ta, a)
+                acc += wk * exp0(t * next(lgs))
+                wk *= w
                 for lg in lgs:
                     acc += wk * exp(t * lg)
                     wk *= w
                 a, b = (a, acc) if done_a else (acc, b)
             else:
+                lg = next(lgs)
+                a += wk * exp0(ta * lg)
+                b += wk * exp0(tb * lg)
+                wk *= w
                 for lg in lgs:
-                    a += wk * exp(ns * lg)
-                    b += wk * exp(ns1 * lg)
+                    a += wk * exp(ta * lg)
+                    b += wk * exp(tb * lg)
                     wk *= w
             k = K
             awk = abs(wk)
@@ -196,7 +236,7 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 done_b = bb <= tol and (
                     rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
             if done_a and done_b:
-                return a, ba, b, bb
+                return complex(a), ba, complex(b), bb
             if k >= max_terms:
                 raise TruncationFailure(f"tail bound {bb if done_a else ba} "
                                         f"still above tol after {k} terms")
@@ -264,14 +304,18 @@ def _char_sum(chi: DirichletCharacter, w: complex, s: complex,
     wd = w ** d
     a = b = 0j
     ba = bb = 0.0
+    ds = None
     for r in range(1, d + 1):
         cr = chi.value_complex(r)
         if cr == 0:
             continue
         sa, sba, sb, sbb = _lerch_pair(wd, s, r / d, cfg)
+        if ds is None:  # d^-s and d^(1-s), once, after the first pair: its
+            # overflow, if any, is raised first, as when taken per r
+            ds = cmath.exp(-s * math.log(d))
+            ds1 = cmath.exp(-(s - 1) * math.log(d))
         cw = cr * w ** r
-        scale = cw * cmath.exp(-s * math.log(d))
-        scale1 = cw * cmath.exp(-(s - 1) * math.log(d))
+        scale, scale1 = cw * ds, cw * ds1
         a += scale * sa
         ba += abs(scale) * sba
         b += scale1 * sb

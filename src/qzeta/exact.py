@@ -149,11 +149,10 @@ def _cyclotomic_factors(p: "QPolynomial") -> tuple[Fraction, dict] | None:
 # ---------------------------------------------------------------------------
 
 class _Ring:
-    """`-`, `==`, `hash`, the reflected operators and, where there is an
-    `inverse` (PadicNumber's alone), `/`, from a type's `_coerce` (its own type, or None for a
-    foreign operand), `+`, unary `-` and `*`.  A foreign operand, such as a
-    p-adic number met by an exact one, gets NotImplemented both ways, so
-    Python raises TypeError."""
+    """`-`, `==`, `hash` and the reflected operators, from a type's
+    `_coerce` (its own type, or None for a foreign operand), `+`, unary `-`
+    and `*`.  A foreign operand, such as a p-adic number met by an exact
+    one, gets NotImplemented both ways, so Python raises TypeError."""
 
     __slots__ = ()
 
@@ -189,18 +188,6 @@ class _Ring:
         if o is None:
             return NotImplemented
         return o - self
-
-    def __truediv__(self, other):
-        o = self._coerce(other) if hasattr(self, "inverse") else None
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other) if hasattr(self, "inverse") else None
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,18 @@ class PadicNumber(_Ring, _Frozen):
         return PadicNumber(self.p, -self.val,
                            pow(self.unit, -1, self.p ** self.prec), self.prec)
 
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
     def __pow__(self, x: int):
         return padic_pow(self, x)
 

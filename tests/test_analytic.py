@@ -429,7 +429,34 @@ _HORIZON = settings(derandomize=True, database=None, max_examples=150,
 @example(0.478, -100, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)   # subnormal w^k
 @example(complex(math.nan, 0), 2, 1.0, 1e-12, 50)              # NaN w
 @example(0.999, -40, 0.5, 1e-14, DEFAULT_CONFIG.max_terms)
+# the routes of a real s; at x = 1, log(k + x) = 0 at k = 0
+@example(0.5, -3.5, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)
+@example(-0.6, 2.5, 0.5, 1e-12, DEFAULT_CONFIG.max_terms)      # w < 0
+@example(complex(0.5, -0.0), -4.5, 0.3, 1e-13, DEFAULT_CONFIG.max_terms)
+@example(0.8, 0.0, 2.0, 1e-12, DEFAULT_CONFIG.max_terms)       # s = 0
+@example(0.7, complex(-2, 3), 1.5, 1e-12, DEFAULT_CONFIG.max_terms)
+@example(cmath.rect(0.9, 2.0), -7.0, 0.25, 1e-12, DEFAULT_CONFIG.max_terms)
+@example(0.9, 1 - 6, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)     # s = 1 - n
+# the exponents 120 log(k + 1) at k = 366..369 (and 119 log(k + 1) at k =
+# 348..351) lie past log(DBL_MAX/4) ~ 708.396, where cmath.exp takes
+# exp(r - 1)*e; the pair overflows at k = 352, the series at s alone at 370
+@example(0.7209, -120, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)
+# an infinite exponent at k = 0, which cmath.exp does not flag: inf + nanj
+@example(0.5, 1.7e308, 0.1, 1e-12, DEFAULT_CONFIG.max_terms)
 def test_lerch_pair_matches_the_step_by_step_loop(w, s, x, tol, max_terms):
+    cfg = SeriesEvalConfig(tol, max_terms)
+    for alone in (False, True):
+        assert (_outcome(_lerch_pair, w, s, x, cfg, alone)
+                == _outcome(_parent_lerch_pair, w, s, x, cfg, alone))
+
+
+@_HORIZON
+@given(st.one_of(_ABS_W, _ABS_W.map(lambda a: -a)),
+       st.one_of(st.floats(-40, 8), st.integers(-130, 0)), _X, _TOL,
+       st.one_of(st.just(DEFAULT_CONFIG.max_terms), st.integers(1, 400)))
+def test_lerch_pair_at_a_real_w_and_s_matches_the_step_by_step_loop(
+        w, s, x, tol, max_terms):
+    # the float route: w^k, the powers and both sums in floats
     cfg = SeriesEvalConfig(tol, max_terms)
     for alone in (False, True):
         assert (_outcome(_lerch_pair, w, s, x, cfg, alone)

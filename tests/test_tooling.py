@@ -283,16 +283,16 @@ def test_bench_pairs_summary_of_canned_lines():
 
 
 # method -> the one class in src/ that defines it: every immutable value
-# class takes __setattr__ from one base, and every number type takes its
-# derived operators from one mixin
+# class takes __setattr__ from one base, every number type takes its
+# derived operators from one mixin, and division is the p-adic type's alone
 _DEFINED_ONLY_IN = {
     "__setattr__": ("characters.py", "_Frozen"),
     "__sub__": ("exact.py", "_Ring"),
     "__rsub__": ("exact.py", "_Ring"),
     "__radd__": ("exact.py", "_Ring"),
     "__rmul__": ("exact.py", "_Ring"),
-    "__truediv__": ("exact.py", "_Ring"),
-    "__rtruediv__": ("exact.py", "_Ring"),
+    "__truediv__": ("padic.py", "PadicNumber"),
+    "__rtruediv__": ("padic.py", "PadicNumber"),
 }
 
 

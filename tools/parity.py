@@ -2,12 +2,13 @@
 
     python3 tools/parity.py GRID [TREE] [--records]
 
-GRID is `cli`, `lerch`, `padic`, `exact` or `twisted`, each a generator of
-records below.  It runs TREE/src (TREE defaults to this checkout) and
-prints {"n", "sha256"}, the digest of every record in order: cli records
-with no separator, the others each followed by a newline.  Equal digests
-on two trees, for example a `git archive` of the parent commit and the
-checkout, mean the same bytes, bits, verdicts and errors on the whole grid.
+GRID is `cli`, `lerch`, `interp`, `padic`, `exact` or `twisted`, each a
+generator of records below.  It runs TREE/src (TREE defaults to this
+checkout) and prints {"n", "sha256"}, the digest of every record in order:
+cli records with no separator, the others each followed by a newline.
+Equal digests on two trees, for example a `git archive` of the parent
+commit and the checkout, mean the same bytes, bits, verdicts and errors on
+the whole grid.
 With --records it prints each record on its own line instead, so that
 `diff` lists the records a change moves.
 """
@@ -21,7 +22,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 GOLDEN = [  # the commands of the golden files under tests/data
@@ -95,34 +96,63 @@ def cli(tree: Path):
                           done.stderr.decode()])
 
 
+def _point(pt, cfgs):
+    """At a pool point ("zeta", h, q, s, x) or ("lfun", h, q, s, d, idx),
+    under each config of `cfgs`: the repr of `analytic._lerch_pair` with
+    `alone` False and True on each series the point's value sums ((q^h, s,
+    x) at a zeta point, ((q^h)^d, s, r/d) for r = 1..d at an L point of
+    modulus d), then of `q_hurwitz_zeta_with_bound` or
+    `q_lfunction_with_bound` at the point."""
+    from qzeta import analytic
+    from qzeta.characters import enumerate_characters
+
+    kind, h, q, s = pt[:4]
+    w = complex(q) ** h
+    if kind == "zeta":
+        series = [(w, s, pt[4])]
+        value = (analytic.q_hurwitz_zeta_with_bound, h, q, s, pt[4])
+    else:
+        d, chi = pt[4], enumerate_characters(pt[4])[pt[5]]
+        series = [(w ** d, s, r / d) for r in range(1, d + 1)]
+        value = (analytic.q_lfunction_with_bound, h, q, s, chi)
+    for cfg in cfgs:
+        for args, alone in product(series, (False, True)):
+            yield _outcome(analytic._lerch_pair, *args, cfg, alone)
+        yield _outcome(*value, cfg)
+
+
 def lerch(tree: Path):
-    """At each of the 4,096 points of TREE's `perfbench/ops.lerch_pool()`,
-    under tol 1e-12, tol 1e-13 and tol 1e-12 with max_terms = 500: the repr
-    of `analytic._lerch_pair` with `alone` False and True on each series the
-    point's value sums ((q^h, s, x) at a zeta point, ((q^h)^d, s, r/d) for
-    r = 1..d at an L point of modulus d), then of `q_hurwitz_zeta_with_bound`
-    or `q_lfunction_with_bound` at the point."""
+    """`_point`'s records at each of the 4,096 points of TREE's
+    `perfbench/ops.lerch_pool()`, under tol 1e-12, tol 1e-13 and tol 1e-12
+    with max_terms = 500."""
     sys.path[:0] = [str(tree / "perfbench")]
     from ops import lerch_pool
     from qzeta import analytic
-    from qzeta.characters import enumerate_characters
 
     cfgs = (analytic.SeriesEvalConfig(1e-12), analytic.SeriesEvalConfig(1e-13),
             analytic.SeriesEvalConfig(1e-12, 500))
     for pt in lerch_pool():
-        kind, h, q, s = pt[:4]
-        w = complex(q) ** h
-        if kind == "zeta":
-            series = [(w, s, pt[4])]
-            value = (analytic.q_hurwitz_zeta_with_bound, h, q, s, pt[4])
-        else:
-            d, chi = pt[4], enumerate_characters(pt[4])[pt[5]]
-            series = [(w ** d, s, r / d) for r in range(1, d + 1)]
-            value = (analytic.q_lfunction_with_bound, h, q, s, chi)
-        for cfg in cfgs:
-            for args, alone in product(series, (False, True)):
-                yield _outcome(analytic._lerch_pair, *args, cfg, alone)
-            yield _outcome(*value, cfg)
+        yield from _point(pt, cfgs)
+
+
+def interp(tree: Path):
+    """`_point`'s records under the default config, at s = 1 - n as a
+    complex, for each `zinterp` op (h, q, n, x) and `linterp` op (h, q, n,
+    d, idx) in the first 200 rounds of TREE's
+    `perfbench/ops.rounds("complex-interp", seed)`, seeds 1, 2 and 3: the
+    Lerch series of the interpolation checks, at an integer real s."""
+    sys.path[:0] = [str(tree / "perfbench")]
+    from ops import rounds
+    from qzeta import analytic
+
+    for seed in (1, 2, 3):
+        for ops in islice(rounds("complex-interp", seed), 200):
+            for op in ops:
+                if op[0] in ("zinterp", "linterp"):
+                    kind, h, q, n, *rest = op
+                    pt = ("zeta" if kind == "zinterp" else "lfun", h, q,
+                          complex(1 - n), *rest)
+                    yield from _point(pt, (analytic.DEFAULT_CONFIG,))
 
 
 def padic(tree: Path):
@@ -253,7 +283,8 @@ def twisted(tree: Path):
                            show=lambda v: json.dumps(v.to_json_dict()))
 
 
-GRIDS = {grid.__name__: grid for grid in (cli, lerch, padic, exact, twisted)}
+GRIDS = {grid.__name__: grid for grid in (cli, lerch, interp, padic, exact,
+                                           twisted)}
 
 
 def records(grid: str, tree: Path):
