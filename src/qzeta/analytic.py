@@ -147,9 +147,9 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     message is the one of a step-by-step loop.
 
     At a real s, a term's power is exp((-Re s) log(k+x)) by `math.exp`,
-    and at a real w, w^k and both sums are floats, returned as complex (a
-    NaN w never passes a stopping test, so it ends in the same error on
-    either route).  The bits are those of the complex route: for r <=
+    and at a real w, w^k and both sums are floats, returned as complex.  A
+    NaN w raises DomainError, as a non-finite s or x does, and an infinite
+    one SeriesDivergence.  The bits are those of the complex route: for r <=
     log(DBL_MAX/4) ~ 708.396, `cmath.exp(r +- 0j)` is exp(r) cos 0 =
     exp(r); a product with a real factor keeps its real and imaginary parts
     but for the sign of a zero, which sums that start at +0.0 drop.  Past
@@ -168,6 +168,9 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
         from .exact import DomainError
         raise DomainError(f"x = {x} must be positive and finite")
     aw = abs(w)
+    if math.isnan(aw):      # abs is NaN only at a NaN part and no inf one
+        from .exact import DomainError
+        raise DomainError(f"w = {w} is not a number")
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
     log, cexp = math.log, cmath.exp

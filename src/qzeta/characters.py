@@ -11,7 +11,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 class _Frozen:
@@ -180,17 +181,10 @@ class UnityRoot(_Frozen):
     def to_complex(self) -> complex:
         if self.exponent is None:
             return 0j
-        e = self.exponent
-        # exact values on the axes
-        if e == 0:
-            return 1 + 0j
-        if e == Fraction(1, 2):
-            return -1 + 0j
-        if e == Fraction(1, 4):
-            return 1j
-        if e == Fraction(3, 4):
-            return -1j
-        th = 2 * cmath.pi * float(e)
+        p, r = self.exponent.numerator, self.exponent.denominator
+        if 4 % r == 0:      # exact values on the axes: 0, 1/4, 1/2, 3/4
+            return (1 + 0j, 1j, -1 + 0j, -1j)[4 // r * p % 4]
+        th = 2 * cmath.pi * (p / r)     # float(exponent)
         return complex(cmath.cos(th), cmath.sin(th))
 
 
@@ -212,29 +206,26 @@ class DirichletCharacter(_Frozen):
 
     @property
     def order(self) -> int:
-        from math import lcm
         o = 1
         for k, (_, e) in zip(self.exponents, self.generators):
             o = lcm(o, e // gcd(k, e))
         return o
 
     def _value_table(self) -> dict[int, UnityRoot]:
+        """chi(a) for a < d: 0 off the units, and at a unit with discrete
+        logs t_j the exponent sum_j k_j t_j / e_j, taken in integers as
+        (sum_j k_j t_j L / e_j mod L) / L, L the lcm of the e_j.  Mod 1, 0
+        is the one unit, so chi(0) = 1."""
         if self._values is None:
             d = self.modulus
-            table = {}
+            orders = [e for _, e in self.generators]
+            big = lcm(*orders)
+            weights = [k * (big // e) for k, e in zip(self.exponents, orders)]
             dlogs = _dlog_table(d)
-            for a in range(d):
-                if d == 1:
-                    # mod-1 principal character: identically 1 (chi(0) = 1)
-                    table[a] = UnityRoot.from_exponent(Fraction(0))
-                elif gcd(a, d) > 1:
-                    table[a] = UnityRoot.zero()
-                else:
-                    e = Fraction(0)
-                    for k, (_, ej), t in zip(self.exponents, self.generators,
-                                             dlogs[a]):
-                        e += Fraction(k * t, ej)
-                    table[a] = UnityRoot.from_exponent(e)
+            zero = UnityRoot.zero()
+            table = {a: UnityRoot(Fraction(sum(map(mul, weights, dlogs[a]))
+                                           % big, big))
+                     if gcd(a, d) == 1 else zero for a in range(d)}
             object.__setattr__(self, "_values", table)
         return self._values
 

@@ -25,13 +25,15 @@ denominator, and `_lower` turns such a list back into lowest terms.
 qbernoulli's closed form for q^{h a} B_{n, q^d}^{(h)}(a/d) hands `_lower`
 numerators with nothing to cancel: each is over a power of q^{|h| d} - 1,
 and at q^{|h| d} = 1, where every factor of that denominator vanishes, its
-Eulerian factor is d^m m! != 0.  For the distribution check, `_lift_to_power` reads
-values at q^m from the same lift: the rows over L, read in Q = q^m, are
-the numerators over L(q^m), so no substituted coefficient is lifted.  The
-lift multiplies in the binomial basis (`_expand`):
-prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M, by sparse products for E_M > 0
-and then exact divisions by prefix sums for E_M < 0, with no dense
-cyclotomic power.
+Eulerian factor is d^m m! != 0.  For the distribution check,
+`_lift_to_power` reads values at q^m from the same lift: the rows over L,
+read in Q = q^m, are the numerators over L(q^m), so no substituted
+coefficient is lifted.  Those rows come from the polynomial, which lifts
+its coefficients over L once (`XPolynomial._lifted`), so each m lifts only
+to lcm(L, L(q^m)).  The lift multiplies in the binomial basis (`_expand`):
+prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M, by sparse products with the
+cached binomials (q^M - 1)^E_M for E_M > 0 and then exact divisions by
+prefix sums for E_M < 0, with no dense cyclotomic power.
 """
 
 from __future__ import annotations
@@ -342,11 +344,12 @@ def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
     In the binomial basis prod_d Phi_d^e_d = prod_M (q^M - 1)^E_M.  num is
     first multiplied by the sparse (q^M - 1)^E_M for each E_M > 0, then
     divided by (1 - q^M)^u, u = -E_M, for each E_M < 0: u prefix sums down
-    each residue column mod M.  Past the quotient's degree, u M zero
-    coefficients in a row force every later one to 0 by the recurrence of
-    (1 - q^M)^u, so one check of that tail proves the division exact.  The
-    sign (-1)^u of each division is applied once at the end, and q^a as a
-    shift."""
+    each residue column mod M that holds a nonzero (a column of zeros stays
+    zero, and at |h| > 1 a numerator of B_n^{(h)} lives on one residue
+    class mod |h|).  Past the quotient's degree, u M zero coefficients in a
+    row force every later one to 0 by the recurrence of (1 - q^M)^u, so one
+    check of that tail proves the division exact.  The sign (-1)^u of each
+    division is applied once at the end, and q^a as a shift."""
     total = {}
     for d, e in exps.items():
         if d:
@@ -355,18 +358,17 @@ def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
     prod = num
     for m, e in sorted(total.items()):
         if e > 0:
-            binom = [0] * (m * e + 1)
-            binom[::m] = [(-1) ** (e - k) * comb(e, k) for k in range(e + 1)]
-            prod = prod * QPolynomial._raw(binom)
+            prod = prod * _binomial(m, e)
     ints, flips = list(prod.ints), 0
     for m, e in total.items():
         if e < 0:
             out = ints[:]
             for r in range(m):
                 col = ints[r::m]
-                for _ in range(-e):
-                    col = accumulate(col)
-                out[r::m] = col
+                if any(col):
+                    for _ in range(-e):
+                        col = accumulate(col)
+                    out[r::m] = col
             cut = max(len(out) + m * e, 0)
             if any(out[cut:]):
                 raise ExactError(f"{num!r} times the cyclotomic powers {exps} "
@@ -375,6 +377,14 @@ def _expand(exps: dict, num: QPolynomial = _P1) -> QPolynomial:
     lead = [0] * exps.get(0, 0)
     return QPolynomial._raw(lead + [-c for c in ints] if flips % 2
                             else lead + ints, prod.den)
+
+
+@lru_cache(maxsize=None)
+def _binomial(m: int, e: int) -> QPolynomial:
+    """(q^m - 1)^e, e >= 1, expanded."""
+    binom = [0] * (m * e + 1)
+    binom[::m] = [(-1) ** (e - k) * comb(e, k) for k in range(e + 1)]
+    return QPolynomial._raw(binom)
 
 
 @lru_cache(maxsize=None)
@@ -538,18 +548,20 @@ def _excess(top: dict, exps: dict) -> dict:
             if e > exps.get(d, 0)}
 
 
-def _lift_to_power(parts, m: int, s: int = 0):
-    """Lift the rational functions `parts` once, in q, to compare them with
-    their values at q^m: (top, D, lhs, rows, up).  rows[i] / D is part i
-    over the least common denominator L (`_lift_all`), and the same list
-    read in Q = q^m is the numerator of part i at q^m over L(q^m), so
+def _lift_to_power(parts, lift, m: int, s: int = 0):
+    """Compare the rational functions `parts` with their values at q^m from
+    one lift in q: (top, D, lhs, rows, up).  `lift` is `_lift_all(parts)`,
+    (L, D, rows), which the distribution check keeps on the polynomial
+    (`XPolynomial._lifted`), so a new m pays only the lift to top.
+    rows[i] / D is part i over the least common denominator L, and the same
+    list read in Q = q^m is the numerator of part i at q^m over L(q^m), so
     nothing substituted is lifted.  top holds the exponents of
     lcm(L, L(q^m)) times q^s, and q^s lhs[i] / D is part i over it (rows
     itself where that is L).  up(ints) lifts a numerator over L(q^m) q^s to
     top: times the factors of L that q -> q^m does not give back, as
     Phi_4(q^2) = Phi_8 does not give back Phi_4; a power of q^k - 1 has
     none.  The lists of lhs and of up may differ in length."""
-    low, den, rows = _lift_all(parts)
+    low, den, rows = lift
     high = _subst_exps(low, m)
     top = {d: max(low.get(d, 0), high.get(d, 0)) for d in {**low, **high}}
     full, _, lhs = (low, den, rows) if top == low and not s else \
@@ -705,15 +717,28 @@ def eval_log_scalar_mp(a: LogScalar, q: Fraction, dps: int = 60):
 # ---------------------------------------------------------------------------
 
 class XPolynomial(_Frozen):
-    """Polynomial in x whose coefficients are LogScalar values."""
+    """Polynomial in x whose coefficients are LogScalar values; `_lifted`,
+    their lift per component, is built on first use."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_lifts")
 
     def __init__(self, coeffs: Iterable = ()):
         c = [x if isinstance(x, LogScalar) else LogScalar(x) for x in coeffs]
         while c and c[-1].is_zero():
             c.pop()
-        self._set(tuple(c))
+        self._set(tuple(c), None)
+
+    def _lifted(self, part: str) -> tuple[list, tuple]:
+        """(the coefficients' `part`, "rat" or "log", and their `_lift_all`
+        over the least common denominator), built for both parts on first
+        use; the caller only reads them."""
+        if self._lifts is None:
+            lifts = {}
+            for p in ("rat", "log"):
+                parts = [getattr(c, p) for c in self.coeffs]
+                lifts[p] = parts, _lift_all(parts)
+            object.__setattr__(self, "_lifts", lifts)
+        return self._lifts[part]
 
     def eval_fraction(self, x: Fraction) -> LogScalar:
         """The value at x, by Horner's rule in LogScalar arithmetic."""

@@ -37,9 +37,11 @@ by powers of q, with no polynomial product; `exact._lower` brings only a
 nonzero one to lowest terms.  The generating-function check runs the
 recurrence that multiplying by q^h e^t - 1 gives, so it is independent of
 how the closed-form values were built.  The distribution check lifts
-B_n^{(h)}(x) in q alone (`exact._lift_to_power`), Taylor-shifts x -> x + 1
-its right side on those rows read in Q = q^m and adds them at stride m;
-only the left rows are lifted again, to the common denominator.
+B_n^{(h)}(x) in q alone, once per polynomial (`XPolynomial._lifted`, read
+by `exact._lift_to_power`), Taylor-shifts x -> x + 1 its right side on
+those rows read in Q = q^m and adds them at stride m; only the left rows
+are lifted again, to the common denominator, and lhs - rhs is formed only
+where the two differ.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from operator import add
 
 from .characters import DirichletCharacter, _Frozen
 from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
-                    _in_unit_disc, _lift_all, _lift_to_power, _lower,
+                    _in_unit_disc, _lift_all, _lift_to_power, _lower, _trim,
                     eval_log_scalar_complex, rf_sum)
 from .report import VerificationReport
 
@@ -240,15 +242,15 @@ def distribution_check(h: int, n: int, m: int) -> VerificationReport:
     Q = q^m, those rows are the numerators of the b_k (times m in the log
     part), so each R(x + i) is a Taylor shift by 1 of R(x + i - 1) on rows
     in Q, added at stride m and offset h i + s, times q^s for h < 0.  Each
-    lhs - rhs is then one numerator over one common denominator."""
+    lhs - rhs is then one numerator over one common denominator, formed
+    only where the two numerators differ."""
     if m < 1:
         raise ValueError("m must be >= 1")
     poly = q_bernoulli_polynomial(h, n)
     s = max(-h, 0) * (m - 1)
     parts = []
     for part, log_m in (("rat", 1), ("log", m)):
-        full, den, lhs, rows, up = _lift_to_power(
-            [getattr(c, part) for c in poly.coeffs], m, s)
+        full, den, lhs, rows, up = _lift_to_power(*poly._lifted(part), m, s)
         width = m * len(rows[0])
         # m R(x), so that k = n stays integral: both sides are over m * den
         r = [[log_m * m ** (n - k) * c for c in row]
@@ -260,10 +262,12 @@ def distribution_check(h: int, n: int, m: int) -> VerificationReport:
             o = h * i + s
             for acc, row in zip(rhs, r):
                 acc[o:o + width:m] = map(add, acc[o:o + width:m], row)
-        nums = [[m * a - b for a, b in
-                 zip_longest([0] * s + left, up(acc), fillvalue=0)]
-                for left, acc in zip(lhs, rhs)]
-        parts.append((full, [(num, m * den) for num in nums]))
+        nums = []
+        for left, acc in zip(lhs, rhs):
+            a, b = _trim([0] * s + [m * c for c in left]), _trim(up(acc))
+            nums.append(([] if a == b else [x - y for x, y in zip_longest(
+                a, b, fillvalue=0)], m * den))
+        parts.append((full, nums))
     return _report("distribution", {"h": h, "n": n, "m": m}, "x", parts)
 
 

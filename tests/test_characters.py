@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
-from qzeta.characters import (DirichletCharacter, UnityRoot, euler_phi,
-                              enumerate_characters, principal_character,
-                              unit_group_generators)
+from qzeta.characters import (DirichletCharacter, UnityRoot, _dlog_table,
+                              euler_phi, enumerate_characters,
+                              principal_character, unit_group_generators)
 
 
 def test_euler_phi_small_values():
@@ -47,6 +47,13 @@ def test_unity_root_arithmetic():
     with pytest.raises(ValueError, match=r"^root of unity e\^\(2 pi i 1/4\) "
                                          r"is not real$"):
         i.as_rational()
+
+
+def test_unity_root_on_the_axes_past_one_turn():
+    # the constructor takes any exponent; whole quarter turns stay exact
+    assert UnityRoot(Fraction(5, 4)).to_complex() == 1j
+    assert UnityRoot(Fraction(1)).to_complex() == 1
+    assert UnityRoot(Fraction(-1, 2)).to_complex() == -1
 
 
 def test_bad_modulus_or_exponents_are_refused():
@@ -116,3 +123,24 @@ def test_quadratic_character_rational_values():
 def test_character_orders():
     orders = sorted(chi.order for chi in enumerate_characters(5))
     assert orders == [1, 2, 4, 4]
+
+
+def test_value_table_is_the_fraction_sum_over_the_discrete_logs():
+    # chi(a) = e^{2 pi i sum_j k_j t_j / e_j}, t = the discrete logs of a;
+    # the table takes that sum in integers over the lcm of the e_j
+    axes = {0: 1, Fraction(1, 4): 1j, Fraction(1, 2): -1, Fraction(3, 4): -1j}
+    for d in range(1, 61):
+        dlogs = _dlog_table(d)
+        for chi in enumerate_characters(d):
+            for a in range(d):
+                if gcd(a, d) > 1:
+                    assert chi(a).exponent is None
+                    continue
+                e = sum((Fraction(k * t, order) for k, t, (_, order) in
+                         zip(chi.exponents, dlogs[a], chi.generators)),
+                        Fraction(0)) % 1
+                th = 2 * cmath.pi * float(e)
+                want = complex(axes.get(e, complex(cmath.cos(th),
+                                                   cmath.sin(th))))
+                assert chi(a).exponent == e
+                assert repr(chi.value_complex(a)) == repr(want)

@@ -238,8 +238,9 @@ def test_generating_function_witnesses_of_a_perturbed_table(h, order, part,
 
 def test_distribution_products_on_a_warm_cache(monkeypatch):
     # each term is lifted once, and the right side is built by Taylor shifts
-    # of integer lists: the products left are those of the lifts
-    # (the former route made 428 here)
+    # of integer lists: the products left are those of the lifts to
+    # lcm(L, L(q^m)), as the polynomial keeps its lift over L (the former
+    # routes made 428, then 50, here)
     distribution_check(3, 12, 5)
     products = []
     mul = exact.QPolynomial.__mul__
@@ -250,7 +251,30 @@ def test_distribution_products_on_a_warm_cache(monkeypatch):
         return mul(a, b)
     monkeypatch.setattr(exact.QPolynomial, "__mul__", spy)
     assert distribution_check(3, 12, 5).passed
-    assert 0 < len(products) <= 160
+    assert 0 < len(products) <= 26
+
+
+@pytest.mark.parametrize("h", [-2, 0, 3])
+def test_distribution_lifts_each_polynomial_once(h, monkeypatch):
+    # B_n^{(h)}(x) keeps its coefficients' lift over L, one per component;
+    # a later m lifts them only to lcm(L, L(q^m))
+    n = 6
+    poly = XPolynomial(q_bernoulli_polynomial(h, n).coeffs)   # nothing kept
+    monkeypatch.setattr(qbernoulli, "q_bernoulli_polynomial",
+                        lambda *_: poly)
+    lifts = []
+    lift_all = exact._lift_all
+
+    def spy(parts, s=0, top=None):
+        if top is None:
+            lifts.append(len(parts))
+        return lift_all(parts, s, top)
+    monkeypatch.setattr(exact, "_lift_all", spy)
+    assert distribution_check(h, n, 1).passed
+    assert lifts == [n + 1, n + 1]
+    for m in (2, 3, 5, 2):
+        assert distribution_check(h, n, m).passed
+    assert lifts == [n + 1, n + 1]
 
 
 def test_generalized_mod1_reduces_to_plain():

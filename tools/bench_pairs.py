@@ -7,14 +7,17 @@ Run it from the root of a checkout.  It extracts REV with `git archive`, and
 copies the checkout's files that git tracks or would add (the change), each
 into a fresh temporary directory, so that both sides run from a clean tree
 of the same kind.  Then for each `--workload NAME:PAIRS:SEED` it runs
-`perfbench/run.py` in the two trees, one after the other, PAIRS times with the seeds SEED, SEED + 1, ...; the
-parent goes first in the even pairs and the change in the odd ones, so a
-drift of the machine's speed does not favour one side.  It writes every
-result line (the last stdout line of run.py) and, per workload, a summary of
-each end-to-end metric of BENCHMARK.json: the medians and interquartile
-ranges of both sides, the number of pairs in which the change did better
-and a verdict against the metric's bound (see `verdict`), and the `failed`
-counts of both sides, pair by pair.  BENCHMARK.json is only read.
+`perfbench/run.py` in the two trees, one after the other, PAIRS times with
+the seeds SEED, SEED + 1, ...; the parent goes first in the even pairs and
+the change in the odd ones, so a drift of the machine's speed does not
+favour one side.  It writes every result line (the last stdout line of
+run.py) with that run's `inputs` line (the properties of its ops, such as
+`repeat_share`, the share of ops whose key came earlier, which a claim
+resting on repeated inputs quotes), and, per workload, a summary of each
+end-to-end metric of BENCHMARK.json: the medians and interquartile ranges
+of both sides, the number of pairs in which the change did better and a
+verdict against the metric's bound (see `verdict`), and the `failed` counts
+of both sides, pair by pair.  BENCHMARK.json is only read.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(root: Path, workload: str, seed: int,
+         seconds: float) -> tuple[dict, dict]:
+    """run.py's result line (its last stdout line) and its `inputs` line,
+    the properties of the ops it ran, such as `repeat_share`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -95,7 +101,9 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode:
         raise SystemExit(f"run.py {workload} {seed} in {root} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    inputs = next(line for line in lines if line.startswith("inputs "))
+    return json.loads(lines[-1]), json.loads(inputs.split(" ", 1)[1])
 
 
 def _copy_checkout(into: Path) -> None:
@@ -145,15 +153,16 @@ def main() -> int:
             pairs = []
             for i in range(int(n_pairs)):
                 order = ["parent", "change"][::1 if i % 2 == 0 else -1]
-                lines = {side: _run(trees[side], name, int(seed) + i,
-                                    args.seconds)
-                         for side in order}
+                runs = {side: _run(trees[side], name, int(seed) + i,
+                                   args.seconds)
+                        for side in order}
                 pairs.append({"seed": int(seed) + i, "first": order[0],
-                              "parent": lines["parent"],
-                              "change": lines["change"]})
+                              **{side: line for side, (line, _) in runs.items()},
+                              "inputs": {side: inputs for side, (_, inputs)
+                                         in runs.items()}})
                 print(name, int(seed) + i,
                       {side: line["metrics"]["ops_per_s"]["value"]
-                       for side, line in lines.items()}, file=sys.stderr)
+                       for side, (line, _) in runs.items()}, file=sys.stderr)
             doc["workloads"][name] = {"summary": summarise(pairs, end_to_end),
                                       "pairs": pairs}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -2,8 +2,8 @@
 
     python3 tools/parity.py GRID [TREE] [--records]
 
-GRID is `cli`, `lerch`, `interp`, `padic`, `exact` or `twisted`, each a
-generator of records below.  It runs TREE/src (TREE defaults to this
+GRID is `cli`, `lerch`, `interp`, `padic`, `exact`, `twisted` or
+`witness`, each a generator of records below.  It runs TREE/src (TREE defaults to this
 checkout) and prints {"n", "sha256"}, the digest of every record in order:
 cli records with no separator, the others each followed by a newline.
 Equal digests on two trees, for example a `git archive` of the parent
@@ -283,8 +283,48 @@ def twisted(tree: Path):
                            show=lambda v: json.dumps(v.to_json_dict()))
 
 
+def witness(tree: Path):
+    """Failing witnesses, where the `exact` grid's reports all pass: the JSON
+    report of `distribution_check(h, n, m)` for h in -3, -2, 0, 1, 3, n <=
+    6 and m <= 6, with the x^{n // 2} coefficient of B_n^{(h)}(x) plus each
+    of the `_BUMPS` of tests/test_qbernoulli.py; then of
+    `gen_function_identity_check(h, order)` for the same h but 0 and order
+    <= 6, with B_{order // 2}^{(h)} plus each of its `_TABLE_BUMPS`.  The
+    perturbed polynomial or table stands in for `q_bernoulli_polynomial` or
+    `q_bernoulli_table` in TREE's qbernoulli, as in those tests."""
+    from qzeta import qbernoulli as qb
+    from qzeta.exact import LogScalar, RationalFunction as RF, XPolynomial
+
+    over_q2 = LogScalar(0, RF([F(1, 3)], [0, 0, 1]))     # log q / (3 q^2)
+    bumps = [LogScalar(RF([0, 1], [-1, 0, 1])), over_q2,
+             LogScalar(RF([0, 1], [1, 0, 1]))]
+    table_bumps = [LogScalar(RF([0, 1], [1, 1, 1, 1, 1])), over_q2,
+                   LogScalar(RF([0, 1], [1, 1, 1, 1, 1])) + over_q2]
+    good_poly, good_table = qb.q_bernoulli_polynomial, qb.q_bernoulli_table
+
+    def out(fn, *args):
+        return _outcome(fn, *args,
+                        show=lambda r: json.dumps(r.to_dict()))
+
+    try:
+        for h, n, bump in product((-3, -2, 0, 1, 3), range(7), bumps):
+            coeffs = list(good_poly(h, n).coeffs)
+            coeffs[n // 2] = coeffs[n // 2] + bump
+            qb.q_bernoulli_polynomial = lambda *_, bad=XPolynomial(coeffs): bad
+            for m in range(1, 7):
+                yield out(qb.distribution_check, h, n, m)
+        for h, order, bump in product((-3, -2, 1, 3), range(7), table_bumps):
+            values = list(good_table(h, order).values)
+            values[order // 2] = values[order // 2] + bump
+            qb.q_bernoulli_table = lambda *_, bad=qb.QBernoulliTable(
+                h, order, tuple(values)): bad
+            yield out(qb.gen_function_identity_check, h, order)
+    finally:
+        qb.q_bernoulli_polynomial, qb.q_bernoulli_table = good_poly, good_table
+
+
 GRIDS = {grid.__name__: grid for grid in (cli, lerch, interp, padic, exact,
-                                           twisted)}
+                                           twisted, witness)}
 
 
 def records(grid: str, tree: Path):
