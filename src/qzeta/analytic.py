@@ -65,8 +65,8 @@ def _ratio(aw: float, rs: float) -> float:
 
 
 # The horizon's own logs: bound here, not read from the module's `math` at
-# call time, so that a stand-in `math` that counts one log per summed term
-# (perfbench's tracer) does not count them.
+# call time, so that a stand-in `math` put in from outside to count one log
+# per summed term does not count them.
 _log = math.log
 
 

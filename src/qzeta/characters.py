@@ -145,11 +145,13 @@ def _dlog_table(d: int) -> dict[int, tuple[int, ...]]:
 
 class UnityRoot(_Frozen):
     """e^{2*pi*i*exponent} for a reduced rational exponent in [0,1), or the
-    distinguished zero (exponent None)."""
+    distinguished zero (exponent None); any other exponent is reduced mod 1."""
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Fraction | None):
+        if exponent and not 0 < exponent.numerator < exponent.denominator:
+            exponent = Fraction(exponent) % 1
         self._set(exponent)
 
     @classmethod
@@ -158,7 +160,7 @@ class UnityRoot(_Frozen):
 
     @classmethod
     def from_exponent(cls, e: Fraction) -> "UnityRoot":
-        return cls(Fraction(e) % 1)
+        return cls(Fraction(e))
 
     def is_zero(self) -> bool:
         return self.exponent is None
@@ -166,7 +168,7 @@ class UnityRoot(_Frozen):
     def __mul__(self, other: "UnityRoot") -> "UnityRoot":
         if self.exponent is None or other.exponent is None:
             return UnityRoot(None)
-        return UnityRoot((self.exponent + other.exponent) % 1)
+        return UnityRoot(self.exponent + other.exponent)
 
     def as_rational(self) -> Fraction:
         """Exact value when it is real: 0, 1 or -1."""
@@ -183,7 +185,7 @@ class UnityRoot(_Frozen):
             return 0j
         p, r = self.exponent.numerator, self.exponent.denominator
         if 4 % r == 0:      # exact values on the axes: 0, 1/4, 1/2, 3/4
-            return (1 + 0j, 1j, -1 + 0j, -1j)[4 // r * p % 4]
+            return (1 + 0j, 1j, -1 + 0j, -1j)[4 // r * p]
         th = 2 * cmath.pi * (p / r)     # float(exponent)
         return complex(cmath.cos(th), cmath.sin(th))
 

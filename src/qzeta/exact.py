@@ -298,18 +298,21 @@ class QPolynomial(_Ring, _Frozen):
         out[::m] = self.ints
         return QPolynomial._raw(out, self.den)
 
-    def __call__(self, x: Fraction) -> Fraction:
-        """The value at x = a/b, in integers: Horner's rule gives sum_i c_i
-        a^i b^(D - i), D the degree, and one Fraction divides it by den b^D,
-        so only the result is put in lowest terms."""
+    def eval_pair(self, x: Fraction) -> tuple[int, int]:
+        """The value at x = a/b as (numerator, denominator), in integers and
+        not in lowest terms: Horner's rule gives sum_i c_i a^i b^(D - i), D
+        the degree, over den b^D."""
         if not self.ints:
-            return Fraction(0)
+            return 0, 1
         a, b = x.numerator, x.denominator
         acc, bk = self.ints[-1], 1
         for c in reversed(self.ints[:-1]):
             bk *= b
             acc = acc * a + c * bk
-        return Fraction(acc, self.den * bk)
+        return acc, self.den * bk
+
+    def __call__(self, x: Fraction) -> Fraction:
+        return Fraction(*self.eval_pair(x))
 
     def eval_complex(self, x: complex) -> complex:
         # c / den per coefficient: int / int is correctly rounded, so each
@@ -496,11 +499,16 @@ class RationalFunction(_Ring, _Frozen):
         return RationalFunction._raw(self.num.subst_q_power(m),
                                      _subst_exps(self.exps, m))
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        dv = self.den(x)
-        if not dv:
+    def eval_pair(self, x: Fraction) -> tuple[int, int]:
+        """The value at x as (numerator, denominator), not in lowest terms."""
+        c, d = self.den.eval_pair(x)
+        if not c:
             raise PoleError(f"pole of rational function at q={x}")
-        return self.num(x) / dv
+        a, b = self.num.eval_pair(x)
+        return a * d, b * c
+
+    def eval_fraction(self, x: Fraction) -> Fraction:
+        return Fraction(*self.eval_pair(x))
 
     def eval_complex(self, x: complex) -> complex:
         dv = self.den.eval_complex(x)

@@ -1,33 +1,24 @@
-"""p-adic arithmetic at finite precision, p-adic log/exp, Volkenborn sums,
-and the p-adic verification suite (Witt's formula, the shift identities, the
-closed-form integral and the character-twisted integral).
+"""p-adic numbers at finite precision, p-adic log, exp and powers, level
+sums, and the verifiers of the paper's p-adic identities: Witt's formula,
+its character twist, the shift identity and the closed-form integral.
 
-Witt's formula is the twisted integral at the character mod 1: both sum
-chi(x) x^n q^{hx} over x < d p^N in one core (`_level_sums`), each calling
-it in the same way at its own n alone, and pass when every level N reaches
-min(prec, N - slack).  The core reads the power sums S_k = sum_{y<p^N} y^k
-r^y only at the k whose coefficient is nonzero (k = n alone for Witt), from
-one Mahler expansion (`_power_sums`) mod p^w: n + 1 rows of K = n + ceil((w
-- N_top + e) / v_p(r - 1)) coefficients, e <= log_p K, the terms the levels
-read, built once for all levels, and per level K binomials and one dot
-product of length K for each k read.  Shift sums b end terms, q-Volkenborn
-n + 1 geometric series: nothing loops over x < p^N.
+A PadicNumber is (p, val, unit mod p^prec, prec), the value p^val unit known
+mod p^(val + prec).  `from_fraction` also remembers the rational, so that an
+input q can be lifted to any precision (`at_precision`); the results of
+arithmetic, `padic_log` and `padic_exp` (one series in integers) remember
+none.  Each verifier reports one (N, valuation) pair per level.
 
-The verifiers compare these sums with an exact LogScalar target r(q) +
-l(q) log q.  `eval_log_scalar_padic` evaluates both rational parts exactly
-at the rational q came from and reduces each once; only log_p q is p-adic,
-taken at exactly the precision its coefficient needs, so the target is known
-modulo p^(q.abs_prec) and no digit is lost to cancellation.  Witt, twisted
-and shift pass q at exactly prec + N_top, or w, digits: what they read.
-
-A PadicNumber is (p, valuation, unit mantissa mod p^prec, prec); the value
-is known modulo p^(valuation + prec).  `from_fraction` is `from_int_mod`,
-the one residue constructor, plus the remembered rational, so that an input
-q can be lifted to any working precision.  The results of arithmetic and
-of `padic_log` and `padic_exp` (one series in integers, log's after argument
-reduction) remember none: `at_precision` on them raises PrecisionExhausted.
-The four verifiers share one report: an (N, valuation) pair per level.
-"""
+Witt's formula is the twist at the character mod 1.  Both checks take each
+level's A_N = sum_{x < d p^N} chi(x) q^{hx} x^n as an integer residue from
+one core (`_level_sums`), which reads the power sums from one Mahler
+expansion (`_power_sums`): nothing loops over x < p^N, nor in the shift
+check (b end terms) or the q-Volkenborn sum (n + 1 geometric series).  The
+target r(q) + l(q) log q has exact rational parts, and log_p q is taken at
+the digits its coefficient needs (`eval_log_scalar_padic`), so no digit is
+lost to cancellation.  The verdict is in integers: A_N / (d p^N) and the
+target, both known mod p^k, times one power p^E are integers mod p^(k+E),
+and a level's valuation, which must reach min(prec, N - slack), is read off
+their difference."""
 
 from __future__ import annotations
 
@@ -45,20 +36,15 @@ _BIG = 10 ** 9  # valuation sentinel for an exact zero
 
 DEFAULT_PRECISION = int(os.environ.get("QZK_DEFAULT_PRECISION", "16"))
 DEFAULT_SLACK = 3
-# Work bound on one call of the level sums: k_max + w, where w (at least
-# twice the top level) is their p-adic working precision.  It caps the input;
-# fewer Mahler terms run, about k_max + w - N_top at v_p(q^h - 1) = 1.  Each
-# term is weighted by (size of p^w / 1024 bits)^1.58, at least 1: a term's
-# cost barely grows up to 1024 bits, and beyond that CPython multiplies in
-# about size^1.58 (Karatsuba), so the bound falls as log p or w grows.  The closed-form check, about w products mod
-# p^w in its exp series and p^N-th power, takes the same bound with k_max = 0.
+# Work bound on one call of the level sums: k_max + w Mahler terms, w (at
+# least twice the top level) their working precision, each weighted by (size
+# of p^w / 1024 bits)^1.58, at least 1, as CPython multiplies past 1024 bits
+# in about size^1.58 (Karatsuba).  The closed form takes it with k_max = 0.
 # Larger calls raise PrecisionExhausted before anything of size p^w is built.
 MAX_POWER_SUM_TERMS = 360
-# The same bound on the shift check, b + w + N log2 p: its b end terms, at
-# most w terms of the log series and N log2 p squarings for r^(p^N).  For
-# p < 2^64 it admits every b <= 50,000 / (weight of p^w) with any w and N
-# that the bound above admits, so any b <= 7,000 there.  q_volkenborn_sum
-# takes it on its (n + 2) N log2 p squarings.
+# The same on the shift check's b + w + N log2 p (b end terms, the log series
+# and r^(p^N)), any b <= 7,000 for p < 2^64 at any w and N the bound above
+# admits, and on q_volkenborn_sum's (n + 2) N log2 p squarings.
 MAX_SHIFT_TERMS = 62_000
 
 
@@ -88,9 +74,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_prime(p: int) -> None:
-    """The constructors take any p >= 2; a composite p would fail deep
-    inside, on a unit that has no inverse mod p^w.  `_is_prime` is exact
-    only below 2^64, so a larger p is refused, as the CLI refuses it."""
+    """A composite p would fail deep inside, on a unit with no inverse mod
+    p^w; `_is_prime` is exact only below 2^64, so a larger p is refused."""
     if p >= 2 ** 64:
         raise ValueError(f"p = {p} is not below the bound 2^64")
     if not _is_prime(p):
@@ -119,6 +104,28 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _val_unit(num: int, den: int, p: int, k: int) -> tuple[int, int]:
+    """num / den = p^v u known mod p^k, in integers: (v, u mod p^(k - v)),
+    from one modular inverse, or (k, 0) when it is 0 mod p^k."""
+    vn, vd = _vp(num, p), _vp(den, p)
+    v = vn - vd
+    if v >= k:
+        return k, 0
+    mod = p ** (k - v)
+    return v, num // p ** vn * pow(den // p ** vd, -1, mod) % mod
+
+
+def _add_terms(p: int, k: int, terms) -> "PadicNumber":
+    """The sum of the terms p^v u, (v, u) in `terms`, known mod p^k."""
+    terms = [(v, u) for v, u in terms if u and v < k]
+    m = min((v for v, _ in terms), default=k)
+    s = sum(u * p ** (v - m) for v, u in terms) % p ** (k - m)
+    if s == 0:
+        return PadicNumber(p, k, 0, 0)
+    dv = _vp(s, p)
+    return PadicNumber(p, m + dv, s // p ** dv, k - m - dv)
 
 
 class PadicNumber(_Ring, _Frozen):
@@ -155,13 +162,9 @@ class PadicNumber(_Ring, _Frozen):
         p^abs_prec."""
         _check_base(p)
         fr = Fraction(value)
-        vn, vd = _vp(fr.numerator, p), _vp(fr.denominator, p)
-        v = vn - vd
-        if v >= abs_prec:
+        v, unit = _val_unit(fr.numerator, fr.denominator, p, abs_prec)
+        if not unit:
             return cls.zero(p, abs_prec)
-        mod = p ** (abs_prec - v)
-        unit = (fr.numerator // p ** vn
-                * pow(fr.denominator // p ** vd, -1, mod) % mod)
         return cls(p, v, unit, abs_prec - v)
 
     # -- basic queries -------------------------------------------------------
@@ -212,18 +215,8 @@ class PadicNumber(_Ring, _Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        n = min(self.abs_prec, o.abs_prec)
-        terms = [z for z in (self, o) if not z.is_zero() and z.val < n]
-        if not terms:
-            return PadicNumber(p, n, 0, 0)
-        m = min(z.val for z in terms)
-        mod = p ** (n - m)
-        v = sum(z.unit * p ** (z.val - m) for z in terms) % mod
-        if v == 0:
-            return PadicNumber(p, n, 0, 0)
-        dv = _vp(v, p)
-        return PadicNumber(p, m + dv, v // p ** dv, n - m - dv)
+        return _add_terms(self.p, min(self.abs_prec, o.abs_prec),
+                          ((self.val, self.unit), (o.val, o.unit)))
 
     def __neg__(self):
         if self.is_zero():
@@ -292,10 +285,9 @@ def _log_domain_ok(q: PadicNumber) -> bool:
 
 def _unit_factorials(units: list[int], mod: int) -> tuple[list[int], list[int]]:
     """The products units[1] ... units[k] mod `mod` for k < len(units) (1 at
-    k = 0), and their inverses, from one modular inverse of the last: the
-    inverse of the (k-1)-th is units[k] times that of the k-th.  With
-    units[k] the unit part of k, these are the unit parts of k! and their
-    inverses."""
+    k = 0), and their inverses from one modular inverse of the last (the
+    (k-1)-th is units[k] times the k-th): with units[k] the unit part of k,
+    the unit parts of k! and their inverses."""
     fact = [1] * len(units)
     for k in range(1, len(units)):
         fact[k] = fact[k - 1] * units[k] % mod
@@ -306,18 +298,14 @@ def _unit_factorials(units: list[int], mod: int) -> tuple[list[int], list[int]]:
     return fact, inv
 
 
-def _series(t: PadicNumber, exp: bool) -> PadicNumber:
+def _series(p: int, v: int, u: int, a: int, exp: bool) -> int:
     """exp t = 1 + sum_{k>=1} t^k / k!, or log(1 + t) = sum_{k>=1} (-1)^(k+1)
-    t^k / k, mod p^a (a = t.abs_prec) in integers: term k of t = p^v u is
-    p^(k v - v_p(den_k)) u^k / (unit of den_k).  From the first k with k v -
-    B(k) >= a on every term is 0 mod p^a, as B(k) >= v_p(den_k) grows by at
-    most v per step: floor((k-1)/(p-1)) >= v_p(k!) for exp, floor(log2 k).
-    So the K - 1 terms are known before the loop: the inverses of the unit
-    parts of 1!, ..., (K-1)! come from one modular inverse
-    (`_unit_factorials`; for log, 1 / (unit of k) is (unit of (k-1)!) /
-    (unit of k!)), and p^(k v) is a running product, divided by
-    p^v_p(den_k) from a small table."""
-    p, v, a = t.p, t.val, t.abs_prec
+    t^k / k, for t = p^v u, as an integer mod p^a.  Term k is p^(k v -
+    v_p(den_k)) u^k / (unit of den_k); v_p(den_k) <= B(k) = floor((k-1)/(p-1))
+    for exp, floor(log2 k) for log, and k v - B(k) never falls, so every term
+    from the first k with k v - B(k) >= a on is 0 mod p^a.  The inverses of
+    the unit parts of 1!, ..., (K-1)! come from one modular inverse
+    (`_unit_factorials`); for log, 1 / (unit of k) is their ratio."""
     mod = p ** a
     K = 1
     while K * v - ((K - 1) // (p - 1) if exp else K.bit_length() - 1) < a:
@@ -328,20 +316,19 @@ def _series(t: PadicNumber, exp: bool) -> PadicNumber:
     pows = [p ** e for e in range(max(dvs) + 1)]
     s, uk, pk, pv = int(exp), 1, 1, p ** v          # u^k, p^(k v), p^v
     for k in range(1, K):
-        uk = uk * t.unit % mod
+        uk = uk * u % mod
         pk *= pv
         c = inv[k] if exp else inv[k] * fact[k - 1] * (1 if k % 2 else -1)
         s += pk // pows[dvs[k]] * uk * c
-    return PadicNumber.from_int_mod(p, s, a)
+    return s % mod
 
 
 def padic_log(q: PadicNumber) -> PadicNumber:
     """log q = sum (-1)^(k+1) (q-1)^k / k for |q-1|_p < p^(-1/(p-1)), known
-    mod p^a, a = q.abs_prec: the domain test in integers (`_log_domain_ok`),
-    then log q = p^-j log(q^(p^j)), whose q^(p^j) - 1, of valuation v + j
-    (v = v_p(q - 1)), is known mod p^(a+j): `_series` runs about (a + j) /
-    (v + j) terms, and j, about sqrt(4 a / log2 p) - v, balances them
-    against the j log2 p squarings of q^(p^j)."""
+    mod p^a, a = q.abs_prec, as p^-j log(q^(p^j)): q^(p^j) - 1 has valuation
+    v + j (v = v_p(q - 1)), so `_series` runs about (a + j) / (v + j) terms
+    mod p^(a+j), and its residue is divided exactly by p^j; j, about sqrt(4 a
+    / log2 p) - v, balances the terms against the j log2 p squarings."""
     p = q.p
     _check_prime(p)
     if not _log_domain_ok(q):
@@ -351,8 +338,9 @@ def padic_log(q: PadicNumber) -> PadicNumber:
         return PadicNumber.from_int_mod(p, 0, a)
     v = _vp(x, p)
     j = max(isqrt(4 * (a - v) // p.bit_length()) - v, 0)
-    return _series(PadicNumber.from_int_mod(
-        p, pow(q.unit, p ** j, p ** (a + j)) - 1, a + j), False) / p ** j
+    y = pow(q.unit, p ** j, p ** (a + j)) - 1
+    return PadicNumber.from_int_mod(
+        p, _series(p, v + j, y // p ** (v + j), a + j, False) // p ** j, a)
 
 
 def padic_exp(t: PadicNumber) -> PadicNumber:
@@ -364,7 +352,8 @@ def padic_exp(t: PadicNumber) -> PadicNumber:
     if t.is_zero():
         return PadicNumber.from_fraction(
             p, 1, min(t.val, 4 * DEFAULT_PRECISION + 64))
-    return _series(t, True)
+    return PadicNumber.from_int_mod(
+        p, _series(p, t.val, t.unit, t.abs_prec, True), t.abs_prec)
 
 
 def padic_pow(q: PadicNumber, x) -> PadicNumber:
@@ -396,21 +385,21 @@ def padic_pow(q: PadicNumber, x) -> PadicNumber:
 def eval_log_scalar_padic(a: LogScalar, q: PadicNumber) -> PadicNumber:
     """rat(q) + log-part(q) * log_p q, known modulo p^k, k = q.abs_prec.
 
-    Both rational parts are evaluated exactly at the rational q came from,
-    so no digit is lost to cancellation; log_p q is taken only when a has a
-    log part, from that rational at exactly k - v_p(coefficient) digits, the
-    least that keeps the product known mod p^k."""
+    Both rational parts are exact at the rational q came from, so no digit
+    is lost to cancellation, and each becomes (v, unit) from its numerator
+    and denominator; log_p q is taken only for a log part, at k -
+    v_p(coefficient) digits, and the parts are added as integers."""
     if q._exact is None:
         raise PrecisionExhausted("cannot evaluate exactly: no exact origin")
     p, k = q.p, q.abs_prec
-    out = PadicNumber.from_int_mod(p, a.rat.eval_fraction(q._exact), k)
+    terms = [_val_unit(*a.rat.eval_pair(q._exact), p, k)]
     if a.log:
         if not _log_domain_ok(q):
             raise PadicDomainError("need |q-1|_p < p^(-1/(p-1))")
-        c = PadicNumber.from_int_mod(p, a.log.eval_fraction(q._exact), k)
-        out = out + c * padic_log(PadicNumber.from_int_mod(p, q._exact,
-                                                           k - c.val))
-    return out
+        vc, uc = _val_unit(*a.log.eval_pair(q._exact), p, k)
+        lg = padic_log(PadicNumber.from_int_mod(p, q._exact, k - vc))
+        terms.append((vc + lg.val, uc * lg.unit))
+    return _add_terms(p, k, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -443,27 +432,19 @@ def _check_work(terms: int, w: int, p: int, need: str,
 def _power_sums(r: int, ks: list[int], levels: list[int], p: int,
                 w: int) -> list[list[int]]:
     """[sum_{x<p^N} x^k r^x for k in `ks`] mod p^w, right mod p^(w - N_top +
-    N) (N_top = max(levels)), the digits `_level_sums` reads, for each N in
-    `levels`.
+    N) (N_top = max(levels)), for each N in `levels`, in integers mod p^w.
 
     Mahler expansion: sum_{x<M} f(x) = sum_m (Delta^m f)(0) C(M, m+1).  For
-    f_k(x) = x^k r^x and u = r - 1, the coefficients a_{k,m} = (Delta^m
-    f_k)(0) satisfy a_{0,m} = u^m and a_{k+1,m} = m (a_{k,m-1} + a_{k,m})
-    (from x C(x, m) = (m+1) C(x, m+1) + m C(x, m)), so a_{k,m} = 0 mod
-    p^((m-k) v) with v = v_p(u), and C(p^N, m+1) = 0 mod p^(N - v_p(m+1))
-    (0 past m + 1 = p^N, so v_p(m+1) <= min(N_top, floor(log_p(m+1)))): as
-    (m - k) v - floor(log_p(m+1)) never falls, every term from K = max(ks) +
-    ceil((w - N_top + e)/v) on is 0 mod p^(w - N_top + N), with e =
-    min(N_top, floor(log_p(K' + 1))) read off K' = max(ks) + ceil(w/v) >= K,
-    the terms that give all of p^w.  The rows a_k run up to k = max(ks), but
-    only the rows in `ks` are kept and dotted with the binomials.  They do
-    not depend on N; each level then costs only the binomials C(p^N, j) =
-    p^(N - v_p(j)) prod_{0<i<j} (p^N - i)/p^v_p(i) / (unit part of j!), all
-    of whose factors but the first are units: the p-powers come from a table
-    per level, and the K inverses of the unit parts of j! from one modular
-    inverse (`_unit_factorials`).  Integer arithmetic mod p^w, no division
-    by p.
-    """
+    f_k(x) = x^k r^x and u = r - 1, a_{k,m} = (Delta^m f_k)(0) has a_{0,m} =
+    u^m and a_{k+1,m} = m (a_{k,m-1} + a_{k,m}), so a_{k,m} = 0 mod p^((m-k)
+    v), v = v_p(u), and C(p^N, m+1) = 0 mod p^(N - v_p(m+1)), v_p(m+1) <=
+    min(N_top, floor(log_p(m+1))): every term from K = max(ks) + ceil((w -
+    N_top + e)/v) on is 0 mod p^(w - N_top + N), e = min(N_top,
+    floor(log_p(K' + 1))) at K' = max(ks) + ceil(w/v) >= K.  The rows a_k
+    (those in `ks` kept) do not depend on N; per level, C(p^N, j) = p^(N -
+    v_p(j)) prod_{0<i<j} (p^N - i)/p^v_p(i) / (unit part of j!) takes its
+    p-powers from a table and the inverses of the unit parts of j! from one
+    modular inverse (`_unit_factorials`), and one dot product per row."""
     mod = p ** w
     u = (r - 1) % mod
     v = min(_vp(u, p), w)
@@ -504,16 +485,15 @@ def _unit_power(q: PadicNumber, h: int, w: int) -> int:
 
 
 def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
-                levels: list[int], prec: int) -> dict[int, list[PadicNumber]]:
-    """{N: [(1/(d p^N)) sum_{x < d p^N} chi(x) q^{h x} x^n for n in ns]} for
-    each N in `levels`, d = len(chi) prime to p, chi(x) = chi[x mod d].  With
-    x = a + d y and r = q^h, a sum is sum_j C(n, j) d^j c_j S_j, where c_j =
-    sum_a chi(a) r^a a^(n-j) and S_j = sum_{y<p^N} y^j r^(d y) (`_power_sums`,
-    asked only for the j whose coefficient is nonzero mod p^w); at the
-    character mod 1 (d = 1, chi = [1]) only c_n = 1 is left: Witt's
-    S_N.  Sums are taken mod p^w, w = prec + 2 N_max, N_max = max(levels); a
-    level-N sum is reduced mod p^(prec + N_max + N) and divided by d p^N, so
-    every value is known to prec + N_max absolute digits."""
+                levels: list[int], prec: int) -> dict[int, list[int]]:
+    """{N: [A_N mod p^(prec + N_max + N) for n in ns]}, N_max = max(levels),
+    in plain integers: A_N = sum_{x < d p^N} chi(x) q^{h x} x^n, d = len(chi)
+    prime to p, chi(x) = chi[x mod d], and the level sum A_N / (d p^N) is
+    known to prec + N_max absolute digits.  With x = a + d y and r = q^h, A_N
+    = sum_j C(n, j) d^j c_j S_j, c_j = sum_a chi(a) r^a a^(n-j) and S_j =
+    sum_{y<p^N} y^j r^(d y) (`_power_sums`, only at the j whose coefficient
+    is nonzero mod p^w, w = prec + 2 N_max); at the character mod 1 (chi =
+    [1]) only c_n = 1 is left."""
     if not ns or ns[0] < 0:
         raise ValueError("n must be >= 0")
     p, d, k_max, n_top = q.p, len(chi), ns[-1], max(levels)
@@ -528,23 +508,23 @@ def _level_sums(chi: list[int], h: int, ns: range, q: PadicNumber,
               for j in range(n + 1)] + [0] * (k_max - n) for n in ns]
     ks = sorted({j for coef in coefs for j, c in enumerate(coef) if c})
     sums = _power_sums(pow(r, d, mod), ks, levels, p, w)
-    return {N: [PadicNumber.from_int_mod(p, Fraction(
-                    sum(coef[k] * s for k, s in zip(ks, row))
-                    % p ** (prec + n_top + N), d * p ** N), prec + n_top)
-                for coef in coefs]
+    return {N: [sum(coef[k] * s for k, s in zip(ks, row))
+                % p ** (prec + n_top + N) for coef in coefs]
             for N, row in zip(levels, sums)}
 
 
 def volkenborn_levels(n_max: int, h: int, q: PadicNumber, levels: list[int],
                       prec: int = DEFAULT_PRECISION) -> dict[int, list[PadicNumber]]:
-    """S_N = p^-N sum_{x < p^N} q^{h x} x^n for n = 0..n_max and every N in
-    `levels`: the level sums of `_level_sums` at the character mod 1, each
-    known to prec + max(levels) absolute digits: the paper's S_N family, so
-    S_N of x^n q^{h x} is volkenborn_levels(n, h, q, [N], prec)[N][n].  No
+    """The paper's S_N = p^-N sum_{x < p^N} q^{h x} x^n for n = 0..n_max and
+    every N in `levels`, each known to prec + max(levels) absolute digits:
+    the residues of `_level_sums` at the character mod 1 over p^N.  No
     verifier calls it: `witt_verify` sums its own n alone."""
     _check_prime(q.p)
     _check_levels(levels)
-    return _level_sums([1], h, range(n_max + 1), q, levels, prec)
+    sums = _level_sums([1], h, range(n_max + 1), q, levels, prec)
+    return {N: [PadicNumber.from_int_mod(q.p, Fraction(s, q.p ** N),
+                                         prec + max(levels)) for s in row]
+            for N, row in sums.items()}
 
 
 def q_volkenborn_sum(n: int, h: int, x0, q: PadicNumber, N: int,
@@ -613,19 +593,28 @@ def _level_report(identity: str, params: dict, vals: list[tuple[int, int]],
 
 
 def _target_verdict(identity: str, params: dict, exact, q: PadicNumber,
-                    levels: list[int], sums: dict) -> VerificationReport:
-    """Witt's and twisted's verdict: every level N has v(sums[N][-1] -
-    exact(h)) >= min(prec, N - slack).  At q = 1 both parts of the target
-    have a pole; the target is their q -> 1 limit, the h = 0 value."""
+                    levels: list[int], sums: dict, d: int = 1
+                    ) -> VerificationReport:
+    """Witt's and twisted's verdict: every level N has v(A_N / (d p^N) -
+    exact(h)) >= min(prec, N - slack), for the residues A_N of `_level_sums`.
+    Both sides are known mod p^k, k = prec + N_top; times p^E, E = max(N_top,
+    -v(target)), they are integers mod p^(k+E): T = target p^E, once, and at
+    each level v = min(v_p(A_N d^-1 p^(E-N) - T), k + E) - E.  At q = 1 the
+    target is the q -> 1 limit of its two parts, the h = 0 value."""
     levels = sorted(levels)
     h, prec, slack = params["h"], params["prec"], params["slack"]
     # the sums are known mod p^k, so the target is built at exactly k digits
     # of the unit q (the level sums took q^h)
-    k = prec + levels[-1]
+    p, k = q.p, prec + levels[-1]
     target = eval_log_scalar_padic(
         exact(h if q._exact != 1 else 0),
-        PadicNumber(q.p, 0, q.at_precision(k).unit % q.p ** k, k, q._exact))
-    vals = [(N, (sums[N][-1] - target).valuation()) for N in levels]
+        PadicNumber(p, 0, q.at_precision(k).unit % p ** k, k, q._exact))
+    e = max(levels[-1], -target.val)
+    mod = p ** (k + e)
+    t = target.unit * p ** (target.val + e)
+    inv_d = pow(d, -1, mod)
+    vals = [(N, min(_vp((sums[N][-1] * inv_d * p ** (e - N) - t) % mod, p),
+                    k + e) - e) for N in levels]
     return _level_report(identity, params, vals,
                          all(v >= min(prec, N - slack) for N, v in vals))
 
@@ -633,11 +622,10 @@ def _target_verdict(identity: str, params: dict, exact, q: PadicNumber,
 def witt_verify(h: int, n: int, q: PadicNumber, levels: list[int],
                 prec: int = DEFAULT_PRECISION,
                 slack: int = DEFAULT_SLACK) -> VerificationReport:
-    """S_N -> B_n^{(h)} at the given q, the twisted check at the character
-    mod 1: it calls `_level_sums` at chi = [1] and its own n alone, as the
-    twisted check does at its character, and at every level N the valuation
-    of S_N - target must reach min(prec, N - slack).  The valuations need not
-    increase with N: S_N can come closer to the target than S_(N+1)."""
+    """S_N -> B_n^{(h)} at the given q: the twisted check at the character
+    mod 1, for its own n alone; every level N must reach min(prec, N -
+    slack).  The valuations need not increase with N: S_N can come closer
+    to the target than S_(N+1)."""
     _check_prec_slack(q.p, prec, slack, levels)
     sums = _level_sums([1], h, range(n, n + 1), q, levels, prec)
     return _target_verdict(
@@ -728,4 +716,5 @@ def padic_generalized_verify(chi: DirichletCharacter, h: int, n: int,
         "twisted-volkenborn",
         {"d": d, "exponents": list(chi.exponents), "h": h, "n": n, "p": p,
          "prec": prec, "slack": slack},
-        lambda g: generalized_q_bernoulli_exact(chi, g, n), q, levels, sums)
+        lambda g: generalized_q_bernoulli_exact(chi, g, n), q, levels, sums,
+        d)

@@ -1,6 +1,7 @@
 """Truncated formal power series in t.  No `qzeta` module calls it: it stays
-for the benchmark's tracer (`perfbench/spans.py`) and as the Cauchy product
-of the generating-function test oracle in `tests/test_qbernoulli.py`."""
+because code outside the package wraps its `invert` and `*` by name, and as
+the Cauchy product of the generating-function test oracle in
+`tests/test_qbernoulli.py`."""
 
 from __future__ import annotations
 

@@ -56,6 +56,26 @@ def test_unity_root_on_the_axes_past_one_turn():
     assert UnityRoot(Fraction(-1, 2)).to_complex() == -1
 
 
+@pytest.mark.parametrize("outside,inside", [
+    (Fraction(5, 4), Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 2)),
+    (Fraction(1), Fraction(0)), (Fraction(-1, 3), Fraction(2, 3)),
+    (Fraction(-7, 2), Fraction(1, 2)), (Fraction(-2), Fraction(0))])
+def test_unity_root_reduces_its_exponent_mod_1(outside, inside):
+    # the constructor keeps one exponent per root, in [0, 1): equality,
+    # hash and as_rational read it
+    z, w = UnityRoot(outside), UnityRoot(inside)
+    assert z.exponent == inside
+    assert z == w and hash(z) == hash(w)
+    if inside in (0, Fraction(1, 2)):
+        assert z.as_rational() == w.as_rational() == (1 if inside == 0 else -1)
+    else:
+        with pytest.raises(ValueError, match=rf"^root of unity e\^\(2 pi i "
+                                             rf"{inside}\) is not real$"):
+            z.as_rational()
+    assert UnityRoot.from_exponent(outside) == w
+    assert UnityRoot(Fraction(1, 8)) * UnityRoot(outside - Fraction(1, 8)) == w
+
+
 def test_bad_modulus_or_exponents_are_refused():
     with pytest.raises(ValueError, match=r"^modulus must be positive$"):
         unit_group_generators(0)

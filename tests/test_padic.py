@@ -11,6 +11,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qzeta import padic
 from qzeta.characters import enumerate_characters, principal_character
@@ -530,24 +531,33 @@ def test_verdict_targets_take_log_at_the_digits_read(monkeypatch):
 
 @pytest.fixture
 def residues(monkeypatch):
-    """The level values the verifiers reduce to p-adic numbers, as
+    """The level values the shift check reduces to p-adic numbers, as
     Fractions, in call order."""
     seen = []
     real = PadicNumber.from_int_mod
 
     def spy(cls, p, value, abs_prec):
         # the exact targets are reduced in eval_log_scalar_padic and padic_log
-        # reduces its own integer series; the level values are what a
-        # verifier reduces, itself or (witt and twisted) in the level sums'
-        # core, from a comprehension there
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):
-            frame = frame.f_back
-        name = frame.f_code.co_name
-        if name.endswith("_verify") or name == "_level_sums":
+        # reduces its own integer series; the level value is what the
+        # verifier reduces itself
+        if sys._getframe(1).f_code.co_name.endswith("_verify"):
             seen.append(F(value))
         return real(p, value, abs_prec)
     monkeypatch.setattr(PadicNumber, "from_int_mod", classmethod(spy))
+    return seen
+
+
+@pytest.fixture
+def level_sums(monkeypatch):
+    """What each `_level_sums` call returned, in call order: {N: [the
+    integer residue A_N for each n]}."""
+    seen = []
+    real = padic._level_sums
+
+    def spy(*a):
+        seen.append(real(*a))
+        return seen[-1]
+    monkeypatch.setattr(padic, "_level_sums", spy)
     return seen
 
 
@@ -573,25 +583,25 @@ def test_shift_sums_match_loop(p, h, residues):
 
 @pytest.mark.parametrize("p,d", [(2, 3), (2, 5), (3, 4), (3, 8), (5, 3),
                                  (5, 4), (5, 8), (7, 3), (7, 4), (7, 5)])
-def test_twisted_sums_match_loop(p, d, residues):
+def test_twisted_sums_match_loop(p, d, level_sums):
     qf = F(5) if p == 2 else F(1 + p)
     levels, prec = ([2, 3] if p == 7 else [3, 4]), 6
     chi = next(c for c in enumerate_characters(d)
                if c.is_real() and not c.is_principal())
     chivals = [int(chi.value_rational(a)) for a in range(d)]
     for h, n in ((-2, 3), (0, 2), (1, 0), (3, 4)):
-        residues.clear()
+        level_sums.clear()
         padic_generalized_verify(chi, h, n, Q(p, qf), levels, prec=prec)
-        want = []
+        want = {}
         for N in levels:
+            # A_N, the level sum times d p^N, is kept mod p^w
             w = prec + max(levels) + N
             mod = p ** w
             r = _ratio_mod(p, qf, h, w)
-            want.append(F(_loop_sum(
+            want[N] = [_loop_sum(
                 p, w, d * p ** N,
-                lambda x: chivals[x % d] * pow(x, n, mod) * pow(r, x, mod)),
-                d * p ** N))
-        assert residues == want, (h, n)
+                lambda x: chivals[x % d] * pow(x, n, mod) * pow(r, x, mod))]
+        assert level_sums == [want], (h, n)
 
 
 def test_q_volkenborn_constant_is_one():
@@ -730,12 +740,13 @@ def test_witt_is_twisted_at_the_character_mod_1(p):
 
 
 def test_witt_reads_the_level_sums_of_volkenborn_levels(monkeypatch):
-    # witt sums its own n alone; each value it reads is S_N of the whole
-    # family n' <= n, digit for digit
+    # witt sums its own n alone; each residue A_N it reads is p^N S_N of the
+    # whole family n' <= n, digit for digit: S_N = p^val unit is known mod
+    # p^k, k = prec + N_top, so p^N S_N mod p^(k+N) is unit p^(val+N)
     seen = []
     monkeypatch.setattr(padic, "_target_verdict",
                         lambda *a: seen.append(a[-1]))
-    levels = [3, 4, 6]
+    levels, k = [3, 4, 6], padic.DEFAULT_PRECISION + 6
     for p in (2, 3, 5, 7):
         q = Q(p, F(5) if p == 2 else F(1 + p), 40)
         for h, n in product(range(-2, 4), range(9)):
@@ -745,15 +756,16 @@ def test_witt_reads_the_level_sums_of_volkenborn_levels(monkeypatch):
             want = volkenborn_levels(n, h, q, levels)
             for N in levels:
                 got, ref = sums[N][-1], want[N][n]
-                assert (got.val, got.unit, got.prec) == \
-                    (ref.val, ref.unit, ref.prec), (p, h, n, N)
+                assert ref.abs_prec == k, (p, h, n, N)
+                assert got == ref.unit * p ** (ref.val + N), (p, h, n, N)
 
 
-def test_witt_reduces_one_value_per_level(residues):
-    # 3 levels, 3 residues: the family n' <= 6 would reduce 21
+def test_witt_reduces_one_value_per_level(level_sums):
+    # 3 levels, 3 residues: the family n' <= 6 would sum 21
     q = PadicNumber.from_fraction(5, 6, 40)
     assert witt_verify(1, 6, q, [3, 4, 5], 12, 3).passed
-    assert len(residues) == 3
+    (sums,) = level_sums
+    assert {N: len(row) for N, row in sums.items()} == {3: 1, 4: 1, 5: 1}
 
 
 def test_twisted_verdict_reads_every_level():
@@ -766,6 +778,123 @@ def test_twisted_verdict_reads_every_level():
                 padic_generalized_verify(chi, -2, 5, q, [2, 3, 7], 4, 0)):
         assert rep.levels == ((2, 1), (3, 2), (7, 6))
         assert not rep.passed
+
+
+def _reference_verdict(chi, exact, h, n, qf, p, levels, prec, slack):
+    """(levels, passed) of the twisted check at chi (Witt's at the character
+    mod 1) in PadicNumber arithmetic alone: S_N from a loop over x < d p^N,
+    minus a target built with + and *, each known mod p^k, k = prec +
+    N_top; the verifiers' refusals, in their order, with their texts."""
+    d, k = chi.modulus, prec + max(levels)
+    if d % p == 0:
+        raise PadicDomainError("need gcd(p, d) = 1")
+    if not chi.is_real():
+        raise PadicDomainError("p-adic route needs a quadratic character")
+    if padic._vp(qf.numerator, p) or padic._vp(qf.denominator, p):
+        raise PadicDomainError("q must be a p-adic unit")
+    if (_ratio_mod(p, qf, h * d, 1) - 1) % p:     # the ratio of x = a + d y
+        raise PadicDomainError("q^h must be 1 mod p: x -> q^(hx) is not "
+                               "continuous on Z_p")
+    value = exact(h if qf != 1 else 0)
+    target = PadicNumber.from_int_mod(p, value.rat.eval_fraction(qf), k)
+    if value.log:
+        if qf != 1 and padic._vp((qf - 1).numerator, p) < (2 if p == 2 else 1):
+            raise PadicDomainError("need |q-1|_p < p^(-1/(p-1))")
+        c = PadicNumber.from_int_mod(p, value.log.eval_fraction(qf), k)
+        target = target + c * padic_log(Q(p, qf, k - c.val + 5))
+    chivals = [int(chi.value_rational(a)) for a in range(d)]
+    vals = []
+    for N in sorted(levels):
+        w = k + N
+        mod = p ** w
+        r = _ratio_mod(p, qf, h, w)
+        s = PadicNumber.from_int_mod(p, F(_loop_sum(
+            p, w, d * p ** N,
+            lambda x: chivals[x % d] * pow(x, n, mod) * pow(r, x, mod)),
+            d * p ** N), k)
+        vals.append((N, (s - target).valuation()))
+    return tuple(vals), all(v >= min(prec, N - slack) for N, v in vals)
+
+
+def _verdict_outcome(call, *args):
+    try:
+        got = call(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(got, tuple):
+        return got
+    return tuple(got.levels), got.passed
+
+
+# units in the log domain, the exact q = 1, and q that each verifier refuses:
+# a non-unit p, q^h = -1 mod p at odd h (p - 1), a pole of the target (-1)
+# and, at p = 2, log_2 3 outside the domain
+_VERDICT_Q = {p: (F(1), F(1 + p), F(1 - p) if p > 2 else F(-3),
+                  F(1 + p, 1 + 2 * p), F(1 + p * p), F(p), F(p - 1), F(-1))
+              + ((F(5), F(3)) if p == 2 else ())
+              for p in (2, 3, 5, 11)}
+_VERDICT_TOP = {2: 5, 3: 3, 5: 2, 11: 2}      # d p^N_top stays below 1,000
+
+
+@st.composite
+def _verdict_cases(draw):
+    p = draw(st.sampled_from(sorted(_VERDICT_Q)))
+    levels = draw(st.lists(st.integers(1, _VERDICT_TOP[p]), min_size=1,
+                           max_size=3, unique=True))
+    d = draw(st.sampled_from((1, 3, 4, 5, 8)))
+    return (p, draw(st.sampled_from(_VERDICT_Q[p])), draw(st.integers(-3, 3)),
+            draw(st.integers(0, 5)), levels, draw(st.sampled_from((1, 2, 3, 6))),
+            draw(st.integers(0, 3)), d,
+            draw(st.integers(0, len(enumerate_characters(d)) - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_verdict_cases())
+# B_3^(-2) = 0 mod 2^2 at q = 5, and B_3 = 0 exactly at q = 1
+@example((2, F(5), -2, 3, [1], 1, 0, 3, 1))
+@example((3, F(1), 2, 3, [2, 3], 1, 1, 4, 1))
+# N > prec = 1 at p = 11 and h <= 0
+@example((11, F(12), 0, 4, [2, 1], 1, 0, 3, 1))
+@example((11, F(-10), -3, 2, [2], 1, 3, 8, 2))
+# the refusals: q^h = -1 mod 3, a pole at q = -1, log_2 3, a character of
+# order 4
+@example((3, F(2), 1, 2, [2], 2, 3, 4, 1))
+@example((2, F(-1), 1, 2, [2], 2, 3, 3, 1))
+@example((2, F(3), 1, 2, [2], 2, 3, 3, 1))
+@example((3, F(4), 1, 2, [2], 2, 3, 5, 1))
+def test_witt_and_twisted_verdicts_match_a_padic_number_reference(case):
+    # the verdict in scaled integers reads the valuations, the verdict and
+    # the refusals that PadicNumber arithmetic gives
+    p, qf, h, n, levels, prec, slack, d, idx = case
+    q, chi = Q(p, qf, 40), enumerate_characters(d)[idx]
+    for verify, args, mod_1, exact in (
+            (witt_verify, (h, n), principal_character(1),
+             lambda g: q_bernoulli_number(g, n)),
+            (padic_generalized_verify, (chi, h, n), chi,
+             lambda g: generalized_q_bernoulli_exact(chi, g, n))):
+        assert (_verdict_outcome(verify, *args, q, levels, prec, slack)
+                == _verdict_outcome(_reference_verdict, mod_1, exact, h, n,
+                                    qf, p, levels, prec, slack)), \
+            verify.__name__
+
+
+@pytest.mark.parametrize("p", [2, 3, 11])
+def test_target_verdict_scales_a_target_far_below_the_levels(p):
+    # a target of valuation -6, below -N_top: both sides are scaled by
+    # p^(-v(target)), not by p^N_top, and each level reads v = -6
+    q, levels, prec = Q(p, F(5) if p == 2 else F(1 + p), 40), [1, 2], 3
+    v_log = 2 if p == 2 else 1                  # v_p(log_p q)
+    for part in (LogScalar(F(1, p ** 6)), LogScalar(0, F(1, p ** (6 + v_log))),
+                 LogScalar(F(1, p ** 6) + F(2, p ** 4), F(1, p ** 3))):
+        exact = lambda g: q_bernoulli_number(g, 2) + part
+        sums = padic._level_sums([1], 1, range(2, 3), q, levels, prec)
+        rep = padic._target_verdict(
+            "witt", {"h": 1, "prec": prec, "slack": 0}, exact, q, levels,
+            sums)
+        want = _reference_verdict(principal_character(1), exact, 1, 2,
+                                  q._exact, p, levels, prec, 0)
+        assert (tuple(rep.levels), rep.passed) == want
+        assert {v for _, v in rep.levels} == {-6}
 
 
 # sha256 of the reports below, as the witt and twisted checks and

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -419,3 +420,22 @@ def test_parity_records_are_what_the_digest_hashes(monkeypatch, capsys):
     assert json.loads(digest) == {
         "n": 2, "sha256": hashlib.sha256(
             "".join(r + "\n" for r in recs).encode()).hexdigest()}
+
+
+def test_op_kinds_runs_one_round_of_padic_levels():
+    # tools/op_kinds.py imports the benchmark's op stream and runner, and
+    # prints one row per op kind and a total: one round is 63 Witt ops and
+    # 3 each of shift, closed form and twisted, none of which raise
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "op_kinds.py"), "padic-levels",
+         "1", "1"], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["kind", "ops", "raised", "time_s", "share", "p50_ms",
+                      "max_ms", "gc", "gc2"]
+    counts = {row[0]: (int(row[1]), int(row[2])) for row in rows}
+    assert counts == {"closedform": (3, 0), "shift": (3, 0),
+                      "twisted": (3, 0), "witt": (63, 0), "total": (72, 0)}
+    assert sum(float(row[4]) for row in rows[:-1]) == pytest.approx(1, abs=0.01)
