@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lgamma, log, log2
 from operator import add
 
 from .characters import DirichletCharacter, _Frozen
@@ -232,6 +232,20 @@ def _taylor_shift(c: list) -> None:
             c[k] = list(map(add, c[k], c[k + 1]))
 
 
+# Work bound on one distribution check: the size of its lift, in bits,
+# estimated before any lift as the n + 1 rows, times the degree |h| (n +
+# 1) m of (q^{|h| m} - 1)^{n+1}, times log2 n! + (n + 1)(log2 m + 1) bits
+# a coefficient.  Its time runs at 1-2.5e-8 s a unit on one core, so the
+# bound holds a check to about 2.5 s.
+MAX_LIFT_BITS = 100_000_000
+
+
+def _lift_bits(h: int, n: int, m: int) -> float:
+    """`MAX_LIFT_BITS`' estimate for distribution_check(h, n, m), n >= 0."""
+    return ((n + 1) * ((n + 1) * abs(h) * m + 1)
+            * (lgamma(n + 1) / log(2) + (n + 1) * (log2(m) + 1)))
+
+
 def distribution_check(h: int, n: int, m: int) -> VerificationReport:
     """B_n^{(h)}(x) == m^{n-1} sum_{i<m} q^{h i} B_{n, base q^m}^{(h)}((x+i)/m),
     exact coefficientwise equality of both sides as polynomials in x.
@@ -243,9 +257,16 @@ def distribution_check(h: int, n: int, m: int) -> VerificationReport:
     part), so each R(x + i) is a Taylor shift by 1 of R(x + i - 1) on rows
     in Q, added at stride m and offset h i + s, times q^s for h < 0.  Each
     lhs - rhs is then one numerator over one common denominator, formed
-    only where the two numerators differ."""
+    only where the two numerators differ.  A check whose lift is above
+    MAX_LIFT_BITS raises ArithmeticError before it builds anything."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    bits = _lift_bits(h, max(n, 0), m)
+    if bits > MAX_LIFT_BITS:
+        raise ArithmeticError(
+            f"the distribution check at h = {h}, n = {n}, m = {m} lifts "
+            f"about {bits:.3g} bits, above the work bound MAX_LIFT_BITS = "
+            f"{MAX_LIFT_BITS}")
     poly = q_bernoulli_polynomial(h, n)
     s = max(-h, 0) * (m - 1)
     parts = []

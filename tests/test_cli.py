@@ -242,8 +242,10 @@ def test_bad_padic_input_exits_2(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv,msg", [
-    (["zeta", "--h", "1", "--q", "0.5", "--s=-120"],
-     "at s = (-120+0j), term k = 352\n"),
+    # zeta_q(-300) at q = 0.5 is about 1.08e374 (mpmath, residue sum at 30
+    # dps): beyond floats on either route
+    (["zeta", "--h", "1", "--q", "0.5", "--s=-300"],
+     "at s = (-300+0j), term k = 10\n"),
     (["lfunction", "--modulus", "4", "--char-index", "1", "--h", "1",
       "--q", "0.5", "--s=-300"], "at s = (-300+0j), term k = 11\n"),
     (["verify", "interp-zeta", "--h", "1", "--q", "0.5", "--n", "300"],
@@ -258,6 +260,21 @@ def test_float_overflow_exits_3(argv, msg, capsys):
     assert err.startswith("error: float overflow in the Lerch sum ")
     assert msg in err
     assert "Traceback" not in err
+
+
+def test_zeta_at_s_minus_120_fits_a_float(capsys):
+    # the direct sums overflow at term k = 352, but the value, about
+    # 2.5e102, fits: the residue route prints it within its certified bound.
+    # Reference: direct mpmath fsum of 2,000 terms at 250 and at 300 dps,
+    # which agree to all 20 digits shown
+    want = 2.5030745563400426745e102
+    code, out, err = run(["zeta", "--h", "1", "--q", "0.5", "--s=-120"],
+                         capsys)
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["im"] == 0
+    assert abs(doc["re"] - want) <= doc["certified_tail_bound"]
+    assert doc["certified_tail_bound"] <= 1e-12 * want
 
 
 @pytest.mark.parametrize("argv", [
@@ -428,6 +445,19 @@ def test_runaway_level_range_exits_3_fast(capsys):
         assert code == EXIT_NUMERIC, argv
         assert out == ""
         assert bound in err
+
+
+def test_runaway_distribution_exits_3_fast(capsys):
+    # the distribution check prices its lift before building anything: a
+    # large --m or --n exits 3 at once and names the bound
+    for argv in (["--h", "1", "--n", "6", "--m", "17704"],
+                 ["--h", "1", "--n", "1000", "--m", "1"],
+                 ["--h", "-3", "--n", "12", "--m", "10000000"]):
+        with deadline(0.5):
+            code, out, err = run(["verify", "distribution", *argv], capsys)
+        assert code == EXIT_NUMERIC, argv
+        assert out == ""
+        assert "MAX_LIFT_BITS" in err
 
 
 def test_runaway_shift_b_exits_3_fast(capsys):

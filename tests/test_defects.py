@@ -84,8 +84,6 @@ def test_float_b16_h1_q03():
            5.20442561911488, 1e-12)
 
 
-@_defect("zeta --h 1 --q 0.95 --s -10 prints -393216, tail bound 9.7e-13, "
-         "exit 0; true -0.00123988594763236")
 def test_zeta_h1_q095_sm10(capsys):
     _close(_cli("zeta --h 1 --q 0.95 --s -10", capsys)["re"],
            -0.00123988594763236, 1e-12)
@@ -97,19 +95,14 @@ def test_hurwitz_q095_sm10_5():
     _close(q_hurwitz_zeta(1, 0.95, -10.5, 1), 0.0104724283313246, 1e-12)
 
 
-@_defect("q_hurwitz_zeta(1, 0.99, -20, 1) is 1.2e46; true 2.99270177308291")
 def test_hurwitz_q099_sm20():
     _close(q_hurwitz_zeta(1, 0.99, -20, 1), 2.99270177308291, 1e-12)
 
 
-@_defect("q_hurwitz_zeta(1, 0.9, -5, 1) is -0.00437515974, bound 1.0e-12; "
-         "true -0.00437498117357")
 def test_hurwitz_q09_sm5():
     _close(q_hurwitz_zeta(1, 0.9, -5, 1), -0.00437498117357, 1e-10)
 
 
-@_defect("q_hurwitz_zeta(1, 0.8, -8 + 2i, 0.5) is -0.0415840 - 0.0278282i, "
-         "bound 9.3e-13; true -0.0415755383 - 0.0278391642i")
 def test_hurwitz_q08_complex_s():
     _close(q_hurwitz_zeta(1, 0.8, -8 + 2j, 0.5),
            -0.0415755383 - 0.0278391642j, 1e-8)

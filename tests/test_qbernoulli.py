@@ -419,3 +419,40 @@ def test_twisted_terms_at_large_moduli_match_the_substituted_route(d):
         for (i, g), w in zip(got.items(), want.values()):
             assert (g.rat.exps, g.log.exps) == (w.rat.exps, w.log.exps)
             assert g.to_json_dict() == w.to_json_dict(), (d, h, n, i)
+
+
+@pytest.mark.parametrize("h,n,m", [(1, 6, 17703), (3, 6, 6471), (-3, 6, 6471),
+                                   (1, 12, 3074), (3, 12, 1135), (-3, 12, 1135),
+                                   (3, 20, 296), (1, 30, 267), (1, 60, 40)])
+def test_distribution_work_bound_at_its_edge(h, n, m):
+    # the largest accepted m at each (h, n), as README states them; each of
+    # these runs in 0.7-2 s, so only the estimate is checked here
+    assert qbernoulli._lift_bits(h, n, m) <= qbernoulli.MAX_LIFT_BITS
+    assert qbernoulli._lift_bits(h, n, m + 1) > qbernoulli.MAX_LIFT_BITS
+    with pytest.raises(ArithmeticError, match="MAX_LIFT_BITS"):
+        qbernoulli.distribution_check(h, n, m + 1)
+
+
+def test_distribution_work_bound_refuses_no_benchmark_op():
+    # every distribution check of the exact-identities and cli-oneshot op
+    # streams (their cost parameters cycle within 6 rounds) is accepted
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    try:
+        import ops
+    finally:
+        sys.path.pop(0)
+    checks = set()
+    for workload in ("exact-identities", "cli-oneshot"):
+        stream = ops.rounds(workload, 1)
+        for _ in range(12):
+            for op in next(stream):
+                if op[0] == "dist":
+                    checks.add(op[1:])
+                elif op[1:3] == ("verify", "distribution"):
+                    opt = ops.cli_options(ops.cli_argv(op))
+                    checks.add((int(opt["--h"]), int(opt["--n"]),
+                                int(opt["--m"])))
+    assert len(checks) > 100
+    assert all(qbernoulli._lift_bits(*c) <= qbernoulli.MAX_LIFT_BITS
+               for c in checks)

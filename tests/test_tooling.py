@@ -439,3 +439,22 @@ def test_op_kinds_runs_one_round_of_padic_levels():
     assert counts == {"closedform": (3, 0), "shift": (3, 0),
                       "twisted": (3, 0), "witt": (63, 0), "total": (72, 0)}
     assert sum(float(row[4]) for row in rows[:-1]) == pytest.approx(1, abs=0.01)
+
+
+def test_op_kinds_counts_the_route_of_each_value():
+    # on complex-interp every op computes one value (a pool value or an
+    # interpolation check's series side) and the second table says which
+    # route served it; padic-levels computes none and prints no such table
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "op_kinds.py"), "complex-interp",
+         "1", "2"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    split = next(i for i, row in enumerate(lines)
+                 if row == ["kind", "residue", "direct", "fallback"])
+    ops = {row[0]: int(row[1]) for row in lines[1:split]}
+    routes = {row[0]: list(map(int, row[1:])) for row in lines[split + 1:]}
+    assert set(routes) == set(ops) == {"linterp", "pool", "zinterp", "total"}
+    for kind, n in ops.items():
+        assert sum(routes[kind]) == n, kind
+    assert routes["total"][0] > 0 and routes["total"][1] > 0

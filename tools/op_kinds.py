@@ -12,6 +12,15 @@ and the garbage collector passes that started during its ops (all
 generations, and generation 2 alone), counted through `gc.callbacks`.  The
 last line gives the totals.  The times are wall time on the machine that
 runs it, not scaled to the reference speed as the benchmark's are.
+
+When some op computed a q-zeta or q-L value in this process, a second
+table follows: per op kind, how many values the residue route served,
+how many the direct sums served, and how many of those the residue sum
+had computed but not certified first.  It counts them by wrapping the
+two kernels of `qzeta.analytic`, `_residue_sum` and `_lerch_pair`, in the
+module's namespace for the run.  An op computes one value at most: an
+interpolation check's series side, or a pool value.  A cli op runs in its
+own process and is not counted.
 """
 
 from __future__ import annotations
@@ -24,10 +33,47 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUTES = ("residue", "direct", "fallback")
+
+
+class _Routes:
+    """Wraps `analytic._residue_sum` and `analytic._lerch_pair` and tells,
+    op by op, which route served the op's value."""
+
+    def __init__(self, analytic):
+        self.analytic = analytic
+        self.kernels = {"_residue_sum": analytic._residue_sum,
+                        "_lerch_pair": analytic._lerch_pair}
+        self.seen: dict[str, bool] = {}
+
+    def __enter__(self):
+        for name, fn in self.kernels.items():
+            setattr(self.analytic, name, self._wrap(name, fn))
+        return self
+
+    def __exit__(self, *exc):
+        for name, fn in self.kernels.items():
+            setattr(self.analytic, name, fn)
+
+    def _wrap(self, name, fn):
+        def wrapper(*a, **k):
+            out = fn(*a, **k)
+            self.seen[name] = self.seen.get(name, False) or out is not None
+            return out
+        return wrapper
+
+    def route(self) -> str | None:
+        """The route of the op since the last call: "residue", "direct",
+        "fallback" (a residue sum, then the direct sums) or None."""
+        seen, self.seen = self.seen, {}
+        if "_lerch_pair" in seen:
+            return "fallback" if seen.get("_residue_sum") else "direct"
+        return "residue" if seen.get("_residue_sum") else None
 
 
 def measure(workload: str, seed: int, n_rounds: int) -> dict[str, dict]:
-    """{kind: {"lat": [seconds per op], "raised": n, "gc": n, "gc2": n}}."""
+    """{kind: {"lat": [seconds per op], "raised": n, "gc": n, "gc2": n,
+    "residue": n, "direct": n, "fallback": n}}."""
     # the package and the CLI processes read this checkout's src, with the
     # default precision the benchmark uses
     os.environ.pop("QZK_DEFAULT_PRECISION", None)
@@ -35,6 +81,7 @@ def measure(workload: str, seed: int, n_rounds: int) -> dict[str, dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import ops
     import worker
+    from qzeta import analytic
 
     if workload not in ops.WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}: one of "
@@ -51,19 +98,24 @@ def measure(workload: str, seed: int, n_rounds: int) -> dict[str, dict]:
     stream = ops.rounds(workload, seed)
     gc.callbacks.append(count)
     try:
-        for _ in range(n_rounds):
-            for op in next(stream):
-                row = out.setdefault(op[0], {"lat": [], "raised": 0,
-                                             "gc": 0, "gc2": 0})
-                before = passes[:]
-                t = perf_counter()
-                try:
-                    runner.run_op(op)
-                except Exception:
-                    row["raised"] += 1
-                row["lat"].append(perf_counter() - t)
-                row["gc"] += passes[0] - before[0]
-                row["gc2"] += passes[1] - before[1]
+        with _Routes(analytic) as routes:
+            for _ in range(n_rounds):
+                for op in next(stream):
+                    row = out.setdefault(op[0], {
+                        "lat": [], **dict.fromkeys(
+                            ("raised", "gc", "gc2", *ROUTES), 0)})
+                    before = passes[:]
+                    t = perf_counter()
+                    try:
+                        runner.run_op(op)
+                    except Exception:
+                        row["raised"] += 1
+                    row["lat"].append(perf_counter() - t)
+                    row["gc"] += passes[0] - before[0]
+                    row["gc2"] += passes[1] - before[1]
+                    route = routes.route()
+                    if route:
+                        row[route] += 1
     finally:
         gc.callbacks.remove(count)
     return out
@@ -73,7 +125,7 @@ def table(kinds: dict[str, dict]) -> list[str]:
     rows = sorted(kinds.items())
     every = {"lat": [t for _, row in rows for t in row["lat"]]}
     every.update({key: sum(row[key] for _, row in rows)
-                  for key in ("raised", "gc", "gc2")})
+                  for key in ("raised", "gc", "gc2", *ROUTES)})
     total = sum(every["lat"])
     lines = [f"{'kind':<12}{'ops':>7}{'raised':>8}{'time_s':>9}{'share':>8}"
              f"{'p50_ms':>10}{'max_ms':>10}{'gc':>7}{'gc2':>6}"]
@@ -83,6 +135,11 @@ def table(kinds: dict[str, dict]) -> list[str]:
                      f"{sum(lat):>9.3f}{sum(lat) / total if total else 0:>8.3f}"
                      f"{statistics.median(lat) * 1e3:>10.3f}"
                      f"{max(lat) * 1e3:>10.3f}{row['gc']:>7}{row['gc2']:>6}")
+    if any(every[key] for key in ROUTES):
+        lines.append(f"{'kind':<12}" + "".join(f"{key:>10}" for key in ROUTES))
+        for kind, row in [*rows, ("total", every)]:
+            lines.append(f"{kind:<12}"
+                         + "".join(f"{row[key]:>10}" for key in ROUTES))
     return lines
 
 
