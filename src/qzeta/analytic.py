@@ -329,7 +329,7 @@ def _gauss_sums(chi: DirichletCharacter) -> list[complex]:
 
 
 def _residue_sum(lam: complex, s: complex, x: float,
-                 chi: DirichletCharacter | None, dlam: float,
+                 chi: DirichletCharacter | None, units: int, dlam: float,
                  tail_tol: float, budget: float
                  ) -> tuple[complex, float, float] | None:
     """Lerch's transformation at Re s < 0 and Re lam < 0 (Erdelyi et al.,
@@ -340,7 +340,8 @@ def _residue_sum(lam: complex, s: complex, x: float,
 
     c_k = e^(2 pi i k x) for zeta_q^{(h)}(s, x), 0 < x <= 1 (chi None, d =
     1, lam = h log q), and c_k = G(k mod d), the Gauss sums of chi, for L
-    mod d (x = 0, lam = d h log q).  `dlam` bounds the error of lam.
+    mod d (x = 0, lam = d h log q).  `units`, phi(d), bounds |c_k|, and
+    `dlam` bounds the error of lam.
     Returns (value, tail bound, rounding bound), or None before any term
     when the K below costs more than `budget` direct terms or a term could
     leave the float range, and None after the sum when the value or a
@@ -351,7 +352,7 @@ def _residue_sum(lam: complex, s: complex, x: float,
     |2 pi i k - lam| >= 2 pi (|k| - beta) and |arg| < pi/2, so the terms
     past K sum to at most 2 |P| G e^(pi|t|/2) (2 pi)^(sigma - 1)
     [(K - beta)^sigma/(-sigma) + beta (K - beta)^(sigma - 1)/(1 - sigma)],
-    G = phi(d) >= |c_k|; K makes that at most tail_tol.  The Gauss sums are
+    G = phi(d); K makes that at most tail_tol.  The Gauss sums are
     built only then.  At a real lam and s the terms at -k are the
     conjugates of those at k, so one power serves both.
 
@@ -381,7 +382,6 @@ def _residue_sum(lam: complex, s: complex, x: float,
     ap = abs(pre)
     if not 1e-300 < ap < math.inf:
         return None
-    units = sum(math.gcd(r, d) == 1 for r in range(1, d + 1))     # G
     # log of 2 |P| G e^(pi |t|/2) (2 pi)^(sigma - 1), and of tail_tol
     la = (_log(2 * units * ap) + math.pi / 2 * abs(ts)
           + (rs - 1) * _log(_TWO_PI))
@@ -391,7 +391,7 @@ def _residue_sum(lam: complex, s: complex, x: float,
         ly = max(ly, (la + _log(2 * beta) - _log(1 - rs) - lt) / (1 - rs))
     if not ly < _log(budget):
         return None
-    K = max(1, math.ceil(beta + math.exp(ly)))
+    K = max(math.floor(beta) + 1, math.ceil(beta + math.exp(ly)))
     if K * _RESIDUE_TERM_COST * (1 if paired else 2) > budget:
         return None
     # the nearest pole and the farthest term: no power may leave the range
@@ -448,13 +448,17 @@ def _direct_terms(aw: float, rs: float, x: float, tol: float) -> float:
     """About the number of terms `_lerch_pair` runs at |w| = aw and Re s =
     rs < 0: the k where the series at s - 1, whose terms |w|^k (k +
     x)^(1 - rs) fall last, reaches its stop tol (1 - aw)/2, by three
-    fixed-point steps from the k where |w|^k alone does."""
+    fixed-point steps from the k where |w|^k alone does, none below 0.
+    0 where that stop is 1 or more, so that so loose a tol keeps the
+    direct sums."""
     if not 0 < aw < 1:
         return 0.0
     la, lev = _log(aw), _log(tol * (1 - aw) / 2)
+    if lev >= 0:
+        return 0.0
     k = lev / la
     for _ in range(3):
-        k = (lev - (1 - rs) * _log(k + x)) / la
+        k = max((lev - (1 - rs) * _log(k + x)) / la, 0.0)
     return k
 
 
@@ -494,7 +498,7 @@ def _zeta_residue(h: int, qv: complex, s: complex, x: float,
     scale = aw ** m
     lam = h * cmath.log(qv)
     dlam = _dlam(h, qv, lam)
-    got = _residue_sum(lam, s, y, None, dlam, cfg.tol * scale / 2,
+    got = _residue_sum(lam, s, y, None, 1, dlam, cfg.tol * scale / 2,
                        cost - _RESIDUE_SETUP_COST - 2 * m * _RESIDUE_TERM_COST)
     if got is None:
         return None
@@ -620,7 +624,7 @@ def _lfunction_residue(h: int, chi: DirichletCharacter, qv: complex,
         return None
     lam = h * cmath.log(qv)
     lam_d = d * lam
-    got = _residue_sum(lam_d, s, 0.0, chi,
+    got = _residue_sum(lam_d, s, 0.0, chi, units,
                        d * _dlam(h, qv, lam) + _U * abs(lam_d), cfg.tol / 2,
                        cost - _RESIDUE_SETUP_COST)
     if got is None:

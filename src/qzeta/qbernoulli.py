@@ -235,14 +235,16 @@ def _taylor_shift(c: list) -> None:
 # Work bound on one distribution check: the size of its lift, in bits,
 # estimated before any lift as the n + 1 rows, times the degree |h| (n +
 # 1) m of (q^{|h| m} - 1)^{n+1}, times log2 n! + (n + 1)(log2 m + 1) bits
-# a coefficient.  Its time runs at 1-2.5e-8 s a unit on one core, so the
-# bound holds a check to about 2.5 s.
+# a coefficient.  h = 0 is priced as |h| = 1: its rows are shorter, but
+# its m - 1 Taylor shifts and rows of width m still grow with m.  Its time
+# runs at 1-2.5e-8 s a unit on one core, so the bound holds a check to
+# about 2.5 s.
 MAX_LIFT_BITS = 100_000_000
 
 
 def _lift_bits(h: int, n: int, m: int) -> float:
     """`MAX_LIFT_BITS`' estimate for distribution_check(h, n, m), n >= 0."""
-    return ((n + 1) * ((n + 1) * abs(h) * m + 1)
+    return ((n + 1) * ((n + 1) * max(abs(h), 1) * m + 1)
             * (lgamma(n + 1) / log(2) + (n + 1) * (log2(m) + 1)))
 
 

@@ -569,30 +569,21 @@ def test_horizon_keeps_its_rounding_margin_at_a_flat_peak():
 # the residue route: Lerch's transformation at Re s < 0
 # ---------------------------------------------------------------------------
 
-class _Route:
-    """Wraps the two value kernels: `served` is True when the residue sum
-    returned a value and no direct Lerch pair ran since `reset`."""
+def _load_routes():
+    """`_Routes` of tools/op_kinds.py, which counts the route of each value
+    by wrapping `_residue_sum` and `_lerch_pair`."""
+    import importlib.util
+    from pathlib import Path
 
-    def __init__(self, monkeypatch):
-        self.residue = self.direct = False
-        for name, flag in (("_residue_sum", "residue"),
-                           ("_lerch_pair", "direct")):
-            monkeypatch.setattr(analytic, name,
-                                self._wrap(getattr(analytic, name), flag))
+    spec = importlib.util.spec_from_file_location(
+        "op_kinds", Path(__file__).resolve().parent.parent / "tools"
+        / "op_kinds.py")
+    op_kinds = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(op_kinds)
+    return op_kinds._Routes
 
-    def _wrap(self, fn, flag):
-        def wrapper(*a, **k):
-            out = fn(*a, **k)
-            setattr(self, flag, getattr(self, flag) or out is not None)
-            return out
-        return wrapper
 
-    def reset(self):
-        self.residue = self.direct = False
-
-    @property
-    def served(self):
-        return self.residue and not self.direct
+_Routes = _load_routes()
 
 
 def _value(h, qv, s, x=None, chi=None, cfg=DEFAULT_CONFIG):
@@ -646,10 +637,10 @@ def _direct_fsum(h, qv, s, x, chi, extra):
         return complex(mp.fsum(terms))
 
 
-def _check_residue_value(monkeypatch, h, qv, s, x, chi):
-    route = _Route(monkeypatch)
-    value, bound = _value(h, qv, s, x, chi)
-    if not route.served:
+def _check_residue_value(h, qv, s, x, chi):
+    with _Routes(analytic) as routes:
+        value, bound = _value(h, qv, s, x, chi)
+    if routes.route() != "residue":
         return False
     assert bound <= DEFAULT_CONFIG.tol * max(1, abs(value))
     lo, hi = (_direct_fsum(h, qv, s, x, chi, extra) for extra in (25, 35))
@@ -672,7 +663,7 @@ def test_residue_route_within_its_bound_of_a_direct_sum(h, l1w, arg, rs, ts,
                                                         xd):
     # wherever the residue route serves a value, it lies within its stated
     # bound (tail + rounding) of a direct mpmath sum at two precisions that
-    # agree; other inputs take the direct sums and are not checked here.
+    # agree; inputs that take the direct sums are not counted as examples.
     # |q^h| runs from 0.2 to 0.97, where one reference costs under 0.3 s;
     # the next test takes 0.98, and the pool test below 0.99
     qv = cmath.rect((1 - 10 ** l1w) ** (1 / h), arg)
@@ -680,8 +671,7 @@ def test_residue_route_within_its_bound_of_a_direct_sum(h, l1w, arg, rs, ts,
         x, chi = None, _CHARS[xd[0]][xd[1] % len(_CHARS[xd[0]])]
     else:
         x, chi = xd, None
-    with pytest.MonkeyPatch.context() as m:
-        _check_residue_value(m, h, qv, complex(rs, ts), x, chi)
+    assume(_check_residue_value(h, qv, complex(rs, ts), x, chi))
 
 
 @pytest.mark.parametrize("h,qv,s,x,d,idx", [
@@ -690,10 +680,9 @@ def test_residue_route_within_its_bound_of_a_direct_sum(h, l1w, arg, rs, ts,
     # x in (1, 3]: the shift down to (0, 1]
     (1, 0.98, -9.0, 2.5, None, None),
 ], ids=["lam_d-branch", "shift"])
-def test_residue_route_serves_the_branch_and_the_shift(monkeypatch, h, qv, s,
-                                                      x, d, idx):
+def test_residue_route_serves_the_branch_and_the_shift(h, qv, s, x, d, idx):
     chi = None if d is None else _CHARS[d][idx]
-    assert _check_residue_value(monkeypatch, h, qv, complex(s), x, chi)
+    assert _check_residue_value(h, qv, complex(s), x, chi)
 
 
 # Pool points whose stored reference in perfbench/lerch_refs.json is wrong:
@@ -727,18 +716,17 @@ def test_pool_points_on_the_residue_route_match_the_references(monkeypatch):
     from ops import lerch_pool
 
     refs = json.loads((bench / "lerch_refs.json").read_text())["refs"]
-    route = _Route(monkeypatch)
     served = []
     for i, pt in enumerate(lerch_pool()):
         if pt[3].real >= 0 or i == 590:
             continue
-        route.reset()
-        if pt[0] == "zeta":
-            value, _ = _value(*pt[1:])
-        else:
-            _, h, qv, s, d, idx = pt
-            value, _ = _value(h, qv, s, chi=_CHARS[d][idx])
-        if route.served:
+        with _Routes(analytic) as routes:
+            if pt[0] == "zeta":
+                value, _ = _value(*pt[1:])
+            else:
+                _, h, qv, s, d, idx = pt
+                value, _ = _value(h, qv, s, chi=_CHARS[d][idx])
+        if routes.route() == "residue":
             served.append(i)
             ref = _POOL_REFS.get(i, complex(*refs[i][:2]))
             assert abs(value - ref) <= 1e-8 * max(1, abs(ref)), (i, pt)
@@ -746,22 +734,54 @@ def test_pool_points_on_the_residue_route_match_the_references(monkeypatch):
     assert set(_POOL_REFS) <= set(served)
 
 
-def test_residue_route_falls_back_to_the_direct_bits(monkeypatch):
+def test_residue_route_falls_back_to_the_direct_bits():
     # L near a pole of one residue term: d arg q^h near a multiple of 2 pi,
     # the sum cancels and its rounding bound fails tol; the value is then the
     # direct one, bit for bit.  At Re s >= 0 the residue sum is not asked.
-    route = _Route(monkeypatch)
     h, qv, s, chi = 1, 0.305426 - 0.871219j, -9.989 + 5.3484j, _CHARS[4][0]
-    got = q_lfunction_with_bound(h, qv, s, chi)
-    assert route.residue and route.direct
+    with _Routes(analytic) as routes:
+        got = q_lfunction_with_bound(h, qv, s, chi)
+    assert routes.route() == "fallback"
     assert got == _combine(h, qv, s, "q-L",
                            lambda w, t: _char_sum(chi, w, t, DEFAULT_CONFIG))
     for s in (0.0, 2.5, -0.0 + 3j, 1e-300):
-        route.reset()
-        got = q_hurwitz_zeta_with_bound(1, 0.99, s, 0.7)
-        assert not route.residue
+        with _Routes(analytic) as routes:
+            got = q_hurwitz_zeta_with_bound(1, 0.99, s, 0.7)
+        assert "_residue_sum" not in routes.seen
         assert got == _combine(1, 0.99, s, "q-zeta", lambda w, t: _lerch_pair(
             w, t, 0.7, DEFAULT_CONFIG))
+
+
+@pytest.mark.parametrize("h,qv,s,x,d,tol", [
+    # a tol so loose that the direct sums' stop, tol (1 - |q^h|)/2, is 1 or
+    # more: the estimate of their term count is 0, not a log of k < 0
+    (1, 0.5, -3.0, 1.0, None, 10.0),
+    (1, 0.5, -3.0, None, 3, 10.0),
+    # a tiny |q| at a very negative s: a fixed-point step of that estimate
+    # would go below k = 0
+    (1, 1e-30, -100.0, 0.05, None, 1e-12),
+    (1, 1e-30, -100.0, None, 4, 1e-12),
+])
+def test_residue_route_keeps_the_direct_bits_where_it_cannot_save(h, qv, s,
+                                                                 x, d, tol):
+    cfg = SeriesEvalConfig(tol=tol)
+    if d is None:
+        got = q_hurwitz_zeta_with_bound(h, qv, s, x, cfg)
+        pair = lambda w, t: _lerch_pair(w, t, x, cfg)
+    else:
+        chi = _CHARS[d][1]
+        got = q_lfunction_with_bound(h, qv, s, chi, cfg)
+        pair = lambda w, t: _char_sum(chi, w, t, cfg)
+    assert got == _combine(h, qv, complex(s), "q", pair)
+
+
+@settings(derandomize=True, database=None)
+@given(st.floats(0, 1, exclude_min=True, exclude_max=True),
+       st.floats(-1e300, 0, exclude_max=True), st.floats(1e-300, 1e300),
+       st.floats(1e-14, math.inf))
+def test_direct_term_estimate_is_a_count(aw, rs, x, tol):
+    # never negative, never NaN, and never a math domain error
+    assert analytic._direct_terms(aw, rs, x, tol) >= 0
 
 
 @pytest.mark.parametrize("s,x,msg", [
@@ -783,15 +803,15 @@ def test_residue_sum_declines_before_any_term(monkeypatch):
     powers, gauss = [], analytic._gauss_sums
     monkeypatch.setattr(analytic, "_gauss_sums",
                         lambda chi: powers.append(chi) or gauss(chi))
-    assert analytic._residue_sum(lam, -10 + 0j, 0.5, None, 0.0, 1e-12, 5) \
-        is None
-    assert analytic._residue_sum(lam, -300 + 0j, 0.5, None, 0.0, 1e-12, 1e6) \
-        is None
-    assert analytic._residue_sum(lam * 4, -9 + 0j, 0.0, _CHARS[4][1], 0.0,
+    assert analytic._residue_sum(lam, -10 + 0j, 0.5, None, 1, 0.0, 1e-12,
+                                 5) is None
+    assert analytic._residue_sum(lam, -300 + 0j, 0.5, None, 1, 0.0, 1e-12,
+                                 1e6) is None
+    assert analytic._residue_sum(lam * 4, -9 + 0j, 0.0, _CHARS[4][1], 2, 0.0,
                                  1e-12, 5) is None
     assert powers == []
     # with the budget it asks for, the same L sum runs
-    assert analytic._residue_sum(lam * 4, -9 + 0j, 0.0, _CHARS[4][1], 0.0,
+    assert analytic._residue_sum(lam * 4, -9 + 0j, 0.0, _CHARS[4][1], 2, 0.0,
                                  1e-12, 1e6) is not None
     assert powers == [_CHARS[4][1]]
 

@@ -452,7 +452,8 @@ def test_runaway_distribution_exits_3_fast(capsys):
     # large --m or --n exits 3 at once and names the bound
     for argv in (["--h", "1", "--n", "6", "--m", "17704"],
                  ["--h", "1", "--n", "1000", "--m", "1"],
-                 ["--h", "-3", "--n", "12", "--m", "10000000"]):
+                 ["--h", "-3", "--n", "12", "--m", "10000000"],
+                 ["--h", "0", "--n", "6", "--m", "100000000"]):
         with deadline(0.5):
             code, out, err = run(["verify", "distribution", *argv], capsys)
         assert code == EXIT_NUMERIC, argv

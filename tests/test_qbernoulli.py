@@ -421,12 +421,15 @@ def test_twisted_terms_at_large_moduli_match_the_substituted_route(d):
             assert g.to_json_dict() == w.to_json_dict(), (d, h, n, i)
 
 
-@pytest.mark.parametrize("h,n,m", [(1, 6, 17703), (3, 6, 6471), (-3, 6, 6471),
+@pytest.mark.parametrize("h,n,m", [(0, 6, 17703), (1, 6, 17703), (3, 6, 6471),
+                                   (-3, 6, 6471),
                                    (1, 12, 3074), (3, 12, 1135), (-3, 12, 1135),
-                                   (3, 20, 296), (1, 30, 267), (1, 60, 40)])
+                                   (3, 20, 296), (1, 30, 267), (1, 60, 40),
+                                   (0, 60, 40)])
 def test_distribution_work_bound_at_its_edge(h, n, m):
-    # the largest accepted m at each (h, n), as README states them; each of
-    # these runs in 0.7-2 s, so only the estimate is checked here
+    # the largest accepted m at each (h, n), as README states them (h = 0
+    # is priced as h = 1); each of these runs in 0.06-2 s, so only the
+    # estimate is checked here
     assert qbernoulli._lift_bits(h, n, m) <= qbernoulli.MAX_LIFT_BITS
     assert qbernoulli._lift_bits(h, n, m + 1) > qbernoulli.MAX_LIFT_BITS
     with pytest.raises(ArithmeticError, match="MAX_LIFT_BITS"):

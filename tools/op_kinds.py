@@ -37,8 +37,9 @@ ROUTES = ("residue", "direct", "fallback")
 
 
 class _Routes:
-    """Wraps `analytic._residue_sum` and `analytic._lerch_pair` and tells,
-    op by op, which route served the op's value."""
+    """Wraps `analytic._residue_sum` and `analytic._lerch_pair` while in its
+    `with` block and tells, op by op, which route served the op's value;
+    tests/test_analytic.py reads the route of single values through it."""
 
     def __init__(self, analytic):
         self.analytic = analytic
