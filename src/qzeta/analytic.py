@@ -12,16 +12,15 @@ Every other value is the direct one below, bit for bit.
 zeta_q^{(h)} and L_q^{(h)} are each one combination of two Lerch series,
 sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s), which `_combine`
 takes, with its bound, for both.  One kernel, `_lerch_pair`, sums every
-Lerch series here: both at once in a single pass over k, sharing w^k and
-log(k+x), or, for `lerch_sum_with_bound`, the one at s alone, with one
-summation loop per number of running series.  Each series keeps its own
-stopping test and stays frozen once it passes, so value and tail bound are
-bit-identical to two separate `lerch_sum_with_bound` calls.  L_q runs one
-pair per residue class mod d.
-At a real s (every interpolation check's s = 1 - n) a term's power is
-`math.exp` of the real (-Re s) log(k+x), and at a real w too, w^k and the
-sums are floats; either way the bits are those of the complex route,
-which `_lerch_pair` documents.
+Lerch series here: both at once in a single pass over k, or, for
+`lerch_sum_with_bound`, the one at s alone, with one summation loop per
+number of running series.  A term costs one power, t = w^k (k+x)**(-s),
+and the series at s - 1 adds t (k+x).  Each series keeps its own stopping
+test and stays frozen once it passes, so both stop at the k, with the tail
+bound, of two separate `lerch_sum_with_bound` calls; the value at s is
+bit-identical paired or alone, and the one at s - 1 agrees with the
+separate sum at s - 1 only to within rounding.  L_q runs one pair per
+residue class mod d.
 The interpolation checks import qbernoulli and report when they run, and a
 domain check imports exact only to raise DomainError, so the direct values
 load no exact arithmetic."""
@@ -71,9 +70,10 @@ def _ratio(aw: float, rs: float) -> float:
     return aw if rs >= 0 else (1 + aw) / 2
 
 
-# The horizon's own logs: bound here, not read from the module's `math` at
-# call time, so that a stand-in `math` put in from outside to count one log
-# per summed term does not count them.
+
+# Bound here, not read from the module's `math` at call time, so that a
+# stand-in `math` put in from outside to count logs as Lerch terms does not
+# count the horizon's.
 _log = math.log
 
 
@@ -125,49 +125,36 @@ def _horizon(k: int, x: float, la: float, nrs: float, level: float,
     return lo + 1
 
 
-def _cexp_real(r: float) -> float | complex:
-    """exp(r) as `cmath.exp(r + 0j)` gives it: past log(DBL_MAX/4) ~
-    708.396 that is exp(r - 1)*e, which can differ from `math.exp(r)`.  At
-    r = inf it stays inf + 0j, so that a real w^k times it gets the NaN
-    imaginary part that the complex route's product gets."""
-    e = cmath.exp(r)
-    return e if e.real == math.inf else e.real
-
-
 def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 alone: bool = False) -> tuple[complex, float, complex, float]:
     """sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
     geometric tail bound, in one pass over k: (value at s, its bound, value
-    at s - 1, its bound).  The two series share w^k and log(k+x); each keeps
-    its own terms, bound and stopping test, and once it stops it stays
-    frozen while the other goes on, so it stops at the same k, with the same
-    bits, as it does alone.  With `alone` the series at s - 1 starts out
-    stopped and (0j, 0.0) stands in for it.  A series whose tail ratio
-    (1 + |w|)/2 rounds to 1 raises TruncationFailure before any term.
+    at s - 1, its bound).  Term k of the series at s is t_k = w^k
+    (k+x)**(-s), one power, and that of the series at s - 1 is t_k (k+x).
+    Each series keeps its own bound and stopping test, and once it stops it
+    stays frozen while the other goes on.  So the series at s has the same
+    bits, bound and stopping k paired as alone, and the series at s - 1
+    stops at the same k, with the same bound, as `lerch_sum_with_bound(w, s
+    - 1)`, whose terms are w^k (k+x)**(1-s): its value is that sum's only
+    to within rounding.  With `alone` the series at s - 1 starts out
+    stopped and (0j, 0.0) stands in for it.  A series whose tail ratio (1 +
+    |w|)/2 rounds to 1 raises TruncationFailure before any term.
 
     From check index k, `_horizon` gives a K up to which no running series'
     stopping test can pass and no power can overflow.  Terms k .. K - 1 are
     summed with no test, in one loop for both series or one for the series
     still running, and the tests run at K.  K <= max_terms, the terms are
-    added in the same order by the same operations, and only term k of a
-    stretch can overflow, so every value, bound, stopping k and error
-    message is the one of a step-by-step loop.
+    added in the same order by the same operations, and only the power of
+    term k of a stretch can overflow, so every value, bound, stopping k and
+    error message is the one of a step-by-step loop.
 
-    At a real s, a term's power is exp((-Re s) log(k+x)) by `math.exp`,
-    and at a real w, w^k and both sums are floats, returned as complex.  A
-    NaN w raises DomainError, as a non-finite s or x does, and an infinite
-    one SeriesDivergence.  The bits are those of the complex route: for r <=
-    log(DBL_MAX/4) ~ 708.396, `cmath.exp(r +- 0j)` is exp(r) cos 0 =
-    exp(r); a product with a real factor keeps its real and imaginary parts
-    but for the sign of a zero, which sums that start at +0.0 drop.  Past
-    708.396, `cmath.exp` takes exp(r - 1)*e, which may differ from
-    `math.exp(r)` in the last bit, and at r = inf it returns inf + 0j
-    without raising.  `_horizon` keeps every exponent after a stretch's
-    first term finite and below 700, so that term alone goes through
-    `_cexp_real`, which follows `cmath.exp` in both cases."""
+    At a real s the power is `float ** float`, within about 1 ulp; at a
+    complex s it is `float ** complex`, pow(k+x, -Re s) times the unit
+    phase of -Im s log(k+x).  At a real w too, w^k and both sums are
+    floats, returned as complex.  A NaN w raises DomainError, as a
+    non-finite s or x does, and an infinite one SeriesDivergence."""
     w = complex(w)
     s = complex(s)
-    s1 = s - 1
     if not cmath.isfinite(s):
         from .exact import DomainError
         raise DomainError(f"s = {s} is not finite")
@@ -180,9 +167,8 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
         raise DomainError(f"w = {w} is not a number")
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
-    log, cexp = math.log, cmath.exp
-    ns, ns1 = -s, -s1
-    rs, rs1 = s.real, s1.real
+    rs = s.real
+    rs1 = rs - 1
     nrs, nrs1 = -rs, -rs1
     r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
     den, den1 = 1 - r, 1 - r1
@@ -195,20 +181,19 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     done_a, done_b = False, alone
     k = 0
     wk = 1 + 0j
-    # the exponents' multipliers, the exp of a stretch's first term and that
-    # of the rest: real ones at a real s, and at a real w, float sums too
+    # the power's exponent: a float at a real s, and at a real w, float
+    # sums too
+    ns = -s
     if s.imag == 0:
-        ta, tb, exp0, exp = nrs, nrs1, _cexp_real, math.exp
+        ns = nrs
         if w.imag == 0:
             w, wk, a, b = w.real, 1.0, 0.0, 0.0
-    else:
-        ta, tb, exp0, exp = ns, ns1, cexp, cexp
-    # a float power or exp past the float range raises OverflowError with
-    # no context; say which sum and which term
+    # a float power past the float range raises OverflowError with no
+    # context; say which sum and which term
     try:
         if w == 0:
-            lg = log(x)
-            return cexp(ns * lg), 0.0, 0j if alone else cexp(ns1 * lg), 0.0
+            t = complex(x ** ns)
+            return t, 0.0, 0j if alone else t * x, 0.0
         la, lev, lev1 = _log(aw), _level(tol, den), _level(tol, den1)
         while True:
             K = max_terms
@@ -216,23 +201,20 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 K = _horizon(k, x, la, nrs, lev, K)
             if not done_b:
                 K = _horizon(k, x, la, nrs1, lev1, K)
-            lgs = map(log, map(x.__radd__, range(k, K)))
-            if done_a or done_b:
-                t, acc = (tb, b) if done_a else (ta, a)
-                acc += wk * exp0(t * next(lgs))
-                wk *= w
-                for lg in lgs:
-                    acc += wk * exp(t * lg)
+            kxs = map(x.__radd__, range(k, K))
+            if done_a:
+                for kx in kxs:
+                    b += wk * kx ** ns * kx
                     wk *= w
-                a, b = (a, acc) if done_a else (acc, b)
+            elif done_b:
+                for kx in kxs:
+                    a += wk * kx ** ns
+                    wk *= w
             else:
-                lg = next(lgs)
-                a += wk * exp0(ta * lg)
-                b += wk * exp0(tb * lg)
-                wk *= w
-                for lg in lgs:
-                    a += wk * exp(ta * lg)
-                    b += wk * exp(tb * lg)
+                for kx in kxs:
+                    t = wk * kx ** ns
+                    a += t
+                    b += t * kx
                     wk *= w
             k = K
             awk = abs(wk)
@@ -282,11 +264,17 @@ _STIRLING_REST = 3617 / 510 / 240
 _HALF_LOG_2PI = 0.5 * _log(_TWO_PI)
 # Costs in direct terms, `_direct_terms`' unit: one complex power of the
 # residue sum (with its share of the loop and the bound sums), and the
-# setup (Gamma, prefactor, bounds).  Medians over the 2,947 Re s < 0 points
-# of the benchmark's pool, one core, CPython 3.11: 0.48 us a direct term of
-# zeta (0.58 us of L), 0.79 us a power.  Chosen by the least total time on
-# that pool: 0.586 s, against 1.29 s for the direct sums alone and 0.572 s
-# for the faster route at every point.
+# setup (Gamma, prefactor, bounds).  Chosen by the least total time on the
+# 2,947 Re s < 0 points of the benchmark's pool when a direct term took two
+# exps: 0.586 s, against 1.29 s for the direct sums alone and 0.572 s for
+# the faster route at every point.  With one power a term, the medians over
+# the pool's points of 50 to 2e5 estimated terms (best of 3, one core,
+# CPython 3.11.7) are 0.38 us a direct term of zeta (0.46 us of L), down
+# from 0.51 us (0.60 us), and 0.95 us a power.  By time alone both
+# constants would now shift points to the direct route; they keep their
+# values because the residue value those points would give up is
+# certified, tail + rounding <= tol, where the direct value's rounding is
+# not bounded.
 _RESIDUE_TERM_COST = 1.5
 _RESIDUE_SETUP_COST = 10
 

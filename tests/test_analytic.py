@@ -192,21 +192,159 @@ PAIR_W = [0.3, -0.45 + 0.6j, cmath.rect(0.99, 1.0)]
 PAIR_S = [2.5, 0.5 + 3j, -0.7 + 1j, -4.5, -8 + 2j]
 
 
+_U = 2.0 ** -53                 # unit roundoff
+
+
+def _stop(w, t, x, tol):
+    """(K, sum_{k<K} |w|^k (k+x)^(-Re t)): the k at which the Lerch loop's
+    series at t stops, by its own float stopping test, and the size of the
+    K terms it sums."""
+    aw, rt = abs(w), t.real
+    r = _ratio(aw, rt)
+    den = 1 - r
+    k, wk, tot = 0, 1 + 0j, 0.0
+    while True:
+        tot += abs(wk) * (k + x) ** -rt
+        k += 1
+        wk *= w
+        kx = k + x
+        if (abs(wk) * kx ** -rt / den <= tol
+                and (rt >= 0 or aw * ((k + 1 + x) / kx) ** -rt <= r)):
+            return k, tot
+
+
+# The rounding of one Lerch series sum_{k<K} w^k (k+x)^(-t), as `_lerch_pair`
+# sums it, per term and to first order in u:
+#   - w^k, k complex products: sqrt(5) k u (Brent, Percival and
+#     Zimmermann, Math. Comp. 76 (2007)); at a real w, k u;
+#   - k + x rounds once, which moves (k+x)^(-t) by |t| u;
+#   - the power: pow(k+x, -Re t) within 1 ulp, 2 u; at a complex t its
+#     phase -Im t log(k+x) takes the ulp of log and a product's rounding,
+#     3 u |Im t| L, with L = max(log(K+x), |log x|) the largest |log(k+x)|,
+#     and cos, sin and the two products by the modulus add 3 u;
+#   - w^k times the power, sqrt(5) u, and for the pair's series at s - 1
+#     (t = s - 1) the factor k + x, u;
+#   - the K - 1 sums, each part rounded once: sqrt(2) (K - 1) u sum |term|.
+# So the value is within (c1 K + c2 |Im t| L + c3) u sum_{k<K} |term| of the
+# exact sum of its first K terms, with c1 = 4 > sqrt(5) + sqrt(2), c2 = 3
+# and c3 = |t| + 10 > |t| + 2 + 3 + sqrt(5) + 1.  The factor 1.01 takes the
+# higher orders, while K u and |t| L u stay below 1e-3.
+def _rounding_bound(t, x, K, tot):
+    L = max(math.log(K + x), -math.log(x))
+    return 1.01 * (4 * K + 3 * abs(t.imag) * L + abs(t) + 10) * _U * tot
+
+
+def _mp_lerch_pair(w, s, x, dps):
+    """sum_k w^k (k+x)^(-s) and sum_k w^k (k+x)^(1-s) as direct mp.fsums at
+    `dps` digits, each as (value, tail, size): both run to an N, a multiple
+    of 16, where from then on the terms of each fall by a ratio r < 1 and
+    the tail term_N/(1 - r) is at most 1e-20 of the size sum_{k<N} |term|.
+    The fsum of N terms at dps digits is within N 10^(1 - dps) of the
+    size."""
+    real = w.imag == 0 and s.imag == 0
+    num = mp.mpf if real else mp.mpc
+    with mp.workdps(dps):
+        mw, ms, mx = (num(w.real if real else w), num(s.real if real else s),
+                      mp.mpf(x))
+        aw, es = abs(w), (-s.real, 1 - s.real)    # |term k| = |w|^k (k+x)^e
+        terms, sizes = ([], []), [mp.mpf(0), mp.mpf(0)]
+        wk, k = num(1), 0
+        while True:
+            kx = k + mx
+            term = wk * mp.exp(-ms * mp.log(kx))
+            size = abs(term)
+            terms[0].append(term)
+            terms[1].append(term * kx)
+            sizes[0] += size
+            sizes[1] += size * kx
+            k += 1
+            wk *= mw
+            if aw == 0:
+                ltails = [-math.inf] * 2
+                break
+            if k % 16:
+                continue
+            # in logs, so that no size underflows
+            ltails = []
+            for e, size in zip(es, sizes):
+                r = aw * ((k + 1 + x) / (k + x)) ** max(e, 0)
+                lt = (k * math.log(aw) + e * math.log(k + x)
+                      - math.log(1 - r)) if r < 1 else math.inf
+                ok = size and lt <= float(mp.log(size * 1e-20))
+                ltails.append(lt if ok else None)
+            if None not in ltails:
+                break
+        return [(complex(mp.fsum(t)), math.exp(lt), float(size))
+                for t, lt, size in zip(terms, ltails, sizes)]
+
+
+# |w| from U(0, 0.99) and 1 - 10^U(-2, 0), real (w < 0 too) or complex
+_ABS_W_ORACLE = st.one_of(st.floats(0, 0.99),
+                          st.floats(-2, 0).map(lambda e: 1 - 10 ** e))
+_W_ORACLE = st.one_of(_ABS_W_ORACLE, _ABS_W_ORACLE.map(lambda a: -a),
+                      st.builds(cmath.rect, _ABS_W_ORACLE,
+                                st.floats(-math.pi, math.pi)))
+_S_ORACLE = st.builds(complex, st.one_of(st.floats(-12, 6), st.integers(-12, 6)),
+                      st.one_of(st.just(0.0), st.floats(-6, 6)))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(_W_ORACLE, _S_ORACLE, st.floats(0, 3, exclude_min=True),
+       st.sampled_from([1e-12, 1e-14]))
+@example(0.99, complex(-12), 0.5, 1e-14)        # the most terms: about 10^4
+@example(cmath.rect(0.95, 1.0), complex(-12, 6), 3.0, 1e-12)
+@example(-0.9, complex(6), 1e-300, 1e-12)       # x^-6 overflows
+def test_lerch_pair_within_its_bounds_of_a_direct_fsum(w, s, x, tol):
+    # both values within tail bound + `_rounding_bound` of direct mp.fsums
+    # at 40 and 60 dps, which agree; these, not the bits of a former loop,
+    # guard the kernel's values
+    cfg = SeriesEvalConfig(tol)
+    try:
+        a, ba, b, bb = _lerch_pair(w, s, x, cfg)
+    except OverflowError:
+        # only the first power of the series at s can leave the float range
+        assert -s.real * math.log(x) > math.log(sys.float_info.max)
+        return
+    for t, got, bound, lo, hi in zip((s, s - 1), (a, b), (ba, bb),
+                                     _mp_lerch_pair(w, s, x, 40),
+                                     _mp_lerch_pair(w, s, x, 60)):
+        ref, tail, size = hi
+        assert abs(lo[0] - ref) <= 1e-30 * size
+        K, summed = _stop(w, t, x, tol)
+        slack = bound + _rounding_bound(t, x, K, summed) + tail + 1e-30 * size
+        assert abs(got - ref) <= slack, (t, got, ref, slack)
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.7])
 def test_lerch_pair_is_bit_identical_to_two_sums(x):
+    # the series at s, both bounds and so both stopping k are those of two
+    # separate sums, bit for bit.  The pair's series at s - 1 sums w^k
+    # (k+x)^(-s) (k+x), the separate one w^k (k+x)^(1-s): each is within
+    # `_rounding_bound` of the exact sum of their K terms, so of each other
+    # within twice that
     for w in PAIR_W:
         for s in PAIR_S:
-            want = (lerch_sum_with_bound(w, s, x, CFG)
-                    + lerch_sum_with_bound(w, s - 1, x, CFG))
-            assert _lerch_pair(w, s, x, CFG) == want, (w, s)
+            s = complex(s)
+            a, ba, b, bb = _lerch_pair(w, s, x, CFG)
+            assert (a, ba) == lerch_sum_with_bound(w, s, x, CFG), (w, s)
+            b1, bb1 = lerch_sum_with_bound(w, s - 1, x, CFG)
+            assert bb == bb1, (w, s)
+            K, size = _stop(w, s - 1, x, CFG.tol)
+            assert abs(b - b1) <= 2 * _rounding_bound(s - 1, x, K, size), (w, s)
 
 
 def _lfunction_from_two_passes(h, qv, s, chi, cfg):
-    """q_lfunction_with_bound as two passes of per-residue Lerch sums."""
+    """_char_sum(chi, q^h, s) as two passes of per-residue Lerch sums, (a,
+    ba, b, bb), and how far `_char_sum`'s b may lie from this b: per class,
+    |scale| times twice `_rounding_bound` of its sum at s - 1, plus the
+    rounding of the scaled sums, which differ there, in both passes:
+    sqrt(5) u a product and sqrt(2) (d - 1) u of the class sum each, at
+    most (3 d + 2) u |scale sum|."""
     s = complex(s)
     w = complex(qv) ** h
     d = chi.modulus
     sums = []
+    slack = 0.0
     for t in (s, s - 1):
         acc, bound = 0j, 0.0
         for r in range(1, d + 1):
@@ -217,23 +355,36 @@ def _lfunction_from_two_passes(h, qv, s, chi, cfg):
             scale = cr * w ** r * cmath.exp(-t * math.log(d))
             acc += scale * sub
             bound += abs(scale) * sb
+            if t != s:
+                K, size = _stop(w ** d, t, r / d, cfg.tol)
+                slack += abs(scale) * (2 * _rounding_bound(t, r / d, K, size)
+                                       + (3 * d + 2) * _U * abs(sub))
         sums.append((acc, bound))
     (a, ba), (b, bb) = sums
-    fac = h * cmath.log(qv) / (s - 1)
-    return a - fac * b, ba + abs(fac) * bb
+    return (a, ba, b, bb), slack
 
 
 @pytest.mark.parametrize("d", [1, 3, 4, 5])
 def test_lfunction_is_bit_identical_to_two_passes(d):
     # the direct route, called explicitly: at s = -4.5 and -8 + 2j
-    # q_lfunction_with_bound may take the residue route instead
+    # q_lfunction_with_bound may take the residue route instead.  The sum at
+    # s and both bounds are the two passes' bits; the sum at s - 1 lies
+    # within rounding of theirs (see `_lfunction_from_two_passes`), and
+    # `_combine` takes a - (h log q/(s - 1)) b of the pair's own sums
     for chi in enumerate_characters(d):
         for h, qv in ((1, 0.5), (2, -0.6 + 0.7j), (1, cmath.rect(0.99, 2.0))):
             for s in (2.5, 0.5 + 3j, -4.5, -8 + 2j):
-                want = _lfunction_from_two_passes(h, qv, s, chi, CFG)
+                where = (d, chi.exponents, h, qv, s)
+                w = complex(qv) ** h
+                (wa, wba, wb, wbb), slack = _lfunction_from_two_passes(
+                    h, qv, s, chi, CFG)
+                a, ba, b, bb = _char_sum(chi, w, complex(s), CFG)
+                assert (a, ba, bb) == (wa, wba, wbb), where
+                assert abs(b - wb) <= slack, where
                 got = _combine(h, qv, s, "q-L",
                                lambda w, t: _char_sum(chi, w, t, CFG))
-                assert got == want, (d, chi.exponents, h, qv, s)
+                fac = h * cmath.log(qv) / (complex(s) - 1)
+                assert got == (a - fac * b, ba + abs(fac) * bb), where
 
 
 def _terms_needed(w, s, x):
@@ -285,34 +436,37 @@ def test_tail_ratio_rounding_to_1_raises_before_summing():
             == "tail bound 1261260172928567.2 still above tol after 50 terms")
 
 
-# repr of (lerch_sum_with_bound, _lerch_pair) at tol 1e-13, taken from the
-# two-loop implementation this one loop replaced.  In each pair the series
-# at s stops first and the one at s - 1 runs on alone; with max_terms = 183
-# that one runs out, and with 150 both are still running.
+# repr of (lerch_sum_with_bound, _lerch_pair) at tol 1e-13, as the loop
+# with one power a term gives them; the bounds, stopping k and messages are
+# those of the two-loop implementation it replaced, and each value lies
+# within its tail bound plus `_rounding_bound` of the mp.fsum oracle of
+# `test_lerch_pair_within_its_bounds_of_a_direct_fsum`.  In each pair the
+# series at s stops first and the one at s - 1 runs on alone; with
+# max_terms = 183 that one runs out, and with 150 both are still running.
 PARENT_BITS = [
     (0.3, 2.5, 1.0, None,
      "((1.0598298982610106+0j), 9.281770170859383e-14)",
      "((1.0598298982610106+0j), 9.281770170859383e-14, "
      "(1.1277036518159813+0j), 4.064225625379359e-14)"),
     (-0.45 + 0.6j, 0.5 + 3j, 0.5, None,
-     "((-0.5892978087911412+2.0390072168088875j), 9.550246313654466e-14)",
-     "((-0.5892978087911412+2.0390072168088875j), 9.550246313654466e-14, "
-     "(-0.5507852586110812+1.97019482965523j), 8.931720360162203e-14)"),
+     "((-0.5892978087911414+2.0390072168088875j), 9.550246313654466e-14)",
+     "((-0.5892978087911414+2.0390072168088875j), 9.550246313654466e-14, "
+     "(-0.550785258611081+1.97019482965523j), 8.931720360162203e-14)"),
     (cmath.rect(0.99, 1.0), -4.5, 2.7, None,
-     "((43.68908159318743-11.452800040197841j), 9.985372097179665e-14)",
-     "((43.68908159318743-11.452800040197841j), 9.985372097179665e-14, "
-     "(107.4205438970504+286.96515207219176j), 9.919455604860237e-14)"),
+     "((43.68906937608213-11.452703693853097j), 9.985372097179665e-14)",
+     "((43.68906937608213-11.452703693853097j), 9.985372097179665e-14, "
+     "(107.58080294943476+287.15951411570177j), 9.919455604860237e-14)"),
     (-0.8 + 0.3j, -3 + 1j, 2.7, None,
-     "((5.352517082227266-1.9892205711773978j), 9.744756145908652e-14)",
-     "((5.352517082227266-1.9892205711773978j), 9.744756145908652e-14, "
-     "(10.2800570154784-2.31810665479738j), 9.220660262162952e-14)"),
+     "((5.352517082227314-1.989220571176636j), 9.744756145908652e-14)",
+     "((5.352517082227314-1.989220571176636j), 9.744756145908652e-14, "
+     "(10.280057015484399-2.3181066547722744j), 9.220660262162952e-14)"),
     (0.9, 2.5, 0.5, None,
      "((6.1361943338798115+0j), 9.274469042765988e-14)",
      "((6.1361943338798115+0j), 9.274469042765988e-14, "
      "(3.8895524122374305+0j), 9.557859162584822e-14)"),
     (0, -2.5, 0.1, None,
-     "((0.003162277660168382+0j), 0.0)",
-     "((0.003162277660168382+0j), 0.0, (0.0003162277660168384+0j), 0.0)"),
+     "((0.00316227766016838+0j), 0.0)",
+     "((0.00316227766016838+0j), 0.0, (0.000316227766016838+0j), 0.0)"),
     (0.9, 2.5, 0.5, 183,
      "((6.1361943338798115+0j), 9.274469042765988e-14)",
      "TruncationFailure: tail bound 1.701865069347559e-11 still above tol "
@@ -347,16 +501,17 @@ def test_lerch_keeps_parent_bits(w, s, x, max_terms, single, pair):
 
 def _parent_lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
                 alone: bool = False) -> tuple[complex, float, complex, float]:
-    """The step-by-step loop that `_lerch_pair` replaced, kept verbatim (but
-    for its name and the DomainError import) as the oracle of its bits.
+    """The step-by-step loop that `_lerch_pair` replaced, with its term
+    w^k (k+x)**(-s) and that term times (k+x) at s - 1, as the oracle of
+    its bits: every product, power and sum in complex arithmetic, but for
+    the exponent of the power, a float at a real s.
 
     sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
     geometric tail bound, in one pass over k: (value at s, its bound, value
-    at s - 1, its bound).  The two series share w^k and log(k+x); each keeps
-    its own terms, bound and stopping test, and once it stops it stays
-    frozen while the other goes on, so it stops at the same k, with the same
-    bits, as it does alone.  With `alone` the series at s - 1 starts out
-    stopped and (0j, 0.0) stands in for it."""
+    at s - 1, its bound).  Each series keeps its own bound and stopping
+    test, and once it stops it stays frozen while the other goes on.  With
+    `alone` the series at s - 1 starts out stopped and (0j, 0.0) stands in
+    for it."""
     w = complex(w)
     s = complex(s)
     s1 = s - 1
@@ -367,10 +522,9 @@ def _parent_lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     aw = abs(w)
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
-    log, exp = math.log, cmath.exp
-    ns, ns1 = -s, -s1
     rs, rs1 = s.real, s1.real
     nrs, nrs1 = -rs, -rs1
+    ns = nrs if s.imag == 0 else -s
     r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
     den, den1 = 1 - r, 1 - r1
     tol, max_terms = cfg.tol, cfg.max_terms
@@ -380,18 +534,18 @@ def _parent_lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     k = 0
     kx = k + x
     wk = 1 + 0j
-    # a float power or exp past the float range raises OverflowError with
-    # no context; say which sum and which term
+    # a float power past the float range raises OverflowError with no
+    # context; say which sum and which term
     try:
         if w == 0:
-            lg = log(x)
-            return exp(ns * lg), 0.0, b if alone else exp(ns1 * lg), 0.0
+            t = complex(x ** ns)
+            return t, 0.0, b if alone else t * x, 0.0
         while True:
-            lg = log(kx)
+            t = wk * kx ** ns
             if not done_a:
-                a += wk * exp(ns * lg)
+                a += t
             if not done_b:
-                b += wk * exp(ns1 * lg)
+                b += t * kx
             k += 1
             wk *= w
             awk = abs(wk)
@@ -452,11 +606,11 @@ _HORIZON = settings(derandomize=True, database=None, max_examples=150,
 @example(0.7, complex(-2, 3), 1.5, 1e-12, DEFAULT_CONFIG.max_terms)
 @example(cmath.rect(0.9, 2.0), -7.0, 0.25, 1e-12, DEFAULT_CONFIG.max_terms)
 @example(0.9, 1 - 6, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)     # s = 1 - n
-# the exponents 120 log(k + 1) at k = 366..369 (and 119 log(k + 1) at k =
-# 348..351) lie past log(DBL_MAX/4) ~ 708.396, where cmath.exp takes
-# exp(r - 1)*e; the pair overflows at k = 352, the series at s alone at 370
+# the powers (k + 1)^120 at k = 366..369 (and (k + 1)^119 at k = 348..351)
+# lie within a factor 4 of the float range's end; the pair's bound (k +
+# 1)^121 overflows at k = 352, the series at s alone at 370
 @example(0.7209, -120, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)
-# an infinite exponent at k = 0, which cmath.exp does not flag: inf + nanj
+# a power past the float range at k = 0, 0.1^-1.7e308: OverflowError
 @example(0.5, 1.7e308, 0.1, 1e-12, DEFAULT_CONFIG.max_terms)
 def test_lerch_pair_matches_the_step_by_step_loop(w, s, x, tol, max_terms):
     cfg = SeriesEvalConfig(tol, max_terms)
@@ -476,9 +630,6 @@ def test_lerch_pair_at_a_real_w_and_s_matches_the_step_by_step_loop(
     for alone in (False, True):
         assert (_outcome(_lerch_pair, w, s, x, cfg, alone)
                 == _outcome(_parent_lerch_pair, w, s, x, cfg, alone))
-
-
-_U = 2.0 ** -53
 
 
 def _certified(w, nrs, den, tol, x, j):

@@ -3,6 +3,7 @@ the frozen-value contract and the number types' derived operators each stay
 in one class."""
 
 import ast
+import functools
 import importlib.util
 import json
 import subprocess
@@ -110,26 +111,13 @@ print(json.dumps({"ok": ok, "spans": tracer.summary()["spans"]}))
 _LERCH = """
 from qzeta import analytic
 
-cfg = analytic.SeriesEvalConfig(1e-13)
 tracer = Tracer()
 tracer.install()
-analytic.lerch_sum_with_bound(0.9, 2.5, 0.5, cfg)
+analytic.lerch_sum_with_bound(0.9, 2.5, 0.5, analytic.SeriesEvalConfig(1e-13))
 tracer.close()
 summary = tracer.summary()
-
-
-def sums(max_terms):
-    try:
-        analytic.lerch_sum_with_bound(
-            0.9, 2.5, 0.5, analytic.SeriesEvalConfig(1e-13, max_terms))
-    except analytic.TruncationFailure:
-        return False
-    return True
-
-
-terms = summary["terms"]["analytic.lerch"]
-print(json.dumps({"spans": summary["spans"], "terms": terms,
-                  "summed": sums(terms) and not sums(terms - 1)}))
+print(json.dumps({"spans": summary["spans"],
+                  "terms": summary["terms"]["analytic.lerch"]}))
 """
 
 
@@ -221,14 +209,39 @@ def test_span_tracer_sees_padic_log_and_exp(check):
     assert doc["spans"]["padic.target"]["calls"] == 2
 
 
+@functools.cache
+def _traced_lerch():
+    return _traced(_LERCH)
+
+
+def _lerch_sums(max_terms):
+    """lerch_sum_with_bound(0.9, 2.5, 0.5) at tol 1e-13 stops within
+    max_terms."""
+    from qzeta import analytic
+
+    try:
+        analytic.lerch_sum_with_bound(
+            0.9, 2.5, 0.5, analytic.SeriesEvalConfig(1e-13, max_terms))
+    except analytic.TruncationFailure:
+        return False
+    return True
+
+
 def test_span_tracer_counts_lerch_terms():
     # lerch_sum_with_bound runs the one Lerch loop with the series at s - 1
-    # stopped: one analytic.lerch call, one math.log per summed term, and
-    # max_terms = terms is the least that succeeds
-    doc = _traced(_LERCH)
-    assert doc["spans"]["analytic.lerch"]["calls"] == 1
-    assert doc["terms"] == 183
-    assert doc["summed"]
+    # stopped: one analytic.lerch call, which sums 183 terms, the least
+    # max_terms that succeeds
+    assert _traced_lerch()["spans"]["analytic.lerch"]["calls"] == 1
+    assert _lerch_sums(183) and not _lerch_sums(182)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "perfbench/spans.py counts one Lerch term per math.log call it sees "
+    "inside qzeta.analytic, a stand-in gone stale: the loop takes one power "
+    "a term and no log, so analytic.lerch.terms reads 0 (ROADMAP item 20: "
+    "counters, not names)"))
+def test_span_tracer_counts_each_lerch_term():
+    assert _traced_lerch()["terms"] == 183
 
 
 def _result_line(ops_per_s, p90_ms, failed):
