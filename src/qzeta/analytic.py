@@ -9,18 +9,14 @@ count, read from its tail bound before any term, costs less than the
 direct sums would, and where its tail and rounding bounds certify tol.
 Every other value is the direct one below, bit for bit.
 
-zeta_q^{(h)} and L_q^{(h)} are each one combination of two Lerch series,
-sum w^k (k+x)^(-s) - (h log q/(s-1)) sum w^k (k+x)^(1-s), which `_combine`
-takes, with its bound, for both.  One kernel, `_lerch_pair`, sums every
-Lerch series here: both at once in a single pass over k, or, for
-`lerch_sum_with_bound`, the one at s alone, with one summation loop per
-number of running series.  A term costs one power, t = w^k (k+x)**(-s),
-and the series at s - 1 adds t (k+x).  Each series keeps its own stopping
-test and stays frozen once it passes, so both stop at the k, with the tail
-bound, of two separate `lerch_sum_with_bound` calls; the value at s is
-bit-identical paired or alone, and the one at s - 1 agrees with the
-separate sum at s - 1 only to within rounding.  L_q runs one pair per
-residue class mod d.
+zeta_q^{(h)}(s, x) is one series, sum w^k (k+x)^(-s) (1 - fac (k+x)),
+w = q^h and fac = h log q/(s-1), and L_q^{(h)} one such series per unit
+residue class mod d; `_combine` serves both.  One kernel, `_lerch`, sums
+every series here, the Lerch series of `lerch_sum_with_bound` too (fac =
+0), in one loop: a term costs one power, w^k (k+x)**(-s), times (1 - fac
+(k+x)).  It stops on the tail bound of the whole series, that of the Lerch
+series at s plus |fac| times that at s - 1, so a direct zeta value's bound
+is at most tol.
 The interpolation checks import qbernoulli and report when they run, and a
 domain check imports exact only to raise DomainError, so the direct values
 load no exact arithmetic."""
@@ -77,34 +73,53 @@ def _ratio(aw: float, rs: float) -> float:
 _log = math.log
 
 
-def _level(tol: float, den: float) -> float:
-    """`_horizon`'s level for the bound |w^j| (j+x)^nrs / den > tol: log(tol
-    den) + 1e-9, floored at -700 so that |w^j| (j+x)^nrs stays a normal
-    float.  den = 0 (r rounded to 1) gives inf: `_lerch_pair` refuses such a
-    series before it sums, except the series at s - 1 of `alone`, which
-    never runs."""
-    return max(_log(tol) + _log(den), -700.0) + 1e-9 if den > 0 else math.inf
+def _level(tol: float, den: float, fac: float = 1.0) -> float:
+    """`_horizon`'s level for a part fac |w^j| (j+x)^e / den > tol of the
+    bound: log(tol den / fac) + 1e-9, floored at -700 so that |w^j|
+    (j+x)^e stays a normal float.  den = 0 (r rounded to 1) gives inf:
+    `_lerch` refuses such a part before it sums, except the part at s - 1
+    at fac = 0, which it never computes."""
+    if not den > 0:
+        return math.inf
+    return max(_log(tol) + _log(den) - _log(fac), -700.0) + 1e-9
 
 
-def _horizon(k: int, x: float, la: float, nrs: float, level: float,
-             cap: int) -> int:
-    """A K <= cap such that at every check index j in (k, K) the loop's
-    float bound |w^j| (j+x)^nrs / den is certainly above tol and
-    (j+x)**nrs cannot overflow, from la = log|w| and level = _level(tol,
-    den).
+def _horizon(k: int, x: float, la: float, nrs: float, lev: float,
+             lev1: float, cap: int) -> int:
+    """A K <= cap such that at no check index j in (k, K) can `_lerch`'s
+    stopping test pass or a power it takes overflow.  la = log|w|, nrs =
+    -Re s, and lev = _level(tol, den) and lev1 = _level(tol, den1, |fac|)
+    are the levels of the two parts of its bound, |w^j| (j+x)^nrs / den and
+    |fac| |w^j| (j+x)^(nrs+1) / den1 (lev1 = inf at fac = 0).
 
-    It tests g(j) = j la + nrs log(j+x) > level + 8 j 2^-52, the last term
-    for the rounding that `wk *= w` accumulates in |w^j| (1e-9 in level
-    covers the rest), with j la > -700 so that |w^j| stays a normal float
-    and nrs log(j+x) < 700 so that the power stays finite.  g is concave
-    for nrs >= 0 and decreasing for nrs < 0, and the guards hold on a
-    prefix, so the j > k where all hold form an interval from k + 1: an
-    exponential, then binary search finds its end.  A NaN anywhere fails
-    every test and skips nothing."""
+    A probe clears j when either part is certainly above tol: with L =
+    log(j+x), gA(j) = j la + nrs L - m j > lev or gB(j) = gA(j) + L >
+    lev1, while j la > -700 and e L < 700, e the largest positive exponent
+    the check raises j + x to, so that |w^j| is a normal float and every
+    power finite.  m = (8 + 2 e) 2^-52 takes the rounding of |w^j| (`wk *=
+    w`) and of the ratio test below; 1e-9 in each level the rest.  An
+    exponential, then a binary search finds where the probes stop clearing.
+
+    No skipped check can pass.  The guards hold on a prefix of j, so at
+    every j between two cleared probes a < j < b.  gA and gB are concave,
+    or decreasing where their exponent is negative, so a part that clears
+    a and b clears j.  Say neither clears j.  If gA cleared b, it would
+    rise at j, and so would gB, as gB - gA = L grows; but gB clears a and
+    not j, so it falls after j.  So gB clears b and rises from j to j + 1:
+    la + (nrs + 1) log((j+1+x)/(j+x)) > m.  There the terms of the series
+    at s - 1 still grow, and their ratio test, part of the stop at fac !=
+    0, fails: the loop's float ratio is within (3 (nrs + 1) + 3) u of a
+    ratio above e^(m - 2u|la|), so above 1 - u >= (1 + |w|)/2 (at |la| >
+    7, (1 + |w|)/2 < 0.51 is far below it).  A NaN anywhere fails every
+    probe and skips nothing."""
+    e = max(nrs + 1 if lev1 < math.inf else nrs, 0.0)
+    m = (8 + 2 * e) * 2.0 ** -52
+
     def clear(j):
         lw = j * la
-        lp = nrs * _log(j + x)
-        return lw > -700 and lp < 700 and lw + lp - 8 * 2.0 ** -52 * j > level
+        lg = _log(j + x)
+        ga = lw + nrs * lg - m * j
+        return lw > -700 and e * lg < 700 and (ga > lev or ga + lg > lev1)
 
     lo = k + 1
     if lo >= cap or not clear(lo):
@@ -125,42 +140,47 @@ def _horizon(k: int, x: float, la: float, nrs: float, level: float,
     return lo + 1
 
 
-def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
-                alone: bool = False) -> tuple[complex, float, complex, float]:
-    """sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
-    geometric tail bound, in one pass over k: (value at s, its bound, value
-    at s - 1, its bound).  Term k of the series at s is t_k = w^k
-    (k+x)**(-s), one power, and that of the series at s - 1 is t_k (k+x).
-    Each series keeps its own bound and stopping test, and once it stops it
-    stays frozen while the other goes on.  So the series at s has the same
-    bits, bound and stopping k paired as alone, and the series at s - 1
-    stops at the same k, with the same bound, as `lerch_sum_with_bound(w, s
-    - 1)`, whose terms are w^k (k+x)**(1-s): its value is that sum's only
-    to within rounding.  With `alone` the series at s - 1 starts out
-    stopped and (0j, 0.0) stands in for it.  A series whose tail ratio (1 +
-    |w|)/2 rounds to 1 raises TruncationFailure before any term.
+def _lerch(w: complex, s: complex, x: float, fac: complex,
+           cfg: SeriesEvalConfig) -> tuple[complex, float]:
+    """sum_{k>=0} w^k (k+x)^(-s) (1 - fac (k+x)) with a certified tail
+    bound: the Lerch series at s for fac = 0, and the series of a zeta or
+    L value (`_combine`) otherwise.  Term k is w^k (k+x)**(-s), one power,
+    times (1 - fac (k+x)).
 
-    From check index k, `_horizon` gives a K up to which no running series'
-    stopping test can pass and no power can overflow.  Terms k .. K - 1 are
-    summed with no test, in one loop for both series or one for the series
-    still running, and the tests run at K.  K <= max_terms, the terms are
+    Past k the terms' sizes are at most those of the Lerch series at s
+    plus |fac| times those at s - 1, so the tail is at most |w^k|
+    (k+x)^(-Re s) / (1 - r) + |fac| |w^k| (k+x)^(1 - Re s) / (1 - r1),
+    r and r1 their `_ratio`s, once the terms at s - 1 fall by r1 from k
+    on.  The sum stops at the first k where that bound is at most tol and
+    the ratio test of the series at s - 1 passes; that test implies the one
+    at s, whose terms are those at s - 1 over k + x.  At fac = 0 only the
+    series at s is tested, with its bits, stopping k and bound alone.  A
+    tail ratio that rounds to 1 raises TruncationFailure before any term.
+
+    From check index k, `_horizon` gives a K up to which the stopping test
+    cannot pass and no power can overflow.  Terms k .. K - 1 are summed
+    with no test and the test runs at K.  K <= max_terms, the terms are
     added in the same order by the same operations, and only the power of
-    term k of a stretch can overflow, so every value, bound, stopping k and
-    error message is the one of a step-by-step loop.
+    term k of a stretch can overflow, so the value, bound, stopping k and
+    error message are those of a loop that tests every k.
 
     At a real s the power is `float ** float`, within about 1 ulp; at a
     complex s it is `float ** complex`, pow(k+x, -Re s) times the unit
-    phase of -Im s log(k+x).  At a real w too, w^k and both sums are
-    floats, returned as complex.  A NaN w raises DomainError, as a
-    non-finite s or x does, and an infinite one SeriesDivergence."""
+    phase of -Im s log(k+x).  At a real w and fac too, w^k and the sum are
+    floats, returned as complex.  A NaN w, like a non-finite s, x or fac,
+    raises DomainError, and an infinite w SeriesDivergence."""
     w = complex(w)
     s = complex(s)
+    fac = complex(fac)
     if not cmath.isfinite(s):
         from .exact import DomainError
         raise DomainError(f"s = {s} is not finite")
     if not (math.isfinite(x) and x > 0):
         from .exact import DomainError
         raise DomainError(f"x = {x} must be positive and finite")
+    if not cmath.isfinite(fac):
+        from .exact import DomainError
+        raise DomainError(f"h log q/(s - 1) = {fac} is not finite")
     aw = abs(w)
     if math.isnan(aw):      # abs is NaN only at a NaN part and no inf one
         from .exact import DomainError
@@ -172,66 +192,47 @@ def _lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     nrs, nrs1 = -rs, -rs1
     r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
     den, den1 = 1 - r, 1 - r1
-    if den == 0 or den1 == 0 and not alone:
+    afac = abs(fac)
+    if den == 0 or den1 == 0 and afac:
         raise TruncationFailure(f"|w| = {aw}: the tail ratio (1 + |w|)/2 "
                                 "rounds to 1, so no tail bound holds")
+    # the ratio test: of the series at s - 1, or at fac = 0 of that at s
+    rt, nrt, rr = (rs1, nrs1, r1) if afac else (rs, nrs, r)
     tol, max_terms = cfg.tol, cfg.max_terms
-    a = b = 0j
-    ba = bb = 0.0
-    done_a, done_b = False, alone
+    acc = 0j
     k = 0
     wk = 1 + 0j
-    # the power's exponent: a float at a real s, and at a real w, float
-    # sums too
+    # the power's exponent: a float at a real s, and at a real w and fac,
+    # a float sum too
     ns = -s
     if s.imag == 0:
         ns = nrs
-        if w.imag == 0:
-            w, wk, a, b = w.real, 1.0, 0.0, 0.0
+        if w.imag == 0 and fac.imag == 0:
+            w, wk, acc, fac = w.real, 1.0, 0.0, fac.real
     # a float power past the float range raises OverflowError with no
     # context; say which sum and which term
     try:
         if w == 0:
-            t = complex(x ** ns)
-            return t, 0.0, 0j if alone else t * x, 0.0
-        la, lev, lev1 = _log(aw), _level(tol, den), _level(tol, den1)
+            return complex(x ** ns * (1 - fac * x)), 0.0
+        la, lev = _log(aw), _level(tol, den)
+        lev1 = _level(tol, den1, afac) if afac else math.inf
         while True:
-            K = max_terms
-            if not done_a:
-                K = _horizon(k, x, la, nrs, lev, K)
-            if not done_b:
-                K = _horizon(k, x, la, nrs1, lev1, K)
-            kxs = map(x.__radd__, range(k, K))
-            if done_a:
-                for kx in kxs:
-                    b += wk * kx ** ns * kx
-                    wk *= w
-            elif done_b:
-                for kx in kxs:
-                    a += wk * kx ** ns
-                    wk *= w
-            else:
-                for kx in kxs:
-                    t = wk * kx ** ns
-                    a += t
-                    b += t * kx
-                    wk *= w
+            K = _horizon(k, x, la, nrs, lev, lev1, max_terms)
+            for kx in map(x.__radd__, range(k, K)):
+                acc += wk * kx ** ns * (1 - fac * kx)
+                wk *= w
             k = K
             awk = abs(wk)
             kx = k + x
-            if not done_a:
-                ba = awk * kx ** nrs / den
-                done_a = ba <= tol and (
-                    rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r)
-            if not done_b:
-                bb = awk * kx ** nrs1 / den1
-                done_b = bb <= tol and (
-                    rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
-            if done_a and done_b:
-                return complex(a), ba, complex(b), bb
+            bound = awk * kx ** nrs / den
+            if afac:
+                bound += afac * (awk * kx ** nrs1 / den1)
+            if bound <= tol and (
+                    rt >= 0 or aw * ((k + 1 + x) / kx) ** nrt <= rr):
+                return complex(acc), bound
             if k >= max_terms:
-                raise TruncationFailure(f"tail bound {bb if done_a else ba} "
-                                        f"still above tol after {k} terms")
+                raise TruncationFailure(f"tail bound {bound} still above tol "
+                                        f"after {k} terms")
     except OverflowError as e:
         raise OverflowError(f"float overflow in the Lerch sum at s = {s}, "
                             f"term k = {k}") from e
@@ -244,7 +245,7 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
     Requires |w| < 1 and x > 0.  (k+x)^(-s) uses the real log of the
     positive base, so there is no branch ambiguity in the summands.
     """
-    return _lerch_pair(w, s, x, cfg, alone=True)[:2]
+    return _lerch(w, s, x, 0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +434,16 @@ def _residue_sum(lam: complex, s: complex, x: float,
 
 
 def _direct_terms(aw: float, rs: float, x: float, tol: float) -> float:
-    """About the number of terms `_lerch_pair` runs at |w| = aw and Re s =
-    rs < 0: the k where the series at s - 1, whose terms |w|^k (k +
+    """About the number of terms `_lerch` runs at |w| = aw and Re s = rs <
+    0: the k where the Lerch series at s - 1, whose terms |w|^k (k +
     x)^(1 - rs) fall last, reaches its stop tol (1 - aw)/2, by three
     fixed-point steps from the k where |w|^k alone does, none below 0.
     0 where that stop is 1 or more, so that so loose a tol keeps the
-    direct sums."""
+    direct sums.  It leaves out the |fac| that weighs that series in
+    `_lerch`'s stop, as it did when each series stopped on its own: so
+    every point keeps the route that `_RESIDUE_TERM_COST` and
+    `_RESIDUE_SETUP_COST` were chosen for, and each residue value its
+    bits."""
     if not 0 < aw < 1:
         return 0.0
     la, lev = _log(aw), _log(tol * (1 - aw) / 2)
@@ -468,7 +473,7 @@ def _dlam(h: int, qv: complex, lam: complex) -> float:
 def _zeta_residue(h: int, qv: complex, s: complex, x: float,
                   cfg: SeriesEvalConfig) -> tuple[complex, float] | None:
     """zeta_q^{(h)}(s, x) at Re s < 0 by `_residue_sum`, when that costs
-    fewer direct terms than `_lerch_pair` would run (at most max_terms) and
+    fewer direct terms than `_lerch` would run (at most max_terms) and
     certifies cfg.tol; else None.  x > 1 comes down to y = x - m in (0, 1]
     by the shift zeta(s, x) = w^-1 [zeta(s, x - 1) - (x - 1)^-s + (lam/(s -
     1)) (x - 1)^(1 - s)], w = q^h, which divides every error by |w|^m: the
@@ -511,13 +516,13 @@ def _zeta_residue(h: int, qv: complex, s: complex, x: float,
     return _certified(v, tail + 1.05 * err, cfg.tol)
 
 
-def _combine(h: int, qv: complex, s: complex, name: str, pair,
-             residue=None) -> tuple[complex, float]:
+def _combine(h: int, qv: complex, s: complex, name: str, direct,
+             residue) -> tuple[complex, float]:
     """The step shared by the q-zeta and q-L definitions (`name` names it in
-    the pole message): a - (h log q/(s-1)) b and its bound, from the series
-    at s and s - 1 and their bounds, (a, ba, b, bb) = pair(q^h, s).  At Re
-    s < 0 it first asks residue(q, s) for a certified (value, bound), and
-    sums the pair only when that gives None."""
+    the pole message): each is one series in w = q^h and fac = h log
+    q/(s-1), which direct(w, s, fac) sums, with its bound.  At Re s < 0 it
+    first asks residue(q, s) for a certified (value, bound), and sums the
+    direct series only when that gives None."""
     qv = complex(qv)
     if not 0 < abs(qv) < 1:
         from .exact import DomainError
@@ -529,13 +534,11 @@ def _combine(h: int, qv: complex, s: complex, name: str, pair,
     s = complex(s)
     if s == 1:
         raise PoleAt1(f"s = 1 is the simple pole of the {name} definition")
-    if residue is not None and s.real < 0 and cmath.isfinite(s):
+    if s.real < 0 and cmath.isfinite(s):
         got = residue(qv, s)
         if got is not None:
             return got
-    a, ba, b, bb = pair(qv ** h, s)
-    fac = h * cmath.log(qv) / (s - 1)
-    return a - fac * b, ba + abs(fac) * bb
+    return direct(qv ** h, s, h * cmath.log(qv) / (s - 1))
 
 
 def q_hurwitz_zeta_with_bound(h: int, qv: complex, s: complex, x: float,
@@ -545,13 +548,14 @@ def q_hurwitz_zeta_with_bound(h: int, qv: complex, s: complex, x: float,
                             - (h log q/(s-1)) sum_{n>=0} q^{nh}/(n+x)^{s-1}.
 
     Two routes.  At Re s < 0, where Lerch's transformation needs fewer
-    terms than the direct sums (`_zeta_residue`), the residue sum; its
+    terms than the direct sum (`_zeta_residue`), the residue sum; its
     bound is tail + rounding, at most tol max(1, |value|).  Everywhere
     else, and wherever that value is not finite or not certified, the
-    direct sums (`_lerch_pair`), whose bound is their tails' alone, each
-    series stopped at tol."""
+    direct sum of the one series sum q^{nh} (n+x)^-s (1 - (h log q/(s-1))
+    (n+x)) (`_lerch`), whose bound is its tail's, at most tol; its
+    rounding is not bounded."""
     return _combine(h, qv, s, "q-zeta",
-                    lambda w, s: _lerch_pair(w, s, x, cfg),
+                    lambda w, s, fac: _lerch(w, s, x, fac, cfg),
                     lambda qv, s: _zeta_residue(h, qv, s, x, cfg))
 
 
@@ -566,31 +570,31 @@ def q_zeta(h: int, qv: complex, s: complex,
     return q_hurwitz_zeta(h, qv, s, 1.0, cfg)
 
 
-def _char_sum(chi: DirichletCharacter, w: complex, s: complex,
-              cfg: SeriesEvalConfig) -> tuple[complex, float, complex, float]:
-    """sum_{n>=1} chi(n) w^n n^(-t) at t = s and t = s - 1, each with its
-    bound, over residue classes as Lerch pairs with ratio w^d."""
+def _char_sum(chi: DirichletCharacter, w: complex, s: complex, fac: complex,
+              cfg: SeriesEvalConfig) -> tuple[complex, float]:
+    """sum_{n>=1} chi(n) w^n n^(-s) (1 - fac n) with its bound, over the
+    residue classes n = r + d k: chi(r) w^r d^(-s) times `_lerch` at ratio
+    w^d, x = r/d and fac d, since n^(-s) = d^(-s) (k + r/d)^(-s) and fac n =
+    (fac d) (k + r/d).  The bound is the sum of |chi(r) w^r d^(-s)| times
+    each class's tail bound."""
     d = chi.modulus
     wd = w ** d
-    a = b = 0j
-    ba = bb = 0.0
+    fd = fac * d
+    value = 0j
+    bound = 0.0
     ds = None
     for r in range(1, d + 1):
         cr = chi.value_complex(r)
         if cr == 0:
             continue
-        sa, sba, sb, sbb = _lerch_pair(wd, s, r / d, cfg)
-        if ds is None:  # d^-s and d^(1-s), once, after the first pair: its
-            # overflow, if any, is raised first, as when taken per r
+        sv, sb = _lerch(wd, s, r / d, fd, cfg)
+        if ds is None:  # d^-s, once, after the first class: its overflow,
+            # if any, is raised first, as when taken per r
             ds = cmath.exp(-s * math.log(d))
-            ds1 = cmath.exp(-(s - 1) * math.log(d))
-        cw = cr * w ** r
-        scale, scale1 = cw * ds, cw * ds1
-        a += scale * sa
-        ba += abs(scale) * sba
-        b += scale1 * sb
-        bb += abs(scale1) * sbb
-    return a, ba, b, bb
+        scale = cr * w ** r * ds
+        value += scale * sv
+        bound += abs(scale) * sb
+    return value, bound
 
 
 def _lfunction_residue(h: int, chi: DirichletCharacter, qv: complex,
@@ -602,7 +606,7 @@ def _lfunction_residue(h: int, chi: DirichletCharacter, qv: complex,
     zeta at base q^d takes lam_d = d h log q, not h log(q^d), which may
     differ by 2 pi i.  Then q^{hr} e^(-lam_d r/d) = 1, and the d residue
     classes collapse into one sum over the Gauss sums G(k) = sum_r chi(r)
-    e^(2 pi i k r/d).  The direct route runs one Lerch pair at |w^d| per
+    e^(2 pi i k r/d).  The direct route runs one `_lerch` at |w^d| per
     unit r mod d; the Gauss sums cost about d^2 of its terms."""
     d = chi.modulus
     units = sum(math.gcd(r, d) == 1 for r in range(1, d + 1))
@@ -629,9 +633,12 @@ def q_lfunction_with_bound(h: int, qv: complex, s: complex,
     exactly as defined (note the q^{nh}, not q^{(n-1)h}).  Routed as
     `q_hurwitz_zeta_with_bound` is: the residue sum (`_lfunction_residue`,
     bound tail + rounding <= tol max(1, |value|)) at Re s < 0 where it is
-    cheaper and certifies, else the direct sums over the residue classes
-    (bound: their tails', each series stopped at tol)."""
-    return _combine(h, qv, s, "q-L", lambda w, s: _char_sum(chi, w, s, cfg),
+    cheaper and certifies, else the direct sums over the unit residue
+    classes (`_char_sum`), whose bound is sum_r |chi(r) q^{hr} d^-s| times
+    each class's tail bound, itself at most tol; their rounding is not
+    bounded."""
+    return _combine(h, qv, s, "q-L",
+                    lambda w, s, fac: _char_sum(chi, w, s, fac, cfg),
                     lambda qv, s: _lfunction_residue(h, chi, qv, s, cfg))
 
 

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qzeta import analytic
 from qzeta.analytic import (DEFAULT_CONFIG, PoleAt1, SeriesDivergence,
                             SeriesEvalConfig, TruncationFailure, _char_sum,
-                            _combine, _horizon, _lerch_pair, _level, _ratio,
+                            _combine, _horizon, _lerch, _level, _ratio,
                             l_interpolation_verify, lerch_sum_with_bound,
                             q_hurwitz_zeta, q_hurwitz_zeta_with_bound,
                             q_lfunction,
@@ -45,13 +45,13 @@ def test_lerch_rejects_non_finite_s_or_x(w, s, x):
     with pytest.raises(DomainError):
         lerch_sum_with_bound(w, s, x)
     with pytest.raises(DomainError):
-        _lerch_pair(w, s, x, CFG)
+        _lerch(w, s, x, 0.5j, CFG)
 
 
 @pytest.mark.parametrize("w", [math.inf, complex(math.inf, math.nan)])
 def test_lerch_infinite_w_diverges(w):
     with pytest.raises(SeriesDivergence):
-        _lerch_pair(w, 2, 1.0, CFG)
+        _lerch(w, 2, 1.0, 0.5j, CFG)
 
 
 @pytest.mark.parametrize("w,s,x", [
@@ -116,6 +116,13 @@ def test_zeta_pole_and_domain():
         q_zeta(1, 1.5, 2.0, CFG)
     with pytest.raises(DomainError):
         q_zeta(1, 0.0, 2.0, CFG)
+
+
+def test_zeta_next_to_the_pole_is_refused():
+    # at s - 1 = 1e-310j, h log q/(s - 1) is infinite: a DomainError before
+    # any term, not a series whose bound never falls to tol
+    with pytest.raises(DomainError, match="is not finite"):
+        q_zeta(1, 0.5, 1 + 1e-310j, CFG)
 
 
 def test_zeta_brute_force_oracle():
@@ -183,99 +190,92 @@ def test_l_interpolation_mod1_n1_residual_is_one():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass pair of series at s and s - 1
+# the one series of a zeta or L value, sum w^k (k+x)^(-s) (1 - fac (k+x))
 # ---------------------------------------------------------------------------
-
-PAIR_W = [0.3, -0.45 + 0.6j, cmath.rect(0.99, 1.0)]
-# Re s > 0 and Re s < 0, and s = 0.5 + 3j, where the series at s and at
-# s - 1 take different tail ratios
-PAIR_S = [2.5, 0.5 + 3j, -0.7 + 1j, -4.5, -8 + 2j]
-
 
 _U = 2.0 ** -53                 # unit roundoff
 
 
-def _stop(w, t, x, tol):
-    """(K, sum_{k<K} |w|^k (k+x)^(-Re t)): the k at which the Lerch loop's
-    series at t stops, by its own float stopping test, and the size of the
-    K terms it sums."""
-    aw, rt = abs(w), t.real
-    r = _ratio(aw, rt)
-    den = 1 - r
+def _stop(w, s, x, fac, tol):
+    """(K, sum_{k<K} |w|^k (k+x)^(-Re s) (1 + |fac| (k+x))): the k at which
+    `_lerch`'s series stops, by its own float stopping test, and the size
+    of the K terms it sums."""
+    aw, rs, afac = abs(w), s.real, abs(fac)
+    r, r1 = _ratio(aw, rs), _ratio(aw, rs - 1)
+    rt, rr = (rs - 1, r1) if afac else (rs, r)
     k, wk, tot = 0, 1 + 0j, 0.0
     while True:
-        tot += abs(wk) * (k + x) ** -rt
+        tot += abs(wk) * (k + x) ** -rs * (1 + afac * (k + x))
         k += 1
         wk *= w
         kx = k + x
-        if (abs(wk) * kx ** -rt / den <= tol
-                and (rt >= 0 or aw * ((k + 1 + x) / kx) ** -rt <= r)):
+        bound = abs(wk) * kx ** -rs / (1 - r)
+        if afac:
+            bound += afac * (abs(wk) * kx ** (1 - rs) / (1 - r1))
+        if bound <= tol and (rt >= 0 or aw * ((k + 1 + x) / kx) ** -rt <= rr):
             return k, tot
 
 
-# The rounding of one Lerch series sum_{k<K} w^k (k+x)^(-t), as `_lerch_pair`
+# The rounding of sum_{k<K} w^k (k+x)^(-s) (1 - fac (k+x)), as `_lerch`
 # sums it, per term and to first order in u:
 #   - w^k, k complex products: sqrt(5) k u (Brent, Percival and
 #     Zimmermann, Math. Comp. 76 (2007)); at a real w, k u;
-#   - k + x rounds once, which moves (k+x)^(-t) by |t| u;
-#   - the power: pow(k+x, -Re t) within 1 ulp, 2 u; at a complex t its
-#     phase -Im t log(k+x) takes the ulp of log and a product's rounding,
-#     3 u |Im t| L, with L = max(log(K+x), |log x|) the largest |log(k+x)|,
+#   - k + x rounds once, which moves (k+x)^(-s) by |s| u and fac (k+x) by
+#     u |fac| (k+x);
+#   - the power: pow(k+x, -Re s) within 1 ulp, 2 u; at a complex s its
+#     phase -Im s log(k+x) takes the ulp of log and a product's rounding,
+#     3 u |Im s| L, with L = max(log(K+x), |log x|) the largest |log(k+x)|,
 #     and cos, sin and the two products by the modulus add 3 u;
-#   - w^k times the power, sqrt(5) u, and for the pair's series at s - 1
-#     (t = s - 1) the factor k + x, u;
+#   - w^k times the power, sqrt(5) u;
+#   - fac (k+x), sqrt(5) u |fac| (k+x), and 1 minus it, u |1 - fac (k+x)|;
+#   - the product of the two factors, sqrt(5) u;
 #   - the K - 1 sums, each part rounded once: sqrt(2) (K - 1) u sum |term|.
-# So the value is within (c1 K + c2 |Im t| L + c3) u sum_{k<K} |term| of the
+# With |1 - fac (k+x)| <= 1 + |fac| (k+x), the value is within (c1 K + c2
+# |Im s| L + c3) u sum_{k<K} |w|^k (k+x)^(-Re s) (1 + |fac| (k+x)) of the
 # exact sum of its first K terms, with c1 = 4 > sqrt(5) + sqrt(2), c2 = 3
-# and c3 = |t| + 10 > |t| + 2 + 3 + sqrt(5) + 1.  The factor 1.01 takes the
-# higher orders, while K u and |t| L u stay below 1e-3.
-def _rounding_bound(t, x, K, tot):
+# and c3 = |s| + 14 > |s| + 2 + 3 + 3 sqrt(5) + 2 + 1.  The factor 1.01
+# takes the higher orders, while K u and |s| L u stay below 1e-3.
+def _rounding_bound(s, x, K, tot):
     L = max(math.log(K + x), -math.log(x))
-    return 1.01 * (4 * K + 3 * abs(t.imag) * L + abs(t) + 10) * _U * tot
+    return 1.01 * (4 * K + 3 * abs(s.imag) * L + abs(s) + 14) * _U * tot
 
 
-def _mp_lerch_pair(w, s, x, dps):
-    """sum_k w^k (k+x)^(-s) and sum_k w^k (k+x)^(1-s) as direct mp.fsums at
-    `dps` digits, each as (value, tail, size): both run to an N, a multiple
-    of 16, where from then on the terms of each fall by a ratio r < 1 and
-    the tail term_N/(1 - r) is at most 1e-20 of the size sum_{k<N} |term|.
-    The fsum of N terms at dps digits is within N 10^(1 - dps) of the
-    size."""
-    real = w.imag == 0 and s.imag == 0
+def _mp_lerch(w, s, x, fac, dps):
+    """sum_k w^k (k+x)^(-s) (1 - fac (k+x)) as a direct mp.fsum at `dps`
+    digits, as (value, tail, size): it runs to an N, a multiple of 16, from
+    which on the bounds |w|^k (k+x)^(-Re s) (1 + |fac| (k+x)) of the terms
+    fall by a ratio r < 1, and where the tail bound_N/(1 - r) is at most
+    1e-20 of the size sum_{k<N} |term|.  The fsum of N terms at dps digits
+    is within N 10^(1 - dps) of the size."""
+    real = w.imag == 0 and s.imag == 0 and fac.imag == 0
     num = mp.mpf if real else mp.mpc
     with mp.workdps(dps):
-        mw, ms, mx = (num(w.real if real else w), num(s.real if real else s),
-                      mp.mpf(x))
-        aw, es = abs(w), (-s.real, 1 - s.real)    # |term k| = |w|^k (k+x)^e
-        terms, sizes = ([], []), [mp.mpf(0), mp.mpf(0)]
+        mw, ms, mf = (num(v.real if real else v) for v in (w, s, fac))
+        mx = mp.mpf(x)
+        aw, afac, e = abs(w), abs(fac), max(-s.real, 0) + 1
+        terms, size = [], mp.mpf(0)
         wk, k = num(1), 0
         while True:
             kx = k + mx
-            term = wk * mp.exp(-ms * mp.log(kx))
-            size = abs(term)
-            terms[0].append(term)
-            terms[1].append(term * kx)
-            sizes[0] += size
-            sizes[1] += size * kx
+            term = wk * mp.exp(-ms * mp.log(kx)) * (1 - mf * kx)
+            terms.append(term)
+            size += abs(term)
             k += 1
             wk *= mw
             if aw == 0:
-                ltails = [-math.inf] * 2
+                lt = -math.inf
                 break
             if k % 16:
                 continue
-            # in logs, so that no size underflows
-            ltails = []
-            for e, size in zip(es, sizes):
-                r = aw * ((k + 1 + x) / (k + x)) ** max(e, 0)
-                lt = (k * math.log(aw) + e * math.log(k + x)
-                      - math.log(1 - r)) if r < 1 else math.inf
-                ok = size and lt <= float(mp.log(size * 1e-20))
-                ltails.append(lt if ok else None)
-            if None not in ltails:
+            # in logs, so that no size underflows; the bound's ratio is at
+            # most |w| ((k+1+x)/(k+x))^(max(-Re s, 0) + 1)
+            r = aw * ((k + 1 + x) / (k + x)) ** e
+            lt = (k * math.log(aw) - s.real * math.log(k + x)
+                  + math.log(1 + afac * (k + x)) - math.log(1 - r)
+                  if r < 1 else math.inf)
+            if size and lt <= float(mp.log(size * 1e-20)):
                 break
-        return [(complex(mp.fsum(t)), math.exp(lt), float(size))
-                for t, lt, size in zip(terms, ltails, sizes)]
+        return complex(mp.fsum(terms)), math.exp(lt), float(size)
 
 
 # |w| from U(0, 0.99) and 1 - 10^U(-2, 0), real (w < 0 too) or complex
@@ -286,118 +286,56 @@ _W_ORACLE = st.one_of(_ABS_W_ORACLE, _ABS_W_ORACLE.map(lambda a: -a),
                                 st.floats(-math.pi, math.pi)))
 _S_ORACLE = st.builds(complex, st.one_of(st.floats(-12, 6), st.integers(-12, 6)),
                       st.one_of(st.just(0.0), st.floats(-6, 6)))
+# fac = 0, real or complex, |fac| from 10^U(-6, 1)
+_ABS_FAC = st.floats(-6, 1).map(lambda e: 10 ** e)
+_FAC = st.one_of(st.just(0.0), _ABS_FAC, _ABS_FAC.map(lambda a: -a),
+                 st.builds(cmath.rect, _ABS_FAC, st.floats(-math.pi, math.pi)))
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(_W_ORACLE, _S_ORACLE, st.floats(0, 3, exclude_min=True),
+@given(_W_ORACLE, _S_ORACLE, st.floats(0, 3, exclude_min=True), _FAC,
        st.sampled_from([1e-12, 1e-14]))
-@example(0.99, complex(-12), 0.5, 1e-14)        # the most terms: about 10^4
-@example(cmath.rect(0.95, 1.0), complex(-12, 6), 3.0, 1e-12)
-@example(-0.9, complex(6), 1e-300, 1e-12)       # x^-6 overflows
-def test_lerch_pair_within_its_bounds_of_a_direct_fsum(w, s, x, tol):
-    # both values within tail bound + `_rounding_bound` of direct mp.fsums
-    # at 40 and 60 dps, which agree; these, not the bits of a former loop,
-    # guard the kernel's values
+@example(0.99, complex(-12), 0.5, 0.0, 1e-14)   # the most terms: about 10^4
+@example(0.99, complex(-12), 0.5, 0.3 - 0.1j, 1e-14)
+@example(cmath.rect(0.95, 1.0), complex(-12, 6), 3.0, 2.0, 1e-12)
+@example(-0.9, complex(6), 1e-300, 0.0, 1e-12)  # x^-6 overflows
+def test_lerch_pair_within_its_bounds_of_a_direct_fsum(w, s, x, fac, tol):
+    # the value within its tail bound + `_rounding_bound` of direct
+    # mp.fsums of the same series at 40 and 60 dps, which agree; these, not
+    # the bits of a former loop, guard the kernel's values
     cfg = SeriesEvalConfig(tol)
+    fac = complex(fac)
     try:
-        a, ba, b, bb = _lerch_pair(w, s, x, cfg)
+        got, bound = _lerch(w, s, x, fac, cfg)
     except OverflowError:
-        # only the first power of the series at s can leave the float range
+        # only the first power can leave the float range
         assert -s.real * math.log(x) > math.log(sys.float_info.max)
         return
-    for t, got, bound, lo, hi in zip((s, s - 1), (a, b), (ba, bb),
-                                     _mp_lerch_pair(w, s, x, 40),
-                                     _mp_lerch_pair(w, s, x, 60)):
-        ref, tail, size = hi
-        assert abs(lo[0] - ref) <= 1e-30 * size
-        K, summed = _stop(w, t, x, tol)
-        slack = bound + _rounding_bound(t, x, K, summed) + tail + 1e-30 * size
-        assert abs(got - ref) <= slack, (t, got, ref, slack)
+    lo, (ref, tail, size) = (_mp_lerch(w, s, x, fac, dps) for dps in (40, 60))
+    assert abs(lo[0] - ref) <= 1e-30 * size
+    K, summed = _stop(w, s, x, fac, tol)
+    slack = bound + _rounding_bound(s, x, K, summed) + tail + 1e-30 * size
+    assert abs(got - ref) <= slack, (got, ref, slack)
 
 
-@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.7])
-def test_lerch_pair_is_bit_identical_to_two_sums(x):
-    # the series at s, both bounds and so both stopping k are those of two
-    # separate sums, bit for bit.  The pair's series at s - 1 sums w^k
-    # (k+x)^(-s) (k+x), the separate one w^k (k+x)^(1-s): each is within
-    # `_rounding_bound` of the exact sum of their K terms, so of each other
-    # within twice that
-    for w in PAIR_W:
-        for s in PAIR_S:
-            s = complex(s)
-            a, ba, b, bb = _lerch_pair(w, s, x, CFG)
-            assert (a, ba) == lerch_sum_with_bound(w, s, x, CFG), (w, s)
-            b1, bb1 = lerch_sum_with_bound(w, s - 1, x, CFG)
-            assert bb == bb1, (w, s)
-            K, size = _stop(w, s - 1, x, CFG.tol)
-            assert abs(b - b1) <= 2 * _rounding_bound(s - 1, x, K, size), (w, s)
+def _zeta_fac(w, s):
+    """fac = log w/(s - 1), that of zeta_w^{(1)}(s, x)."""
+    return cmath.log(w) / (complex(s) - 1)
 
 
-def _lfunction_from_two_passes(h, qv, s, chi, cfg):
-    """_char_sum(chi, q^h, s) as two passes of per-residue Lerch sums, (a,
-    ba, b, bb), and how far `_char_sum`'s b may lie from this b: per class,
-    |scale| times twice `_rounding_bound` of its sum at s - 1, plus the
-    rounding of the scaled sums, which differ there, in both passes:
-    sqrt(5) u a product and sqrt(2) (d - 1) u of the class sum each, at
-    most (3 d + 2) u |scale sum|."""
-    s = complex(s)
-    w = complex(qv) ** h
-    d = chi.modulus
-    sums = []
-    slack = 0.0
-    for t in (s, s - 1):
-        acc, bound = 0j, 0.0
-        for r in range(1, d + 1):
-            cr = chi.value_complex(r)
-            if cr == 0:
-                continue
-            sub, sb = lerch_sum_with_bound(w ** d, t, r / d, cfg)
-            scale = cr * w ** r * cmath.exp(-t * math.log(d))
-            acc += scale * sub
-            bound += abs(scale) * sb
-            if t != s:
-                K, size = _stop(w ** d, t, r / d, cfg.tol)
-                slack += abs(scale) * (2 * _rounding_bound(t, r / d, K, size)
-                                       + (3 * d + 2) * _U * abs(sub))
-        sums.append((acc, bound))
-    (a, ba), (b, bb) = sums
-    return (a, ba, b, bb), slack
-
-
-@pytest.mark.parametrize("d", [1, 3, 4, 5])
-def test_lfunction_is_bit_identical_to_two_passes(d):
-    # the direct route, called explicitly: at s = -4.5 and -8 + 2j
-    # q_lfunction_with_bound may take the residue route instead.  The sum at
-    # s and both bounds are the two passes' bits; the sum at s - 1 lies
-    # within rounding of theirs (see `_lfunction_from_two_passes`), and
-    # `_combine` takes a - (h log q/(s - 1)) b of the pair's own sums
-    for chi in enumerate_characters(d):
-        for h, qv in ((1, 0.5), (2, -0.6 + 0.7j), (1, cmath.rect(0.99, 2.0))):
-            for s in (2.5, 0.5 + 3j, -4.5, -8 + 2j):
-                where = (d, chi.exponents, h, qv, s)
-                w = complex(qv) ** h
-                (wa, wba, wb, wbb), slack = _lfunction_from_two_passes(
-                    h, qv, s, chi, CFG)
-                a, ba, b, bb = _char_sum(chi, w, complex(s), CFG)
-                assert (a, ba, bb) == (wa, wba, wbb), where
-                assert abs(b - wb) <= slack, where
-                got = _combine(h, qv, s, "q-L",
-                               lambda w, t: _char_sum(chi, w, t, CFG))
-                fac = h * cmath.log(qv) / (complex(s) - 1)
-                assert got == (a - fac * b, ba + abs(fac) * bb), where
-
-
-def _terms_needed(w, s, x):
-    """The least max_terms at which lerch_sum_with_bound(w, s, x) succeeds."""
-    lo, hi = 1, 2 ** 16
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            lerch_sum_with_bound(w, s, x, SeriesEvalConfig(1e-13, mid))
-            hi = mid
-        except TruncationFailure:
-            lo = mid + 1
-    return lo
+def test_tail_ratio_rounding_to_1_raises_before_summing():
+    # |w| = 1 - 2^-53, the largest float below 1: for Re s < 0 the tail
+    # ratio (1 + |w|)/2 rounds to 1 and no tail bound exists.  At s = 0.5
+    # only the part at s - 1 lacks one, and at fac = 0 there is none: the
+    # sum at s goes on and truncates
+    w = 1 - 2.0 ** -53
+    msg = ("|w| = 0.9999999999999999: the tail ratio (1 + |w|)/2 rounds to "
+           "1, so no tail bound holds")
+    assert _failure(lerch_sum_with_bound, w, -1, 1.0) == msg
+    assert _failure(_lerch, w, 0.5, 1.0, 0.25, CFG) == msg
+    cfg = SeriesEvalConfig(1e-12, 50)
+    assert (_failure(lerch_sum_with_bound, w, 0.5, 1.0, cfg)
+            == "tail bound 1261260172928567.2 still above tol after 50 terms")
 
 
 def _failure(fn, *args):
@@ -406,75 +344,41 @@ def _failure(fn, *args):
     return str(info.value)
 
 
-@pytest.mark.parametrize("w,s,x", [(0.9, 2.5, 0.5), (-0.8 + 0.3j, -3 + 1j, 2.7)])
-def test_lerch_pair_truncation_in_both_phases(w, s, x):
-    k_a, k_b = _terms_needed(w, s, x), _terms_needed(w, s - 1, x)
-    assert k_a < k_b
-    # both series still running: the one at s fails first, as alone
-    cfg = SeriesEvalConfig(1e-13, k_a - 1)
-    assert (_failure(_lerch_pair, w, s, x, cfg)
-            == _failure(lerch_sum_with_bound, w, s, x, cfg))
-    # the series at s has stopped, the one at s - 1 runs out alone
-    cfg = SeriesEvalConfig(1e-13, k_a)
-    lerch_sum_with_bound(w, s, x, cfg)
-    assert (_failure(_lerch_pair, w, s, x, cfg)
-            == _failure(lerch_sum_with_bound, w, s - 1, x, cfg))
-
-
-def test_tail_ratio_rounding_to_1_raises_before_summing():
-    # |w| = 1 - 2^-53, the largest float below 1: for Re s < 0 the tail
-    # ratio (1 + |w|)/2 rounds to 1 and no tail bound exists.  At s = 0.5
-    # only the series at s - 1 lacks one, and `alone` never runs it: the
-    # sum at s goes on and truncates
-    w = 1 - 2.0 ** -53
-    msg = ("|w| = 0.9999999999999999: the tail ratio (1 + |w|)/2 rounds to "
-           "1, so no tail bound holds")
-    assert _failure(lerch_sum_with_bound, w, -1, 1.0) == msg
-    assert _failure(_lerch_pair, w, 0.5, 1.0, CFG) == msg
-    cfg = SeriesEvalConfig(1e-12, 50)
-    assert (_failure(lerch_sum_with_bound, w, 0.5, 1.0, cfg)
-            == "tail bound 1261260172928567.2 still above tol after 50 terms")
-
-
-# repr of (lerch_sum_with_bound, _lerch_pair) at tol 1e-13, as the loop
-# with one power a term gives them; the bounds, stopping k and messages are
-# those of the two-loop implementation it replaced, and each value lies
-# within its tail bound plus `_rounding_bound` of the mp.fsum oracle of
-# `test_lerch_pair_within_its_bounds_of_a_direct_fsum`.  In each pair the
-# series at s stops first and the one at s - 1 runs on alone; with
-# max_terms = 183 that one runs out, and with 150 both are still running.
+# repr of lerch_sum_with_bound (`single`, byte for byte as the loop that
+# took each Lerch series alone gave it) and of `_lerch` at fac (`pair`,
+# the series at s and s - 1 as one) at tol 1e-13; fac is `_zeta_fac`, that
+# of zeta_w^{(1)}(s, x), and 0.5 at w = 0.  Each `pair` value was checked
+# once to lie within its tail bound plus `_rounding_bound` of the mp.fsum
+# oracle of `test_lerch_pair_within_its_bounds_of_a_direct_fsum`.  With
+# max_terms = 183 the series at s alone stops and the one at fac runs out;
+# with 150 both are still running.
 PARENT_BITS = [
     (0.3, 2.5, 1.0, None,
      "((1.0598298982610106+0j), 9.281770170859383e-14)",
-     "((1.0598298982610106+0j), 9.281770170859383e-14, "
-     "(1.1277036518159813+0j), 4.064225625379359e-14)"),
+     "((1.9649795836780881+0j), 3.438850211040561e-14)"),
     (-0.45 + 0.6j, 0.5 + 3j, 0.5, None,
      "((-0.5892978087911414+2.0390072168088875j), 9.550246313654466e-14)",
-     "((-0.5892978087911414+2.0390072168088875j), 9.550246313654466e-14, "
-     "(-0.550785258611081+1.97019482965523j), 8.931720360162203e-14)"),
+     "((-0.2371785444481254+0.5789385680045298j), 8.756531415684859e-14)"),
     (cmath.rect(0.99, 1.0), -4.5, 2.7, None,
      "((43.68906937608213-11.452703693853097j), 9.985372097179665e-14)",
-     "((43.68906937608213-11.452703693853097j), 9.985372097179665e-14, "
-     "(107.58080294943476+287.15951411570177j), 9.919455604860237e-14)"),
+     "((-8.719540519646785+7.584977772302018j), 9.973985394983315e-14)"),
     (-0.8 + 0.3j, -3 + 1j, 2.7, None,
      "((5.352517082227314-1.989220571176636j), 9.744756145908652e-14)",
-     "((5.352517082227314-1.989220571176636j), 9.744756145908652e-14, "
-     "(10.280057015484399-2.3181066547722744j), 9.220660262162952e-14)"),
+     "((4.785498767241213+5.112108647185735j), 9.704650597513874e-14)"),
     (0.9, 2.5, 0.5, None,
      "((6.1361943338798115+0j), 9.274469042765988e-14)",
-     "((6.1361943338798115+0j), 9.274469042765988e-14, "
-     "(3.8895524122374305+0j), 9.557859162584822e-14)"),
+     "((6.4093978324341245+0j), 9.486767104250574e-14)"),
     (0, -2.5, 0.1, None,
      "((0.00316227766016838+0j), 0.0)",
-     "((0.00316227766016838+0j), 0.0, (0.000316227766016838+0j), 0.0)"),
+     "((0.0030041637771599607+0j), 0.0)"),
     (0.9, 2.5, 0.5, 183,
      "((6.1361943338798115+0j), 9.274469042765988e-14)",
-     "TruncationFailure: tail bound 1.701865069347559e-11 still above tol "
+     "TruncationFailure: tail bound 1.2881405656710004e-12 still above tol "
      "after 183 terms"),
     (0.9, 2.5, 0.5, 150,
      "TruncationFailure: tail bound 4.926462327178514e-12 still above tol "
      "after 150 terms",
-     "TruncationFailure: tail bound 4.926462327178514e-12 still above tol "
+     "TruncationFailure: tail bound 5.700494164693695e-11 still above tol "
      "after 150 terms"),
 ]
 
@@ -491,46 +395,45 @@ def _repr_or_failure(fn, *args):
     "both-run-out"])
 def test_lerch_keeps_parent_bits(w, s, x, max_terms, single, pair):
     cfg = CFG if max_terms is None else SeriesEvalConfig(1e-13, max_terms)
+    fac = _zeta_fac(w, s) if w else 0.5
     assert _repr_or_failure(lerch_sum_with_bound, w, s, x, cfg) == single
-    assert _repr_or_failure(_lerch_pair, w, s, x, cfg) == pair
+    assert _repr_or_failure(_lerch, w, s, x, fac, cfg) == pair
 
 
 # ---------------------------------------------------------------------------
 # the horizon: stretches of the Lerch loop summed with no stopping test
 # ---------------------------------------------------------------------------
 
-def _parent_lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
-                alone: bool = False) -> tuple[complex, float, complex, float]:
-    """The step-by-step loop that `_lerch_pair` replaced, with its term
-    w^k (k+x)**(-s) and that term times (k+x) at s - 1, as the oracle of
-    its bits: every product, power and sum in complex arithmetic, but for
-    the exponent of the power, a float at a real s.
-
-    sum_{k>=0} w^k (k+x)^(-t) at t = s and t = s - 1, each with its
-    geometric tail bound, in one pass over k: (value at s, its bound, value
-    at s - 1, its bound).  Each series keeps its own bound and stopping
-    test, and once it stops it stays frozen while the other goes on.  With
-    `alone` the series at s - 1 starts out stopped and (0j, 0.0) stands in
-    for it."""
+def _step_lerch(w: complex, s: complex, x: float, fac: complex,
+                cfg: SeriesEvalConfig) -> tuple[complex, float]:
+    """The loop that `_lerch` runs in stretches, with its stopping test at
+    every k, as the oracle of its bits: sum_{k>=0} w^k (k+x)^(-s) (1 - fac
+    (k+x)), term k as w^k (k+x)**(-s) times (1 - fac (k+x)), stopped at the
+    first k where |w^k| (k+x)^(-Re s)/(1 - r) + |fac| |w^k| (k+x)^(1 - Re
+    s)/(1 - r1) <= tol and the ratio test of the series at s - 1 passes (at
+    fac = 0, of that at s).  Every product, power and sum is in complex
+    arithmetic, but for the exponent of the power, a float at a real s."""
     w = complex(w)
     s = complex(s)
-    s1 = s - 1
+    fac = complex(fac)
     if not cmath.isfinite(s):
         raise DomainError(f"s = {s} is not finite")
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"x = {x} must be positive and finite")
+    if not cmath.isfinite(fac):
+        raise DomainError(f"h log q/(s - 1) = {fac} is not finite")
     aw = abs(w)
     if aw >= 1:
         raise SeriesDivergence(f"|w| = {aw} >= 1: series diverges")
-    rs, rs1 = s.real, s1.real
+    rs, rs1 = s.real, s.real - 1
     nrs, nrs1 = -rs, -rs1
     ns = nrs if s.imag == 0 else -s
     r, r1 = _ratio(aw, rs), _ratio(aw, rs1)
     den, den1 = 1 - r, 1 - r1
+    afac = abs(fac)
+    rt, nrt, rr = (rs1, nrs1, r1) if afac else (rs, nrs, r)
     tol, max_terms = cfg.tol, cfg.max_terms
-    a = b = 0j
-    ba = bb = 0.0
-    done_a, done_b = False, alone
+    acc = 0j
     k = 0
     kx = k + x
     wk = 1 + 0j
@@ -538,31 +441,22 @@ def _parent_lerch_pair(w: complex, s: complex, x: float, cfg: SeriesEvalConfig,
     # context; say which sum and which term
     try:
         if w == 0:
-            t = complex(x ** ns)
-            return t, 0.0, b if alone else t * x, 0.0
+            return complex(x ** ns * (1 - fac * x)), 0.0
         while True:
-            t = wk * kx ** ns
-            if not done_a:
-                a += t
-            if not done_b:
-                b += t * kx
+            acc += wk * kx ** ns * (1 - fac * kx)
             k += 1
             wk *= w
             awk = abs(wk)
             kx = k + x
-            if not done_a:
-                ba = awk * kx ** nrs / den
-                done_a = ba <= tol and (
-                    rs >= 0 or aw * ((k + 1 + x) / kx) ** nrs <= r)
-            if not done_b:
-                bb = awk * kx ** nrs1 / den1
-                done_b = bb <= tol and (
-                    rs1 >= 0 or aw * ((k + 1 + x) / kx) ** nrs1 <= r1)
-            if done_a and done_b:
-                return a, ba, b, bb
+            bound = awk * kx ** nrs / den
+            if afac:
+                bound += afac * (awk * kx ** nrs1 / den1)
+            if bound <= tol and (
+                    rt >= 0 or aw * ((k + 1 + x) / kx) ** nrt <= rr):
+                return acc, bound
             if k >= max_terms:
-                raise TruncationFailure(f"tail bound {bb if done_a else ba} "
-                                        f"still above tol after {k} terms")
+                raise TruncationFailure(f"tail bound {bound} still above tol "
+                                        f"after {k} terms")
     except OverflowError as e:
         raise OverflowError(f"float overflow in the Lerch sum at s = {s}, "
                             f"term k = {k}") from e
@@ -576,6 +470,13 @@ def _outcome(fn, *args):
         return f"{type(e).__name__}: {e}"
 
 
+def _same_outcomes(w, s, x, fac, cfg):
+    """`_lerch` and `_step_lerch` agree at fac = 0 and at fac."""
+    for f in (0, fac):
+        assert (_outcome(_lerch, w, s, x, f, cfg)
+                == _outcome(_step_lerch, w, s, x, f, cfg)), f
+
+
 # |w| from U(0, 1), 1 - 10^U(-3, 0) and 10^U(-15, 0), real or complex
 _ABS_W = st.one_of(st.floats(0, 1, exclude_max=True),
                    st.floats(-3, 0).map(lambda e: 1 - 10 ** e),
@@ -587,95 +488,125 @@ _S = st.builds(complex,
                st.one_of(st.just(0.0), st.floats(-20, 20)))
 _X = st.floats(1e-9, 5)
 _TOL = st.sampled_from([1e-12, 1e-13, 1e-14])
+# |fac| from 10^U(-15, 2): from far below the part at s, where the terms at
+# s - 1 may grow past tol after the part at s falls below it, to far above
+_SMALL_FAC = st.floats(-15, 2).map(lambda e: 10 ** e)
 _HORIZON = settings(derandomize=True, database=None, max_examples=150,
                     deadline=None)
 
 
 @_HORIZON
-@given(_W, _S, _X, _TOL, st.one_of(st.just(DEFAULT_CONFIG.max_terms),
-                                  st.integers(1, 400)))
-@example(1e-13, -60, 1e-6, 1e-13, DEFAULT_CONFIG.max_terms)   # a late peak
-@example(0.5, -120, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)     # overflow
-@example(0.478, -100, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)   # subnormal w^k
-@example(0.999, -40, 0.5, 1e-14, DEFAULT_CONFIG.max_terms)
+@given(_W, _S, _X, st.builds(cmath.rect, _SMALL_FAC,
+                             st.floats(-math.pi, math.pi)), _TOL,
+       st.one_of(st.just(DEFAULT_CONFIG.max_terms), st.integers(1, 400)))
+@example(1e-13, -60, 1e-6, 0.5j, 1e-13, DEFAULT_CONFIG.max_terms)  # late peak
+@example(0.5, -120, 1.0, 1 + 1j, 1e-12, DEFAULT_CONFIG.max_terms)  # overflow
+@example(0.478, -100, 1.0, 0.1j, 1e-12, DEFAULT_CONFIG.max_terms)  # subnormal
+@example(0.999, -40, 0.5, 1e-3j, 1e-14, DEFAULT_CONFIG.max_terms)
 # the routes of a real s; at x = 1, log(k + x) = 0 at k = 0
-@example(0.5, -3.5, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)
-@example(-0.6, 2.5, 0.5, 1e-12, DEFAULT_CONFIG.max_terms)      # w < 0
-@example(complex(0.5, -0.0), -4.5, 0.3, 1e-13, DEFAULT_CONFIG.max_terms)
-@example(0.8, 0.0, 2.0, 1e-12, DEFAULT_CONFIG.max_terms)       # s = 0
-@example(0.7, complex(-2, 3), 1.5, 1e-12, DEFAULT_CONFIG.max_terms)
-@example(cmath.rect(0.9, 2.0), -7.0, 0.25, 1e-12, DEFAULT_CONFIG.max_terms)
-@example(0.9, 1 - 6, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)     # s = 1 - n
+@example(0.5, -3.5, 1.0, -0.1j, 1e-12, DEFAULT_CONFIG.max_terms)
+@example(-0.6, 2.5, 0.5, 0.3j, 1e-12, DEFAULT_CONFIG.max_terms)    # w < 0
+@example(complex(0.5, -0.0), -4.5, 0.3, 1j, 1e-13,
+         DEFAULT_CONFIG.max_terms)
+@example(0.8, 0.0, 2.0, 1e-6j, 1e-12, DEFAULT_CONFIG.max_terms)    # s = 0
+@example(0.7, complex(-2, 3), 1.5, 2 - 1j, 1e-12, DEFAULT_CONFIG.max_terms)
+@example(cmath.rect(0.9, 2.0), -7.0, 0.25, 0.01j, 1e-12,
+         DEFAULT_CONFIG.max_terms)
+@example(0.9, 1 - 6, 1.0, 1j, 1e-12, DEFAULT_CONFIG.max_terms)     # s = 1 - n
 # the powers (k + 1)^120 at k = 366..369 (and (k + 1)^119 at k = 348..351)
-# lie within a factor 4 of the float range's end; the pair's bound (k +
-# 1)^121 overflows at k = 352, the series at s alone at 370
-@example(0.7209, -120, 1.0, 1e-12, DEFAULT_CONFIG.max_terms)
+# lie within a factor 4 of the float range's end; the bound's (k + 1)^121
+# at fac != 0 overflows at k = 352, (k + 1)^120 at fac = 0 at 370
+@example(0.7209, -120, 1.0, 1j, 1e-12, DEFAULT_CONFIG.max_terms)
 # a power past the float range at k = 0, 0.1^-1.7e308: OverflowError
-@example(0.5, 1.7e308, 0.1, 1e-12, DEFAULT_CONFIG.max_terms)
-def test_lerch_pair_matches_the_step_by_step_loop(w, s, x, tol, max_terms):
-    cfg = SeriesEvalConfig(tol, max_terms)
-    for alone in (False, True):
-        assert (_outcome(_lerch_pair, w, s, x, cfg, alone)
-                == _outcome(_parent_lerch_pair, w, s, x, cfg, alone))
+@example(0.5, 1.7e308, 0.1, 1j, 1e-12, DEFAULT_CONFIG.max_terms)
+# a stretch past checks where neither part is above tol (see
+# `test_horizon_skips_past_checks_where_the_terms_at_s_1_grow`)
+@example(0.99, complex(-1), 1.0, 0.007, 7000.0, DEFAULT_CONFIG.max_terms)
+def test_lerch_pair_matches_the_step_by_step_loop(w, s, x, fac, tol,
+                                                  max_terms):
+    _same_outcomes(w, s, x, fac, SeriesEvalConfig(tol, max_terms))
 
 
 @_HORIZON
 @given(st.one_of(_ABS_W, _ABS_W.map(lambda a: -a)),
-       st.one_of(st.floats(-40, 8), st.integers(-130, 0)), _X, _TOL,
+       st.one_of(st.floats(-40, 8), st.integers(-130, 0)), _X,
+       st.one_of(_SMALL_FAC, _SMALL_FAC.map(lambda a: -a)), _TOL,
        st.one_of(st.just(DEFAULT_CONFIG.max_terms), st.integers(1, 400)))
 def test_lerch_pair_at_a_real_w_and_s_matches_the_step_by_step_loop(
-        w, s, x, tol, max_terms):
-    # the float route: w^k, the powers and both sums in floats
-    cfg = SeriesEvalConfig(tol, max_terms)
-    for alone in (False, True):
-        assert (_outcome(_lerch_pair, w, s, x, cfg, alone)
-                == _outcome(_parent_lerch_pair, w, s, x, cfg, alone))
+        w, s, x, fac, tol, max_terms):
+    # the float route: at a real fac too, w^k, the powers and the sum in
+    # floats
+    _same_outcomes(w, s, x, fac, SeriesEvalConfig(tol, max_terms))
 
 
-def _certified(w, nrs, den, tol, x, j):
-    """At check index j, the loop's float bound |w^j| (j+x)^nrs / den is
-    above tol for every rounding within the standard error bounds: the j
-    complex products of w^j (sqrt(5) u each), abs, the power, a product and
-    a quotient; and w^j, (j+x)^nrs and their product are normal floats."""
+def _parts(w, s, x, fac, tol):
+    """The parts of `_lerch`'s bound at s and s - 1 as `_horizon` sees
+    them, (nrs, den, den1, lev, lev1)."""
+    aw, rs = abs(w), s.real
+    den, den1 = 1 - _ratio(aw, rs), 1 - _ratio(aw, rs - 1)
+    lev1 = _level(tol, den1, abs(fac)) if fac else math.inf
+    return -rs, den, den1, _level(tol, den), lev1
+
+
+def _certified(w, s, x, fac, tol, j):
+    """At check index j, a part of `_lerch`'s float bound, |w^j|
+    (j+x)^-Re s / den or |fac| |w^j| (j+x)^(1 - Re s) / den1, is above tol
+    for every rounding within the standard error bounds: the j complex
+    products of w^j (sqrt(5) u each), abs, the power, two products and a
+    quotient; and w^j, the powers the check takes and the part are normal
+    floats."""
+    nrs, den, den1, _, _ = _parts(w, s, x, fac, tol)
     with mp.workdps(40):
         lw = j * mp.log(abs(mp.mpc(w)))
-        lp = nrs * mp.log(mp.mpf(j + x))
-        slack = (mp.sqrt(5) * j + 6) * 1.01 * _U
+        lx = mp.log(mp.mpf(j + x))
+        slack = (mp.sqrt(5) * j + 7) * 1.01 * _U
         tiny, huge = mp.log(2.0 ** -1022), mp.log(sys.float_info.max)
-        return (lw > tiny and tiny < lp < huge and lw + lp > tiny
-                and lw + lp - mp.log(den) - slack > mp.log(tol))
+        parts = [(nrs * lx, den, 1)]
+        if fac:
+            parts.append(((nrs + 1) * lx, den1, abs(fac)))
+        if not (lw > tiny and all(tiny < lp < huge for lp, _, _ in parts)):
+            return False
+        return any(lw + lp > tiny and lw + lp + mp.log(f) - mp.log(dn) - slack
+                   > mp.log(tol) for lp, dn, f in parts)
 
 
-def _check_horizon(w, s, x, tol, k, replay):
-    """_horizon from check index k, for the series at s as _lerch_pair sets
-    it up: every skipped check is certified at the ends of the stretch (g
-    is concave or decreasing in between), and, if `replay`, the loop's own
-    float bound is above tol, with no overflow, at every one of them.
-    Returns K."""
+def _check_horizon(w, s, x, fac, tol, k, replay):
+    """_horizon from check index k, for `_lerch`'s series as it sets it up:
+    both ends of the stretch are certified (`_certified`), and, if
+    `replay`, the loop's own float stopping test fails, with no overflow,
+    at every check index in between.  Returns K."""
     aw = abs(w)
-    nrs, r = -s.real, _ratio(aw, s.real)
-    den = 1 - r
-    K = _horizon(k, x, math.log(aw), nrs, _level(tol, den), 10 ** 7)
+    nrs, den, den1, lev, lev1 = _parts(w, s, x, fac, tol)
+    K = _horizon(k, x, math.log(aw), nrs, lev, lev1, 10 ** 7)
     assert k + 1 <= K <= 10 ** 7
     if K > k + 1:
-        assert _certified(w, nrs, den, tol, x, k + 1)
-        assert _certified(w, nrs, den, tol, x, K - 1)
+        assert _certified(w, s, x, fac, tol, k + 1)
+        assert _certified(w, s, x, fac, tol, K - 1)
     if replay:
+        rt = -nrs - 1 if fac else -nrs
+        rr = 1 - den1 if fac else 1 - den
         wk = 1 + 0j
         for j in range(1, K):
             wk *= w
             if j > k:
-                assert abs(wk) * (j + x) ** nrs / den > tol, j
+                kx = j + x
+                bound = abs(wk) * kx ** nrs / den
+                if fac:
+                    bound += abs(fac) * (abs(wk) * kx ** (nrs + 1) / den1)
+                assert not (bound <= tol and (
+                    rt >= 0 or aw * ((j + 1 + x) / kx) ** -rt <= rr)), j
     return K
 
 
 @_HORIZON
-@given(_W, _S, _X, _TOL, st.floats(0, 1))
-def test_horizon_skips_only_checks_that_cannot_pass(w, s, x, tol, where):
+@given(_W, _S, _X, st.builds(cmath.rect, _SMALL_FAC,
+                             st.floats(-math.pi, math.pi)),
+       _TOL, st.floats(0, 1))
+def test_horizon_skips_only_checks_that_cannot_pass(w, s, x, fac, tol, where):
     assume(0 < abs(w) < 1)
-    for t in (s, s - 1):
-        K = _check_horizon(w, t, x, tol, 0, False)
-        _check_horizon(w, t, x, tol, int(where * K), K <= 20_000)
+    for f in (0, fac):
+        K = _check_horizon(w, s, x, f, tol, 0, False)
+        _check_horizon(w, s, x, f, tol, int(where * K), K <= 20_000)
 
 
 @pytest.mark.parametrize("w,s,x,tol,k,end", [
@@ -688,13 +619,38 @@ def test_horizon_skips_only_checks_that_cannot_pass(w, s, x, tol, where):
     (0.478, -101, 1.0, 1e-12, 0, 949),
 ])
 def test_horizon_at_its_edges(w, s, x, tol, k, end):
-    assert _check_horizon(w, complex(s), x, tol, k, True) == end
+    assert _check_horizon(w, complex(s), x, 0, tol, k, True) == end
+
+
+def test_horizon_ends_before_the_power_at_s_1_overflows():
+    # at fac != 0 each check takes (k + 1)^(1 - s), which at s = -120
+    # overflows at k = 352, as (k + 1)^121 does at fac = 0 and s = -121
+    assert _check_horizon(0.5, complex(-120), 1.0, 0.1, 1e-12, 0, True) == 325
+
+
+def test_horizon_skips_past_checks_where_the_terms_at_s_1_grow():
+    # w = 0.99, s = -1, x = 1, fac = 0.007 and tol = 7,000: the part of the
+    # bound at s is above tol at k = 70..135, the part at s - 1 at k =
+    # 148..259, and neither at k = 136..147.  There the terms at s - 1
+    # still grow, so their ratio test fails (it does up to k = 395), and
+    # one stretch runs from 70 to 259, past those checks
+    w, s, x, fac, tol = 0.99, complex(-1), 1.0, 0.007, 7000.0
+    _, den, den1, _, _ = _parts(w, s, x, fac, tol)
+    parts = [(w ** j * (j + x) / den, fac * w ** j * (j + x) ** 2 / den1)
+             for j in range(70, 260)]
+    assert [j for j, (a, b) in enumerate(parts, 70)
+            if a <= tol and b <= tol] == list(range(136, 148))
+    assert _check_horizon(w, s, x, fac, tol, 69, True) == 260
+    _same_outcomes(w, s, x, fac, SeriesEvalConfig(tol))
 
 
 def test_horizon_skips_nothing_at_a_nan():
-    assert _horizon(0, 1.0, math.nan, 2.0, _level(1e-12, 0.5), 10 ** 7) == 1
+    lev = _level(1e-12, 0.5)
+    assert _horizon(0, 1.0, math.nan, 2.0, lev, math.inf, 10 ** 7) == 1
+    assert _horizon(0, 1.0, math.nan, 2.0, lev, lev, 10 ** 7) == 1
     assert _level(1e-12, math.nan) == math.inf
-    assert _horizon(0, 1.0, -0.5, 2.0, math.inf, 10 ** 7) == 1
+    assert _horizon(0, 1.0, -0.5, 2.0, math.inf, math.inf, 10 ** 7) == 1
+    assert _horizon(0, 1.0, -0.5, 2.0, math.inf, math.nan, 10 ** 7) == 1
 
 
 def test_horizon_keeps_its_rounding_margin_at_a_flat_peak():
@@ -713,7 +669,7 @@ def test_horizon_keeps_its_rounding_margin_at_a_flat_peak():
                 top = (j, g)
         tol = float(mp.exp(top[1] - mp.mpf("1.15e-9")) / den)
     for k in range(top[0] - 40, top[0] + 1, 8):
-        _check_horizon(w, s, x, tol, k, False)
+        _check_horizon(w, s, x, 0, tol, k, False)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +678,7 @@ def test_horizon_keeps_its_rounding_margin_at_a_flat_peak():
 
 def _load_routes():
     """`_Routes` of tools/op_kinds.py, which counts the route of each value
-    by wrapping `_residue_sum` and `_lerch_pair`."""
+    by wrapping `_residue_sum` and `_lerch`."""
     import importlib.util
     from pathlib import Path
 
@@ -801,6 +757,84 @@ def _check_residue_value(h, qv, s, x, chi):
 
 
 _CHARS = {d: enumerate_characters(d) for d in (1, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("h,qv,s,x", [
+    # `zeta --h 1 --q 0.3 --s 2 --x 0.5`, whose bound was 1.27e-12 when each
+    # of two Lerch series stopped on its own tail at tol
+    (1, 0.3, 2.0, 0.5),
+    # the benchmark pool's point 1451, where that bound was largest, 1.95e-11
+    (2, -0.726336 - 0.667523j, 0.7452, 0.5961),
+], ids=["q0.3-s2", "pool-1451"])
+def test_direct_zeta_bound_is_at_most_tol(h, qv, s, x):
+    # the bound of a direct value is the tail bound of its one series,
+    # stopped at tol, and the value lies within it, plus `_rounding_bound`,
+    # of a direct mp.fsum
+    s = complex(s)
+    with _Routes(analytic) as routes:
+        value, bound = q_hurwitz_zeta_with_bound(h, qv, s, x)
+    assert routes.route() == "direct"
+    assert bound <= DEFAULT_CONFIG.tol
+    w, fac = complex(qv) ** h, h * cmath.log(qv) / (s - 1)
+    K, size = _stop(w, s, x, fac, DEFAULT_CONFIG.tol)
+    ref = _direct_fsum(h, qv, s, x, None, 25)
+    assert abs(value - ref) <= bound + _rounding_bound(s, x, K, size)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(0.01, 0.99),    # |q^h|
+       st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+       st.floats(0, 8), st.one_of(st.just(0.0), st.floats(-8, 8)),
+       st.floats(0.05, 3), _TOL)
+def test_direct_zeta_bound_is_at_most_tol_at_re_s_0_and_above(h, aw, arg, rs,
+                                                               ts, x, tol):
+    s = complex(rs, ts)
+    assume(s != 1)
+    cfg = SeriesEvalConfig(tol)
+    value, bound = q_hurwitz_zeta_with_bound(
+        h, cmath.rect(aw ** (1 / h), arg), s, x, cfg)
+    assert bound <= tol
+
+
+def _class_rounding(h, qv, s, chi, tol):
+    """A bound on the rounding of `_char_sum`'s value: per unit class r,
+    |scale| `_rounding_bound` of its series, plus the rounding of the scale
+    chi(r) w^r d^-s (w^r by repeated squaring, d^-s by exp, two products)
+    and of the class sum, at most (|s| log d + 8 d + 12) u |scale| times
+    the size of the class's terms."""
+    d = chi.modulus
+    w = complex(qv) ** h
+    fac = h * cmath.log(qv) / (s - 1)
+    slack = 0.0
+    for r in range(1, d + 1):
+        cr = chi.value_complex(r)
+        if cr:
+            scale = abs(w ** r * cmath.exp(-s * math.log(d)))
+            K, size = _stop(w ** d, s, r / d, fac * d, tol)
+            slack += scale * (_rounding_bound(s, r / d, K, size)
+                              + (abs(s) * math.log(d) + 8 * d + 12) * _U
+                              * size)
+    return slack
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5])
+def test_lfunction_direct_route_within_its_bound_of_a_direct_fsum(d):
+    # the direct route, called explicitly (at s = -4.5 and -8 + 2j
+    # q_lfunction_with_bound may take the residue route instead): the sum
+    # over the unit classes, each one `_lerch` at ratio w^d, x = r/d and fac
+    # d, lies within its bound plus rounding of a direct mp.fsum of
+    # chi(n) w^n n^-s (1 - fac n)
+    for chi in _CHARS[d][:2]:
+        for h, qv in ((1, 0.5), (2, -0.6 + 0.7j)):
+            for s in (2.5, 0.5 + 3j, -4.5, -8 + 2j):
+                s = complex(s)
+                value, bound = _combine(h, qv, s, "q-L", lambda w, t, f:
+                                        _char_sum(chi, w, t, f, CFG),
+                                        _no_residue)
+                ref = _direct_fsum(h, qv, s, None, chi, 25)
+                slack = bound + _class_rounding(h, qv, s, chi, CFG.tol)
+                assert abs(value - ref) <= slack, (d, chi.exponents, h, qv,
+                                                   s, value, ref, slack)
 
 
 @settings(derandomize=True, database=None, max_examples=8, deadline=None)
@@ -885,6 +919,10 @@ def test_pool_points_on_the_residue_route_match_the_references(monkeypatch):
     assert set(_POOL_REFS) <= set(served)
 
 
+def _no_residue(qv, s):
+    return None
+
+
 def test_residue_route_falls_back_to_the_direct_bits():
     # L near a pole of one residue term: d arg q^h near a multiple of 2 pi,
     # the sum cancels and its rounding bound fails tol; the value is then the
@@ -893,14 +931,14 @@ def test_residue_route_falls_back_to_the_direct_bits():
     with _Routes(analytic) as routes:
         got = q_lfunction_with_bound(h, qv, s, chi)
     assert routes.route() == "fallback"
-    assert got == _combine(h, qv, s, "q-L",
-                           lambda w, t: _char_sum(chi, w, t, DEFAULT_CONFIG))
+    assert got == _combine(h, qv, s, "q-L", lambda w, t, f: _char_sum(
+        chi, w, t, f, DEFAULT_CONFIG), _no_residue)
     for s in (0.0, 2.5, -0.0 + 3j, 1e-300):
         with _Routes(analytic) as routes:
             got = q_hurwitz_zeta_with_bound(1, 0.99, s, 0.7)
         assert "_residue_sum" not in routes.seen
-        assert got == _combine(1, 0.99, s, "q-zeta", lambda w, t: _lerch_pair(
-            w, t, 0.7, DEFAULT_CONFIG))
+        assert got == _combine(1, 0.99, s, "q-zeta", lambda w, t, f: _lerch(
+            w, t, 0.7, f, DEFAULT_CONFIG), _no_residue)
 
 
 @pytest.mark.parametrize("h,qv,s,x,d,tol", [
@@ -918,12 +956,12 @@ def test_residue_route_keeps_the_direct_bits_where_it_cannot_save(h, qv, s,
     cfg = SeriesEvalConfig(tol=tol)
     if d is None:
         got = q_hurwitz_zeta_with_bound(h, qv, s, x, cfg)
-        pair = lambda w, t: _lerch_pair(w, t, x, cfg)
+        direct = lambda w, t, f: _lerch(w, t, x, f, cfg)
     else:
         chi = _CHARS[d][1]
         got = q_lfunction_with_bound(h, qv, s, chi, cfg)
-        pair = lambda w, t: _char_sum(chi, w, t, cfg)
-    assert got == _combine(h, qv, complex(s), "q", pair)
+        direct = lambda w, t, f: _char_sum(chi, w, t, f, cfg)
+    assert got == _combine(h, qv, complex(s), "q", direct, _no_residue)
 
 
 @settings(derandomize=True, database=None)

@@ -138,7 +138,7 @@ def test_l_interpolation_q095_n6(index):
 
 
 @_defect("verify interp-l --h 1 --q 0.305185 --n 12 --modulus 4 "
-         "--char-index 1 FAILs at 1.7e-7, exit 1; the identity holds")
+         "--char-index 1 FAILs at 1.67e-8, exit 1; the identity holds")
 def test_interp_l_q0305185_n12(capsys):
     assert _cli("verify interp-l --h 1 --q 0.305185 --n 12 --modulus 4 "
                 "--char-index 1", capsys)["pass"] is True

@@ -228,8 +228,8 @@ def _lerch_sums(max_terms):
 
 
 def test_span_tracer_counts_lerch_terms():
-    # lerch_sum_with_bound runs the one Lerch loop with the series at s - 1
-    # stopped: one analytic.lerch call, which sums 183 terms, the least
+    # lerch_sum_with_bound runs the one Lerch loop at fac = 0, the series
+    # at s alone: one analytic.lerch call, which sums 183 terms, the least
     # max_terms that succeeds
     assert _traced_lerch()["spans"]["analytic.lerch"]["calls"] == 1
     assert _lerch_sums(183) and not _lerch_sums(182)

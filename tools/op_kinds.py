@@ -17,7 +17,7 @@ When some op computed a q-zeta or q-L value in this process, a second
 table follows: per op kind, how many values the residue route served,
 how many the direct sums served, and how many of those the residue sum
 had computed but not certified first.  It counts them by wrapping the
-two kernels of `qzeta.analytic`, `_residue_sum` and `_lerch_pair`, in the
+two kernels of `qzeta.analytic`, `_residue_sum` and `_lerch`, in the
 module's namespace for the run.  An op computes one value at most: an
 interpolation check's series side, or a pool value.  A cli op runs in its
 own process and is not counted.
@@ -37,14 +37,14 @@ ROUTES = ("residue", "direct", "fallback")
 
 
 class _Routes:
-    """Wraps `analytic._residue_sum` and `analytic._lerch_pair` while in its
+    """Wraps `analytic._residue_sum` and `analytic._lerch` while in its
     `with` block and tells, op by op, which route served the op's value;
     tests/test_analytic.py reads the route of single values through it."""
 
     def __init__(self, analytic):
         self.analytic = analytic
         self.kernels = {"_residue_sum": analytic._residue_sum,
-                        "_lerch_pair": analytic._lerch_pair}
+                        "_lerch": analytic._lerch}
         self.seen: dict[str, bool] = {}
 
     def __enter__(self):
@@ -67,7 +67,7 @@ class _Routes:
         """The route of the op since the last call: "residue", "direct",
         "fallback" (a residue sum, then the direct sums) or None."""
         seen, self.seen = self.seen, {}
-        if "_lerch_pair" in seen:
+        if "_lerch" in seen:
             return "fallback" if seen.get("_residue_sum") else "direct"
         return "residue" if seen.get("_residue_sum") else None
 

@@ -16,6 +16,7 @@ With --records it prints each record on its own line instead, so that
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import os
@@ -98,26 +99,28 @@ def cli(tree: Path):
 
 def _point(pt, cfgs):
     """At a pool point ("zeta", h, q, s, x) or ("lfun", h, q, s, d, idx),
-    under each config of `cfgs`: the repr of `analytic._lerch_pair` with
-    `alone` False and True on each series the point's value sums ((q^h, s,
-    x) at a zeta point, ((q^h)^d, s, r/d) for r = 1..d at an L point of
-    modulus d), then of `q_hurwitz_zeta_with_bound` or
-    `q_lfunction_with_bound` at the point."""
+    under each config of `cfgs`: the repr of `analytic._lerch` at fac = 0
+    and at the value's fac on each series the point's value sums ((q^h, s,
+    x) and fac = h log q/(s - 1) at a zeta point, ((q^h)^d, s, r/d) and fac
+    d for r = 1..d at an L point of modulus d), then of
+    `q_hurwitz_zeta_with_bound` or `q_lfunction_with_bound` at the point."""
     from qzeta import analytic
     from qzeta.characters import enumerate_characters
 
     kind, h, q, s = pt[:4]
     w = complex(q) ** h
+    fac = h * cmath.log(q) / (complex(s) - 1)
     if kind == "zeta":
-        series = [(w, s, pt[4])]
+        series = [(w, s, pt[4], fac)]
         value = (analytic.q_hurwitz_zeta_with_bound, h, q, s, pt[4])
     else:
         d, chi = pt[4], enumerate_characters(pt[4])[pt[5]]
-        series = [(w ** d, s, r / d) for r in range(1, d + 1)]
+        series = [(w ** d, s, r / d, fac * d) for r in range(1, d + 1)]
         value = (analytic.q_lfunction_with_bound, h, q, s, chi)
     for cfg in cfgs:
-        for args, alone in product(series, (False, True)):
-            yield _outcome(analytic._lerch_pair, *args, cfg, alone)
+        for *args, own in series:
+            for f in (0, own):
+                yield _outcome(analytic._lerch, *args, f, cfg)
         yield _outcome(*value, cfg)
 
 
