@@ -14,9 +14,10 @@ w = q^h and fac = h log q/(s-1), and L_q^{(h)} one such series per unit
 residue class mod d; `_combine` serves both.  One kernel, `_lerch`, sums
 every series here, the Lerch series of `lerch_sum_with_bound` too (fac =
 0), in one loop: a term costs one power, w^k (k+x)**(-s), times (1 - fac
-(k+x)).  It stops on the tail bound of the whole series, that of the Lerch
-series at s plus |fac| times that at s - 1, so a direct zeta value's bound
-is at most tol.
+(k+x)).  At each term it tests the tail bound of the whole series, that of
+the Lerch series at s plus |fac| times that at s - 1, read off that term's
+own power, and stops at the first that certifies tol, so a direct zeta
+value's bound is at most tol; the rounding of the sum is not bounded.
 The interpolation checks import qbernoulli and report when they run, and a
 domain check imports exact only to raise DomainError, so the direct values
 load no exact arithmetic."""
@@ -66,80 +67,6 @@ def _ratio(aw: float, rs: float) -> float:
     return aw if rs >= 0 else (1 + aw) / 2
 
 
-
-# Bound here, not read from the module's `math` at call time, so that a
-# stand-in `math` put in from outside to count logs as Lerch terms does not
-# count the horizon's.
-_log = math.log
-
-
-def _level(tol: float, den: float, fac: float = 1.0) -> float:
-    """`_horizon`'s level for a part fac |w^j| (j+x)^e / den > tol of the
-    bound: log(tol den / fac) + 1e-9, floored at -700 so that |w^j|
-    (j+x)^e stays a normal float.  den = 0 (r rounded to 1) gives inf:
-    `_lerch` refuses such a part before it sums, except the part at s - 1
-    at fac = 0, which it never computes."""
-    if not den > 0:
-        return math.inf
-    return max(_log(tol) + _log(den) - _log(fac), -700.0) + 1e-9
-
-
-def _horizon(k: int, x: float, la: float, nrs: float, lev: float,
-             lev1: float, cap: int) -> int:
-    """A K <= cap such that at no check index j in (k, K) can `_lerch`'s
-    stopping test pass or a power it takes overflow.  la = log|w|, nrs =
-    -Re s, and lev = _level(tol, den) and lev1 = _level(tol, den1, |fac|)
-    are the levels of the two parts of its bound, |w^j| (j+x)^nrs / den and
-    |fac| |w^j| (j+x)^(nrs+1) / den1 (lev1 = inf at fac = 0).
-
-    A probe clears j when either part is certainly above tol: with L =
-    log(j+x), gA(j) = j la + nrs L - m j > lev or gB(j) = gA(j) + L >
-    lev1, while j la > -700 and e L < 700, e the largest positive exponent
-    the check raises j + x to, so that |w^j| is a normal float and every
-    power finite.  m = (8 + 2 e) 2^-52 takes the rounding of |w^j| (`wk *=
-    w`) and of the ratio test below; 1e-9 in each level the rest.  An
-    exponential, then a binary search finds where the probes stop clearing.
-
-    No skipped check can pass.  The guards hold on a prefix of j, so at
-    every j between two cleared probes a < j < b.  gA and gB are concave,
-    or decreasing where their exponent is negative, so a part that clears
-    a and b clears j.  Say neither clears j.  If gA cleared b, it would
-    rise at j, and so would gB, as gB - gA = L grows; but gB clears a and
-    not j, so it falls after j.  So gB clears b and rises from j to j + 1:
-    la + (nrs + 1) log((j+1+x)/(j+x)) > m.  There the terms of the series
-    at s - 1 still grow, and their ratio test, part of the stop at fac !=
-    0, fails: the loop's float ratio is within (3 (nrs + 1) + 3) u of a
-    ratio above e^(m - 2u|la|), so above 1 - u >= (1 + |w|)/2 (at |la| >
-    7, (1 + |w|)/2 < 0.51 is far below it).  A NaN anywhere fails every
-    probe and skips nothing."""
-    e = max(nrs + 1 if lev1 < math.inf else nrs, 0.0)
-    m = (8 + 2 * e) * 2.0 ** -52
-
-    def clear(j):
-        lw = j * la
-        lg = _log(j + x)
-        ga = lw + nrs * lg - m * j
-        return lw > -700 and e * lg < 700 and (ga > lev or ga + lg > lev1)
-
-    lo = k + 1
-    if lo >= cap or not clear(lo):
-        return lo
-    step, hi = 1, cap
-    while lo + step < cap:
-        if not clear(lo + step):
-            hi = lo + step
-            break
-        lo += step
-        step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clear(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo + 1
-
-
 def _lerch(w: complex, s: complex, x: float, fac: complex,
            cfg: SeriesEvalConfig) -> tuple[complex, float]:
     """sum_{k>=0} w^k (k+x)^(-s) (1 - fac (k+x)) with a certified tail
@@ -151,18 +78,16 @@ def _lerch(w: complex, s: complex, x: float, fac: complex,
     plus |fac| times those at s - 1, so the tail is at most |w^k|
     (k+x)^(-Re s) / (1 - r) + |fac| |w^k| (k+x)^(1 - Re s) / (1 - r1),
     r and r1 their `_ratio`s, once the terms at s - 1 fall by r1 from k
-    on.  The sum stops at the first k where that bound is at most tol and
-    the ratio test of the series at s - 1 passes; that test implies the one
-    at s, whose terms are those at s - 1 over k + x.  At fac = 0 only the
-    series at s is tested, with its bits, stopping k and bound alone.  A
-    tail ratio that rounds to 1 raises TruncationFailure before any term.
-
-    From check index k, `_horizon` gives a K up to which the stopping test
-    cannot pass and no power can overflow.  Terms k .. K - 1 are summed
-    with no test and the test runs at K.  K <= max_terms, the terms are
-    added in the same order by the same operations, and only the power of
-    term k of a stretch can overflow, so the value, bound, stopping k and
-    error message are those of a loop that tests every k.
+    on.  That is |t| (1/(1 - r) + |fac| (k+x)/(1 - r1)), t = w^k
+    (k+x)**(-s), the same formula evaluated from term k's own power.  So
+    after term 0, each k = 1 .. max_terms takes t, returns the sum of the
+    terms before it when that bound is at most tol and the ratio test of
+    the series at s - 1 passes, and else adds t (1 - fac (k+x)).  That test
+    implies the one at s, whose terms are those at s - 1 over k + x.  At
+    fac = 0 only the series at s is tested, with its bits, stopping k and
+    bound alone.  A tail ratio that rounds to 1 raises TruncationFailure
+    before any term.  The bound is the tail's alone: the rounding of the
+    terms and of their sum is not bounded.
 
     At a real s the power is `float ** float`, within about 1 ulp; at a
     complex s it is `float ** complex`, pow(k+x, -Re s) times the unit
@@ -214,25 +139,19 @@ def _lerch(w: complex, s: complex, x: float, fac: complex,
     try:
         if w == 0:
             return complex(x ** ns * (1 - fac * x)), 0.0
-        la, lev = _log(aw), _level(tol, den)
-        lev1 = _level(tol, den1, afac) if afac else math.inf
-        while True:
-            K = _horizon(k, x, la, nrs, lev, lev1, max_terms)
-            for kx in map(x.__radd__, range(k, K)):
-                acc += wk * kx ** ns * (1 - fac * kx)
-                wk *= w
-            k = K
-            awk = abs(wk)
+        acc += wk * x ** ns * (1 - fac * x)
+        c, c1 = 1 / den, afac / den1 if afac else 0.0
+        for k in range(1, max_terms + 1):
+            wk *= w
             kx = k + x
-            bound = awk * kx ** nrs / den
-            if afac:
-                bound += afac * (awk * kx ** nrs1 / den1)
+            t = wk * kx ** ns
+            bound = abs(t) * (c + c1 * kx)
             if bound <= tol and (
                     rt >= 0 or aw * ((k + 1 + x) / kx) ** nrt <= rr):
                 return complex(acc), bound
-            if k >= max_terms:
-                raise TruncationFailure(f"tail bound {bound} still above tol "
-                                        f"after {k} terms")
+            acc += t * (1 - fac * kx)
+        raise TruncationFailure(f"tail bound {bound} still above tol "
+                                f"after {k} terms")
     except OverflowError as e:
         raise OverflowError(f"float overflow in the Lerch sum at s = {s}, "
                             f"term k = {k}") from e
@@ -254,6 +173,7 @@ def lerch_sum_with_bound(w: complex, s: complex, x: float,
 
 _U = 2.0 ** -53                 # unit roundoff
 _TWO_PI = 2 * math.pi
+_log = math.log
 # CPython's math.gamma (a Lanczos sum) is stated accurate to within 10 ulps
 # over the float range (Modules/mathmodule.c); taken twice over
 _GAMMA_ULPS = 20

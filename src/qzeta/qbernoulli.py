@@ -308,6 +308,8 @@ def _twisted_terms_mod(d: int, h: int, n: int) -> dict[int, LogScalar]:
     """{i: q^{h i} B_{n, q^d}^{(h)}(i/d)} over the units i < d (i = 0 at
     d = 1), where characters mod d are nonzero: `_eulerian_term` at each,
     and the classical B_n(i/d) at h = 0, where q^{h d} = 1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     units = [i for i in range(d) if gcd(i, d) == 1]
     if h == 0:
         poly = q_bernoulli_polynomial(0, n)

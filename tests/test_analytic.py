@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qzeta import analytic
 from qzeta.analytic import (DEFAULT_CONFIG, PoleAt1, SeriesDivergence,
                             SeriesEvalConfig, TruncationFailure, _char_sum,
-                            _combine, _horizon, _lerch, _level, _ratio,
+                            _combine, _lerch, _ratio,
                             l_interpolation_verify, lerch_sum_with_bound,
                             q_hurwitz_zeta, q_hurwitz_zeta_with_bound,
                             q_lfunction,
@@ -344,9 +344,11 @@ def _failure(fn, *args):
     return str(info.value)
 
 
-# repr of lerch_sum_with_bound (`single`, byte for byte as the loop that
-# took each Lerch series alone gave it) and of `_lerch` at fac (`pair`,
-# the series at s and s - 1 as one) at tol 1e-13; fac is `_zeta_fac`, that
+# repr of lerch_sum_with_bound (`single`, its values and stopping k byte
+# for byte as the loop that took each Lerch series alone gave them) and of
+# `_lerch` at fac (`pair`, the series at s and s - 1 as one) at tol 1e-13.
+# The bounds' last digits are those of the bound read off term k (within
+# `_bound_slack` of the former formula's).  fac is `_zeta_fac`, that
 # of zeta_w^{(1)}(s, x), and 0.5 at w = 0.  Each `pair` value was checked
 # once to lie within its tail bound plus `_rounding_bound` of the mp.fsum
 # oracle of `test_lerch_pair_within_its_bounds_of_a_direct_fsum`.  With
@@ -355,16 +357,16 @@ def _failure(fn, *args):
 PARENT_BITS = [
     (0.3, 2.5, 1.0, None,
      "((1.0598298982610106+0j), 9.281770170859383e-14)",
-     "((1.9649795836780881+0j), 3.438850211040561e-14)"),
+     "((1.9649795836780881+0j), 3.43885021104056e-14)"),
     (-0.45 + 0.6j, 0.5 + 3j, 0.5, None,
-     "((-0.5892978087911414+2.0390072168088875j), 9.550246313654466e-14)",
-     "((-0.2371785444481254+0.5789385680045298j), 8.756531415684859e-14)"),
+     "((-0.5892978087911414+2.0390072168088875j), 9.550246313654464e-14)",
+     "((-0.2371785444481254+0.5789385680045298j), 8.756531415684858e-14)"),
     (cmath.rect(0.99, 1.0), -4.5, 2.7, None,
      "((43.68906937608213-11.452703693853097j), 9.985372097179665e-14)",
-     "((-8.719540519646785+7.584977772302018j), 9.973985394983315e-14)"),
+     "((-8.719540519646785+7.584977772302018j), 9.973985394983314e-14)"),
     (-0.8 + 0.3j, -3 + 1j, 2.7, None,
-     "((5.352517082227314-1.989220571176636j), 9.744756145908652e-14)",
-     "((4.785498767241213+5.112108647185735j), 9.704650597513874e-14)"),
+     "((5.352517082227314-1.989220571176636j), 9.744756145908653e-14)",
+     "((4.785498767241213+5.112108647185735j), 9.704650597513875e-14)"),
     (0.9, 2.5, 0.5, None,
      "((6.1361943338798115+0j), 9.274469042765988e-14)",
      "((6.4093978324341245+0j), 9.486767104250574e-14)"),
@@ -373,12 +375,12 @@ PARENT_BITS = [
      "((0.0030041637771599607+0j), 0.0)"),
     (0.9, 2.5, 0.5, 183,
      "((6.1361943338798115+0j), 9.274469042765988e-14)",
-     "TruncationFailure: tail bound 1.2881405656710004e-12 still above tol "
+     "TruncationFailure: tail bound 1.2881405656710002e-12 still above tol "
      "after 183 terms"),
     (0.9, 2.5, 0.5, 150,
      "TruncationFailure: tail bound 4.926462327178514e-12 still above tol "
      "after 150 terms",
-     "TruncationFailure: tail bound 5.700494164693695e-11 still above tol "
+     "TruncationFailure: tail bound 5.7004941646936955e-11 still above tol "
      "after 150 terms"),
 ]
 
@@ -401,18 +403,19 @@ def test_lerch_keeps_parent_bits(w, s, x, max_terms, single, pair):
 
 
 # ---------------------------------------------------------------------------
-# the horizon: stretches of the Lerch loop summed with no stopping test
+# the stopping test: `_lerch` against a loop with the former bound formula
 # ---------------------------------------------------------------------------
 
 def _step_lerch(w: complex, s: complex, x: float, fac: complex,
-                cfg: SeriesEvalConfig) -> tuple[complex, float]:
-    """The loop that `_lerch` runs in stretches, with its stopping test at
-    every k, as the oracle of its bits: sum_{k>=0} w^k (k+x)^(-s) (1 - fac
-    (k+x)), term k as w^k (k+x)**(-s) times (1 - fac (k+x)), stopped at the
-    first k where |w^k| (k+x)^(-Re s)/(1 - r) + |fac| |w^k| (k+x)^(1 - Re
-    s)/(1 - r1) <= tol and the ratio test of the series at s - 1 passes (at
-    fac = 0, of that at s).  Every product, power and sum is in complex
-    arithmetic, but for the exponent of the power, a float at a real s."""
+                cfg: SeriesEvalConfig) -> tuple[complex, float, int]:
+    """`_lerch` as it was before it read its bound off term k, as the
+    oracle of its bits: sum_{k>=0} w^k (k+x)^(-s) (1 - fac (k+x)), term k
+    as w^k (k+x)**(-s) times (1 - fac (k+x)), stopped at the first k where
+    |w^k| (k+x)**(-Re s)/(1 - r) + |fac| |w^k| (k+x)**(1 - Re s)/(1 - r1)
+    <= tol and the ratio test of the series at s - 1 passes (at fac = 0, of
+    that at s).  Returns (value, bound, k).  Every product, power and sum
+    is in complex arithmetic, but for the exponent of the power, a float at
+    a real s."""
     w = complex(w)
     s = complex(s)
     fac = complex(fac)
@@ -441,7 +444,7 @@ def _step_lerch(w: complex, s: complex, x: float, fac: complex,
     # context; say which sum and which term
     try:
         if w == 0:
-            return complex(x ** ns * (1 - fac * x)), 0.0
+            return complex(x ** ns * (1 - fac * x)), 0.0, 0
         while True:
             acc += wk * kx ** ns * (1 - fac * kx)
             k += 1
@@ -453,7 +456,7 @@ def _step_lerch(w: complex, s: complex, x: float, fac: complex,
                 bound += afac * (awk * kx ** nrs1 / den1)
             if bound <= tol and (
                     rt >= 0 or aw * ((k + 1 + x) / kx) ** nrt <= rr):
-                return acc, bound
+                return acc, bound, k
             if k >= max_terms:
                 raise TruncationFailure(f"tail bound {bound} still above tol "
                                         f"after {k} terms")
@@ -462,19 +465,75 @@ def _step_lerch(w: complex, s: complex, x: float, fac: complex,
                             f"term k = {k}") from e
 
 
+# `_lerch`'s bound and `_step_lerch`'s at the same k are two roundings of
+# E = |w^k| (k+x)^(-Re s) (1/(1 - r) + |fac| (k+x)/(1 - r1)) from the same
+# floats w^k, k + x, 1 - r, 1 - r1 and |fac|.  With u = 2^-53 and L =
+# log(k+x) >= 0 (k >= 1, x > 0), each within, to first order:
+#   - `_step_lerch`: abs(w^k) and each float power within 1 ulp, 2 u each;
+#     the part at s takes a product and a quotient (6 u in all), the part
+#     at s - 1 a product, a quotient and the product by |fac| (7 u), and
+#     the sum of the two parts u.  Its exponent 1 - Re s rounds once, which
+#     moves (k+x)^(1 - Re s) by |1 - Re s| L u: (8 + |1 - Re s| L) u;
+#   - `_lerch`: |term k| = abs(w^k (k+x)**(-s)), the power within 5 u (pow
+#     2 u; at a complex s, cos and sin of its phase and the products by the
+#     modulus 3 u), the product by w^k sqrt(5) u and abs 2 u: below 10 u;
+#     1/(1 - r), |fac|/(1 - r1) times k + x and their sum 3 u, and the
+#     product u: 14 u.
+# So they differ by at most 1.01 (22 + |1 - Re s| L) u E, the factor 1.01
+# taking the higher orders; at fac = 0 the term in L goes.  Where |w^k| or
+# |term k| is subnormal, its abs is within 2^-1074, not 2 u of it: that
+# adds 2^-1074 ((k+x)^(-Re s) + 1) (1/(1 - r) + |fac| (k+x)/(1 - r1)) to
+# each.
+def _bound_slack(w, s, x, fac, k, bound):
+    aw, rs, kx = abs(w), s.real, k + x
+    f = 1 / (1 - _ratio(aw, rs))
+    rel = 22
+    if fac:
+        f += abs(fac) * kx / (1 - _ratio(aw, rs - 1))
+        rel += abs(1 - rs) * math.log(kx)
+    return 1.01 * rel * _U * bound + 2.0 ** -1073 * (kx ** -rs + 1) * f
+
+
 def _outcome(fn, *args):
-    """repr of the result, or the class and text of the error."""
+    """The result, or the class and text of the error, with the digits of
+    a tail bound masked."""
     try:
-        return repr(fn(*args))
+        return fn(*args)
     except (ArithmeticError, ValueError) as e:
-        return f"{type(e).__name__}: {e}"
+        return type(e).__name__, re.sub(r"tail bound \S+", "tail bound #",
+                                        str(e))
 
 
 def _same_outcomes(w, s, x, fac, cfg):
-    """`_lerch` and `_step_lerch` agree at fac = 0 and at fac."""
+    """`_lerch` and `_step_lerch` agree at fac = 0 and at fac: the same
+    value bits and stopping k, bounds within `_bound_slack`, and the same
+    error class and text once a bound's digits are masked.  At fac != 0
+    `_step_lerch`'s bound takes (k+x)**(1 - Re s), which leaves the float
+    range before term k's (k+x)**(-s) does: where it raises OverflowError,
+    `_lerch` may run on, to a later term's overflow or to a stop."""
     for f in (0, fac):
-        assert (_outcome(_lerch, w, s, x, f, cfg)
-                == _outcome(_step_lerch, w, s, x, f, cfg)), f
+        want = _outcome(_step_lerch, w, s, x, f, cfg)
+        got = _outcome(_lerch, w, s, x, f, cfg)
+        if want[0] == "OverflowError" and f:
+            if got[0] == "OverflowError":
+                last = [int(o[1].rsplit(" ", 1)[1]) for o in (want, got)]
+                assert last[0] <= last[1], (f, got, want)
+            else:
+                assert isinstance(got[1], float), (f, got, want)
+            continue
+        if isinstance(want[0], str):
+            assert got == want, f
+            continue
+        value, bound, k = want
+        assert repr(got[0]) == repr(value), f
+        assert abs(got[1] - bound) <= _bound_slack(w, s, x, f, k, bound), f
+        # the same stopping k: it runs out at max_terms k - 1 and stops at k
+        if k > 1:
+            short = SeriesEvalConfig(cfg.tol, k - 1)
+            assert _outcome(_lerch, w, s, x, f, short)[0] == "TruncationFailure"
+        if k:
+            exact = SeriesEvalConfig(cfg.tol, k)
+            assert _outcome(_lerch, w, s, x, f, exact) == got, f
 
 
 # |w| from U(0, 1), 1 - 10^U(-3, 0) and 10^U(-15, 0), real or complex
@@ -491,11 +550,11 @@ _TOL = st.sampled_from([1e-12, 1e-13, 1e-14])
 # |fac| from 10^U(-15, 2): from far below the part at s, where the terms at
 # s - 1 may grow past tol after the part at s falls below it, to far above
 _SMALL_FAC = st.floats(-15, 2).map(lambda e: 10 ** e)
-_HORIZON = settings(derandomize=True, database=None, max_examples=150,
-                    deadline=None)
+_STEP = settings(derandomize=True, database=None, max_examples=150,
+                 deadline=None)
 
 
-@_HORIZON
+@_STEP
 @given(_W, _S, _X, st.builds(cmath.rect, _SMALL_FAC,
                              st.floats(-math.pi, math.pi)), _TOL,
        st.one_of(st.just(DEFAULT_CONFIG.max_terms), st.integers(1, 400)))
@@ -514,20 +573,21 @@ _HORIZON = settings(derandomize=True, database=None, max_examples=150,
          DEFAULT_CONFIG.max_terms)
 @example(0.9, 1 - 6, 1.0, 1j, 1e-12, DEFAULT_CONFIG.max_terms)     # s = 1 - n
 # the powers (k + 1)^120 at k = 366..369 (and (k + 1)^119 at k = 348..351)
-# lie within a factor 4 of the float range's end; the bound's (k + 1)^121
-# at fac != 0 overflows at k = 352, (k + 1)^120 at fac = 0 at 370
+# lie within a factor 4 of the float range's end; (k + 1)^120 overflows at
+# k = 370 (`test_lerch_overflows_at_the_term_past_the_float_range`), and
+# `_step_lerch`'s (k + 1)^121 at fac != 0 at 352
 @example(0.7209, -120, 1.0, 1j, 1e-12, DEFAULT_CONFIG.max_terms)
 # a power past the float range at k = 0, 0.1^-1.7e308: OverflowError
 @example(0.5, 1.7e308, 0.1, 1j, 1e-12, DEFAULT_CONFIG.max_terms)
-# a stretch past checks where neither part is above tol (see
-# `test_horizon_skips_past_checks_where_the_terms_at_s_1_grow`)
+# no stop where neither part of the bound is above tol (see
+# `test_lerch_does_not_stop_where_the_terms_at_s_1_grow`)
 @example(0.99, complex(-1), 1.0, 0.007, 7000.0, DEFAULT_CONFIG.max_terms)
 def test_lerch_pair_matches_the_step_by_step_loop(w, s, x, fac, tol,
                                                   max_terms):
     _same_outcomes(w, s, x, fac, SeriesEvalConfig(tol, max_terms))
 
 
-@_HORIZON
+@_STEP
 @given(st.one_of(_ABS_W, _ABS_W.map(lambda a: -a)),
        st.one_of(st.floats(-40, 8), st.integers(-130, 0)), _X,
        st.one_of(_SMALL_FAC, _SMALL_FAC.map(lambda a: -a)), _TOL,
@@ -539,137 +599,31 @@ def test_lerch_pair_at_a_real_w_and_s_matches_the_step_by_step_loop(
     _same_outcomes(w, s, x, fac, SeriesEvalConfig(tol, max_terms))
 
 
-def _parts(w, s, x, fac, tol):
-    """The parts of `_lerch`'s bound at s and s - 1 as `_horizon` sees
-    them, (nrs, den, den1, lev, lev1)."""
-    aw, rs = abs(w), s.real
-    den, den1 = 1 - _ratio(aw, rs), 1 - _ratio(aw, rs - 1)
-    lev1 = _level(tol, den1, abs(fac)) if fac else math.inf
-    return -rs, den, den1, _level(tol, den), lev1
-
-
-def _certified(w, s, x, fac, tol, j):
-    """At check index j, a part of `_lerch`'s float bound, |w^j|
-    (j+x)^-Re s / den or |fac| |w^j| (j+x)^(1 - Re s) / den1, is above tol
-    for every rounding within the standard error bounds: the j complex
-    products of w^j (sqrt(5) u each), abs, the power, two products and a
-    quotient; and w^j, the powers the check takes and the part are normal
-    floats."""
-    nrs, den, den1, _, _ = _parts(w, s, x, fac, tol)
-    with mp.workdps(40):
-        lw = j * mp.log(abs(mp.mpc(w)))
-        lx = mp.log(mp.mpf(j + x))
-        slack = (mp.sqrt(5) * j + 7) * 1.01 * _U
-        tiny, huge = mp.log(2.0 ** -1022), mp.log(sys.float_info.max)
-        parts = [(nrs * lx, den, 1)]
-        if fac:
-            parts.append(((nrs + 1) * lx, den1, abs(fac)))
-        if not (lw > tiny and all(tiny < lp < huge for lp, _, _ in parts)):
-            return False
-        return any(lw + lp > tiny and lw + lp + mp.log(f) - mp.log(dn) - slack
-                   > mp.log(tol) for lp, dn, f in parts)
-
-
-def _check_horizon(w, s, x, fac, tol, k, replay):
-    """_horizon from check index k, for `_lerch`'s series as it sets it up:
-    both ends of the stretch are certified (`_certified`), and, if
-    `replay`, the loop's own float stopping test fails, with no overflow,
-    at every check index in between.  Returns K."""
-    aw = abs(w)
-    nrs, den, den1, lev, lev1 = _parts(w, s, x, fac, tol)
-    K = _horizon(k, x, math.log(aw), nrs, lev, lev1, 10 ** 7)
-    assert k + 1 <= K <= 10 ** 7
-    if K > k + 1:
-        assert _certified(w, s, x, fac, tol, k + 1)
-        assert _certified(w, s, x, fac, tol, K - 1)
-    if replay:
-        rt = -nrs - 1 if fac else -nrs
-        rr = 1 - den1 if fac else 1 - den
-        wk = 1 + 0j
-        for j in range(1, K):
-            wk *= w
-            if j > k:
-                kx = j + x
-                bound = abs(wk) * kx ** nrs / den
-                if fac:
-                    bound += abs(fac) * (abs(wk) * kx ** (nrs + 1) / den1)
-                assert not (bound <= tol and (
-                    rt >= 0 or aw * ((j + 1 + x) / kx) ** -rt <= rr)), j
-    return K
-
-
-@_HORIZON
-@given(_W, _S, _X, st.builds(cmath.rect, _SMALL_FAC,
-                             st.floats(-math.pi, math.pi)),
-       _TOL, st.floats(0, 1))
-def test_horizon_skips_only_checks_that_cannot_pass(w, s, x, fac, tol, where):
-    assume(0 < abs(w) < 1)
-    for f in (0, fac):
-        K = _check_horizon(w, s, x, f, tol, 0, False)
-        _check_horizon(w, s, x, f, tol, int(where * K), K <= 20_000)
-
-
-@pytest.mark.parametrize("w,s,x,tol,k,end", [
-    # the terms peak at k = 2 and the first check may pass: nothing skipped
-    (1e-13, -60, 1e-6, 1e-12, 0, 1),
-    # (k + 1)^121 overflows at k = 352: the stretch ends before
-    (0.5, -121, 1.0, 1e-12, 0, 325),
-    # |w^k| is subnormal from k = 960 and the loop stops at 983: the stretch
-    # ends where k log|w| reaches -700
-    (0.478, -101, 1.0, 1e-12, 0, 949),
-])
-def test_horizon_at_its_edges(w, s, x, tol, k, end):
-    assert _check_horizon(w, complex(s), x, 0, tol, k, True) == end
-
-
-def test_horizon_ends_before_the_power_at_s_1_overflows():
-    # at fac != 0 each check takes (k + 1)^(1 - s), which at s = -120
-    # overflows at k = 352, as (k + 1)^121 does at fac = 0 and s = -121
-    assert _check_horizon(0.5, complex(-120), 1.0, 0.1, 1e-12, 0, True) == 325
-
-
-def test_horizon_skips_past_checks_where_the_terms_at_s_1_grow():
+def test_lerch_does_not_stop_where_the_terms_at_s_1_grow():
     # w = 0.99, s = -1, x = 1, fac = 0.007 and tol = 7,000: the part of the
     # bound at s is above tol at k = 70..135, the part at s - 1 at k =
     # 148..259, and neither at k = 136..147.  There the terms at s - 1
     # still grow, so their ratio test fails (it does up to k = 395), and
-    # one stretch runs from 70 to 259, past those checks
+    # the sum runs on to k = 396
     w, s, x, fac, tol = 0.99, complex(-1), 1.0, 0.007, 7000.0
-    _, den, den1, _, _ = _parts(w, s, x, fac, tol)
+    den, den1 = 1 - _ratio(w, s.real), 1 - _ratio(w, s.real - 1)
     parts = [(w ** j * (j + x) / den, fac * w ** j * (j + x) ** 2 / den1)
              for j in range(70, 260)]
     assert [j for j, (a, b) in enumerate(parts, 70)
             if a <= tol and b <= tol] == list(range(136, 148))
-    assert _check_horizon(w, s, x, fac, tol, 69, True) == 260
-    _same_outcomes(w, s, x, fac, SeriesEvalConfig(tol))
+    cfg = SeriesEvalConfig(tol)
+    assert _step_lerch(w, s, x, fac, cfg)[2] == 396
+    _same_outcomes(w, s, x, fac, cfg)
 
 
-def test_horizon_skips_nothing_at_a_nan():
-    lev = _level(1e-12, 0.5)
-    assert _horizon(0, 1.0, math.nan, 2.0, lev, math.inf, 10 ** 7) == 1
-    assert _horizon(0, 1.0, math.nan, 2.0, lev, lev, 10 ** 7) == 1
-    assert _level(1e-12, math.nan) == math.inf
-    assert _horizon(0, 1.0, -0.5, 2.0, math.inf, math.inf, 10 ** 7) == 1
-    assert _horizon(0, 1.0, -0.5, 2.0, math.inf, math.nan, 10 ** 7) == 1
-
-
-def test_horizon_keeps_its_rounding_margin_at_a_flat_peak():
-    # w = 1 - 2^-17, s = -40, x = 0.5: g(j) = j log w + 40 log(j + x) peaks
-    # near j = 5.2e6, where the rounding of w^j alone may reach 1.3e-9 in
-    # log space, more than the absolute 1e-9.  With tol set so that the
-    # peak is 1.15e-9 above log(tol den), no check near it may be skipped.
-    w, s, x = 1 - 2.0 ** -17, complex(-40), 0.5
-    den = 1 - _ratio(w, s.real)
-    with mp.workdps(40):
-        la, top = mp.log(w), None
-        j0 = int(40 / -la - x)
-        for j in range(j0 - 2, j0 + 3):
-            g = j * la + 40 * mp.log(mp.mpf(j + x))
-            if top is None or g > top[1]:
-                top = (j, g)
-        tol = float(mp.exp(top[1] - mp.mpf("1.15e-9")) / den)
-    for k in range(top[0] - 40, top[0] + 1, 8):
-        _check_horizon(w, s, x, 0, tol, k, False)
+@pytest.mark.parametrize("fac", [0, 1j])
+def test_lerch_overflows_at_the_term_past_the_float_range(fac):
+    # w = 0.7209, s = -120, x = 1: the terms still grow at k = 370, where
+    # (k + 1)^120 leaves the float range, at both fac.  The bound is read
+    # off that term, so at fac != 0 no (k + 1)^121 overflows first, as it
+    # did at k = 352
+    with pytest.raises(OverflowError, match=r"term k = 370$"):
+        _lerch(0.7209, -120, 1.0, fac, DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------

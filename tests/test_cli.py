@@ -263,7 +263,7 @@ def test_float_overflow_exits_3(argv, msg, capsys):
 
 
 def test_zeta_at_s_minus_120_fits_a_float(capsys):
-    # the direct sums overflow at term k = 352, but the value, about
+    # the direct sums overflow at term k = 370, but the value, about
     # 2.5e102, fits: the residue route prints it within its certified bound.
     # Reference: direct mpmath fsum of 2,000 terms at 250 and at 300 dps,
     # which agree to all 20 digits shown

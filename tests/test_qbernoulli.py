@@ -103,6 +103,15 @@ def test_arguments_outside_the_domain_are_refused(call, cls, match):
         call()
 
 
+@pytest.mark.parametrize("h", [1, -2])
+def test_twisted_values_refuse_a_negative_n(h):
+    # B_{-1,chi} is not defined: a refusal, as for B_{-1}, not a zero sum
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        generalized_q_bernoulli(_CHI4, h, -1, 0.5)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        generalized_q_bernoulli_exact(_CHI4, h, -1)
+
+
 def test_polynomial_constant_term_is_number():
     for h in (0, 1, 2):
         for n in range(6):
