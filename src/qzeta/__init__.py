@@ -19,7 +19,7 @@ _EXPORTS = {
     "characters": ("DirichletCharacter", "UnityRoot", "enumerate_characters",
                    "principal_character", "unit_group_generators"),
     "exact": ("LogScalar", "QPolynomial", "RationalFunction", "XPolynomial",
-              "eval_log_scalar_complex", "eval_log_scalar_mp"),
+              "eval_log_scalar_complex"),
     "padic": ("MonomialTestFunction", "PadicNumber", "closed_form_verify",
               "eval_log_scalar_padic", "padic_exp", "padic_generalized_verify",
               "padic_log", "padic_pow", "q_volkenborn_sum",

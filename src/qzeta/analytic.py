@@ -28,7 +28,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter, _Frozen
+from .characters import DirichletCharacter, _Frozen, euler_phi
 
 if TYPE_CHECKING:
     from .report import VerificationReport
@@ -529,7 +529,7 @@ def _lfunction_residue(h: int, chi: DirichletCharacter, qv: complex,
     e^(2 pi i k r/d).  The direct route runs one `_lerch` at |w^d| per
     unit r mod d; the Gauss sums cost about d^2 of its terms."""
     d = chi.modulus
-    units = sum(math.gcd(r, d) == 1 for r in range(1, d + 1))
+    units = euler_phi(d)
     one = _direct_terms(abs(qv ** h) ** d, s.real, 0.5, cfg.tol)
     cost = min(one * units, cfg.max_terms) - d * d
     if not cost > _RESIDUE_SETUP_COST:

@@ -304,8 +304,8 @@ def _run_verify(args):
 
 def _run_padic(args, modulus: int):
     """witt, shift, closedform and twisted, the targets that read --levels.
-    --precision and --slack default to padic.DEFAULT_PRECISION
-    (QZK_DEFAULT_PRECISION) and DEFAULT_SLACK."""
+    --precision and --slack default to padic.DEFAULT_PRECISION and
+    DEFAULT_SLACK."""
     levels = _parse_levels(args.levels)
     from . import padic
 

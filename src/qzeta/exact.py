@@ -293,11 +293,6 @@ class QPolynomial(_Ring, _Frozen):
             a, b = b, [c / r[-1] for c in r] if r else r
         return QPolynomial([c / a[-1] for c in a])
 
-    def subst_q_power(self, m: int) -> "QPolynomial":
-        out = [0] * ((len(self.ints) - 1) * m + 1)
-        out[::m] = self.ints
-        return QPolynomial._raw(out, self.den)
-
     def eval_pair(self, x: Fraction) -> tuple[int, int]:
         """The value at x = a/b as (numerator, denominator), in integers and
         not in lowest terms: Horner's rule gives sum_i c_i a^i b^(D - i), D
@@ -489,16 +484,6 @@ class RationalFunction(_Ring, _Frozen):
             exps[d] = exps.get(d, 0) + e
         return RationalFunction._raw(a.num * b.num, exps)
 
-    def subst_q_power(self, m: int) -> "RationalFunction":
-        """q -> q^m.  Stays in lowest terms: q -> q^m sends each root of a
-        new factor Phi_c to a root of Phi_d, where the numerator is not 0."""
-        if m < 1:
-            raise DomainError("substitution exponent must be >= 1")
-        if m == 1:
-            return self
-        return RationalFunction._raw(self.num.subst_q_power(m),
-                                     _subst_exps(self.exps, m))
-
     def eval_pair(self, x: Fraction) -> tuple[int, int]:
         """The value at x as (numerator, denominator), not in lowest terms."""
         c, d = self.den.eval_pair(x)
@@ -654,14 +639,6 @@ class LogScalar(_Ring, _Frozen):
             return LogScalar(self.rat * o.rat, self.rat * o.log)
         return LogScalar(self.rat * o.rat, self.log * o.rat)
 
-    def subst_q_power(self, m: int) -> "LogScalar":
-        """q -> q^m; the LAMBDA coefficient picks up a factor m since
-        log q^m = m log q."""
-        if m < 1:
-            raise DomainError("substitution exponent must be >= 1")
-        return LogScalar(self.rat.subst_q_power(m),
-                         self.log.subst_q_power(m) * m)
-
     # -- JSON interchange ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -696,28 +673,6 @@ def eval_log_scalar_complex(a: LogScalar, qv: complex) -> complex:
     if a.log:
         out += a.log.eval_complex(qv) * cmath.log(qv)
     return out
-
-
-def eval_log_scalar_mp(a: LogScalar, q: Fraction, dps: int = 60):
-    """High-precision real evaluation at exact rational q > 0.
-
-    The rational components are evaluated exactly; only log q and the final
-    combination are floating point (mpmath at `dps` digits).  Used where the
-    two components nearly cancel, e.g. q close to 1.
-    """
-    import mpmath as mp
-
-    q = Fraction(q)
-    if q <= 0:
-        raise DomainError("mp evaluation requires rational q > 0")
-    with mp.workdps(dps):
-        rv = a.rat.eval_fraction(q)
-        out = mp.mpf(rv.numerator) / mp.mpf(rv.denominator)
-        if a.log:
-            lv = a.log.eval_fraction(q)
-            lf = mp.mpf(lv.numerator) / mp.mpf(lv.denominator)
-            out += lf * mp.log(mp.mpf(q.numerator) / mp.mpf(q.denominator))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +715,6 @@ class XPolynomial(_Frozen):
         for c in reversed(self.coeffs):
             acc = acc * x + eval_log_scalar_complex(c, qv)
         return acc
-
-    def subst_q_power(self, m: int) -> "XPolynomial":
-        return XPolynomial([c.subst_q_power(m) for c in self.coeffs])
 
     def __repr__(self):
         return f"XPolynomial({list(self.coeffs)!r})"

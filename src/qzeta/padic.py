@@ -22,7 +22,6 @@ their difference."""
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, isqrt, log2
@@ -34,7 +33,7 @@ from .report import VerificationReport
 
 _BIG = 10 ** 9  # valuation sentinel for an exact zero
 
-DEFAULT_PRECISION = int(os.environ.get("QZK_DEFAULT_PRECISION", "16"))
+DEFAULT_PRECISION = 16
 DEFAULT_SLACK = 3
 # Work bound on one call of the level sums: k_max + w Mahler terms, w (at
 # least twice the top level) their working precision, each weighted by (size

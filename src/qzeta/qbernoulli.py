@@ -343,18 +343,39 @@ def generalized_q_bernoulli(chi: DirichletCharacter, h: int, n: int,
     return acc * float(d) ** (n - 1)
 
 
+_LOG_TERMS = 1000   # the most terms of log(1 + x) classical_limit_errors adds
+
+
 def classical_limit_errors(h: int, n: int, eps_list=(Fraction(1, 10 ** 3),
                                                     Fraction(1, 10 ** 4),
-                                                    Fraction(1, 10 ** 5)),
-                           dps: int = 80) -> list[float]:
-    """|B_n^{(h)} at q = 1+eps  -  B_n| for each eps, evaluated at high
-    precision (the two scalar components cancel heavily near q = 1)."""
-    from .exact import eval_log_scalar_mp
-
+                                                    Fraction(1, 10 ** 5))
+                           ) -> list[float]:
+    """|B_n^{(h)} at q = 1+eps  -  B_n| for each rational eps, -1/2 < eps < 1,
+    eps != 0.  The two components cancel heavily near q = 1, so this is
+    exact but for one rounding: r(q) - B_n and l(q) are Fractions, and
+    log q = log(1 + x), x = eps (or -log(1 + x), x = -eps/q, at eps < 0),
+    lies between any two consecutive partial sums of
+    sum_k (-1)^(k+1) x^k / k.  Terms are added until the bracket on
+    r - B_n + l log q is at most 2^-60 of its end nearer 0 (at once where
+    both parts are 0), and its midpoint is returned as a float; a bracket
+    still wider after _LOG_TERMS terms raises."""
     bq = q_bernoulli_number(h, n)
     bn = classical_bernoulli(n)[n]
     out = []
-    for eps in eps_list:
-        v = eval_log_scalar_mp(bq, 1 + Fraction(eps), dps=dps)
-        out.append(abs(float(v - Fraction(bn))))
+    for eps in map(Fraction, eps_list):
+        if eps == 0 or not -Fraction(1, 2) < eps < 1:
+            raise DomainError("need -1/2 < eps < 1, eps != 0")
+        q = 1 + eps
+        lo, t = bq.rat.eval_fraction(q) - bn, bq.log.eval_fraction(q)
+        x, t = (eps, t) if eps > 0 else (-eps / q, -t)
+        for k in range(1, _LOG_TERMS + 1):
+            t *= x
+            hi = lo + t / k if k % 2 else lo - t / k
+            if abs(hi - lo) <= min(abs(hi), abs(lo)) / 2 ** 60:
+                break
+            lo = hi
+        else:
+            raise DomainError(f"log(1 + {eps}) takes more than {_LOG_TERMS} "
+                              "terms to separate the error from 0")
+        out.append(abs(float((lo + hi) / 2)))
     return out

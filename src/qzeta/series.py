@@ -1,7 +1,9 @@
 """Truncated formal power series in t.  No `qzeta` module calls it: it stays
 because code outside the package wraps its `invert` and `*` by name, and as
 the Cauchy product of the generating-function test oracle in
-`tests/test_qbernoulli.py`."""
+`tests/test_qbernoulli.py`.  `invert` takes 1 / c0, so it needs int,
+Fraction or float coefficients: the exact types have no `/`, and a
+`LogScalar` c0 raises TypeError."""
 
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ class TruncatedSeries:
         return TruncatedSeries(out, t)
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse mod t^(T+1); needs an invertible c0."""
+        """Multiplicative inverse mod t^(T+1); needs a nonzero int, Fraction
+        or float c0."""
         c = self.coeffs
         b0 = 1 / c[0]
         out = [b0]

@@ -197,8 +197,8 @@ def test_criterion_09_cross_path_generalized_values():
 def test_criterion_10_classical_limit():
     t0 = time.time()
     ok = True
-    for h in (1, 2):
-        for n in range(9):
+    for h in (-1, 1, 2):
+        for n in range(13):
             errs = classical_limit_errors(h, n)
             ok = ok and errs[0] >= errs[1] >= errs[2]
             ok = ok and errs[-1] <= 1e-3

@@ -17,8 +17,8 @@ ALL = ['DirichletCharacter', 'LogScalar', 'MonomialTestFunction',
        'UnityRoot', 'VerificationReport', 'XPolynomial', 'analytic',
        'characters', 'classical_bernoulli', 'closed_form_verify',
        'distribution_check', 'enumerate_characters',
-       'eval_log_scalar_complex', 'eval_log_scalar_mp',
-       'eval_log_scalar_padic', 'exact', 'gen_function_identity_check',
+       'eval_log_scalar_complex', 'eval_log_scalar_padic', 'exact',
+       'gen_function_identity_check',
        'generalized_q_bernoulli', 'generalized_q_bernoulli_exact',
        'l_interpolation_verify', 'padic', 'padic_exp',
        'padic_generalized_verify', 'padic_log', 'padic_pow',
@@ -30,10 +30,10 @@ ALL = ['DirichletCharacter', 'LogScalar', 'MonomialTestFunction',
        'zeta_interpolation_verify']
 
 
-def _python(script, *argv, env=None):
+def _python(script, *argv):
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True,
-        timeout=60, env=dict(os.environ, PYTHONPATH=SRC, **(env or {})))
+        timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -122,15 +122,6 @@ def test_subcommand_loads_only_its_modules(argv, kind):
 def test_csv_output_loads_csv():
     doc = _python(_MAIN, "characters", "--modulus", "3", "--format", "csv")
     assert doc["code"] == 0 and doc["csv"]
-
-
-def test_default_precision_from_environment():
-    # the parser no longer reads padic's default; the p-adic branch does
-    argv = ["verify", "witt", "--levels", "3"]
-    doc = _python(_MAIN, *argv, env={"QZK_DEFAULT_PRECISION": "30"})
-    assert json.loads(doc["out"])["params"]["prec"] == 30
-    doc = _python(_MAIN, *argv, env={"QZK_DEFAULT_PRECISION": "16"})
-    assert json.loads(doc["out"])["params"]["prec"] == 16
 
 
 _RAISE = """

@@ -8,6 +8,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from qzeta import exact, qbernoulli
@@ -22,6 +23,7 @@ from qzeta.qbernoulli import (classical_bernoulli, classical_limit_errors,
                               q_bernoulli_number, q_bernoulli_polynomial,
                               q_bernoulli_table)
 from qzeta.series import TruncatedSeries
+from q_substitution import subst_q_power
 
 F = Fraction
 
@@ -157,7 +159,7 @@ def _compose_affine(poly, a, b):
 def _distribution_oracle(poly, h, n, m):
     """lhs - rhs of the distribution relation for the polynomial `poly`,
     per power of x, from m shifted compositions."""
-    base = poly.subst_q_power(m)
+    base = subst_q_power(poly, m)
     rhs = [LogScalar()] * len(poly.coeffs)
     for i in range(m):
         w = LogScalar(RationalFunction.q_power(h * i)) * F(m) ** (n - 1)
@@ -353,6 +355,69 @@ def test_classical_limit_errors_decrease():
             assert errs[-1] <= 1e-3
 
 
+_EPS = (F(1, 10 ** 3), F(1, 10 ** 4), F(1, 10 ** 5))
+
+
+def _classical_limit_oracle(h, n, eps_list, dps):
+    """|B_n^{(h)} at q = 1+eps  -  B_n| by mpmath: the exact parts r(q) and
+    l(q), then every float step, B_n's subtraction too, inside workdps."""
+    bq, bn = q_bernoulli_number(h, n), classical_bernoulli(n)[n]
+    out = []
+    with mp.workdps(dps):
+        for eps in eps_list:
+            q = 1 + F(eps)
+            r, l = bq.rat.eval_fraction(q), bq.log.eval_fraction(q)
+            v = (mp.mpf(r.numerator) / r.denominator
+                 - mp.mpf(bn.numerator) / bn.denominator
+                 + mp.mpf(l.numerator) / l.denominator
+                 * mp.log(mp.mpf(q.numerator) / q.denominator))
+            out.append(float(abs(v)))
+    return out
+
+
+@pytest.mark.parametrize("h", [-2, -1, 1, 2, 3])
+def test_classical_limit_errors_match_mpmath(h):
+    # from both sides of q = 1; the oracle at 120 and at 200 digits agrees
+    # with itself, so its digits are not those of a too-low precision
+    eps_list = _EPS + tuple(-e for e in _EPS)
+    for n in range(13):
+        got = classical_limit_errors(h, n, eps_list)
+        lo, hi = (_classical_limit_oracle(h, n, eps_list, dps)
+                  for dps in (120, 200))
+        for a, b, c in zip(got, lo, hi):
+            assert abs(b - c) <= 1e-14 * c, (n, b, c)
+            assert abs(a - c) <= 1e-12 * c, (n, a, c)
+
+
+def test_classical_limit_error_pins():
+    # B_n is subtracted exactly; in 15-digit floats this reads 1.6666407e-12
+    got = classical_limit_errors(1, 2)[2]
+    assert abs(got - 1.666650000142856e-12) <= 1e-12 * 1.666650000142856e-12
+    # at n = 12 the two parts cancel to about 1e-11 of their size, past
+    # what 80 digits keep
+    for h in (-1, 1):
+        got = classical_limit_errors(h, 12)[2]
+        assert abs(got - 5.833275000239217e-11) <= 1e-12 * got
+    # h = 0 is the classical family itself: both parts are 0
+    assert classical_limit_errors(0, 4) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("eps", [0, F(-1, 2), 1, F(-3, 4), 2])
+def test_classical_limit_errors_refuse_eps_outside_the_series(eps):
+    with pytest.raises(DomainError, match=r"^need -1/2 < eps < 1, eps != 0$"):
+        classical_limit_errors(1, 2, [eps])
+
+
+def test_classical_limit_errors_stop_at_the_term_cap(monkeypatch):
+    # x = 1/2 takes about 100 terms of log(1 + x) at n = 4
+    monkeypatch.setattr(qbernoulli, "_LOG_TERMS", 50)
+    with pytest.raises(DomainError, match=r"^log\(1 \+ 1/2\) takes more "
+                                          r"than 50 terms"):
+        classical_limit_errors(1, 4, [F(1, 2)])
+    monkeypatch.setattr(qbernoulli, "_LOG_TERMS", 200)
+    assert classical_limit_errors(1, 4, [F(1, 2)])[0] > 0
+
+
 _B600 = """
 import hashlib, json, sys
 from qzeta.qbernoulli import q_bernoulli_number
@@ -384,7 +449,7 @@ def _units(d):
 def _horner_twisted_terms(d, h, n):
     """{i: q^{h i} B_{n, q^d}^{(h)}(i/d)} over the units i < d by Horner's
     rule in LogScalar arithmetic: the reference for `_twisted_terms_mod`."""
-    poly = q_bernoulli_polynomial(h, n).subst_q_power(d)
+    poly = subst_q_power(q_bernoulli_polynomial(h, n), d)
     out = {}
     for i in _units(d):
         acc = LogScalar()

@@ -363,6 +363,28 @@ def test_denominator_format_is_read_only_in_exact():
     assert found == []
 
 
+def test_src_needs_only_the_standard_library_and_no_environment():
+    # qzeta has no runtime dependency and no environment knob: every import
+    # in src/qzeta, at any depth, is relative, of qzeta or of the standard
+    # library, and no name or attribute `environ` or `getenv` is read
+    found = []
+    for path in sorted((ROOT / "src" / "qzeta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if name in {"environ", "getenv"}:
+                    found.append((path.name, node.lineno, name))
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] not in
+                      {"qzeta", *sys.stdlib_module_names}]
+    assert found == []
+
+
 def test_every_error_class_has_an_exit_code_family():
     # the CLI exits 2 on a ValueError and 3 on an ArithmeticError; an error
     # class of neither family would escape as a traceback with exit 1, the

@@ -75,9 +75,7 @@ class _Routes:
 def measure(workload: str, seed: int, n_rounds: int) -> dict[str, dict]:
     """{kind: {"lat": [seconds per op], "raised": n, "gc": n, "gc2": n,
     "residue": n, "direct": n, "fallback": n}}."""
-    # the package and the CLI processes read this checkout's src, with the
-    # default precision the benchmark uses
-    os.environ.pop("QZK_DEFAULT_PRECISION", None)
+    # the package and the CLI processes read this checkout's src
     os.environ["PYTHONPATH"] = str(ROOT / "src")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import ops
