@@ -7,8 +7,9 @@ its module on first access (PEP 562), so a process that asks only for
 `qzeta.characters` never compiles the exact, p-adic or complex code.
 The value classes (`LogScalar`, `DirichletCharacter`, `PadicNumber`,
 `VerificationReport`, ...) are immutable through one private base,
-`qzeta.characters._Frozen`, which every CLI process already loads; here it
-would add its compile time to every `import qzeta`."""
+`qzeta._base._Frozen`, in a leaf module that imports nothing and that every
+CLI subcommand loads; here it would add its compile time to every
+`import qzeta`."""
 
 from importlib import import_module as _import_module
 

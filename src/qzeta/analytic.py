@@ -28,9 +28,10 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter, _Frozen, euler_phi
+from ._base import _Frozen, euler_phi
 
 if TYPE_CHECKING:
+    from .characters import DirichletCharacter
     from .report import VerificationReport
 
 

@@ -14,64 +14,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 
-
-class _Frozen:
-    """An immutable value: its fields are its `__slots__`, stored once by
-    `_set` in slot order; assignment raises AttributeError.  `==`, `hash`
-    and the repr `Class(field=value, ...)` read the public fields, those
-    not starting with "_" (a private slot holds a cache or a provenance)."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        # the slots' own setters cost about what direct object.__setattr__
-        # stores do; arithmetic builds PadicNumber and LogScalar in loops
-        cls._stores = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
-
-    def _set(self, *values):
-        for store, value in zip(self._stores, values):
-            store(self, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, n) for n in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            f"{n}={getattr(self, n)!r}" for n in self._fields))
-
-
-def euler_phi(n: int) -> int:
-    for p, _ in _factorize(n):
-        n -= n // p
-    return n
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from ._base import _Frozen, _factorize
 
 
 def _order_mod(a: int, m: int, group_order: int) -> int:

@@ -8,10 +8,16 @@ writing --out; a failed computation raises an ArithmeticError (the analytic
 series errors, exact.ExactError, padic.PadicError with PadicDomainError,
 ZeroDivisionError, OverflowError) and exits 3.  A class that is both exits 2.
 
-A process loads only the modules its subcommand runs: `characters` needs
-no exact arithmetic, `zeta` and `lfunction` none either and no p-adic
-code, `verify witt` no complex series.  Each branch of `_run` and
-`_run_verify` imports what it uses.
+A process compiles and builds only what its subcommand runs: the parser
+holds every subcommand's name and help but the options of the named one
+alone, and each branch of `_run` and `_run_verify` imports what it uses.
+Every subcommand loads `_base` (`_Frozen`, `euler_phi`, `_is_prime`); the
+tables add `exact` and `qbernoulli`, `zeta` and `lfunction` `analytic`,
+the verify targets `report` and the modules they check with (`padic` for
+those that read --levels), and only `generalized`, `characters`,
+`lfunction`, `verify twisted` and `verify interp-l`, which take a
+character, load `characters`.  A bad --p is refused before any p-adic code
+loads.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import characters
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .characters import DirichletCharacter
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +51,12 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex number {text!r}") from e
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str | None, default: int) -> Fraction:
+    """The rational `text`, or `default` when it is None or empty."""
+    from fractions import Fraction
+
+    if not text:
+        return Fraction(default)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -63,7 +77,9 @@ def _parse_levels(text: str) -> range:
     return levels
 
 
-def _char(modulus: int, index: int) -> characters.DirichletCharacter:
+def _char(modulus: int, index: int) -> DirichletCharacter:
+    from . import characters
+
     chars = characters.enumerate_characters(modulus)
     if not 0 <= index < len(chars):
         raise UsageError(
@@ -112,90 +128,91 @@ def _text_render(doc, indent: int = 0) -> str:
     return f"{pad}{doc}\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "text"],
-                        default="json")
-    common.add_argument("--out", default=None,
-                        help="output file (default stdout)")
+_COMMANDS = {
+    "bernoulli": "exact B_n^{(h)} table",
+    "polynomial": "exact B_n^{(h)}(x) coefficients",
+    "generalized": "character-twisted values",
+    "characters": "list Dirichlet characters mod d",
+    "zeta": "q-zeta / q-Hurwitz zeta value",
+    "lfunction": "q-L-function value",
+    "verify": "run an identity verification",
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and the options of `command` alone,
+    the subcommand that a valid command line names first."""
     ap = argparse.ArgumentParser(
         prog="qzeta",
         description="(h,q)-Bernoulli tables and identity verification")
     subactions = ap.add_subparsers(dest="command", required=True)
+    subs = {name: subactions.add_parser(name, help=text)
+            for name, text in _COMMANDS.items()}
+    if command not in subs:
+        return ap
+    a = subs[command].add_argument
+    a("--format", choices=["json", "csv", "text"], default="json")
+    a("--out", default=None, help="output file (default stdout)")
 
-    def sub(name, **kw):
-        return subactions.add_parser(name, parents=[common], **kw)
-
-    b = sub("bernoulli", help="exact B_n^{(h)} table")
-    b.add_argument("--h", type=int, required=True)
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--q", default=None, help="complex q for numeric evaluation")
-
-    p = sub("polynomial", help="exact B_n^{(h)}(x) coefficients")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    g = sub("generalized", help="character-twisted values")
-    g.add_argument("--modulus", type=int, required=True)
-    g.add_argument("--char-index", type=int, default=0)
-    g.add_argument("--h", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--q", required=True)
-
-    c = sub("characters", help="list Dirichlet characters mod d")
-    c.add_argument("--modulus", type=int, required=True)
-
-    z = sub("zeta", help="q-zeta / q-Hurwitz zeta value")
-    z.add_argument("--h", type=int, required=True)
-    z.add_argument("--q", required=True)
-    z.add_argument("--s", required=True)
-    z.add_argument("--x", type=float, default=1.0)
-    z.add_argument("--tol", type=float, default=1e-12)
-    z.add_argument("--max-terms", type=int, default=10 ** 7)
-
-    lf = sub("lfunction", help="q-L-function value")
-    lf.add_argument("--modulus", type=int, required=True)
-    lf.add_argument("--char-index", type=int, default=0)
-    lf.add_argument("--h", type=int, required=True)
-    lf.add_argument("--q", required=True)
-    lf.add_argument("--s", required=True)
-    lf.add_argument("--tol", type=float, default=1e-12)
-    lf.add_argument("--max-terms", type=int, default=10 ** 7)
-
-    v = sub("verify", help="run an identity verification")
-    v.add_argument("target", choices=["witt", "shift", "closedform",
-                                      "distribution", "genfunction",
-                                      "interp-zeta", "interp-l", "twisted"])
-    v.add_argument("--p", type=int, default=5)
-    v.add_argument("--q", default=None)
-    v.add_argument("--h", type=int, default=1)
-    v.add_argument("--n", type=int, default=1)
-    v.add_argument("--m", type=int, default=2)
-    v.add_argument("--b", type=int, default=1)
-    v.add_argument("--x", type=float, default=1.0)
-    v.add_argument("--t", default=None, help="rational t for closedform")
-    v.add_argument("--modulus", type=int, default=None,
-                   help="default 4 (3 for twisted at p = 2)")
-    v.add_argument("--char-index", type=int, default=1)
-    v.add_argument("--levels", default="3:6")
-    v.add_argument("--tol", type=float, default=1e-8)
-    # None: padic's defaults, read only when a p-adic target runs
-    v.add_argument("--slack", type=int, default=None)
-    v.add_argument("--precision", type=int, default=None)
+    if command == "bernoulli":
+        a("--h", type=int, required=True)
+        a("--n", type=int, required=True)
+        a("--q", default=None, help="complex q for numeric evaluation")
+    elif command == "polynomial":
+        a("--h", type=int, required=True)
+        a("--n", type=int, required=True)
+    elif command == "generalized":
+        a("--modulus", type=int, required=True)
+        a("--char-index", type=int, default=0)
+        a("--h", type=int, required=True)
+        a("--n", type=int, required=True)
+        a("--q", required=True)
+    elif command == "characters":
+        a("--modulus", type=int, required=True)
+    elif command == "zeta":
+        a("--h", type=int, required=True)
+        a("--q", required=True)
+        a("--s", required=True)
+        a("--x", type=float, default=1.0)
+        a("--tol", type=float, default=1e-12)
+        a("--max-terms", type=int, default=10 ** 7)
+    elif command == "lfunction":
+        a("--modulus", type=int, required=True)
+        a("--char-index", type=int, default=0)
+        a("--h", type=int, required=True)
+        a("--q", required=True)
+        a("--s", required=True)
+        a("--tol", type=float, default=1e-12)
+        a("--max-terms", type=int, default=10 ** 7)
+    else:
+        a("target", choices=["witt", "shift", "closedform", "distribution",
+                             "genfunction", "interp-zeta", "interp-l",
+                             "twisted"])
+        a("--p", type=int, default=5)
+        a("--q", default=None)
+        a("--h", type=int, default=1)
+        a("--n", type=int, default=1)
+        a("--m", type=int, default=2)
+        a("--b", type=int, default=1)
+        a("--x", type=float, default=1.0)
+        a("--t", default=None, help="rational t for closedform")
+        a("--modulus", type=int, default=None,
+          help="default 4 (3 for twisted at p = 2)")
+        a("--char-index", type=int, default=1)
+        a("--levels", default="3:6")
+        a("--tol", type=float, default=1e-8)
+        # None: padic's defaults, read only when a p-adic target runs
+        a("--slack", type=int, default=None)
+        a("--precision", type=int, default=None)
     return ap
 
 
 def _padic_q(args, prec: int):
-    from .padic import (PadicDomainError, PadicNumber, _is_prime,
-                        _log_domain_ok)
+    """--q as a p-adic number, --p being checked already."""
+    from .padic import PadicDomainError, PadicNumber, _log_domain_ok
 
-    if args.p >= 2 ** 64:
-        raise UsageError(f"--p {args.p} is not below the bound 2^64")
-    if not _is_prime(args.p):
-        raise UsageError(f"--p {args.p} is not prime")
     # 1 + p is outside the log domain at p = 2, which needs q = 1 mod 4
-    q = (_parse_rational(args.q) if args.q
-         else Fraction(5 if args.p == 2 else 1 + args.p))
+    q = _parse_rational(args.q, 5 if args.p == 2 else 1 + args.p)
     qp = PadicNumber.from_fraction(args.p, q, prec + 24)
     # log q is read only at h != 0: no target has a log part at h = 0
     if args.h and not _log_domain_ok(qp):
@@ -240,6 +257,8 @@ def _run(args) -> tuple[object, int]:
                 for n, v in enumerate(vals)], EXIT_OK
 
     if cmd == "characters":
+        from . import characters
+
         out = []
         for idx, chi in enumerate(characters.enumerate_characters(args.modulus)):
             values = {}
@@ -306,12 +325,21 @@ def _run_padic(args, modulus: int):
     """witt, shift, closedform and twisted, the targets that read --levels.
     --precision and --slack default to padic.DEFAULT_PRECISION and
     DEFAULT_SLACK."""
+    t = args.target
     levels = _parse_levels(args.levels)
+    # a bad --char-index is reported before a bad --p, and a bad --p before
+    # any p-adic code loads
+    chi = _char(modulus, args.char_index) if t == "twisted" else None
+    from ._base import _is_prime
+
+    if args.p >= 2 ** 64:
+        raise UsageError(f"--p {args.p} is not below the bound 2^64")
+    if not _is_prime(args.p):
+        raise UsageError(f"--p {args.p} is not prime")
     from . import padic
 
     prec = padic.DEFAULT_PRECISION if args.precision is None else args.precision
     slack = padic.DEFAULT_SLACK if args.slack is None else args.slack
-    t = args.target
     if t == "witt":
         return padic.witt_verify(args.h, args.n, _padic_q(args, prec), levels,
                                  prec=prec, slack=slack)
@@ -320,10 +348,8 @@ def _run_padic(args, modulus: int):
         return padic.shift_identity_verify(f, args.b, levels[-1],
                                            prec=prec, slack=slack)
     if t == "closedform":
-        # check --p before --t: from_fraction takes any p >= 2, prime or not
         q = _padic_q(args, prec)
-        tv = (_parse_rational(args.t) if args.t
-              else Fraction(4 if args.p == 2 else args.p))
+        tv = _parse_rational(args.t, 4 if args.p == 2 else args.p)
         tp = padic.PadicNumber.from_fraction(args.p, tv, prec + 24)
         if not padic._exp_domain_ok(tp):
             raise padic.PadicDomainError(f"--t {tv} is outside the p-adic exp "
@@ -331,7 +357,6 @@ def _run_padic(args, modulus: int):
         return padic.closed_form_verify(args.h, tp, q, levels[-1],
                                         prec=prec, slack=slack)
     # twisted, the last target argparse allows
-    chi = _char(modulus, args.char_index)
     q = _padic_q(args, prec)
     if modulus % args.p == 0:
         raise padic.PadicDomainError(f"--modulus {modulus} is divisible by "
@@ -365,10 +390,12 @@ def _is_complex(text: str) -> bool:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    # argparse reads the first argument that names no option as the
+    # subcommand: where that is a subcommand, it is the first one named
+    ap = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
-        args = ap.parse_args(_attach_negative_values(
-            sys.argv[1:] if argv is None else argv))
+        args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

@@ -45,7 +45,7 @@ from itertools import accumulate, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .characters import _Frozen, euler_phi
+from ._base import _Frozen, euler_phi
 
 
 class ExactError(ArithmeticError):

@@ -25,11 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, isqrt, log2
+from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter, _Frozen
+from ._base import _Frozen, _is_prime
 from .exact import LogScalar, _Ring
 from .qbernoulli import generalized_q_bernoulli_exact, q_bernoulli_number
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .characters import DirichletCharacter
 
 _BIG = 10 ** 9  # valuation sentinel for an exact zero
 
@@ -57,19 +61,6 @@ class PrecisionExhausted(PadicError):
 
 class PadicDomainError(PadicError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases: exact below 2^64."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    return all(pow(b, d, n) == 1 or
-               any(pow(b, d << r, n) == n - 1 for r in range(s))
-               for b in bases)
 
 
 def _check_prime(p: int) -> None:

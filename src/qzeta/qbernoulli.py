@@ -51,12 +51,16 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, gcd, lgamma, log, log2
 from operator import add
+from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter, _Frozen
+from ._base import _Frozen
 from .exact import (DomainError, LogScalar, RationalFunction, XPolynomial,
                     _in_unit_disc, _lift_all, _lift_to_power, _lower, _trim,
                     eval_log_scalar_complex, rf_sum)
-from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .characters import DirichletCharacter
+    from .report import VerificationReport
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
@@ -177,6 +181,8 @@ def _report(identity: str, params: dict, var: str, parts) -> VerificationReport:
     numerator list and an integer divisor.  The identity holds where both
     lists are 0, and only a nonzero one is reduced to lowest terms, as the
     witness."""
+    from .report import VerificationReport
+
     witnesses = []
     for j, nums in enumerate(zip(*(nums for _, nums in parts))):
         if not any(any(ints) for ints, _ in nums):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .characters import _Frozen
+from ._base import _Frozen
 
 
 class VerificationReport(_Frozen):

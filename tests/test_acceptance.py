@@ -209,7 +209,7 @@ def test_criterion_10_classical_limit():
 def test_criterion_11_character_algebra():
     from math import gcd
 
-    from qzeta.characters import euler_phi
+    from qzeta._base import euler_phi
     t0 = time.time()
     ok = True
     for d in range(1, 25):

@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
+from qzeta._base import euler_phi
 from qzeta.characters import (DirichletCharacter, UnityRoot, _dlog_table,
-                              euler_phi, enumerate_characters,
-                              principal_character, unit_group_generators)
+                              enumerate_characters, principal_character,
+                              unit_group_generators)
 
 
 def test_euler_phi_small_values():

@@ -219,6 +219,26 @@ def test_exact_output_matches_golden(argv, golden, capsys):
     assert out == (DATA / f"{golden}.json").read_text()
 
 
+# the top-level help, each subcommand's help, one missing required option
+# per subcommand, and an unknown option ahead of a subcommand's name, whose
+# error names that option alone: the subcommand still parses its own
+USAGE = ["--help", *(f"{cmd} --help" for cmd in (
+    "bernoulli", "polynomial", "generalized", "characters", "zeta",
+    "lfunction", "verify")),
+    "bernoulli --h 1", "polynomial --n 3",
+    "generalized --modulus 4 --h 1 --n 3", "characters",
+    "zeta --h 1 --q 0.5", "lfunction --modulus 4 --h 1 --q 0.5", "verify",
+    "--format=csv characters --modulus 3"]
+
+
+def test_help_and_usage_errors_match_golden(monkeypatch, capsys):
+    # argparse wraps its text at $COLUMNS; the file holds [code, stdout,
+    # stderr] per command line
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {argv: list(run(argv.split(), capsys)) for argv in USAGE}
+    assert got == json.loads((DATA / "cli_usage.json").read_text())
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["verify", "witt", "--p", "4", "--levels", "3:5"], "--p"),
     (["verify", "shift", "--p", "9", "--levels", "3"], "--p"),

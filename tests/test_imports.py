@@ -72,8 +72,8 @@ def test_unknown_name_is_attribute_error():
     assert "no_such_name" in doc
 
 
-BASE = ["qzeta", "qzeta.characters", "qzeta.cli"]
-TABLES = BASE + ["qzeta.exact", "qzeta.qbernoulli", "qzeta.report"]
+BASE = ["qzeta", "qzeta._base", "qzeta.cli"]
+TABLES = BASE + ["qzeta.exact", "qzeta.qbernoulli"]
 MODULES = {  # the qzeta modules each kind of subcommand loads
     "base": BASE,
     "tables": TABLES,
@@ -81,6 +81,17 @@ MODULES = {  # the qzeta modules each kind of subcommand loads
     "padic": TABLES + ["qzeta.padic"],
     "interp": TABLES + ["qzeta.analytic"],
 }
+# and besides: qzeta.report for every verify target, and qzeta.characters
+# for the subcommands and targets that take a character, and no others
+TAKE_A_CHARACTER = {"characters", "generalized", "lfunction", "twisted",
+                    "interp-l"}
+
+
+def _expected(argv, kind):
+    words = set(argv.split()[:2])
+    return sorted(MODULES[kind] + ["qzeta.report"] * ("verify" in words)
+                  + ["qzeta.characters"] * bool(words & TAKE_A_CHARACTER))
+
 
 _MAIN = f"""
 import contextlib, io, json, sys
@@ -90,6 +101,7 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
 print(json.dumps({{"code": code, "out": out.getvalue(),
                   "modules": {_loaded()},
                   "dataclasses": "dataclasses" in sys.modules,
+                  "fractions": "fractions" in sys.modules,
                   "csv": "csv" in sys.modules}}))
 """
 
@@ -114,9 +126,25 @@ print(json.dumps({{"code": code, "out": out.getvalue(),
 def test_subcommand_loads_only_its_modules(argv, kind):
     doc = _python(_MAIN, *argv.split())
     assert doc["code"] == 0
-    assert doc["modules"] == sorted(MODULES[kind])
+    assert doc["modules"] == _expected(argv, kind)
     assert not doc["dataclasses"]
     assert not doc["csv"]
+
+
+@pytest.mark.parametrize("argv,code,modules,fractions", [
+    # a bad --p is refused before any p-adic, exact or character code loads
+    ("verify witt --p 4 --levels 3:5", 2, BASE, False),
+    # no rational is parsed and no character taken
+    ("zeta --h 1 --q 0.5 --s 2", 0, MODULES["complex"], False),
+    # a table builds no report
+    ("bernoulli --h 1 --n 4", 0, TABLES, True),
+])
+def test_subcommand_skips_what_it_does_not_run(argv, code, modules,
+                                               fractions):
+    doc = _python(_MAIN, *argv.split())
+    assert doc["code"] == code
+    assert doc["modules"] == sorted(modules)
+    assert doc["fractions"] == fractions
 
 
 def test_csv_output_loads_csv():
@@ -295,7 +323,7 @@ def _frozen_cases():
 
 @pytest.mark.parametrize("name", sorted(_frozen_cases()))
 def test_frozen_value_class(name):
-    from qzeta.characters import _Frozen
+    from qzeta._base import _Frozen
 
     value, text = _frozen_cases()[name]
     assert type(value).__name__ == name and isinstance(value, _Frozen)
@@ -306,7 +334,7 @@ def test_frozen_value_class(name):
 
 
 def test_frozen_cases_cover_every_subclass():
-    from qzeta.characters import _Frozen
+    from qzeta._base import _Frozen
 
     _frozen_cases()                             # loads every module
     assert sorted(c.__name__ for c in _Frozen.__subclasses__()) == \
